@@ -275,9 +275,13 @@ def check_strict_composability(
                 "composed": float(composed),
             }
     ok = worst <= tol
+    if not cases:
+        verdict = INCONCLUSIVE  # nothing was checked
+    else:
+        verdict = PASS if ok else FAIL
     return AxiomReport(
         axiom="strict-composability",
-        verdict=PASS if ok else FAIL,
+        verdict=verdict,
         worst_residual=worst,
         witness=None if ok else witness,
         trials=len(cases),

@@ -54,9 +54,13 @@ class Distribution:
             raise DistributionError("need a nonempty 1-d probability vector")
         if np.any(arr < 0):
             raise DistributionError("probabilities must be nonnegative")
-        if abs(arr.sum() - 1.0) > _SUM_TOL:
+        total = arr.sum()
+        # with no negative entries, a nan or an inf entry makes the sum nan or inf
+        if not math.isfinite(total):
+            raise DistributionError("probabilities must be finite")
+        if abs(total - 1.0) > _SUM_TOL:
             raise DistributionError(
-                f"probabilities sum to {arr.sum()!r}, not 1 within {_SUM_TOL}"
+                f"probabilities sum to {total!r}, not 1 within {_SUM_TOL}"
             )
         self.p = arr
 

@@ -19,6 +19,7 @@ from .catalog import (
     BoltzmannGibbs,
     BorgesRoditi,
     Distribution,
+    DistributionError,
     GenericEntropy,
     GroupEntropy,
     Kaniadakis,
@@ -286,7 +287,7 @@ def cmd_occupation(args) -> int:
     print("#N\tln_W\tW\tS\tresidual")
     if not law.valid:
         return 1
-    report = thermo.extensivity_check(spec, args.nmax)
+    report = thermo.extensivity_check(spec, args.nmax, law)
     for N, lw, s, resid, _ in report.rows:
         W = float(np.exp(lw)) if lw < 700 else float("inf")
         print(tsv_line(N, lw, W, s, resid, digits=args.digits))
@@ -411,8 +412,11 @@ def main(argv=None) -> int:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
     try:
+        if args.digits < 1:
+            raise UsageError(f"--digits must be at least 1, got {args.digits}")
         return args.func(args)
-    except (UsageError, InputFormatError, SpecError, SeriesError, GroupLawError) as exc:
+    except (UsageError, InputFormatError, SpecError, SeriesError, GroupLawError,
+            DistributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

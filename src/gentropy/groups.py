@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
+from operator import add, itemgetter
 from typing import Iterator
 
 from .series import SeriesError, TruncatedSeries
@@ -22,8 +23,9 @@ Monomial = tuple[int, ...]
 class MultiPoly:
     """Sparse multivariate polynomial truncated at a total degree.
 
-    Coefficients are kept in a dict keyed by exponent tuples; any term whose
-    total degree exceeds ``order`` is dropped on construction.
+    Coefficients are rationals (``Fraction`` or ``int``) kept in a dict keyed
+    by exponent tuples; any term whose total degree exceeds ``order`` is
+    dropped on construction.
     """
 
     __slots__ = ("terms", "nvars", "order")
@@ -71,15 +73,23 @@ class MultiPoly:
         return MultiPoly(out, self.nvars, self.order)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            d1 = sum(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + sum(m2) > self.order:
-                    continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return MultiPoly(out, self.nvars, self.order)
+        # Products are summed as integers over the product of the operands'
+        # common denominators, so only one Fraction is normalised per output
+        # monomial instead of one per pair of terms.
+        den1, left = _integer_terms(self.terms)
+        den2, right = _integer_terms(other.terms)
+        acc: dict[Monomial, int] = {}
+        for m1, d1, c1 in left:
+            budget = self.order - d1
+            for m2, d2, c2 in right:
+                if d2 > budget:
+                    break
+                mono = tuple(map(add, m1, m2))
+                acc[mono] = acc.get(mono, 0) + c1 * c2
+        den = den1 * den2
+        return MultiPoly(
+            {m: Fraction(c, den) for m, c in acc.items() if c}, self.nvars, self.order
+        )
 
     def scale(self, factor) -> "MultiPoly":
         factor = Fraction(factor)
@@ -132,6 +142,19 @@ class MultiPoly:
         return out
 
 
+def _integer_terms(
+    terms: dict[Monomial, Fraction],
+) -> tuple[int, list[tuple[Monomial, int, int]]]:
+    """A common denominator D and (monomial, degree, numerator) by degree.
+
+    Each coefficient equals numerator / D exactly.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    out = [(m, sum(m), c.numerator * (den // c.denominator)) for m, c in terms.items()]
+    out.sort(key=itemgetter(1))
+    return den, out
+
+
 class GroupLawError(ValueError):
     """Invalid input for group-law construction."""
 
@@ -173,7 +196,15 @@ class LawAxiomCheck:
 
 
 def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> GroupLaw:
-    """Construct Phi(x, y) = G(F(x) + F(y)) truncated at total degree."""
+    """Construct Phi(x, y) = G(F(x) + F(y)) truncated at total degree.
+
+    Expanding G(F(x) + F(y)) = sum_k g_k (F(x) + F(y))^k binomially gives
+
+        c_ab = sum_k g_k sum_j C(k, j) [x^a]F^j [x^b]F^(k-j),
+
+    read off the power table of F.  Since F has no constant term,
+    [x^a]F^j vanishes for j > a, so j runs to a and k - j to b.
+    """
     if not G.is_normalized():
         raise GroupLawError("group exponential must be normalized (G(0)=0, G'(0)=1)")
     if order is None:
@@ -182,11 +213,21 @@ def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> 
         raise GroupLawError("requested order exceeds the exponential's order")
     Gn = TruncatedSeries(G.coeffs[: order + 1], order)
     F = Gn.revert()
-    x = MultiPoly.variable(0, 2, order)
-    y = MultiPoly.variable(1, 2, order)
-    u = x.substitute_univariate(F) + y.substitute_univariate(F)
-    phi = u.substitute_univariate(Gn)
-    return GroupLaw(phi=phi, exp=Gn, log=F)
+    g = [Fraction(c) for c in Gn.coeffs]
+    powers = [
+        p.coeffs for p in TruncatedSeries([Fraction(c) for c in F.coeffs], order).powers()
+    ]
+    terms = {}
+    for a in range(order + 1):
+        # v[i] = sum_j C(i + j, j) g_(i+j) [x^a]F^j, the x^a part of G's
+        # binomial expansion paired with F(y)^i
+        v = [
+            sum(comb(i + j, j) * g[i + j] * powers[j][a] for j in range(a + 1))
+            for i in range(order - a + 1)
+        ]
+        for b in range(order - a + 1):
+            terms[(a, b)] = sum(v[i] * powers[i][b] for i in range(b + 1))
+    return GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=F)
 
 
 def law_from_table(c: dict[tuple[int, int], Fraction], order: int) -> MultiPoly:
@@ -200,8 +241,33 @@ def law_from_table(c: dict[tuple[int, int], Fraction], order: int) -> MultiPoly:
 def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomCheck:
     """Symmetry, null-composability and associativity, coefficientwise.
 
-    Associativity expands both trivariate compositions, by default to the
-    law's own truncation order.
+    Associativity is decided to total degree N = assoc_order (by default the
+    law's own order) on the terms of Phi of degree at most N: the defect
+    D(x, y, z) = Phi(x, Phi(y, z)) - Phi(Phi(x, y), z) must vanish through
+    degree N, and ``first_violation`` names its lexicographically lowest
+    nonzero monomial.
+
+    Call Phi unital when Phi(x, 0) = x and Phi(0, y) = y.  Then D has no x^0
+    terms (both sides reduce to Phi(y, z) at x = 0), and its x^1 coefficient
+    is the bivariate
+
+        P(y, z) = L(Phi(y, z)) - d_1 Phi(y, z) L(y),  L(w) = d_x Phi(0, w),
+
+    through degree N - 1.  P vanishes exactly when D does.  One direction
+    is immediate.  For the other, L(0) = 1, so L is a unit and F with
+    F' = 1/L, F(0) = 0 is a series over Q.  Put H(y, z) = F(Phi(y, z)) -
+    F(y) - F(z).  Then d_y H = d_1 Phi / L(Phi) - 1/L(y) = -P / (L(Phi) L(y)),
+    so if P has no terms of degree below N, neither has d_y H.  A term
+    y^b z^c of H with b >= 1 and b + c <= N differentiates to b y^(b-1) z^c
+    of degree below N, so every such term is zero; the terms with b = 0 form
+    H(0, z) = F(z) - F(0) - F(z) = 0.  Hence Phi = G(F(y) + F(z)) through
+    degree N with G the reversion of F, a law that is associative exactly,
+    and D, which depends on Phi only through degree N, vanishes through
+    degree N.  Since D has no x^0 terms, its lowest monomial is (1, b, c)
+    with (b, c) the lowest monomial of P, whenever P is nonzero.
+
+    Tables that are not unital are checked by expanding both trivariate
+    compositions.
     """
     if assoc_order is None:
         assoc_order = phi.order
@@ -223,19 +289,17 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
         mono, coeff = min(diff.iter_terms())
         violation = ("null-composability", mono, coeff)
 
-    x = MultiPoly.variable(0, 3, assoc_order)
-    y = MultiPoly.variable(1, 3, assoc_order)
-    z = MultiPoly.variable(2, 3, assoc_order)
     phi_n = MultiPoly(
         {m: c for m, c in phi.terms.items() if sum(m) <= assoc_order}, 2, assoc_order
     )
-    inner_yz = phi_n.substitute_pair(y, z)
-    inner_xy = phi_n.substitute_pair(x, y)
-    left = phi_n.substitute_pair(x, inner_yz)
-    right = phi_n.substitute_pair(inner_xy, z)
-    assoc = left == right
+    pure = {m: c for m, c in phi_n.terms.items() if 0 in m}
+    if pure == {(1, 0): 1, (0, 1): 1}:
+        p = _x1_defect(phi_n)
+        diff = MultiPoly({(1,) + m: c for m, c in p.terms.items()}, 3, assoc_order)
+    else:
+        diff = _trivariate_defect(phi_n)
+    assoc = not diff.terms
     if not assoc and violation is None:
-        diff = left - right
         mono, coeff = min(diff.iter_terms())
         violation = ("associativity", mono, coeff)
 
@@ -247,26 +311,51 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
     )
 
 
-def formal_inverse(law: GroupLaw) -> TruncatedSeries:
-    """The series phi with Phi(x, phi(x)) = 0 to the law's order.
+def _x1_defect(phi: MultiPoly) -> MultiPoly:
+    """P(y, z) = L(Phi(y, z)) - d_1 Phi(y, z) L(y) for a unital Phi.
 
-    Solved degree by degree; purely formal, no claim about real arguments.
+    The coefficient of x^1 in Phi(x, Phi(y, z)) - Phi(Phi(x, y), z), through
+    total degree one below Phi's order; L(w) = sum_k c_1k w^k.
+    """
+    top = max(phi.order - 1, 0)
+    L = TruncatedSeries([phi.coefficient((1, k)) for k in range(top + 1)], top)
+    L_y = MultiPoly({(k, 0): c for k, c in enumerate(L.coeffs)}, 2, top)
+    d1 = MultiPoly(
+        {(a - 1, b): a * c for (a, b), c in phi.terms.items() if a}, 2, top
+    )
+    return MultiPoly(phi.terms, 2, top).substitute_univariate(L) - d1 * L_y
+
+
+def _trivariate_defect(phi: MultiPoly) -> MultiPoly:
+    """Phi(x, Phi(y, z)) - Phi(Phi(x, y), z), expanded to Phi's order."""
+    x = MultiPoly.variable(0, 3, phi.order)
+    y = MultiPoly.variable(1, 3, phi.order)
+    z = MultiPoly.variable(2, 3, phi.order)
+    left = phi.substitute_pair(x, phi.substitute_pair(y, z))
+    right = phi.substitute_pair(phi.substitute_pair(x, y), z)
+    return left - right
+
+
+def formal_inverse(law: GroupLaw) -> TruncatedSeries:
+    """The series i with Phi(x, i(x)) = 0 to the law's order.
+
+    For a law with logarithm F and exponential G, i(x) = G(-F(x)); the
+    result is checked against Phi itself.  Purely formal, no claim about
+    real arguments.
     """
     n = law.order
-    inv = [Fraction(0)] * (n + 1)
-    inv[1] = Fraction(-1)
-    x = MultiPoly.variable(0, 1, n)
-    for m in range(2, n + 1):
-        candidate = MultiPoly(
-            {(k,): Fraction(inv[k]) for k in range(1, n + 1)}, 1, n
-        )
-        residual = law.phi.substitute_pair(x, candidate)
-        inv[m] -= residual.coefficient((m,))
-    # confirm the solve closed
-    candidate = MultiPoly({(k,): Fraction(inv[k]) for k in range(1, n + 1)}, 1, n)
-    if law.phi.substitute_pair(x, candidate).terms:
-        raise GroupLawError("formal inverse recursion did not close")
-    return TruncatedSeries(inv, n)
+    G = TruncatedSeries([Fraction(c) for c in law.exp.coeffs], n)
+    F = TruncatedSeries([Fraction(c) for c in law.log.coeffs], n)
+    inv = G.compose(-F)
+    # Phi(x, i(x)) = sum_ab c_ab x^a i(x)^b
+    powers = [p.coeffs for p in inv.powers()]
+    closure = [Fraction(0)] * (n + 1)
+    for (a, b), c in law.phi.terms.items():
+        for d in range(n + 1 - a):
+            closure[a + d] += c * powers[b][d]
+    if any(closure):
+        raise GroupLawError("formal inverse does not close: Phi(x, i(x)) != 0")
+    return TruncatedSeries([Fraction(c) for c in inv.coeffs], n)
 
 
 def lie_bracket(phi: MultiPoly) -> MultiPoly:

@@ -140,6 +140,13 @@ class TruncatedSeries:
         out = [k * self.coeffs[k] for k in range(1, self.order + 1)]
         return TruncatedSeries(out, self.order - 1)
 
+    def powers(self) -> list["TruncatedSeries"]:
+        """The table self**0, self**1, ..., self**N, each truncated at N."""
+        out = [TruncatedSeries.monomial(0, self.order)]
+        for _ in range(self.order):
+            out.append(out[-1] * self)
+        return out
+
     # -- composition and reversion -------------------------------------------
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -170,10 +177,7 @@ class TruncatedSeries:
                 "reversion requires a normalized series (g(0)=0, g'(0)=1)"
             )
         n = self.order
-        # powers[k] = self**k truncated
-        powers = [TruncatedSeries.monomial(0, n)]
-        for _ in range(n):
-            powers.append(powers[-1] * self)
+        powers = self.powers()
         inv = [0] * (n + 1)
         inv[1] = 1
         for m in range(2, n + 1):

@@ -80,13 +80,18 @@ class ExtensivityReport:
     rows: list = field(default_factory=list)
 
 
-def extensivity_check(spec: Entropy, N_max: int) -> ExtensivityReport:
+def extensivity_check(
+    spec: Entropy, N_max: int, law: OccupationLaw | None = None
+) -> ExtensivityReport:
     """max |S(uniform over W(N)) - kB N| over N = 1..N_max, in log space.
 
     The primary check uses the real-valued W(N); a rounded-W variant is
-    evaluated wherever W fits in a double.
+    evaluated wherever W fits in a double.  ``law`` is spec's occupation law
+    when the caller has already built it, as ``occupation_law(spec,
+    min(N_max, 100))`` does.
     """
-    law = occupation_law(spec, min(N_max, 100))
+    if law is None:
+        law = occupation_law(spec, min(N_max, 100))
     if not law.valid:
         raise SpecError(f"occupation law not admissible: {law.reason}")
     worst = 0.0

@@ -39,6 +39,11 @@ class TestDistribution:
         with pytest.raises(DistributionError):
             Distribution([0.5, 0.4])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DistributionError, match="finite"):
+            Distribution([0.5, bad, 0.5])
+
     def test_uniform(self):
         d = Distribution.uniform(4)
         assert d.W == 4

@@ -108,6 +108,14 @@ class TestEval:
         assert code == 0
         assert out.strip() == "6.931e-01"
 
+    def test_nan_probability_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("0.5\nnan\n0.5\n")
+        code, out, err = run(capsys, "eval", "--entropy", "bg", "--dist", str(path))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestExpand:
     def test_exact_rational_output(self, capsys):
@@ -227,6 +235,41 @@ class TestOccupation:
         n3 = rows[3]  # validity line, then N = 1, 2, 3
         assert float(n3[1]) == pytest.approx(3.0)
 
+    def test_numeric_inverse_table_unchanged(self, capsys):
+        # Borges-Roditi has no closed-form F, so every ln W is a brentq solve
+        code, out, _ = run(
+            capsys, "occupation", "--entropy", "borges_roditi", "--a", "1/2",
+            "--b=-1/3", "--nmax", "4",
+        )
+        assert code == 0
+        assert out == (
+            "valid\tTrue\t-\n"
+            "#N\tln_W\tW\tS\tresidual\n"
+            "1\t9.0565845039500714e-01\t2.4735601035878707e+00"
+            "\t1.0000000000000002e+00\t2.2204460492503131e-16\n"
+            "2\t1.6211429249220808e+00\t5.0588689210466935e+00"
+            "\t1.9999999999999996e+00\t4.4408920985006262e-16\n"
+            "3\t2.1856015727743938e+00\t8.8959985345279442e+00"
+            "\t3.0000000000000004e+00\t4.4408920985006262e-16\n"
+            "4\t2.6423345811712613e+00\t1.4045956786626514e+01"
+            "\t4.0000000000000000e+00\t0.0000000000000000e+00\n"
+        )
+
+    def test_builds_the_occupation_law_once(self, capsys, monkeypatch):
+        from gentropy import thermo
+
+        calls = []
+        build = thermo.occupation_law
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, "occupation_law", counting)
+        code, _, _ = run(capsys, "occupation", "--entropy", "bg", "--nmax", "5")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_invalid_law_exits_one(self, capsys):
         code, out, _ = run(
             capsys, "occupation", "--entropy", "tsallis", "--q", "2", "--nmax", "5"
@@ -256,6 +299,36 @@ class TestScan:
     def test_bad_spec_string(self, capsys):
         code, _, err = run(capsys, "scan", "--spec", "tsallis:oops")
         assert code == 2
+
+
+class TestUsageErrors:
+    """Bad values exit 2 with one 'error:' line, no stdout and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--entropy", "bg", "--dist", "uniform:0"],
+            ["check", "--entropy", "bg", "--axiom", "sk2", "--states", "0"],
+            ["check", "--entropy", "bg", "--axiom", "weak-composability", "--wa", "0"],
+            ["eval", "--entropy", "bg", "--dist", "uniform:4", "--digits", "0"],
+            ["eval", "--entropy", "bg", "--dist", "uniform:4", "--digits", "-2"],
+        ],
+    )
+    def test_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_zero_trials_is_inconclusive(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--entropy", "bg", "--axiom", "strict-composability",
+            "--trials", "0",
+        )
+        assert code == 0
+        row = out.splitlines()[1].split("\t")
+        assert row[:2] == ["strict-composability", "inconclusive"]
 
 
 class TestCatalogCommand:

@@ -1,10 +1,14 @@
 """Formal group laws: construction, axioms, inverses, and the Abel family."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gentropy.catalog import SThird
 from gentropy.groups import (
+    GroupLaw,
     GroupLawError,
     MultiPoly,
     abel_coefficients,
@@ -15,7 +19,7 @@ from gentropy.groups import (
     law_from_table,
     lie_bracket,
 )
-from gentropy.series import TruncatedSeries, from_a_sequence
+from gentropy.series import SeriesError, TruncatedSeries, from_a_sequence
 
 
 def exp_from_a(a, order):
@@ -204,3 +208,202 @@ class TestAbelFamily:
         for m in range(1, 6):
             expected = (a ** m - b ** m) / ((a - b) * math.factorial(m))
             assert g.coeffs[m] == expected
+
+
+# -- independent references ------------------------------------------------------
+#
+# Plain-dict polynomial algebra, sharing no code with gentropy.groups beyond
+# the table constructors: the trivariate associativity expansion, the
+# bivariate expansion of G(F(x) + F(y)), and the degree-by-degree inverse.
+
+
+def _mul(p, q, order):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            if sum(m) <= order:
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _lin(*parts):
+    """sum of coeff * poly over (coeff, poly) pairs, zeros dropped."""
+    out = {}
+    for coeff, poly in parts:
+        for m, c in poly.items():
+            out[m] = out.get(m, 0) + coeff * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _substitute(phi, a, b, nvars, order):
+    """phi(a, b) for a bivariate dict phi and dicts a, b in nvars variables."""
+    one = {(0,) * nvars: Fraction(1)}
+    top = max((sum(m) for m in phi), default=0)
+    pa, pb = [one], [one]
+    for _ in range(top):
+        pa.append(_mul(pa[-1], a, order))
+        pb.append(_mul(pb[-1], b, order))
+    return _lin(*((c, _mul(pa[i], pb[j], order)) for (i, j), c in phi.items()))
+
+
+def reference_check(terms, order, assoc_order):
+    """All four check_axioms fields by trivariate expansion of the defect."""
+    n = order if assoc_order is None else assoc_order
+    swapped = {(b, a): c for (a, b), c in terms.items()}
+    sym_diff = _lin((1, terms), (-1, swapped))
+    at_zero = {m: c for m, c in terms.items() if m[1] == 0}
+    null_diff = _lin((1, at_zero), (-1, {(1, 0): 1}))
+    phi = {m: c for m, c in terms.items() if sum(m) <= n}
+    x, y, z = ({m: Fraction(1)} if n >= 1 else {} for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    left = _substitute(phi, x, _substitute(phi, y, z, 3, n), 3, n)
+    right = _substitute(phi, _substitute(phi, x, y, 3, n), z, 3, n)
+    assoc_diff = _lin((1, left), (-1, right))
+    violation = None
+    for name, diff in (
+        ("symmetry", sym_diff),
+        ("null-composability", null_diff),
+        ("associativity", assoc_diff),
+    ):
+        if diff:
+            violation = (name,) + min(diff.items())
+            break
+    return (not sym_diff, not null_diff, not assoc_diff, violation)
+
+
+def reference_law(g, order):
+    """[x^a y^b] G(F(x) + F(y)) by bivariate expansion, F = revert(G)."""
+    f = TruncatedSeries(g, order).revert().coeffs
+    u = {}
+    for k in range(1, order + 1):
+        if f[k]:
+            u[(k, 0)] = u.get((k, 0), 0) + f[k]
+            u[(0, k)] = u.get((0, k), 0) + f[k]
+    power, out = {(0, 0): Fraction(1)}, {}
+    for k in range(1, order + 1):
+        power = _mul(power, u, order)
+        out = _lin((1, out), (g[k], power))
+    return out
+
+
+def c_ab_formula(g, order):
+    """c_ab = sum_k g_k sum_j C(k, j) [x^a]F^j [x^b]F^(k-j), term by term."""
+    F = TruncatedSeries(g, order).revert()
+    powers = [TruncatedSeries([1], order)]
+    for _ in range(order):
+        powers.append(powers[-1] * F)
+    table = {}
+    for a in range(order + 1):
+        for b in range(order + 1 - a):
+            c = sum(
+                g[k] * comb(k, j) * powers[j][a] * powers[k - j][b]
+                for k in range(order + 1)
+                for j in range(k + 1)
+            )
+            if c:
+                table[(a, b)] = c
+    return table
+
+
+def recursive_inverse(law):
+    """Solve Phi(x, i(x)) = 0 degree by degree, the inverse's first definition."""
+    n = law.order
+    inv = [Fraction(0)] * (n + 1)
+    inv[1] = Fraction(-1)
+    for m in range(2, n + 1):
+        cand = {(k,): inv[k] for k in range(1, n + 1) if inv[k]}
+        residual = _substitute(law.phi.terms, {(1,): Fraction(1)}, cand, 1, n)
+        inv[m] -= residual.get((m,), 0)
+    return inv
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def exponentials(draw, min_order=2, max_order=8):
+    order = draw(st.integers(min_order, max_order))
+    rest = draw(st.lists(rationals, min_size=order - 1, max_size=order - 1))
+    return [Fraction(0), Fraction(1)] + rest
+
+
+@st.composite
+def tables(draw):
+    """(c table, order, assoc_order) across every path check_axioms takes."""
+    kind = draw(st.sampled_from(["table", "non-unital", "law"]))
+    symmetric = draw(st.booleans())
+    if kind == "law":
+        g = draw(exponentials(3, 7))
+        order = len(g) - 1
+        table = group_law_from_exponential(TruncatedSeries(g, order)).c_table()
+    else:
+        order = draw(st.integers(3, 7))
+        table = {}
+    mixed = st.tuples(st.integers(1, order - 1), st.integers(1, order - 1)).filter(
+        lambda m: sum(m) <= order
+    )
+    picks = draw(st.lists(mixed, max_size=1 if kind == "law" else 4))
+    if kind == "non-unital":
+        k = draw(st.integers(1, order))
+        picks.append(draw(st.sampled_from([(k, 0), (0, k)])))
+    for a, b in picks:
+        table[(a, b)] = table.get((a, b), 0) + draw(rationals.filter(bool))
+        if symmetric:
+            table[(b, a)] = table[(a, b)]
+    assoc_order = draw(st.one_of(st.none(), st.integers(0, order + 1)))
+    return table, order, assoc_order
+
+
+class TestExactLayerAgainstReferences:
+    @settings(max_examples=100, deadline=None)
+    @given(tables())
+    def test_check_axioms_matches_trivariate_expansion(self, case):
+        table, order, assoc_order = case
+        phi = law_from_table(table, order)
+        chk = check_axioms(phi, assoc_order)
+        got = (chk.symmetric, chk.null_composable, chk.associative, chk.first_violation)
+        assert got == reference_check(phi.terms, order, assoc_order)
+
+    def test_constant_term_still_rejected(self):
+        # a constant term cannot be substituted; the trivariate path says so
+        with pytest.raises(SeriesError):
+            check_axioms(law_from_table({(0, 0): Fraction(1)}, 4))
+
+    @settings(max_examples=40, deadline=None)
+    @given(exponentials(2, 8))
+    def test_table_matches_bivariate_expansion(self, g):
+        order = len(g) - 1
+        law = group_law_from_exponential(TruncatedSeries(g, order))
+        assert law.phi.terms == reference_law(g, order)
+
+    @pytest.mark.parametrize("order", [12, 16])
+    def test_table_matches_c_ab_formula(self, order):
+        spec = SThird(Fraction(4, 5))
+        g = list(spec.exp_series(order).coeffs)
+        law = group_law_from_exponential(TruncatedSeries(g, order))
+        assert law.phi.terms == c_ab_formula(g, order)
+        assert all(type(c) is Fraction for c in law.phi.terms.values())
+
+    @settings(max_examples=15, deadline=None)
+    @given(exponentials(8, 12))
+    def test_random_tables_match_c_ab_formula(self, g):
+        order = len(g) - 1
+        law = group_law_from_exponential(TruncatedSeries(g, order))
+        assert law.phi.terms == c_ab_formula(g, order)
+
+    @settings(max_examples=30, deadline=None)
+    @given(exponentials(2, 10))
+    def test_inverse_matches_recursion(self, g):
+        order = len(g) - 1
+        law = group_law_from_exponential(TruncatedSeries(g, order))
+        inv = formal_inverse(law)
+        assert list(inv.coeffs) == recursive_inverse(law)
+        assert all(type(c) is Fraction for c in inv.coeffs)
+
+    def test_inverse_rejects_an_inconsistent_law(self):
+        law = group_law_from_exponential(exp_from_a([1, Fraction(1, 2)], 5))
+        bent = GroupLaw(
+            phi=law_from_table({(2, 2): Fraction(1)}, 5), exp=law.exp, log=law.log
+        )
+        with pytest.raises(GroupLawError):
+            formal_inverse(bent)
