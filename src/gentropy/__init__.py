@@ -5,7 +5,6 @@ from .series import (
     OrderMismatchError,
     TruncatedSeries,
     from_a_sequence,
-    a_sequence_of,
     parse_rational_list,
     normalized_from_literal,
 )
@@ -46,7 +45,6 @@ from .scd import (
     ScdEntropy,
     inner_polynomial_coefficients,
     delta_coefficient,
-    scd_evaluate,
     scd_gamma_oracle,
     gamma_identity_residual,
 )

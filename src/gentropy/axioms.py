@@ -183,6 +183,8 @@ def check_sk2_maximum(
     samples = _dirichlet(rng, trials, W)
     values = _batch_entropy(spec, samples)
     s_uniform = spec.evaluate(Distribution.uniform(W))
+    if trials == 0:  # nothing was checked
+        return AxiomReport("sk2-maximum", INCONCLUSIVE, 0.0, trials=0, seed=seed)
     residuals = values - s_uniform
     worst_idx = int(np.argmax(residuals))
     worst = float(residuals[worst_idx])

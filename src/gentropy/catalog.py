@@ -90,10 +90,7 @@ class JointDistribution:
         arr = np.asarray(p, dtype=float)
         if arr.ndim != 2 or arr.size < 1:
             raise DistributionError("need a 2-d probability matrix")
-        if np.any(arr < 0):
-            raise DistributionError("probabilities must be nonnegative")
-        if abs(arr.sum() - 1.0) > _SUM_TOL:
-            raise DistributionError("joint probabilities must sum to 1")
+        Distribution(arr.reshape(-1))  # the entries pass the 1-d checks
         self.p = arr
 
     @classmethod
@@ -136,18 +133,23 @@ def _as_fraction(x) -> Fraction:
 
 
 def _numeric_inverse(func: Callable[[float], float], s: float) -> float:
-    """Invert a strictly increasing func with func(0) = 0 near the origin."""
+    """Invert a strictly increasing func with func(0) = 0 near the origin.
+
+    The bracket doubles outward until it holds s; a non-finite func raises.
+    """
     if s == 0:
         return 0.0
     lo, hi = (0.0, 1.0) if s > 0 else (-1.0, 0.0)
-    for _ in range(200):
-        if s > 0 and func(hi) >= s:
-            break
-        if s < 0 and func(lo) <= s:
-            break
-        lo, hi = (lo, hi * 2) if s > 0 else (lo * 2, hi)
-    else:
-        raise SpecError(f"could not bracket inverse at {s!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(200):
+            value = func(hi) if s > 0 else func(lo)
+            if value >= s if s > 0 else value <= s:
+                break
+            if not math.isfinite(value):
+                raise SpecError(f"could not bracket inverse at {s!r}")
+            lo, hi = (lo, hi * 2) if s > 0 else (lo * 2, hi)
+        else:
+            raise SpecError(f"could not bracket inverse at {s!r}")
     return float(brentq(lambda t: func(t) - s, lo, hi, xtol=1e-15, rtol=8.9e-16))
 
 
@@ -263,9 +265,6 @@ class Entropy:
         kb = self.kB
         return kb * self.G(self.F(x / kb) + self.F(y / kb))
 
-    def describe(self) -> dict:
-        return {"kind": self.name}
-
 
 class BoltzmannGibbs(Entropy):
     name = "bg"
@@ -346,11 +345,12 @@ class Tsallis(Entropy):
         return np.expm1(s * np.log(x)) / s
 
     def log_inverse(self, y):
+        """The q-exponential [1 + (1-q) y]^(1/(1-q)), cut off at 0 for q < 1."""
         s = float(self.sigma)
-        return (1.0 + s * y) ** (1.0 / s)
-
-    def describe(self):
-        return {"kind": self.name, "q": self.q}
+        base = 1.0 + s * y
+        if s > 0:
+            base = np.maximum(base, 0.0)
+        return base ** (1.0 / s)
 
 
 class Kaniadakis(Entropy):
@@ -387,9 +387,6 @@ class Kaniadakis(Entropy):
             k ** j / factorial(j) if j % 2 == 0 else Fraction(0)
             for j in range(count)
         ]
-
-    def describe(self):
-        return {"kind": self.name, "kappa": self.kappa}
 
 
 class BorgesRoditi(Entropy):
@@ -433,9 +430,6 @@ class BorgesRoditi(Entropy):
 
     def log_inverse(self, y):
         return math.exp(_numeric_inverse(lambda t: float(self._G(t)), y))
-
-    def describe(self):
-        return {"kind": self.name, "a": self.a, "b": self.b}
 
 
 class GroupEntropy(Entropy):
@@ -512,13 +506,6 @@ class GroupEntropy(Entropy):
     def log_inverse(self, y):
         return math.exp(_numeric_inverse(lambda t: float(self._G(t)), y))
 
-    def describe(self):
-        return {
-            "kind": self.name,
-            "sigma": self.sigma,
-            "coeffs": dict(self.coeffs),
-        }
-
 
 class SThird(GroupEntropy):
     """Group entropy of the third-order discrete derivative, parameter q."""
@@ -530,9 +517,6 @@ class SThird(GroupEntropy):
             raise SpecError("q = 1 is the BG case; use BoltzmannGibbs")
         super().__init__(1 - q, {1: 1, -1: -2, -2: 1}, kB, scale_c)
         self.q = q
-
-    def describe(self):
-        return {"kind": self.name, "q": self.q}
 
 
 class SFourth(GroupEntropy):
@@ -550,9 +534,6 @@ class SFourth(GroupEntropy):
             scale_c,
         )
         self.q = q
-
-    def describe(self):
-        return {"kind": self.name, "q": self.q}
 
 
 class SAlphaBetaQ(GroupEntropy):
@@ -578,14 +559,6 @@ class SAlphaBetaQ(GroupEntropy):
         self.beta = beta
         self.q = q
 
-    def describe(self):
-        return {
-            "kind": self.name,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "q": self.q,
-        }
-
 
 class SDelta(Entropy):
     """S_delta = kB sum p (ln 1/p)^delta, 0 < delta <= 1 + ln W.
@@ -600,8 +573,8 @@ class SDelta(Entropy):
     has_group_law = True
     monoid_only = True
 
-    def __init__(self, delta, kB: float = 1.0, scale_c=1):
-        super().__init__(kB, scale_c)
+    def __init__(self, delta, kB: float = 1.0):
+        super().__init__(kB)
         if delta <= 0:
             raise SpecError("delta must be positive")
         self.delta = delta
@@ -623,9 +596,6 @@ class SDelta(Entropy):
         kb = self.kB
         return kb * ((x / kb) ** (1 / d) + (y / kb) ** (1 / d)) ** d
 
-    def describe(self):
-        return {"kind": self.name, "delta": self.delta}
-
 
 class SQDelta(Entropy):
     """S_{q,delta} = kB sum p (ln_q 1/p)^delta; delta = 1 recovers Tsallis.
@@ -639,8 +609,8 @@ class SQDelta(Entropy):
     has_group_law = True
     monoid_only = True
 
-    def __init__(self, q, delta, kB: float = 1.0, scale_c=1):
-        super().__init__(kB, scale_c)
+    def __init__(self, q, delta, kB: float = 1.0):
+        super().__init__(kB)
         if q == 1:
             raise SpecError("q = 1 with general delta is the s_delta case")
         if delta <= 0:
@@ -661,9 +631,6 @@ class SQDelta(Entropy):
         u = (x / kb) ** (1 / d)
         v = (y / kb) ** (1 / d)
         return kb * (u + v + s * u * v) ** d
-
-    def describe(self):
-        return {"kind": self.name, "q": self.q, "delta": self.delta}
 
 
 class GenericEntropy(Entropy):
@@ -695,21 +662,14 @@ class GenericEntropy(Entropy):
         self._dfloat = self._float.derivative()
         self._d2float = self._dfloat.derivative()
 
-    @staticmethod
-    def _horner(coeffs, t):
-        acc = np.zeros_like(t) if np.ndim(t) else 0.0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-
     def _G(self, t):
-        return self._horner(self._float.coeffs, t)
+        return self._float.eval(t)
 
     def _dG(self, t):
-        return self._horner(self._dfloat.coeffs, t)
+        return self._dfloat.eval(t)
 
     def _d2G(self, t):
-        return self._horner(self._d2float.coeffs, t)
+        return self._d2float.eval(t)
 
     def base_a_sequence(self, count):
         out = [_as_fraction(x) for x in self.a[:count]]
@@ -719,6 +679,3 @@ class GenericEntropy(Entropy):
     def truncation_indicator(self, t: float) -> float:
         """Magnitude of the last retained series term at argument t."""
         return self._float.eval_with_tail(t)[1]
-
-    def describe(self):
-        return {"kind": self.name, "a": [str(x) for x in self.a], "order": self.order}

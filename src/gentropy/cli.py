@@ -9,8 +9,10 @@ fully determined by --seed.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .catalog import (
     BorgesRoditi,
     Distribution,
     DistributionError,
+    Entropy,
     GenericEntropy,
     GroupEntropy,
     Kaniadakis,
@@ -42,22 +45,6 @@ from .io import (
 from .scd import ScdEntropy
 from .series import SeriesError, normalized_from_literal, parse_rational_list
 
-CATALOG_ROWS = [
-    # kind, parameters, domain, definition sketch
-    ("bg", "-", "-", "sum p ln(1/p)"),
-    ("tsallis", "q", "q != 1", "(sum p^q - 1)/(1-q)"),
-    ("kaniadakis", "kappa", "-1 < kappa <= 1, kappa != 0", "sum p (p^-k - p^k)/(2k)"),
-    ("borges_roditi", "a,b", "a != b", "log (x^a - x^b)/(a-b)"),
-    ("s_cd", "c,d", "c in (0,1], d in N", "incomplete-gamma family"),
-    ("group_entropy", "sigma,coeffs", "sum k_n = 0, sum n k_n = 1", "(1/s) sum k_n x^(s n)"),
-    ("s_iii", "q", "q != 1; concave for 2/3 < q < 1", "third-order discrete derivative"),
-    ("s_iv", "q", "q != 1", "fourth-order discrete derivative"),
-    ("s_alpha_beta_q", "alpha,beta,q", "q != 1; concave e.g. on (1/2,3/2)x(0,1/4)x(-1/4,0)", "three-parameter group entropy"),
-    ("s_delta", "delta", "0 < delta <= 1 + ln W", "sum p (ln 1/p)^delta"),
-    ("s_q_delta", "q,delta", "q != 1, delta > 0", "sum p (ln_q 1/p)^delta"),
-    ("generic", "a", "a_0 != 0", "series-defined exponential"),
-]
-
 
 class UsageError(ValueError):
     pass
@@ -71,63 +58,8 @@ def _rat(value: str):
         raise UsageError(f"bad numeric literal {value!r}")
 
 
-def build_entropy(args) -> object:
-    kind = args.entropy
-    kB = float(args.kb)
-    scale = args.scale if args.scale is not None else 1
-    try:
-        if kind == "bg":
-            return BoltzmannGibbs(kB=kB, scale_c=scale)
-        if kind == "tsallis":
-            _need(args, "q")
-            return Tsallis(args.q, kB=kB, scale_c=scale)
-        if kind == "kaniadakis":
-            _need(args, "kappa")
-            return Kaniadakis(args.kappa, kB=kB, scale_c=scale)
-        if kind == "borges_roditi":
-            _need(args, "a")
-            _need(args, "b")
-            return BorgesRoditi(args.a, args.b, kB=kB, scale_c=scale)
-        if kind == "s_cd":
-            _need(args, "c")
-            _need(args, "d")
-            return ScdEntropy(float(args.c), int(args.d), kB=kB)
-        if kind == "group_entropy":
-            _need(args, "sigma")
-            _need(args, "coeffs")
-            coeffs = _parse_coeff_map(args.coeffs)
-            return GroupEntropy(args.sigma, coeffs, kB=kB, scale_c=scale)
-        if kind == "s_iii":
-            _need(args, "q")
-            return SThird(args.q, kB=kB, scale_c=scale)
-        if kind == "s_iv":
-            _need(args, "q")
-            return SFourth(args.q, kB=kB, scale_c=scale)
-        if kind == "s_alpha_beta_q":
-            _need(args, "alpha")
-            _need(args, "beta_param")
-            _need(args, "q")
-            return SAlphaBetaQ(args.alpha, args.beta_param, args.q, kB=kB, scale_c=scale)
-        if kind == "s_delta":
-            _need(args, "delta")
-            return SDelta(float(args.delta), kB=kB, scale_c=scale)
-        if kind == "s_q_delta":
-            _need(args, "q")
-            _need(args, "delta")
-            return SQDelta(args.q, float(args.delta), kB=kB, scale_c=scale)
-        if kind == "generic":
-            _need(args, "a_sequence")
-            a = parse_rational_list(args.a_sequence)
-            return GenericEntropy(a, order=args.order, kB=kB, scale_c=scale)
-    except SpecError as exc:
-        raise UsageError(str(exc))
-    raise UsageError(f"unknown entropy kind {kind!r}")
-
-
-def _need(args, attr):
-    if getattr(args, attr, None) is None:
-        flag = attr.replace("_param", "").replace("_", "-")
-        raise UsageError(f"--entropy {args.entropy} requires --{flag}")
+def _real(value: str) -> float:
+    return float(_rat(value))
 
 
 def _parse_coeff_map(text: str) -> dict:
@@ -145,25 +77,94 @@ def _parse_coeff_map(text: str) -> dict:
     return out
 
 
+class Param(NamedTuple):
+    """A parameter's name in `catalog` and scan specs, its flag, its parser."""
+
+    name: str
+    flag: str
+    parse: Callable[[str], object] = _rat
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class Kind(NamedTuple):
+    """An entropy class, its positional parameters, its `catalog` texts."""
+
+    cls: type
+    params: tuple[Param, ...]
+    domain: str
+    definition: str
+
+
+_Q = Param("q", "--q")
+_DELTA = Param("delta", "--delta", _real)
+
+# The one table of entropy kinds, keyed by class name: the parameter flags,
+# build_entropy, scan specs and `catalog` all read it.
+KINDS = {kind.cls.name: kind for kind in (
+    Kind(BoltzmannGibbs, (), "-", "sum p ln(1/p)"),
+    Kind(Tsallis, (_Q,), "q != 1", "(sum p^q - 1)/(1-q)"),
+    Kind(Kaniadakis, (Param("kappa", "--kappa"),), "-1 < kappa <= 1, kappa != 0", "sum p (p^-k - p^k)/(2k)"),
+    Kind(BorgesRoditi, (Param("a", "--a"), Param("b", "--b")), "a != b", "log (x^a - x^b)/(a-b)"),
+    Kind(ScdEntropy, (Param("c", "--c", _real), Param("d", "--d", int)), "c in (0,1], d in N",
+         "incomplete-gamma family"),
+    Kind(GroupEntropy, (Param("sigma", "--sigma"), Param("coeffs", "--coeffs", _parse_coeff_map)),
+         "sum k_n = 0, sum n k_n = 1", "(1/s) sum k_n x^(s n)"),
+    Kind(SThird, (_Q,), "q != 1; concave for 2/3 < q < 1", "third-order discrete derivative"),
+    Kind(SFourth, (_Q,), "q != 1", "fourth-order discrete derivative"),
+    Kind(SAlphaBetaQ, (Param("alpha", "--alpha"), Param("beta", "--beta-param"), _Q),
+         "q != 1; concave e.g. on (1/2,3/2)x(0,1/4)x(-1/4,0)", "three-parameter group entropy"),
+    Kind(SDelta, (_DELTA,), "0 < delta <= 1 + ln W", "sum p (ln 1/p)^delta"),
+    Kind(SQDelta, (_Q, _DELTA), "q != 1, delta > 0", "sum p (ln_q 1/p)^delta"),
+    Kind(GenericEntropy, (Param("a", "--a-sequence", parse_rational_list),), "a_0 != 0",
+         "series-defined exponential"),
+)}
+
+_PARAMS = {param.flag: param for kind in KINDS.values() for param in kind.params}
+
+
+def _kind(name) -> Kind:
+    if name not in KINDS:
+        raise UsageError("--entropy is required" if name is None else f"unknown entropy kind {name!r}")
+    return KINDS[name]
+
+
+def build_entropy(args) -> Entropy:
+    """The entropy named by ``args.entropy``, from its parameter flags.
+
+    A missing parameter, a parameter of another kind, and ``--scale`` on a
+    kind without a group exponential are usage errors.
+    """
+    name = args.entropy
+    kind = _kind(name)
+    for flag, param in _PARAMS.items():
+        given = getattr(args, param.dest, None) is not None
+        if given != (param in kind.params):
+            raise UsageError(f"--entropy {name} {'does not take' if given else 'requires'} {flag}")
+    values = [getattr(args, param.dest) for param in kind.params]
+    options = {"kB": float(args.kb)}
+    if args.scale is not None:
+        if not kind.cls.has_exponential:
+            raise UsageError(f"--entropy {name} does not take --scale")
+        options["scale_c"] = args.scale
+    if kind.cls is GenericEntropy:
+        options["order"] = args.order  # truncation of the evaluated series
+    try:
+        return kind.cls(*values, **options)
+    except SpecError as exc:
+        raise UsageError(str(exc))
+
+
 def _add_spec_flags(sub):
-    sub.add_argument("--entropy", required=True, help="entropy kind (see `catalog`)")
-    sub.add_argument("--q", type=_rat)
-    sub.add_argument("--kappa", type=_rat)
-    sub.add_argument("--a", type=_rat)
-    sub.add_argument("--b", type=_rat)
-    sub.add_argument("--c", type=_rat)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--delta", type=_rat)
-    sub.add_argument("--alpha", type=_rat)
-    sub.add_argument("--beta-param", dest="beta_param", type=_rat,
-                     help="entropy parameter beta (distinct from the multiplier --beta)")
-    sub.add_argument("--sigma", type=_rat)
-    sub.add_argument("--coeffs", help="generalized-log coefficients as n:k_n pairs")
-    sub.add_argument("--a-sequence", dest="a_sequence",
-                     help="comma-separated rational a_k sequence for --entropy generic")
+    sub.add_argument("--entropy", help="entropy kind (see `catalog`)")
+    for flag, param in _PARAMS.items():
+        takers = ", ".join(name for name, kind in KINDS.items() if param in kind.params)
+        sub.add_argument(flag, type=param.parse, help=f"{param.name} of {takers}")
     sub.add_argument("--kb", type=float, default=1.0)
     sub.add_argument("--scale", type=_rat, default=None,
-                     help="scale constant applied as G(c t)")
+                     help="scale constant applied as G(c t); exponential-class kinds only")
     sub.add_argument("--order", type=int, default=12)
     sub.add_argument("--digits", type=int, default=17)
 
@@ -199,6 +200,8 @@ def cmd_group_law(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 0:
+        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
     spec = build_entropy(args)
     reports = []
     name = args.axiom
@@ -263,12 +266,8 @@ def cmd_maxent(args) -> int:
     )
     sol = thermo.maxent_solve(problem)
     print("#field\tvalue")
-    print(tsv_line("alpha", sol.alpha, digits=args.digits))
-    print(tsv_line("beta", sol.beta, digits=args.digits))
-    print(tsv_line("Z", sol.Z, digits=args.digits))
-    print(tsv_line("U", sol.U, digits=args.digits))
-    print(tsv_line("S", sol.S, digits=args.digits))
-    print(tsv_line("stationarity_residual", sol.stationarity_residual, digits=args.digits))
+    for field in ("alpha", "beta", "Z", "U", "S", "stationarity_residual"):
+        print(tsv_line(field, getattr(sol, field), digits=args.digits))
     try:
         print(tsv_line("legendre_residual", thermo.legendre_residual(sol, spec),
                        digits=args.digits))
@@ -295,10 +294,7 @@ def cmd_occupation(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    specs = {}
-    for text in args.spec:
-        spec_args = _spec_from_string(text, args)
-        specs[text] = spec_args
+    specs = {text: _spec_from_string(text, args) for text in args.spec}
     rows = thermo.asymptotic_scan(specs, W_max=args.wmax, points=args.points)
     print("#spec\tfamily\texponent")
     for row in rows:
@@ -307,28 +303,31 @@ def cmd_scan(args) -> int:
 
 
 def _spec_from_string(text: str, args):
-    """Parse 'kind:name=value,...' into an entropy instance."""
-    kind, _, rest = text.partition(":")
-    ns = argparse.Namespace(**vars(args))
-    ns.entropy = kind
-    for pair in filter(None, rest.split(",")):
-        if "=" not in pair:
+    """Parse 'kind:name=value,...' into an entropy instance.
+
+    A comma ends a value only where a 'name=' follows, so list values such as
+    an a-sequence or a coefficient map keep theirs.
+    """
+    name, _, rest = text.partition(":")
+    params = {param.name: param for param in _kind(name).params}
+    ns = argparse.Namespace(entropy=name, kb=args.kb, scale=args.scale, order=args.order)
+    for pair in filter(None, re.split(r",(?=[^,=]*=)", rest)):
+        key, eq, value = pair.partition("=")
+        param = params.get(key.strip())
+        if not eq or param is None:
             raise UsageError(f"bad spec parameter {pair!r} in {text!r}")
-        key, value = pair.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key == "beta":
-            key = "beta_param"
-        if key == "d":
-            setattr(ns, "d", int(value))
-        else:
-            setattr(ns, key, _rat(value))
+        try:
+            setattr(ns, param.dest, param.parse(value))
+        except ValueError as exc:
+            raise UsageError(f"bad value {value!r} for {param.name} in {text!r}") from exc
     return build_entropy(ns)
 
 
 def cmd_catalog(args) -> int:
     print("#kind\tparameters\tdomain\tdefinition")
-    for row in CATALOG_ROWS:
-        print(tsv_line(*row))
+    for name, kind in KINDS.items():
+        params = ",".join(param.name for param in kind.params) or "-"
+        print(tsv_line(name, params, kind.domain, kind.definition))
     return 0
 
 
@@ -353,10 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--series", help="normalized series literal '1, -1/2, ...'")
     p.set_defaults(func=cmd_group_law)
-    # --entropy is optional when --series is given
-    for action in p._actions:
-        if action.dest == "entropy":
-            action.required = False
 
     p = subs.add_parser("check", help="run an axiom / property checker")
     _add_spec_flags(p)

@@ -55,12 +55,6 @@ def read_distribution_file(path: str) -> Distribution:
         raise InputFormatError(f"{path}: {exc}") from exc
 
 
-def write_distribution_file(path: str, dist: Distribution) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in dist.p:
-            fh.write(format_float(p) + "\n")
-
-
 def read_energy_file(path: str) -> list[float]:
     """One real energy level per line; '#' starts a comment."""
     try:

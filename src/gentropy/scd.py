@@ -20,6 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from .catalog import Distribution, Entropy, SpecError
+from .series import TruncatedSeries
 
 
 class QuadratureError(ArithmeticError):
@@ -73,20 +74,17 @@ class ScdEntropy(Entropy):
     name = "s_cd"
 
     def __init__(self, c: float, d: int, kB: float = 1.0):
-        super().__init__(kB, 1)
+        super().__init__(kB)
         _check_params(c, d)
         self.c = c
         self.d = int(d)
         self._norm = 1 - c + c * d
-        self._poly = inner_polynomial_coefficients(self.d)
+        self._poly = TruncatedSeries(inner_polynomial_coefficients(self.d))
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
         u = -self.c * np.log(x)  # ln(1/p^c)
-        acc = np.zeros_like(u)
-        for coeff in reversed(self._poly):
-            acc = acc * u + coeff
-        return x ** (self.c - 1.0) * acc / self._norm
+        return x ** (self.c - 1.0) * self._poly.eval(u) / self._norm
 
     def constant_term(self) -> float:
         return -self.c / self._norm
@@ -97,11 +95,6 @@ class ScdEntropy(Entropy):
 
     def describe(self):
         return {"kind": self.name, "c": self.c, "d": self.d}
-
-
-def scd_evaluate(c: float, d: int, dist: Distribution, kB: float = 1.0) -> float:
-    """S_{c,d} through the finite polynomial expansion."""
-    return ScdEntropy(c, d, kB).evaluate(dist)
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:

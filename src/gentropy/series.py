@@ -189,8 +189,11 @@ class TruncatedSeries:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval(self, x: float) -> float:
-        """Horner evaluation of the truncated polynomial at x."""
+    def eval(self, x):
+        """Horner evaluation of the truncated polynomial at x.
+
+        x may be a float or a numpy array; an array is evaluated elementwise.
+        """
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)
@@ -227,11 +230,6 @@ def from_a_sequence(a: Iterable[Number], order: int) -> TruncatedSeries:
             break
         coeffs[deg] = Fraction(ak) / (k + 1) if isinstance(ak, (int, Fraction)) else ak / (k + 1)
     return TruncatedSeries(coeffs, order)
-
-
-def a_sequence_of(series: TruncatedSeries) -> list[Number]:
-    """Recover a_k = (k+1) * c_{k+1} from an exponential-type series."""
-    return [(k + 1) * series.coeffs[k + 1] for k in range(series.order)]
 
 
 def parse_rational_list(text: str) -> list[Fraction]:

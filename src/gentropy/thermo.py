@@ -207,9 +207,10 @@ def _solve_fixed_beta(spec: Entropy, energies, beta: float) -> MaxEntSolution:
 
 
 def _partition_value(spec: Entropy, energies, beta: float) -> float:
+    """sum_i E(-beta E_i), or nan where the log inverse does not exist there."""
     try:
         return float(sum(spec.log_inverse(-beta * e) for e in energies))
-    except UnsupportedRepresentation:
+    except SpecError:
         return math.nan
 
 

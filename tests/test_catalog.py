@@ -1,6 +1,7 @@
 """Entropy catalog: values, expansions, limits, and parameter validation."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from gentropy.catalog import (
     SpecError,
     Tsallis,
     UnsupportedRepresentation,
+    _numeric_inverse,
     elementary_functional,
 )
 
@@ -53,6 +55,11 @@ class TestDistribution:
         d = FIX.append_zero()
         assert d.W == 4
         assert d.p[-1] == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_joint_rejects_non_finite(self, bad):
+        with pytest.raises(DistributionError, match="finite"):
+            JointDistribution([[0.5, bad], [0.5, 0.0]])
 
     def test_joint_product_marginals(self):
         j = JointDistribution.product(Distribution([0.7, 0.3]), FIX)
@@ -202,6 +209,22 @@ class TestGroupEntropy:
             GroupEntropy(0.5, {1: 1})
         with pytest.raises(SpecError):
             GroupEntropy(0, {1: 1, 0: -1})
+
+    def test_log_inverse_stops_bracketing_at_overflow(self):
+        # s_iii's G turns back up for t < 0, so G(t) = -1 has no root there;
+        # the bracket must stop where G overflows, without a warning
+        s3 = SThird(Fraction(4, 5))
+        calls = []
+
+        def G(t):
+            calls.append(t)
+            return float(s3._G(t))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match="could not bracket"):
+                _numeric_inverse(G, -1.0)
+        assert min(calls) > -2.0 ** 13  # e^(0.4 |t|) overflows past |t| = 1774
 
     def test_siii_coefficients(self):
         s3 = SThird(Fraction(4, 5))

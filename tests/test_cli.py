@@ -1,10 +1,13 @@
 """CLI subcommands: output format, exit codes, determinism."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import pytest
 
-from gentropy.cli import main
+from gentropy import thermo
+from gentropy.cli import KINDS, build_entropy, build_parser, main
 from gentropy.io import (
     InputFormatError,
     format_float,
@@ -12,15 +15,25 @@ from gentropy.io import (
     parse_distribution,
     read_distribution_file,
     read_energy_file,
-    write_distribution_file,
+    tsv_line,
 )
-from gentropy.catalog import Distribution
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def is_usage_error(code, out, err):
+    """Exit 2, no stdout, one 'error:' line and no traceback."""
+    lines = err.splitlines()
+    return code == 2 and out == "" and len(lines) == 1 and lines[0].startswith("error:")
+
+
+def maxent_fields(out):
+    rows = (line.split("\t") for line in out.splitlines() if not line.startswith("#"))
+    return {r[0]: float(r[1]) for r in rows if len(r) == 2}
 
 
 class TestIO:
@@ -34,7 +47,7 @@ class TestIO:
 
     def test_distribution_file_round_trip(self, tmp_path):
         path = tmp_path / "d.txt"
-        write_distribution_file(str(path), Distribution([0.5, 0.3, 0.2]))
+        path.write_text("".join(format_float(p) + "\n" for p in [0.5, 0.3, 0.2]))
         d = read_distribution_file(str(path))
         assert d.p.tolist() == [0.5, 0.3, 0.2]
 
@@ -212,6 +225,34 @@ class TestMaxent:
         assert float(fields["Z"]) == pytest.approx(z, rel=1e-10)
         assert float(fields["legendre_residual"]) <= 1e-10
 
+    @pytest.mark.parametrize("q", ["1/2", "3/5"])
+    def test_tsallis_partition_value_is_cut_off(self, capsys, tmp_path, q):
+        path = tmp_path / "e.txt"
+        path.write_text("0\n1\n2\n3\n4\n5\n")
+        code, out, err = run(
+            capsys, "maxent", "--entropy", "tsallis", "--q", q,
+            "--energies", str(path), "--beta", "1",
+        )
+        assert code == 0, err
+        s = 1 - float(Fraction(q))
+        z = sum(max(0.0, 1 - s * e) ** (1 / s) for e in range(6))  # [1 + (1-q) y]_+
+        assert maxent_fields(out)["Z"] == pytest.approx(z, rel=1e-12)
+
+    def test_partition_value_without_log_inverse_is_nan(self, capsys, tmp_path):
+        # s_iii's log inverse has no value at -beta E for E > 0.7
+        path = tmp_path / "e.txt"
+        path.write_text("0\n1\n2\n3\n4\n5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "maxent", "--entropy", "s_iii", "--q", "4/5",
+                "--energies", str(path), "--beta", "1",
+            )
+        assert (code, err) == (0, "")
+        fields = maxent_fields(out)
+        assert math.isnan(fields["Z"])
+        assert "legendre_residual" not in fields
+
     def test_requires_mode(self, capsys, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("0\n1\n")
@@ -321,6 +362,27 @@ class TestUsageErrors:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--spec", "tsallis:q=1/2,zz=3"],
+            ["scan", "--spec", "s_cd:c=1/2,d=x"],
+            ["scan", "--spec", "generic:a_sequence=1"],
+            ["check", "--entropy", "bg", "--axiom", "sk2", "--trials", "-1"],
+        ],
+    )
+    def test_unknown_or_malformed_input_exits_two(self, capsys, argv):
+        assert is_usage_error(*run(capsys, *argv))
+
+    def test_zero_trials_on_all_axioms_is_inconclusive(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--entropy", "bg", "--axiom", "all", "--trials", "0",
+        )
+        assert code == 0
+        verdicts = dict(line.split("\t")[:2] for line in out.splitlines()[1:])
+        assert verdicts["sk2-maximum"] == "inconclusive"
+        assert verdicts["strict-composability"] == "inconclusive"
+
     def test_zero_trials_is_inconclusive(self, capsys):
         code, out, _ = run(
             capsys, "check", "--entropy", "bg", "--axiom", "strict-composability",
@@ -337,3 +399,67 @@ class TestCatalogCommand:
         assert code == 0
         for kind in ("bg", "tsallis", "s_cd", "s_alpha_beta_q", "generic"):
             assert any(line.startswith(kind + "\t") for line in out.splitlines())
+
+
+# one valid value per parameter flag, whichever kind takes it
+VALUES = {
+    "--q": "1/2", "--kappa": "1/2", "--a": "1/2", "--b": "-1/3", "--c": "1/2",
+    "--d": "2", "--sigma": "1/5", "--coeffs": "1:1,-1:-2,-2:1", "--alpha": "1",
+    "--beta-param": "1/8", "--delta": "2", "--a-sequence": "1,-1/2,1/3",
+}
+ALL_FLAGS = {param.flag for kind in KINDS.values() for param in kind.params}
+
+
+def spec_flags(kind):
+    return [f"{param.flag}={VALUES[param.flag]}" for param in KINDS[kind].params]
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+class TestRegistry:
+    """Every kind in the registry, through its flags and through a scan spec."""
+
+    def eval(self, capsys, kind, *flags):
+        return run(capsys, "eval", "--entropy", kind, *flags, "--dist", "uniform:4")
+
+    def test_its_parameters_suffice(self, capsys, kind):
+        code, out, err = self.eval(capsys, kind, *spec_flags(kind))
+        assert (code, err) == (0, "")
+        assert math.isfinite(float(out))
+
+    def test_each_parameter_is_required(self, capsys, kind):
+        flags = spec_flags(kind)
+        for i, param in enumerate(KINDS[kind].params):
+            code, out, err = self.eval(capsys, kind, *flags[:i], *flags[i + 1:])
+            assert is_usage_error(code, out, err)
+            assert param.flag in err
+
+    def test_other_kinds_parameters_are_rejected(self, capsys, kind):
+        own = {param.flag for param in KINDS[kind].params}
+        for flag in sorted(ALL_FLAGS - own):
+            code, out, err = self.eval(capsys, kind, *spec_flags(kind), f"{flag}={VALUES[flag]}")
+            assert is_usage_error(code, out, err)
+            assert flag in err
+
+    def test_scale_needs_a_group_exponential(self, capsys, kind):
+        code, out, err = self.eval(capsys, kind, *spec_flags(kind), "--scale", "2")
+        if KINDS[kind].cls.has_exponential:
+            assert (code, err) == (0, "")
+        else:
+            assert is_usage_error(code, out, err)
+
+    def test_scan_spec_builds_what_the_flags_build(self, capsys, kind):
+        pairs = [f"{param.name}={VALUES[param.flag]}" for param in KINDS[kind].params]
+        spec = f"{kind}:{','.join(pairs)}" if pairs else kind
+        code, out, err = run(capsys, "scan", "--spec", spec, "--points", "7")
+        assert (code, err) == (0, "")
+        args = build_parser().parse_args(["eval", "--entropy", kind, *spec_flags(kind), "--dist", "-"])
+        rows = thermo.asymptotic_scan({spec: build_entropy(args)}, points=7)
+        assert out == "#spec\tfamily\texponent\n" + "".join(
+            tsv_line(r.label, r.family, r.exponent) + "\n" for r in rows
+        )
+
+
+def test_catalog_lists_the_registry(capsys):
+    code, out, _ = run(capsys, "catalog")
+    assert code == 0
+    assert [line.split("\t")[0] for line in out.splitlines()[1:]] == list(KINDS)

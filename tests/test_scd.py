@@ -12,7 +12,6 @@ from gentropy.scd import (
     gamma_identity_residual,
     gamma_tail_closed_form,
     inner_polynomial_coefficients,
-    scd_evaluate,
     scd_gamma_oracle,
     upper_incomplete_gamma,
 )
@@ -96,9 +95,6 @@ class TestClosedForms:
         assert s.stripped_evaluate(FIX) - s.evaluate(FIX) == pytest.approx(
             -s.constant_term(), rel=1e-13
         )
-
-    def test_function_wrapper(self):
-        assert scd_evaluate(0.5, 2, FIX) == ScdEntropy(0.5, 2).evaluate(FIX)
 
 
 class TestGammaOracle:

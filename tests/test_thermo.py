@@ -12,6 +12,7 @@ from gentropy.catalog import (
     Distribution,
     Kaniadakis,
     SDelta,
+    SThird,
     SpecError,
     Tsallis,
     UnsupportedRepresentation,
@@ -169,6 +170,12 @@ class TestMaxEntTsallis:
         )
         assert res.success
         assert np.max(np.abs(res.x - sol.distribution.p)) <= 1e-6
+
+    def test_fixed_energy_mode_without_log_inverse(self):
+        # every inner solve meets s_iii's missing log inverse at -beta E
+        sol = maxent_solve(MaxEntProblem(SThird(Fraction(4, 5)), (0, 1, 2, 3), target_U=1.0))
+        assert sol.U == pytest.approx(1.0, abs=1e-9)
+        assert math.isnan(sol.Z)
 
     def test_non_exponential_spec_rejected(self):
         with pytest.raises(UnsupportedRepresentation):
