@@ -295,39 +295,78 @@ class BoltzmannGibbs(Entropy):
         return np.exp(y)
 
 
-class Tsallis(Entropy):
-    """S_q = kB (sum p^q - 1)/(1 - q), q != 1."""
+class ExponentialSum(Entropy):
+    """Group exponential G(t) = (1/sigma) sum_r k_r (e^(r t) - 1) over a few rates r.
 
-    name = "tsallis"
+    ``rates`` maps each rate r to its weight k_r.  Every term is an expm1, so
+    G keeps its relative accuracy as the rates go to 0 (the BG limit).  The
+    generalized logarithm is G(ln x), and its inverse is exp(F(y)).
+    """
+
     has_exponential = True
     has_group_law = True
 
-    def __init__(self, q, kB: float = 1.0, scale_c=1):
+    def __init__(self, sigma, rates: dict, kB: float = 1.0, scale_c=1):
         super().__init__(kB, scale_c)
-        if q == 1:
-            raise SpecError("q = 1 is the BG case; use BoltzmannGibbs")
-        self.q = q
-        self.sigma = 1 - q  # exact representation parameter, any q != 1
+        self.sigma = sigma
+        self.rates = rates
+        exact = {Fraction(r): Fraction(k) for r, k in rates.items()}
+        s = Fraction(sigma)
+        self._sigma = float(sigma)
+        # (rate, weight) pairs of sigma G, G' and G'', each weight rounded once
+        self._G_terms = tuple((float(r), float(k)) for r, k in exact.items())
+        self._dG_terms = tuple((float(r), float(k * r / s)) for r, k in exact.items())
+        self._d2G_terms = tuple((float(r), float(k * r * r / s)) for r, k in exact.items())
+
+    @staticmethod
+    def _sum(func, terms, t):
+        out = None  # not 0.0, which would turn a lone -0.0 term into 0.0
+        for r, w in terms:
+            term = w * func(r * t)
+            out = term if out is None else out + term
+        return out
 
     def _G(self, t):
-        s = float(self.sigma)
-        return np.expm1(s * t) / s
+        return self._sum(np.expm1, self._G_terms, t) / self._sigma
 
     def _dG(self, t):
-        return np.exp(float(self.sigma) * t)
+        return self._sum(np.exp, self._dG_terms, t)
 
     def _d2G(self, t):
-        s = float(self.sigma)
-        return s * np.exp(s * t)
-
-    def _F(self, s_val):
-        s = float(self.sigma)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log1p(s * s_val) / s
+        return self._sum(np.exp, self._d2G_terms, t)
 
     def base_a_sequence(self, count):
         s = _as_fraction(self.sigma)
-        return [s ** k / factorial(k) for k in range(count)]
+        rates = {_as_fraction(r): _as_fraction(k) for r, k in self.rates.items()}
+        return [
+            sum(k * r ** (j + 1) for r, k in rates.items()) / (s * factorial(j))
+            for j in range(count)
+        ]
+
+    def generalized_log(self, x):
+        if np.any(np.asarray(x) <= 0):
+            raise SpecError("logarithm needs a positive argument")
+        return self._G(np.log(x))
+
+    def log_inverse(self, y):
+        return math.exp(self._F(y))
+
+
+class Tsallis(ExponentialSum):
+    """S_q = kB (sum p^q - 1)/(1 - q), q != 1."""
+
+    name = "tsallis"
+
+    def __init__(self, q, kB: float = 1.0, scale_c=1):
+        if q == 1:
+            raise SpecError("q = 1 is the BG case; use BoltzmannGibbs")
+        super().__init__(1 - q, {1 - q: 1}, kB, scale_c)
+        self.q = q
+
+    def _F(self, s_val):
+        s = self._sigma
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log1p(s * s_val) / s
 
     def expansion_coefficients(self, count):
         # the printed decomposition uses 1-q below q=1 but q-1 above it
@@ -338,101 +377,50 @@ class Tsallis(Entropy):
             s = -s
         return [s ** k / factorial(k + 1) for k in range(count)]
 
-    def generalized_log(self, x):
-        if np.any(np.asarray(x) <= 0):
-            raise SpecError("logarithm needs a positive argument")
-        s = float(self.sigma)
-        return np.expm1(s * np.log(x)) / s
-
     def log_inverse(self, y):
-        """The q-exponential [1 + (1-q) y]^(1/(1-q)), cut off at 0 for q < 1."""
-        s = float(self.sigma)
+        """The q-exponential [1 + (1-q) y]^(1/(1-q)), cut off at 0 for q < 1.
+
+        For q > 1 it diverges as 1 + (1-q) y falls to 0 and has no value past it.
+        """
+        s = self._sigma
         base = 1.0 + s * y
         if s > 0:
             base = np.maximum(base, 0.0)
+        elif np.any(base <= 0):
+            raise SpecError(f"the q-exponential has no value at {y!r} for q > 1")
         return base ** (1.0 / s)
 
 
-class Kaniadakis(Entropy):
+class Kaniadakis(ExponentialSum):
     """S_kappa = kB sum p (p^-kappa - p^kappa) / (2 kappa), -1 < kappa <= 1."""
 
     name = "kaniadakis"
-    has_exponential = True
-    has_group_law = True
 
     def __init__(self, kappa, kB: float = 1.0, scale_c=1):
-        super().__init__(kB, scale_c)
         if not (-1 < kappa <= 1) or kappa == 0:
             raise SpecError("kappa must lie in (-1, 1], nonzero")
+        super().__init__(2 * kappa, {kappa: 1, -kappa: -1}, kB, scale_c)
         self.kappa = kappa
-
-    def _G(self, t):
-        k = float(self.kappa)
-        return np.sinh(k * t) / k
-
-    def _dG(self, t):
-        return np.cosh(float(self.kappa) * t)
-
-    def _d2G(self, t):
-        k = float(self.kappa)
-        return k * np.sinh(k * t)
 
     def _F(self, s):
         k = float(self.kappa)
         return np.arcsinh(k * s) / k
 
-    def base_a_sequence(self, count):
-        k = _as_fraction(self.kappa)
-        return [
-            k ** j / factorial(j) if j % 2 == 0 else Fraction(0)
-            for j in range(count)
-        ]
 
-
-class BorgesRoditi(Entropy):
+class BorgesRoditi(ExponentialSum):
     """Two-parameter entropy with logarithm (x^a - x^b)/(a - b)."""
 
     name = "borges_roditi"
-    has_exponential = True
-    has_group_law = True
 
     def __init__(self, a, b, kB: float = 1.0, scale_c=1):
-        super().__init__(kB, scale_c)
         if a == b:
             raise SpecError("Borges-Roditi needs distinct parameters a != b")
+        super().__init__(a - b, {a: 1, b: -1}, kB, scale_c)
         self.a = a
         self.b = b
 
-    def _G(self, t):
-        a, b = float(self.a), float(self.b)
-        return (np.exp(a * t) - np.exp(b * t)) / (a - b)
 
-    def _dG(self, t):
-        a, b = float(self.a), float(self.b)
-        return (a * np.exp(a * t) - b * np.exp(b * t)) / (a - b)
-
-    def _d2G(self, t):
-        a, b = float(self.a), float(self.b)
-        return (a * a * np.exp(a * t) - b * b * np.exp(b * t)) / (a - b)
-
-    def base_a_sequence(self, count):
-        a, b = _as_fraction(self.a), _as_fraction(self.b)
-        return [
-            (a ** (k + 1) - b ** (k + 1)) / ((a - b) * factorial(k))
-            for k in range(count)
-        ]
-
-    def generalized_log(self, x):
-        if np.any(np.asarray(x) <= 0):
-            raise SpecError("logarithm needs a positive argument")
-        a, b = float(self.a), float(self.b)
-        return (x ** a - x ** b) / (a - b)
-
-    def log_inverse(self, y):
-        return math.exp(_numeric_inverse(lambda t: float(self._G(t)), y))
-
-
-class GroupEntropy(Entropy):
+class GroupEntropy(ExponentialSum):
     """Entropy from a generalized logarithm (1/sigma) sum k_n x^(sigma n).
 
     The coefficients must satisfy sum k_n = 0 and sum n k_n = 1, with the
@@ -441,11 +429,8 @@ class GroupEntropy(Entropy):
     """
 
     name = "group_entropy"
-    has_exponential = True
-    has_group_law = True
 
     def __init__(self, sigma, coeffs: dict[int, object], kB: float = 1.0, scale_c=1):
-        super().__init__(kB, scale_c)
         if sigma == 0:
             raise SpecError("sigma must be nonzero (sigma -> 0 is the BG limit)")
         if len(coeffs) < 2:
@@ -453,58 +438,14 @@ class GroupEntropy(Entropy):
         lo, hi = min(coeffs), max(coeffs)
         if coeffs[lo] == 0 or coeffs[hi] == 0:
             raise SpecError("extreme coefficients k_l, k_m must be nonzero")
-        total = sum(coeffs.values())
-        weighted = sum(n * v for n, v in coeffs.items())
-        if total != 0 or weighted != 1:
+        exact = {n: Fraction(v) for n, v in coeffs.items()}
+        if sum(exact.values()) != 0 or sum(n * v for n, v in exact.items()) != 1:
             raise SpecError(
                 "generalized-log coefficients must satisfy sum k_n = 0 and "
                 "sum n k_n = 1"
             )
-        self.sigma = sigma
         self.coeffs = dict(sorted(coeffs.items()))
-
-    def _G(self, t):
-        s = float(self.sigma)
-        out = 0.0
-        for n, kn in self.coeffs.items():
-            out = out + float(kn) * np.exp(n * s * t)
-        return out / s
-
-    def _dG(self, t):
-        s = float(self.sigma)
-        out = 0.0
-        for n, kn in self.coeffs.items():
-            out = out + float(kn) * n * np.exp(n * s * t)
-        return out
-
-    def _d2G(self, t):
-        s = float(self.sigma)
-        out = 0.0
-        for n, kn in self.coeffs.items():
-            out = out + float(kn) * n * n * np.exp(n * s * t)
-        return s * out
-
-    def base_a_sequence(self, count):
-        s = _as_fraction(self.sigma)
-        ks = {n: _as_fraction(v) for n, v in self.coeffs.items()}
-        out = []
-        for k in range(count):
-            m = k + 1
-            moment = sum(v * Fraction(n) ** m for n, v in ks.items())
-            out.append(s ** (m - 1) * moment / factorial(m - 1))
-        return out
-
-    def generalized_log(self, x):
-        if np.any(np.asarray(x) <= 0):
-            raise SpecError("logarithm needs a positive argument")
-        s = float(self.sigma)
-        out = 0.0
-        for n, kn in self.coeffs.items():
-            out = out + float(kn) * np.power(np.asarray(x, dtype=float), s * n)
-        return out / s
-
-    def log_inverse(self, y):
-        return math.exp(_numeric_inverse(lambda t: float(self._G(t)), y))
+        super().__init__(sigma, {n * sigma: v for n, v in self.coeffs.items()}, kB, scale_c)
 
 
 class SThird(GroupEntropy):

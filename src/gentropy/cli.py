@@ -188,6 +188,11 @@ def cmd_expand(args) -> int:
 
 def cmd_group_law(args) -> int:
     if args.series:
+        flags = {"--entropy": "entropy", "--scale": "scale"}
+        flags.update((flag, param.dest) for flag, param in _PARAMS.items())
+        for flag, dest in flags.items():
+            if getattr(args, dest) is not None:
+                raise UsageError(f"--series does not take {flag}")
         G = normalized_from_literal(args.series, args.order)
     else:
         spec = build_entropy(args)

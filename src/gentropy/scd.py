@@ -93,9 +93,6 @@ class ScdEntropy(Entropy):
         """The polynomial part only, without the additive constant."""
         return self.evaluate(dist) - self.kB * self.constant_term()
 
-    def describe(self):
-        return {"kind": self.name, "c": self.c, "d": self.d}
-
 
 def upper_incomplete_gamma(s: float, x: float) -> float:
     """Gamma(s, x) = int_x^inf t^(s-1) e^-t dt by adaptive quadrature."""

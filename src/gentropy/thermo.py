@@ -192,7 +192,9 @@ def _solve_fixed_beta(spec: Entropy, energies, beta: float) -> MaxEntSolution:
         if total_p(hi) < 1.0:
             break
         hi *= 2.0
-    alpha = float(brentq(lambda a: total_p(a) - 1.0, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    alpha = float(
+        brentq(lambda a: total_p(a) - 1.0, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    )
     p = np.array([_invert_h(spec, alpha + beta * e) for e in energies])
     p = p / p.sum()  # remove the last normalization rounding
     dist = Distribution(p)

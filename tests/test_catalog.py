@@ -405,3 +405,83 @@ def test_tsallis_expansion_consistency_random(weights, q):
         for k, a in enumerate(coeffs)
     )
     assert total == pytest.approx(ts.evaluate(dist), rel=1e-9, abs=1e-12)
+
+
+def _moment_a_sequence(sigma, coeffs, count):
+    # a_k = sigma^k sum_n k_n n^(k+1) / k!, the group-entropy closed form
+    return [
+        sigma ** k * sum(v * Fraction(n) ** (k + 1) for n, v in coeffs.items())
+        / math.factorial(k)
+        for k in range(count)
+    ]
+
+
+def _exp_a(s):
+    return lambda k: s ** k / math.factorial(k)
+
+
+# each member of the exponential-sum family against its own closed-form a_k;
+# None marks a group entropy, whose closed form is _moment_a_sequence
+CLOSED_FORM_A = {
+    "tsallis-1/2": (Tsallis(Fraction(1, 2)), _exp_a(Fraction(1, 2))),
+    "tsallis-3/2": (Tsallis(Fraction(3, 2)), _exp_a(Fraction(-1, 2))),
+    "tsallis-0.75": (Tsallis(0.75), _exp_a(Fraction(1, 4))),
+    "kaniadakis-1/3": (
+        Kaniadakis(Fraction(1, 3)),
+        lambda k: _exp_a(Fraction(1, 3))(k) if k % 2 == 0 else 0,
+    ),
+    "kaniadakis--1/2": (
+        Kaniadakis(Fraction(-1, 2)),
+        lambda k: _exp_a(Fraction(-1, 2))(k) if k % 2 == 0 else 0,
+    ),
+    "borges_roditi-1/2,-1/3": (
+        BorgesRoditi(Fraction(1, 2), Fraction(-1, 3)),
+        lambda k: (Fraction(1, 2) ** (k + 1) - Fraction(-1, 3) ** (k + 1))
+        / (Fraction(5, 6) * math.factorial(k)),
+    ),
+    "borges_roditi-0,1/4": (BorgesRoditi(0, Fraction(1, 4)), _exp_a(Fraction(1, 4))),
+    "s_iii": (SThird(Fraction(4, 5)), None),
+    "s_iv": (SFourth(Fraction(9, 10)), None),
+    "s_alpha_beta_q": (SAlphaBetaQ(Fraction(1, 8), Fraction(-1, 8), Fraction(9, 10)), None),
+    "group_entropy": (
+        GroupEntropy(Fraction(-1, 4), {3: Fraction(1, 8), 1: Fraction(1, 4), -1: Fraction(-3, 8)}),
+        None,
+    ),
+}
+
+
+class TestExponentialSum:
+    """The members that share G(t) = (1/sigma) sum_r k_r (e^(r t) - 1)."""
+
+    @pytest.mark.parametrize("spec, closed", CLOSED_FORM_A.values(), ids=CLOSED_FORM_A)
+    def test_a_sequence_matches_closed_form(self, spec, closed):
+        if closed is None:
+            expected = _moment_a_sequence(Fraction(spec.sigma), spec.coeffs, 12)
+        else:
+            expected = [Fraction(closed(k)) for k in range(12)]
+        assert spec.a_sequence(12) == expected
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            SThird,
+            SFourth,
+            lambda q: SAlphaBetaQ(Fraction(1, 8), Fraction(-1, 8), q),
+            lambda q: BorgesRoditi(q - 1, 1 - q),
+        ],
+        ids=["s_iii", "s_iv", "s_alpha_beta_q", "borges_roditi"],
+    )
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_q_to_one_at_1e_minus_12(self, make, side):
+        q = 1 + side * Fraction(1, 10 ** 12)
+        gap = make(q).evaluate(FIX) - BoltzmannGibbs().evaluate(FIX)
+        assert abs(gap) <= 1e-10
+
+    @pytest.mark.parametrize("kappa", [Fraction(1, 2), Fraction(-1, 3), 1], ids=str)
+    def test_kaniadakis_log_pair(self, kappa):
+        ka = Kaniadakis(kappa)
+        k = float(kappa)
+        for x in (0.2, 0.9, 1.0, 2.5):
+            expected = (x ** k - x ** -k) / (2 * k)
+            assert ka.generalized_log(x) == pytest.approx(expected, rel=1e-14, abs=1e-16)
+            assert ka.log_inverse(ka.generalized_log(x)) == pytest.approx(x, rel=1e-14)

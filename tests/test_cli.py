@@ -157,6 +157,21 @@ class TestGroupLaw:
         rows = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
         assert {(int(r[0]), int(r[1])) for r in rows} == {(1, 0), (0, 1)}
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--entropy", "tsallis", "--q", "1/2", "--scale", "3"],
+            ["--entropy", "tsallis"],
+            ["--q", "1/2"],
+            ["--kappa", "1/2"],
+            ["--scale", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_series_takes_no_entropy_flags(self, capsys, flags):
+        code, out, err = run(capsys, "group-law", "--series", "1, -1/2", "--order", "3", *flags)
+        assert is_usage_error(code, out, err)
+
 
 class TestCheck:
     def test_passing_check_exits_zero(self, capsys):
@@ -238,6 +253,17 @@ class TestMaxent:
         z = sum(max(0.0, 1 - s * e) ** (1 / s) for e in range(6))  # [1 + (1-q) y]_+
         assert maxent_fields(out)["Z"] == pytest.approx(z, rel=1e-12)
 
+    def test_tsallis_above_one_target_energy(self, capsys, tmp_path):
+        # the beta bracket passes through beta < 0, where 1 + (1-q) y <= 0
+        path = tmp_path / "e.txt"
+        path.write_text("0\n1\n2\n3\n4\n5\n")
+        code, out, err = run(
+            capsys, "maxent", "--entropy", "tsallis", "--q", "3/2",
+            "--energies", str(path), "--target-u", "1.5",
+        )
+        assert (code, err) == (0, "")
+        assert maxent_fields(out)["U"] == pytest.approx(1.5, abs=1e-9)
+
     def test_partition_value_without_log_inverse_is_nan(self, capsys, tmp_path):
         # s_iii's log inverse has no value at -beta E for E > 0.7
         path = tmp_path / "e.txt"
@@ -286,14 +312,14 @@ class TestOccupation:
         assert out == (
             "valid\tTrue\t-\n"
             "#N\tln_W\tW\tS\tresidual\n"
-            "1\t9.0565845039500714e-01\t2.4735601035878707e+00"
-            "\t1.0000000000000002e+00\t2.2204460492503131e-16\n"
-            "2\t1.6211429249220808e+00\t5.0588689210466935e+00"
-            "\t1.9999999999999996e+00\t4.4408920985006262e-16\n"
+            "1\t9.0565845039500703e-01\t2.4735601035878703e+00"
+            "\t9.9999999999999989e-01\t1.1102230246251565e-16\n"
+            "2\t1.6211429249220810e+00\t5.0588689210466953e+00"
+            "\t1.9999999999999998e+00\t2.2204460492503131e-16\n"
             "3\t2.1856015727743938e+00\t8.8959985345279442e+00"
-            "\t3.0000000000000004e+00\t4.4408920985006262e-16\n"
+            "\t3.0000000000000000e+00\t0.0000000000000000e+00\n"
             "4\t2.6423345811712613e+00\t1.4045956786626514e+01"
-            "\t4.0000000000000000e+00\t0.0000000000000000e+00\n"
+            "\t3.9999999999999996e+00\t4.4408920985006262e-16\n"
         )
 
     def test_builds_the_occupation_law_once(self, capsys, monkeypatch):
@@ -463,3 +489,30 @@ def test_catalog_lists_the_registry(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0
     assert [line.split("\t")[0] for line in out.splitlines()[1:]] == list(KINDS)
+
+
+# every kind, and for kinds with q both sides of q = 1
+CONTRACT_CASES = [
+    (kind, q)
+    for kind, spec in KINDS.items()
+    for q in (("1/2", "3/2") if any(p.flag == "--q" for p in spec.params) else (None,))
+]
+
+
+@pytest.mark.parametrize(
+    "kind, q", CONTRACT_CASES, ids=[kind + (f" q={q}" if q else "") for kind, q in CONTRACT_CASES]
+)
+def test_solvers_keep_the_exit_code_contract(capsys, tmp_path, kind, q):
+    levels = tmp_path / "e.txt"
+    levels.write_text("0\n1\n2\n3\n4\n5\n")
+    flags = [
+        f"{p.flag}={q if p.flag == '--q' else VALUES[p.flag]}" for p in KINDS[kind].params
+    ]
+    for command in (
+        ["maxent", "--energies", str(levels), "--beta", "1"],
+        ["maxent", "--energies", str(levels), "--target-u", "1.5"],
+        ["occupation", "--nmax", "20"],
+    ):
+        code, _, err = run(capsys, *command, "--entropy", kind, *flags)
+        assert code in (0, 1, 2), command
+        assert "Traceback" not in err, command

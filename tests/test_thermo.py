@@ -177,6 +177,13 @@ class TestMaxEntTsallis:
         assert sol.U == pytest.approx(1.0, abs=1e-9)
         assert math.isnan(sol.Z)
 
+    def test_fixed_energy_mode_on_a_slow_alpha_solve(self):
+        # the inner alpha solve needs more than brentq's default 100 iterations
+        target = 3.0468555453721207
+        levels = (0.269555408149792, 5.253742259270281, 5.253742259270281)
+        sol = maxent_solve(MaxEntProblem(Tsallis(Fraction(3, 2)), levels, target_U=target))
+        assert abs(sol.U - target) <= 1e-9
+
     def test_non_exponential_spec_rejected(self):
         with pytest.raises(UnsupportedRepresentation):
             maxent_solve(MaxEntProblem(SDelta(2), ENERGIES, beta=1.0))
