@@ -7,9 +7,10 @@ S = kB * sum_i p_i * G(ln 1/p_i), its closed-form derivatives, the exact
 rational coefficient sequence a_k with G(t) = sum a_k t^(k+1)/(k+1), and the
 generalized logarithm / its inverse when one exists in closed form.
 
-A scale constant c turns G(t) into G(c t), equivalently rescales the
-coefficient sequence to a_k c^k; it defaults to 1 and is folded into the
-public wrappers once, so subclasses only implement the unscaled forms.
+A scale constant c turns G(t) into G(c t), so S scales every elementary
+functional S_k by c^k; it defaults to 1 and is folded into the public
+wrappers once, so subclasses only implement the unscaled forms.  The
+composition law G(F(x) + F(y)) is the same for every c.
 
 Closed forms are authoritative for evaluation; series expansions are only
 used for coefficient reporting and cross-checks.
@@ -162,8 +163,8 @@ class Entropy:
     monoid_only = False
 
     def __init__(self, kB: float = 1.0, scale_c=1):
-        if kB <= 0:
-            raise SpecError("kB must be positive")
+        if not 0 < kB < math.inf:
+            raise SpecError("kB must be positive and finite")
         if scale_c <= 0:
             raise SpecError("scale constant must be positive")
         self.kB = float(kB)
@@ -204,6 +205,10 @@ class Entropy:
     def _F(self, s):
         return _numeric_inverse(lambda t: float(self._G(t)), s)
 
+    def dh(self, t):
+        """h'(t) = G'(t) - G''(t), the slope of the stationarity function G - G'."""
+        return self.dG(t) - self.d2G(t)
+
     def G(self, t):
         c = float(self.scale)
         return self._G(c * np.asarray(t, dtype=float)) if np.ndim(t) else self._G(c * t)
@@ -223,7 +228,7 @@ class Entropy:
         if not self.has_exponential:
             raise UnsupportedRepresentation(f"{self.name} has no group exponential")
         if np.ndim(s):
-            return np.array([self.F(v) for v in np.asarray(s, dtype=float)])
+            return np.array([self.F(v) for v in np.asarray(s, dtype=float).tolist()])
         return self._F(s) / float(self.scale)
 
     def base_a_sequence(self, count: int) -> list[Fraction]:
@@ -243,9 +248,9 @@ class Entropy:
         return from_a_sequence(self.a_sequence(order), order)
 
     def expansion_coefficients(self, count: int) -> list[Fraction]:
-        """Coefficients a'_k = a_{k-1}/k of the elementary-functional expansion."""
-        a = self.a_sequence(count)
-        return [ak / (k + 1) for k, ak in enumerate(a)]
+        """Coefficients a_{k-1} c^k / k of S/kB = sum_k coefficient_k S_k."""
+        c = _as_fraction(self.scale)
+        return [c * ak / (k + 1) for k, ak in enumerate(self.a_sequence(count))]
 
     # -- generalized logarithm -------------------------------------------------
 
@@ -289,10 +294,10 @@ class BoltzmannGibbs(Entropy):
     def generalized_log(self, x):
         if np.any(np.asarray(x) <= 0):
             raise SpecError("logarithm needs a positive argument")
-        return np.log(x)
+        return self.G(np.log(x))
 
     def log_inverse(self, y):
-        return np.exp(y)
+        return np.exp(self.F(y))
 
 
 class ExponentialSum(Entropy):
@@ -300,7 +305,8 @@ class ExponentialSum(Entropy):
 
     ``rates`` maps each rate r to its weight k_r.  Every term is an expm1, so
     G keeps its relative accuracy as the rates go to 0 (the BG limit).  The
-    generalized logarithm is G(ln x), and its inverse is exp(F(y)).
+    generalized logarithm is G(ln x), and its inverse is exp(F(y)), both with
+    the scale constant.
     """
 
     has_exponential = True
@@ -317,6 +323,9 @@ class ExponentialSum(Entropy):
         self._G_terms = tuple((float(r), float(k)) for r, k in exact.items())
         self._dG_terms = tuple((float(r), float(k * r / s)) for r, k in exact.items())
         self._d2G_terms = tuple((float(r), float(k * r * r / s)) for r, k in exact.items())
+        # h' = G' - G'' at scale c, as one sum over e^(r c t)
+        c = Fraction(scale_c)
+        self._dh_terms = tuple((float(r), float(-k * c * r * (c * r - 1) / s)) for r, k in exact.items())
 
     @staticmethod
     def _sum(func, terms, t):
@@ -343,13 +352,16 @@ class ExponentialSum(Entropy):
             for j in range(count)
         ]
 
+    def dh(self, t):
+        return self._sum(np.exp, self._dh_terms, float(self.scale) * np.asarray(t, dtype=float))
+
     def generalized_log(self, x):
         if np.any(np.asarray(x) <= 0):
             raise SpecError("logarithm needs a positive argument")
-        return self._G(np.log(x))
+        return self.G(np.log(x))
 
     def log_inverse(self, y):
-        return math.exp(self._F(y))
+        return math.exp(self.F(y))
 
 
 class Tsallis(ExponentialSum):
@@ -378,7 +390,7 @@ class Tsallis(ExponentialSum):
         return [s ** k / factorial(k + 1) for k in range(count)]
 
     def log_inverse(self, y):
-        """The q-exponential [1 + (1-q) y]^(1/(1-q)), cut off at 0 for q < 1.
+        """The q-exponential [1 + (1-q) y]^(1/((1-q) c)), cut off at 0 for q < 1.
 
         For q > 1 it diverges as 1 + (1-q) y falls to 0 and has no value past it.
         """
@@ -388,7 +400,7 @@ class Tsallis(ExponentialSum):
             base = np.maximum(base, 0.0)
         elif np.any(base <= 0):
             raise SpecError(f"the q-exponential has no value at {y!r} for q > 1")
-        return base ** (1.0 / s)
+        return base ** (1.0 / (s * float(self.scale)))
 
 
 class Kaniadakis(ExponentialSum):
@@ -599,7 +611,10 @@ class GenericEntropy(Entropy):
         self._series = from_a_sequence(
             [Fraction(x) if _is_rational(x) else x for x in a], order
         )
-        self._float = self._series.to_float()
+        try:
+            self._float = self._series.to_float()
+        except OverflowError:
+            raise SpecError("a-sequence coefficients must fit in a float")
         self._dfloat = self._float.derivative()
         self._d2float = self._dfloat.derivative()
 

@@ -20,7 +20,6 @@ from . import axioms, thermo
 from .catalog import (
     BoltzmannGibbs,
     BorgesRoditi,
-    Distribution,
     DistributionError,
     Entropy,
     GenericEntropy,
@@ -51,11 +50,13 @@ class UsageError(ValueError):
 
 
 def _rat(value: str):
-    """Prefer an exact rational when the literal is one."""
+    """Prefer an exact rational when the literal is one; it must fit a float."""
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+        exact = Fraction(value)
+        float(exact)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise UsageError(f"bad numeric literal {value!r}")
+    return exact
 
 
 def _real(value: str) -> float:
@@ -157,18 +158,6 @@ def build_entropy(args) -> Entropy:
         raise UsageError(str(exc))
 
 
-def _add_spec_flags(sub):
-    sub.add_argument("--entropy", help="entropy kind (see `catalog`)")
-    for flag, param in _PARAMS.items():
-        takers = ", ".join(name for name, kind in KINDS.items() if param in kind.params)
-        sub.add_argument(flag, type=param.parse, help=f"{param.name} of {takers}")
-    sub.add_argument("--kb", type=float, default=1.0)
-    sub.add_argument("--scale", type=_rat, default=None,
-                     help="scale constant applied as G(c t); exponential-class kinds only")
-    sub.add_argument("--order", type=int, default=12)
-    sub.add_argument("--digits", type=int, default=17)
-
-
 def cmd_eval(args) -> int:
     spec = build_entropy(args)
     dist = parse_distribution(args.dist)
@@ -187,8 +176,11 @@ def cmd_expand(args) -> int:
 
 
 def cmd_group_law(args) -> int:
+    # Phi = G(F(x) + F(y)) is the same law for G(c t) at every c
+    if args.scale is not None:
+        raise UsageError("group-law does not take --scale; the composition law does not depend on it")
     if args.series:
-        flags = {"--entropy": "entropy", "--scale": "scale"}
+        flags = {"--entropy": "entropy"}
         flags.update((flag, param.dest) for flag, param in _PARAMS.items())
         for flag, dest in flags.items():
             if getattr(args, dest) is not None:
@@ -204,48 +196,31 @@ def cmd_group_law(args) -> int:
     return 0
 
 
+# Each single check, run as check(spec, args) -> AxiomReport.
+_CHECKS = {
+    "sk2": lambda spec, a: axioms.check_sk2_maximum(spec, a.states, a.trials, a.seed),
+    "sk3": lambda spec, a: axioms.check_sk3_expansibility(
+        spec, parse_distribution(a.dist or f"uniform:{a.states}")),
+    "weak-composability": lambda spec, a: axioms.check_weak_composability(spec, a.wa, a.wb),
+    "strict-composability": lambda spec, a: axioms.check_strict_composability(
+        spec, a.wa, a.wb, a.trials, a.seed),
+    "concavity": lambda spec, a: axioms.check_concavity_numeric(spec),
+    "concavity-condition": lambda spec, a: axioms.check_concavity_condition(spec.a_sequence(a.order)),
+    "lesche": lambda spec, a: axioms.lesche_probe(spec, a.states, a.perturbation, a.trials, a.seed),
+}
+# The one table of --axiom names, read by the flag's choices and by cmd_check:
+# the checks each name runs, then those it runs only for a spec with a
+# composition rule.
+AXIOMS = {name: ((name,), ()) for name in _CHECKS}
+AXIOMS["all"] = (("sk2", "sk3"), ("weak-composability", "strict-composability"))
+
+
 def cmd_check(args) -> int:
     if args.trials < 0:
         raise UsageError(f"--trials must be nonnegative, got {args.trials}")
     spec = build_entropy(args)
-    reports = []
-    name = args.axiom
-    if name == "sk2":
-        reports.append(axioms.check_sk2_maximum(spec, args.states, args.trials, args.seed))
-    elif name == "sk3":
-        dist = parse_distribution(args.dist or f"uniform:{args.states}")
-        reports.append(axioms.check_sk3_expansibility(spec, dist))
-    elif name == "weak-composability":
-        reports.append(axioms.check_weak_composability(spec, args.wa, args.wb))
-    elif name == "strict-composability":
-        reports.append(
-            axioms.check_strict_composability(
-                spec, args.wa, args.wb, args.trials, args.seed
-            )
-        )
-    elif name == "concavity":
-        reports.append(axioms.check_concavity_numeric(spec))
-    elif name == "concavity-condition":
-        reports.append(axioms.check_concavity_condition(spec.a_sequence(args.order)))
-    elif name == "lesche":
-        reports.append(
-            axioms.lesche_probe(spec, args.states, args.perturbation, args.trials, args.seed)
-        )
-    elif name == "all":
-        reports.append(axioms.check_sk2_maximum(spec, args.states, args.trials, args.seed))
-        reports.append(
-            axioms.check_sk3_expansibility(spec, Distribution.uniform(args.states))
-        )
-        if getattr(spec, "has_group_law", False):
-            reports.append(axioms.check_weak_composability(spec, args.wa, args.wb))
-            reports.append(
-                axioms.check_strict_composability(
-                    spec, args.wa, args.wb, args.trials, args.seed
-                )
-            )
-    else:
-        raise UsageError(f"unknown axiom {name!r}")
-
+    checks, composed = AXIOMS[args.axiom]
+    reports = [_CHECKS[name](spec, args) for name in checks + (composed if spec.has_group_law else ())]
     print("#axiom\tverdict\tresidual\twitness")
     failed = False
     for rep in reports:
@@ -341,29 +316,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gentropy",
         description="Generalized entropies, their group laws, and MaxEnt tools.",
     )
+    # the shared flags, declared once and copied into each subcommand
+    entropy = argparse.ArgumentParser(add_help=False)
+    entropy.add_argument("--entropy", help="entropy kind (see `catalog`)")
+    for flag, param in _PARAMS.items():
+        takers = ", ".join(name for name, kind in KINDS.items() if param in kind.params)
+        entropy.add_argument(flag, type=param.parse, help=f"{param.name} of {takers}")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--kb", type=float, default=1.0)
+    model.add_argument("--scale", type=_rat, default=None,
+                       help="scale constant applied as G(c t); exponential-class kinds only")
+    model.add_argument("--order", type=int, default=12)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--digits", type=int, default=17)
+    spec = [entropy, model, output]
+
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("eval", help="evaluate an entropy on a distribution")
-    _add_spec_flags(p)
+    p = subs.add_parser("eval", parents=spec, help="evaluate an entropy on a distribution")
     p.add_argument("--dist", required=True, help="'uniform:W' or a file path")
     p.set_defaults(func=cmd_eval)
 
-    p = subs.add_parser("expand", help="elementary-functional expansion coefficients")
-    _add_spec_flags(p)
+    p = subs.add_parser("expand", parents=spec, help="elementary-functional expansion coefficients")
     p.add_argument("--count", type=int, default=8)
     p.set_defaults(func=cmd_expand)
 
-    p = subs.add_parser("group-law", help="triangular c_km table of the group law")
-    _add_spec_flags(p)
+    p = subs.add_parser("group-law", parents=spec, help="triangular c_km table of the group law")
     p.add_argument("--series", help="normalized series literal '1, -1/2, ...'")
     p.set_defaults(func=cmd_group_law)
 
-    p = subs.add_parser("check", help="run an axiom / property checker")
-    _add_spec_flags(p)
-    p.add_argument("--axiom", required=True,
-                   choices=["sk2", "sk3", "weak-composability",
-                            "strict-composability", "concavity",
-                            "concavity-condition", "lesche", "all"])
+    p = subs.add_parser("check", parents=spec, help="run an axiom / property checker")
+    p.add_argument("--axiom", required=True, choices=list(AXIOMS))
     p.add_argument("--dist")
     p.add_argument("--states", type=int, default=8)
     p.add_argument("--wa", type=int, default=2)
@@ -374,31 +357,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-file")
     p.set_defaults(func=cmd_check)
 
-    p = subs.add_parser("maxent", help="canonical maximum-entropy distribution")
-    _add_spec_flags(p)
+    p = subs.add_parser("maxent", parents=spec, help="canonical maximum-entropy distribution")
     p.add_argument("--energies", required=True, help="file with one level per line")
     p.add_argument("--beta", type=float)
     p.add_argument("--target-u", dest="target_u", type=float)
     p.set_defaults(func=cmd_maxent)
 
-    p = subs.add_parser("occupation", help="occupation law and extensivity table")
-    _add_spec_flags(p)
+    p = subs.add_parser("occupation", parents=spec, help="occupation law and extensivity table")
     p.add_argument("--nmax", type=int, default=100)
     p.set_defaults(func=cmd_occupation)
 
-    p = subs.add_parser("scan", help="asymptotic growth scan on uniform distributions")
+    p = subs.add_parser("scan", parents=[model, output],
+                        help="asymptotic growth scan on uniform distributions")
     p.add_argument("--spec", action="append", required=True,
                    help="entropy as 'kind:param=value,...'; repeatable")
     p.add_argument("--wmax", type=float, default=1e12)
     p.add_argument("--points", type=int, default=13)
-    p.add_argument("--kb", type=float, default=1.0)
-    p.add_argument("--scale", type=_rat, default=None)
-    p.add_argument("--order", type=int, default=12)
-    p.add_argument("--digits", type=int, default=17)
     p.set_defaults(func=cmd_scan)
 
-    p = subs.add_parser("catalog", help="list entropy kinds and parameter domains")
-    p.add_argument("--digits", type=int, default=17)
+    p = subs.add_parser("catalog", parents=[output], help="list entropy kinds and parameter domains")
     p.set_defaults(func=cmd_catalog)
 
     return parser

@@ -126,6 +126,8 @@ class MaxEntProblem:
             raise SpecError("energies must be finite")
         if (self.beta is None) == (self.target_U is None):
             raise SpecError("specify exactly one of beta or target_U")
+        if not math.isfinite(self.target_U if self.beta is None else self.beta):
+            raise SpecError("beta and target_U must be finite")
 
 
 @dataclass(frozen=True)
@@ -309,6 +311,8 @@ def asymptotic_scan(
     of the grid: log S against log ln W (poly-log growth) versus log S
     against log W (power growth).
     """
+    if not (points >= 1 and 1 < W_max < math.inf):
+        raise SpecError("a scan needs at least one point and a finite W_max > 1")
     Ws = np.geomspace(10.0, W_max, points)
     rows = []
     for label, spec in specs.items():

@@ -24,6 +24,7 @@ from gentropy.axioms import (
 from gentropy.catalog import (
     BoltzmannGibbs,
     Distribution,
+    DistributionError,
     GenericEntropy,
     JointDistribution,
     Kaniadakis,
@@ -81,6 +82,10 @@ class TestConcavityCondition:
         rep = check_concavity_condition([Fraction(1), Fraction(1)])
         assert rep.details["per_k"]
 
+    @pytest.mark.parametrize("a", [[], [Fraction(1)]], ids=["empty", "one term"])
+    def test_no_inequality_is_inconclusive(self, a):
+        assert check_concavity_condition(a).verdict == INCONCLUSIVE
+
 
 class TestConcavityNumeric:
     def test_bg(self):
@@ -98,6 +103,13 @@ class TestConcavityNumeric:
     def test_closed_form_used_for_exponential_class(self):
         rep = check_concavity_numeric(Tsallis(0.5))
         assert rep.details["method"] == "closed-form"
+
+    def test_kaniadakis_kappa_one_witness_is_exact(self):
+        # x G(ln 1/x) = (1 - x^2)/2 has second derivative -1 at every x;
+        # G'' - G' formed by subtraction left rounding noise of size 1/x
+        rep = check_concavity_numeric(Kaniadakis(1))
+        assert rep.verdict == PASS
+        assert rep.witness["second_derivative"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_numeric_fallback_for_sdelta(self):
         rep = check_concavity_numeric(SDelta(2))
@@ -207,6 +219,27 @@ class TestStrictComposability:
         assert rep.worst_residual > 1e-6
         assert rep.witness["p_A"] == [0.9, 0.1]
 
+    @pytest.mark.parametrize("spec", [Tsallis(0.3), SThird(0.8), SDelta(2)], ids=["tsallis", "s_iii", "s_delta"])
+    def test_batch_matches_one_evaluation_per_trial(self, spec):
+        # the seed draws one A then one B per trial
+        rng = np.random.default_rng(7)
+        worst, witness = 0.0, None
+        for _ in range(30):
+            da = Distribution(rng.dirichlet(np.ones(3)))
+            db = Distribution(rng.dirichlet(np.ones(4)))
+            s_ab = spec.evaluate(JointDistribution.product(da, db).flatten())
+            residual = abs(s_ab - spec.phi(spec.evaluate(da), spec.evaluate(db))) / max(1.0, abs(s_ab))
+            if residual > worst:
+                worst, witness = residual, (da.p.tolist(), db.p.tolist())
+        rep = check_strict_composability(spec, 3, 4, trials=30, seed=7, tol=0.0)
+        assert rep.worst_residual == worst
+        assert (rep.witness["p_A"], rep.witness["p_B"]) == witness
+
+    @pytest.mark.parametrize("W_A, W_B", [(0, 3), (2, -1)])
+    def test_empty_parts_are_rejected(self, W_A, W_B):
+        with pytest.raises(DistributionError):
+            check_strict_composability(BoltzmannGibbs(), W_A, W_B, trials=3)
+
     def test_witness_reproduces_residual(self):
         spec = SThird(0.8)
         rep = check_strict_composability(spec, 2, 3, trials=20, seed=5)
@@ -253,3 +286,28 @@ class TestLescheProbe:
     def test_negative_perturbation_rejected(self):
         with pytest.raises(ValueError):
             lesche_probe(BoltzmannGibbs(), 5, -1.0)
+
+    @pytest.mark.parametrize("W, delta", [(5, float("nan")), (1, 1e-4)])
+    def test_no_modulus_without_two_states_and_a_size(self, W, delta):
+        with pytest.raises(DistributionError):
+            lesche_probe(BoltzmannGibbs(), W, delta)
+
+    def test_zero_trials(self):
+        rep = lesche_probe(BoltzmannGibbs(), 5, 1e-4, trials=0)
+        assert (rep.worst_residual, rep.witness) == (0.0, None)
+
+    def test_batch_matches_one_evaluation_per_trial(self):
+        spec = Kaniadakis(0.5)
+        rng = np.random.default_rng(3)
+        s_max = spec.evaluate(Distribution.uniform(6))
+        modulus, witness = 0.0, None
+        for _ in range(40):
+            p = rng.dirichlet(np.ones(6))
+            r = rng.dirichlet(np.ones(6))
+            eps = min(1.0, 0.05 / float(np.abs(p - r).sum()))
+            p2 = (1 - eps) * p + eps * r
+            ratio = abs(spec.evaluate(Distribution(p)) - spec.evaluate(Distribution(p2))) / s_max
+            if ratio > modulus:
+                modulus, witness = ratio, {"p": p.tolist(), "p_perturbed": p2.tolist()}
+        rep = lesche_probe(spec, 6, 0.05, trials=40, seed=3)
+        assert (rep.worst_residual, rep.witness) == (modulus, witness)

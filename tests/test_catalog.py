@@ -13,6 +13,7 @@ from gentropy.catalog import (
     BorgesRoditi,
     Distribution,
     DistributionError,
+    ExponentialSum,
     GenericEntropy,
     GroupEntropy,
     JointDistribution,
@@ -226,6 +227,11 @@ class TestGroupEntropy:
                 _numeric_inverse(G, -1.0)
         assert min(calls) > -2.0 ** 13  # e^(0.4 |t|) overflows past |t| = 1774
 
+    def test_array_inverse_names_a_plain_float(self):
+        with pytest.raises(SpecError) as info:
+            SThird(Fraction(4, 5)).F(np.array([0.5, -1.0]))
+        assert str(info.value) == "could not bracket inverse at -1.0"
+
     def test_siii_coefficients(self):
         s3 = SThird(Fraction(4, 5))
         assert s3.coeffs == {-2: 1, -1: -2, 1: 1}
@@ -367,6 +373,35 @@ class TestScaleConstant:
         with pytest.raises(SpecError):
             BoltzmannGibbs(kB=-1)
 
+    @pytest.mark.parametrize("kB", [math.nan, math.inf])
+    def test_non_finite_kb(self, kB):
+        with pytest.raises(SpecError):
+            BoltzmannGibbs(kB=kB)
+
+    @pytest.mark.parametrize("c", [Fraction(2), Fraction(3, 2)], ids=str)
+    @pytest.mark.parametrize(
+        "make", [BoltzmannGibbs, lambda **kw: Tsallis(Fraction(1, 2), **kw),
+                 lambda **kw: Kaniadakis(Fraction(1, 2), **kw)],
+        ids=["bg", "tsallis", "kaniadakis"],
+    )
+    def test_expansion_sums_to_the_scaled_entropy(self, make, c):
+        spec = make(scale_c=c)
+        coeffs = spec.expansion_coefficients(60)
+        total = sum(float(a) * elementary_functional(k, FIX) for k, a in enumerate(coeffs, start=1))
+        assert total == pytest.approx(spec.evaluate(FIX), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec", [BoltzmannGibbs(scale_c=2), Tsallis(Fraction(1, 2), scale_c=Fraction(3, 2)),
+                 Kaniadakis(Fraction(1, 3), scale_c=2)],
+        ids=["bg", "tsallis", "kaniadakis"],
+    )
+    def test_log_pair_carries_the_scale(self, spec):
+        # Log(x) = G(c ln x), so kB Log(1/p) is the density p contributes
+        for x in (0.2, 0.9, 1.0, 2.5):
+            assert spec.generalized_log(x) == pytest.approx(float(spec.G(math.log(x))), rel=1e-14, abs=1e-16)
+            assert spec.log_inverse(spec.generalized_log(x)) == pytest.approx(x, rel=1e-14)
+        assert spec.generalized_log(1 / 0.3) == pytest.approx(spec.density(np.array([0.3]))[0], rel=1e-14)
+
 
 class TestPhiClosedForms:
     def test_tsallis_phi(self):
@@ -476,6 +511,14 @@ class TestExponentialSum:
         q = 1 + side * Fraction(1, 10 ** 12)
         gap = make(q).evaluate(FIX) - BoltzmannGibbs().evaluate(FIX)
         assert abs(gap) <= 1e-10
+
+    @pytest.mark.parametrize("c", [1, Fraction(3, 2)], ids=str)
+    @pytest.mark.parametrize("spec", [v[0] for v in CLOSED_FORM_A.values()], ids=list(CLOSED_FORM_A))
+    def test_dh_is_the_slope_of_g_minus_its_derivative(self, spec, c):
+        scaled = ExponentialSum(spec.sigma, spec.rates, scale_c=c)
+        t = np.linspace(-3.0, 3.0, 13)
+        expected = scaled.dG(t) - scaled.d2G(t)
+        assert scaled.dh(t) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("kappa", [Fraction(1, 2), Fraction(-1, 3), 1], ids=str)
     def test_kaniadakis_log_pair(self, kappa):

@@ -1,13 +1,18 @@
 """CLI subcommands: output format, exit codes, determinism."""
 
+import ast
+import contextlib
+import io
 import math
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gentropy import thermo
-from gentropy.cli import KINDS, build_entropy, build_parser, main
+from gentropy.cli import AXIOMS, KINDS, build_entropy, build_parser, main
 from gentropy.io import (
     InputFormatError,
     format_float,
@@ -139,6 +144,12 @@ class TestExpand:
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines == ["1\t1", "2\t1/4", "3\t1/24"]
 
+    def test_scale_multiplies_coefficient_k_by_c_to_the_k(self, capsys):
+        # S = sum_k a_{k-1} c^k / k S_k: BG at c = 2 is 2 S_1
+        code, out, _ = run(capsys, "expand", "--entropy", "bg", "--scale", "2", "--count", "3")
+        assert code == 0
+        assert out.splitlines()[1:] == ["1\t2", "2\t0", "3\t0"]
+
 
 class TestGroupLaw:
     def test_tsallis_table(self, capsys):
@@ -170,6 +181,11 @@ class TestGroupLaw:
     )
     def test_series_takes_no_entropy_flags(self, capsys, flags):
         code, out, err = run(capsys, "group-law", "--series", "1, -1/2", "--order", "3", *flags)
+        assert is_usage_error(code, out, err)
+
+    def test_scale_is_a_usage_error(self, capsys):
+        # G(c t) composes as G(F(x) + F(y)) at every c; the table would not show c
+        code, out, err = run(capsys, "group-law", "--entropy", "tsallis", "--q", "1/2", "--scale", "2")
         assert is_usage_error(code, out, err)
 
 
@@ -216,6 +232,16 @@ class TestCheck:
         )
         assert code == 1
         assert "strict-composability" in wf.read_text()
+
+    def test_kaniadakis_concavity_witness_is_exact(self, capsys):
+        code, out, _ = run(capsys, "check", "--entropy", "kaniadakis", "--kappa", "1", "--axiom", "concavity")
+        assert code == 0
+        witness = ast.literal_eval(out.splitlines()[1].split("\t")[3])
+        assert witness["second_derivative"] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_all_reads_dist_for_expansibility(self, capsys):
+        code, out, err = run(capsys, "check", "--entropy", "bg", "--axiom", "all", "--dist", "/nonexistent/file")
+        assert is_usage_error(code, out, err)
 
     def test_unknown_axiom(self, capsys):
         code, _, _ = run(capsys, "check", "--entropy", "bg", "--axiom", "bogus")
@@ -278,6 +304,18 @@ class TestMaxent:
         fields = maxent_fields(out)
         assert math.isnan(fields["Z"])
         assert "legendre_residual" not in fields
+
+    def test_scaled_bg_keeps_the_legendre_relation(self, capsys, tmp_path):
+        # Log(x) = c ln x and E(y) = e^(y/c) carry the scale constant
+        path = tmp_path / "e.txt"
+        path.write_text("0\n1\n2\n3\n4\n5\n")
+        code, out, err = run(
+            capsys, "maxent", "--entropy", "bg", "--scale", "2", "--energies", str(path), "--beta", "1",
+        )
+        assert (code, err) == (0, "")
+        fields = maxent_fields(out)
+        assert fields["legendre_residual"] == 0.0
+        assert fields["Z"] == pytest.approx(sum(math.exp(-e / 2) for e in range(6)), rel=1e-14)
 
     def test_requires_mode(self, capsys, tmp_path):
         path = tmp_path / "e.txt"
@@ -420,6 +458,12 @@ class TestUsageErrors:
 
 
 class TestCatalogCommand:
+    def test_takes_only_digits(self, capsys):
+        assert run(capsys, "catalog", "--digits", "3")[0] == 0
+        code, out, err = run(capsys, "catalog", "--kb", "2")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --kb" in err
+
     def test_lists_all_kinds(self, capsys):
         code, out, _ = run(capsys, "catalog")
         assert code == 0
@@ -516,3 +560,100 @@ def test_solvers_keep_the_exit_code_contract(capsys, tmp_path, kind, q):
         code, _, err = run(capsys, *command, "--entropy", kind, *flags)
         assert code in (0, 1, 2), command
         assert "Traceback" not in err, command
+
+
+# -- the exit-code contract under generated command lines --------------------
+# Every subcommand, every kind, good and bad parameter literals and the
+# shared flags, at sizes small enough to keep each command cheap.
+
+LITERALS = ("1/2", "3/2", "1", "0", "-1", "1/0", "abc", "1e400", "nan")
+SPEC_COMMANDS = ("eval", "expand", "group-law", "check", "maxent", "occupation")
+
+
+@pytest.fixture(scope="module")
+def levels(tmp_path_factory):
+    """Energy files of 3 to 6 levels, keyed by level count."""
+    out = {}
+    for n in range(3, 7):
+        path = tmp_path_factory.mktemp("levels") / f"levels{n}.txt"
+        path.write_text("".join(f"{e}\n" for e in range(n)))
+        out[n] = str(path)
+    return out
+
+
+def literal(good):
+    """A good value half the time, else one of LITERALS."""
+    return st.one_of(st.just(good), st.sampled_from(LITERALS))
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(SPEC_COMMANDS + ("scan", "catalog")))
+    kind = draw(st.sampled_from(list(KINDS)))
+    values = {p.flag: draw(literal(VALUES[p.flag])) for p in KINDS[kind].params}
+    shared = [f"{flag}={draw(literal(good))}"
+              for flag, good in (("--kb", "2"), ("--scale", "2"), ("--digits", "6")) if draw(st.booleans())]
+    if command == "catalog":
+        return ["catalog"] + [f for f in shared if f.startswith("--digits")]
+    if command == "scan":
+        pairs = ",".join(f"{p.name}={values[p.flag]}" for p in KINDS[kind].params)
+        return ["scan", "--spec", f"{kind}:{pairs}" if pairs else kind, *shared,
+                "--points", draw(st.integers(0, 7).map(str)),
+                f"--wmax={draw(st.sampled_from(('1e12', '100', '1', '-1', 'nan', '1e400')))}"]
+    argv = [command, "--entropy", kind, *(f"{flag}={v}" for flag, v in values.items()), *shared]
+    cheap = st.integers(-1, 20).map(str)
+    if command == "eval":
+        argv += ["--dist", f"uniform:{draw(st.integers(0, 6))}"]
+    elif command == "expand":
+        argv += ["--count", draw(st.integers(0, 8).map(str))]
+    elif command in ("group-law", "check"):
+        argv += ["--order", draw(st.integers(0, 6).map(str))]
+    if command == "check":
+        argv += ["--axiom", draw(st.sampled_from(list(AXIOMS))), "--trials", draw(cheap)]
+        for flag in ("--states", "--wa", "--wb"):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(st.integers(-1, 6))}")
+        if draw(st.booleans()):
+            argv.append(f"--perturbation={draw(st.sampled_from(('1e-4', '0', '-1', 'nan')))}")
+    elif command == "maxent":
+        mode = draw(st.sampled_from(("--beta", "--target-u")))
+        value = draw(st.sampled_from(("1", "1.5", "0.3", "-1", "nan", "1e400")))
+        argv += ["--energies", f"levels:{draw(st.integers(3, 6))}", f"{mode}={value}"]
+    elif command == "occupation":
+        argv += ["--nmax", draw(cheap)]
+    return argv
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=command_lines())
+# inputs that once escaped main with a traceback
+@example(argv=["eval", "--entropy", "bg", "--scale=1e400", "--dist", "uniform:1"])
+@example(argv=["eval", "--entropy", "tsallis", "--q=1e400", "--dist", "uniform:2"])
+@example(argv=["eval", "--entropy", "s_delta", "--delta=1e400", "--dist", "uniform:2"])
+@example(argv=["eval", "--entropy", "generic", "--a-sequence=1e400", "--dist", "uniform:2"])
+@example(argv=["maxent", "--entropy", "bg", "--energies", "levels:3", "--beta=nan"])
+@example(argv=["maxent", "--entropy", "bg", "--kb=nan", "--energies", "levels:3", "--beta=1"])
+@example(argv=["check", "--entropy", "bg", "--axiom", "lesche", "--trials", "3", "--states=1"])
+@example(argv=["check", "--entropy", "bg", "--axiom", "lesche", "--trials", "3", "--perturbation=-1"])
+@example(argv=["check", "--entropy", "bg", "--axiom", "sk2", "--trials", "3", "--states=-1"])
+@example(argv=["check", "--entropy", "bg", "--axiom", "strict-composability", "--trials", "3", "--wa=-1"])
+@example(argv=["scan", "--spec", "bg", "--points", "0", "--wmax=1e12"])
+@example(argv=["scan", "--spec", "bg", "--points", "7", "--wmax=1"])
+def test_cli_keeps_the_exit_code_contract(levels, argv):
+    argv = [levels[int(a[7:])] if a.startswith("levels:") else a for a in argv]
+    code, out, err = run_quiet(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert "error:" in err
+    if code == 1:
+        assert any(line and not line.startswith("#") for line in out.splitlines())
