@@ -133,25 +133,32 @@ def _as_fraction(x) -> Fraction:
     return f
 
 
-def _numeric_inverse(func: Callable[[float], float], s: float) -> float:
-    """Invert a strictly increasing func with func(0) = 0 near the origin.
+def solve_increasing(f, lo: float, hi: float, xtol: float, failure: str) -> float:
+    """The root of an increasing f, bracketed by doubling the wrong-signed end of [lo, hi].
 
-    The bracket doubles outward until it holds s; a non-finite func raises.
+    An end at 0 stays put.  A wrong-signed value that is not finite, or no
+    bracket after 200 doublings, raises SpecError(failure).
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_lo, f_hi = f(lo), f(hi)
+        for _ in range(200):
+            if f_lo <= 0 <= f_hi:
+                return float(brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=200))
+            if not math.isfinite(f_hi if f_lo <= 0 else f_lo):
+                break
+            if f_lo <= 0:
+                hi, f_hi = 2 * hi, f(2 * hi)
+            else:
+                lo, f_lo = 2 * lo, f(2 * lo)
+    raise SpecError(failure)
+
+
+def _numeric_inverse(func: Callable[[float], float], s: float) -> float:
+    """Invert a strictly increasing func with func(0) = 0 near the origin."""
     if s == 0:
         return 0.0
     lo, hi = (0.0, 1.0) if s > 0 else (-1.0, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(200):
-            value = func(hi) if s > 0 else func(lo)
-            if value >= s if s > 0 else value <= s:
-                break
-            if not math.isfinite(value):
-                raise SpecError(f"could not bracket inverse at {s!r}")
-            lo, hi = (lo, hi * 2) if s > 0 else (lo * 2, hi)
-        else:
-            raise SpecError(f"could not bracket inverse at {s!r}")
-    return float(brentq(lambda t: func(t) - s, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    return solve_increasing(lambda t: func(t) - s, lo, hi, 1e-15, f"could not bracket inverse at {s!r}")
 
 
 class Entropy:

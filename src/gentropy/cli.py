@@ -9,6 +9,7 @@ fully determined by --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -167,6 +168,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    if args.count < 0:
+        raise UsageError(f"--count must be nonnegative, got {args.count}")
     spec = build_entropy(args)
     coeffs = spec.expansion_coefficients(args.count)
     print("#k\tcoefficient")
@@ -261,7 +264,7 @@ def cmd_maxent(args) -> int:
 
 def cmd_occupation(args) -> int:
     spec = build_entropy(args)
-    law = thermo.occupation_law(spec, min(args.nmax, 100))
+    law = thermo.occupation_law(spec, args.nmax)
     print(tsv_line("valid", law.valid, law.reason or "-"))
     print("#N\tln_W\tW\tS\tresidual")
     if not law.valid:
@@ -311,6 +314,7 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache  # argparse reads stdout, stderr and the terminal width per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gentropy",

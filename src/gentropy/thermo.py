@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .catalog import Distribution, Entropy, SpecError, UnsupportedRepresentation
+from .catalog import Distribution, Entropy, SpecError, UnsupportedRepresentation, solve_increasing
 
 _MAX_EXP = 700.0  # exp() overflow guard
 
@@ -25,6 +25,7 @@ class OccupationLaw:
     spec: Entropy
     valid: bool
     reason: str = ""
+    ln_W: tuple[float, ...] = ()  # ln W(N) for N = 0, 1, ... as far as checked
 
     def log_W(self, N: float) -> float:
         return float(self.spec.F(N / self.spec.kB))
@@ -44,20 +45,22 @@ def occupation_law(spec: Entropy, N_max: int = 100) -> OccupationLaw:
     """
     if not spec.has_exponential:
         raise UnsupportedRepresentation(f"{spec.name} has no group exponential")
-    prev = None
+    if N_max < 0:
+        raise SpecError(f"N_max must be nonnegative, got {N_max}")
+    ln_W = []
     for N in range(0, N_max + 1):
         try:
             lw = float(spec.F(N / spec.kB))
         except (ValueError, SpecError, ZeroDivisionError, OverflowError):
-            return OccupationLaw(spec, False, f"F undefined at N={N}")
+            return OccupationLaw(spec, False, f"F undefined at N={N}", tuple(ln_W))
         if not math.isfinite(lw):
-            return OccupationLaw(spec, False, f"F not finite at N={N}")
+            return OccupationLaw(spec, False, f"F not finite at N={N}", tuple(ln_W))
         if N == 0 and lw != 0.0:
-            return OccupationLaw(spec, False, "W(0) != 1")
-        if prev is not None and lw <= prev:
-            return OccupationLaw(spec, False, f"W not increasing at N={N}")
-        prev = lw
-    return OccupationLaw(spec, True)
+            return OccupationLaw(spec, False, "W(0) != 1", tuple(ln_W))
+        if ln_W and lw <= ln_W[-1]:
+            return OccupationLaw(spec, False, f"W not increasing at N={N}", tuple(ln_W))
+        ln_W.append(lw)
+    return OccupationLaw(spec, True, "", tuple(ln_W))
 
 
 def microcanonical(spec: Entropy, W: float) -> float:
@@ -86,19 +89,20 @@ def extensivity_check(
     """max |S(uniform over W(N)) - kB N| over N = 1..N_max, in log space.
 
     The primary check uses the real-valued W(N); a rounded-W variant is
-    evaluated wherever W fits in a double.  ``law`` is spec's occupation law
-    when the caller has already built it, as ``occupation_law(spec,
-    min(N_max, 100))`` does.
+    evaluated wherever W fits in a double.  W(N) must be admissible on all of
+    0..N_max, or SpecError is raised.  ``law`` is spec's occupation law if the
+    caller built it; its ln W(N) are read, not solved again (a law that stops
+    short of N_max is rebuilt).
     """
-    if law is None:
-        law = occupation_law(spec, min(N_max, 100))
+    if law is None or len(law.ln_W) <= N_max:
+        law = occupation_law(spec, N_max)
     if not law.valid:
         raise SpecError(f"occupation law not admissible: {law.reason}")
     worst = 0.0
     worst_rounded = None
     rows = []
     for N in range(1, N_max + 1):
-        lw = law.log_W(N)
+        lw = law.ln_W[N]
         s = spec.kB * float(spec.G(lw))
         resid = abs(s - spec.kB * N)
         worst = max(worst, resid)
@@ -161,10 +165,8 @@ def _check_monotone(spec: Entropy) -> None:
         )
 
 
-def _invert_h(spec: Entropy, target: float) -> float:
-    """Solve h(p) = target for p in (0, 1); h is strictly decreasing."""
-    h_lo = _stationarity(spec, _P_LO)
-    h_hi = _stationarity(spec, _P_HI)
+def _invert_h(spec: Entropy, target: float, h_lo: float, h_hi: float) -> float:
+    """Solve h(p) = target on [_P_LO, _P_HI], where h falls from h_lo to h_hi."""
     if target >= h_lo:
         return _P_LO
     if target <= h_hi:
@@ -182,22 +184,14 @@ def _invert_h(spec: Entropy, target: float) -> float:
 
 
 def _solve_fixed_beta(spec: Entropy, energies, beta: float) -> MaxEntSolution:
-    def total_p(alpha: float) -> float:
-        return sum(_invert_h(spec, alpha + beta * e) for e in energies)
+    h_lo, h_hi = _stationarity(spec, _P_LO), _stationarity(spec, _P_HI)
 
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if total_p(lo) > 1.0:
-            break
-        lo *= 2.0
-    for _ in range(200):
-        if total_p(hi) < 1.0:
-            break
-        hi *= 2.0
-    alpha = float(
-        brentq(lambda a: total_p(a) - 1.0, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    )
-    p = np.array([_invert_h(spec, alpha + beta * e) for e in energies])
+    def total_p(alpha: float) -> float:
+        return sum(_invert_h(spec, alpha + beta * e, h_lo, h_hi) for e in energies)
+
+    alpha = solve_increasing(lambda a: 1.0 - total_p(a), -1.0, 1.0, 1e-14,
+                             f"no alpha normalizes the clamped levels at beta = {beta!r}")
+    p = np.array([_invert_h(spec, alpha + beta * e, h_lo, h_hi) for e in energies])
     p = p / p.sum()  # remove the last normalization rounding
     dist = Distribution(p)
     U = float(np.dot(p, energies))
@@ -237,19 +231,11 @@ def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
     if not (e_min < target < e_max):
         raise SpecError("target energy must lie strictly between the extreme levels")
 
-    def achieved(beta: float) -> float:
-        return _solve_fixed_beta(spec, problem.energies, beta).U
+    def shortfall(beta: float) -> float:
+        return target - _solve_fixed_beta(spec, problem.energies, beta).U
 
-    lo, hi = -1.0, 1.0
-    for _ in range(100):
-        if achieved(hi) < target:
-            break
-        hi *= 2.0
-    for _ in range(100):
-        if achieved(lo) > target:
-            break
-        lo *= 2.0
-    beta = float(brentq(lambda b: achieved(b) - target, lo, hi, xtol=1e-12))
+    beta = solve_increasing(shortfall, -1.0, 1.0, 1e-12,
+                            f"no beta reaches the target energy {target!r} on the clamped levels")
     return _solve_fixed_beta(spec, problem.energies, beta)
 
 

@@ -325,6 +325,21 @@ class TestMaxent:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "levels, flags",
+        [
+            ("0\n1\n2\n", ["--entropy", "tsallis", "--q", "1/2", "--beta=-1e61"]),
+            ("-5\n0\n5\n", ["--entropy", "bg", "--beta", "1e61"]),
+            ("0\n1\n2\n", ["--entropy", "bg", "--target-u", "1e-300"]),
+        ],
+        ids=["tsallis beta -1e61", "bg beta 1e61", "bg target-u 1e-300"],
+    )
+    def test_out_of_reach_of_the_clamped_levels(self, capsys, tmp_path, levels, flags):
+        # p is clamped to [1e-15, 1 - 1e-15], so no bracket of 200 doublings holds the root
+        path = tmp_path / "e.txt"
+        path.write_text(levels)
+        assert is_usage_error(*run(capsys, "maxent", "--energies", str(path), *flags))
+
 
 class TestOccupation:
     def test_bg_table(self, capsys):
@@ -382,6 +397,32 @@ class TestOccupation:
         assert code == 1
         assert "False" in out
 
+    def test_checks_the_whole_printed_range(self, capsys):
+        # ln_q N is finite only below N = 1/(q-1) = 200
+        code, out, _ = run(
+            capsys, "occupation", "--entropy", "tsallis", "--q", "201/200", "--nmax", "300"
+        )
+        assert code == 1
+        assert out == "valid\tFalse\tF not finite at N=200\n#N\tln_W\tW\tS\tresidual\n"
+
+    def test_solves_each_ln_W_once(self, capsys, monkeypatch):
+        from gentropy import catalog
+
+        calls = []
+        inverse = catalog._numeric_inverse
+
+        def counting(func, s):
+            calls.append(s)
+            return inverse(func, s)
+
+        monkeypatch.setattr(catalog, "_numeric_inverse", counting)
+        code, _, _ = run(
+            capsys, "occupation", "--entropy", "borges_roditi", "--a", "1/2",
+            "--b=-1/3", "--nmax", "150",
+        )
+        assert code == 0
+        assert calls == [float(N) for N in range(151)]
+
 
 class TestScan:
     def test_three_specs(self, capsys):
@@ -417,6 +458,8 @@ class TestUsageErrors:
             ["check", "--entropy", "bg", "--axiom", "weak-composability", "--wa", "0"],
             ["eval", "--entropy", "bg", "--dist", "uniform:4", "--digits", "0"],
             ["eval", "--entropy", "bg", "--dist", "uniform:4", "--digits", "-2"],
+            ["expand", "--entropy", "bg", "--count", "-1"],
+            ["occupation", "--entropy", "bg", "--nmax", "-1"],
         ],
     )
     def test_exit_two(self, capsys, argv):
@@ -535,6 +578,20 @@ def test_catalog_lists_the_registry(capsys):
     assert [line.split("\t")[0] for line in out.splitlines()[1:]] == list(KINDS)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--entropy", "bg", "--dist", "uniform:4"],
+        ["scan", "--spec", "bg", "--points", "3"],  # an append flag starts empty each time
+        ["check", "--entropy", "bg"],
+        ["eval", "--help"],
+    ],
+)
+def test_main_calls_share_one_parser(capsys, argv):
+    assert build_parser() is build_parser()
+    assert run(capsys, *argv) == run(capsys, *argv)
+
+
 # every kind, and for kinds with q both sides of q = 1
 CONTRACT_CASES = [
     (kind, q)
@@ -617,7 +674,7 @@ def command_lines(draw):
             argv.append(f"--perturbation={draw(st.sampled_from(('1e-4', '0', '-1', 'nan')))}")
     elif command == "maxent":
         mode = draw(st.sampled_from(("--beta", "--target-u")))
-        value = draw(st.sampled_from(("1", "1.5", "0.3", "-1", "nan", "1e400")))
+        value = draw(st.sampled_from(("1", "1.5", "0.3", "-1", "nan", "1e400", "-1e61", "1e-300")))
         argv += ["--energies", f"levels:{draw(st.integers(3, 6))}", f"{mode}={value}"]
     elif command == "occupation":
         argv += ["--nmax", draw(cheap)]
@@ -647,6 +704,10 @@ def run_quiet(argv):
 @example(argv=["check", "--entropy", "bg", "--axiom", "strict-composability", "--trials", "3", "--wa=-1"])
 @example(argv=["scan", "--spec", "bg", "--points", "0", "--wmax=1e12"])
 @example(argv=["scan", "--spec", "bg", "--points", "7", "--wmax=1"])
+@example(argv=["maxent", "--entropy", "tsallis", "--q=1/2", "--energies", "levels:3", "--beta=-1e61"])
+@example(argv=["maxent", "--entropy", "bg", "--energies", "levels:3", "--target-u=1e-300"])
+# once a vacuous pass: admissibility was checked only up to N = 100
+@example(argv=["occupation", "--entropy", "tsallis", "--q=201/200", "--nmax", "300"])
 def test_cli_keeps_the_exit_code_contract(levels, argv):
     argv = [levels[int(a[7:])] if a.startswith("levels:") else a for a in argv]
     code, out, err = run_quiet(argv)

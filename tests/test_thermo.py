@@ -57,6 +57,14 @@ class TestOccupationLaw:
         with pytest.raises(UnsupportedRepresentation):
             occupation_law(SDelta(2))
 
+    def test_negative_range_rejected(self):
+        with pytest.raises(SpecError, match="nonnegative"):
+            occupation_law(BoltzmannGibbs(), -1)
+
+    def test_keeps_the_checked_values(self):
+        spec = Kaniadakis(0.3)
+        assert occupation_law(spec, 7).ln_W == tuple(float(spec.F(N)) for N in range(8))
+
 
 class TestMicrocanonical:
     def test_bg_value(self):
@@ -96,6 +104,16 @@ class TestExtensivity:
     def test_invalid_law_raises(self):
         with pytest.raises(SpecError):
             extensivity_check(Tsallis(2), 10)
+
+    def test_admissibility_is_checked_over_the_whole_range(self):
+        # ln_q N is finite only below N = 1/(q-1) = 200
+        with pytest.raises(SpecError, match="F not finite at N=200"):
+            extensivity_check(Tsallis(Fraction(201, 200)), 300)
+
+    def test_a_short_law_is_rebuilt(self):
+        spec = BoltzmannGibbs()
+        report = extensivity_check(spec, 8, occupation_law(spec, 3))
+        assert [row[0] for row in report.rows] == list(range(1, 9))
 
     def test_rows_shape(self):
         report = extensivity_check(BoltzmannGibbs(), 5)
