@@ -137,13 +137,16 @@ def solve_increasing(f, lo: float, hi: float, xtol: float, failure: str) -> floa
     """The root of an increasing f, bracketed by doubling the wrong-signed end of [lo, hi].
 
     An end at 0 stays put.  A wrong-signed value that is not finite, or no
-    bracket after 200 doublings, raises SpecError(failure).
+    bracket after 200 doublings, raises SpecError(failure).  brentq gets the
+    values at the bracket's ends as found, so no x is evaluated twice.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         f_lo, f_hi = f(lo), f(hi)
         for _ in range(200):
             if f_lo <= 0 <= f_hi:
-                return float(brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=200))
+                ends = {lo: f_lo, hi: f_hi}
+                return float(brentq(lambda x: ends[x] if x in ends else f(x), lo, hi,
+                                    xtol=xtol, rtol=8.9e-16, maxiter=200))
             if not math.isfinite(f_hi if f_lo <= 0 else f_lo):
                 break
             if f_lo <= 0:

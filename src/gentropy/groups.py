@@ -241,11 +241,13 @@ def law_from_table(c: dict[tuple[int, int], Fraction], order: int) -> MultiPoly:
 def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomCheck:
     """Symmetry, null-composability and associativity, coefficientwise.
 
+    Each axiom holds when its defect polynomial vanishes: Phi(x, y) -
+    Phi(y, x), Phi(x, 0) - x, and D(x, y, z) = Phi(x, Phi(y, z)) -
+    Phi(Phi(x, y), z).  ``first_violation`` names the lexicographically
+    lowest monomial of the first nonzero defect in that order.
     Associativity is decided to total degree N = assoc_order (by default the
-    law's own order) on the terms of Phi of degree at most N: the defect
-    D(x, y, z) = Phi(x, Phi(y, z)) - Phi(Phi(x, y), z) must vanish through
-    degree N, and ``first_violation`` names its lexicographically lowest
-    nonzero monomial.
+    law's own order) on the terms of Phi of degree at most N: D must vanish
+    through degree N.
 
     Call Phi unital when Phi(x, 0) = x and Phi(0, y) = y.  Then D has no x^0
     terms (both sides reduce to Phi(y, z) at x = 0), and its x^1 coefficient
@@ -271,69 +273,43 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
     """
     if assoc_order is None:
         assoc_order = phi.order
-    violation = None
-
-    sym = phi.swap(0, 1) == phi
-    if not sym and violation is None:
-        diff = phi - phi.swap(0, 1)
-        mono, coeff = min(diff.iter_terms())
-        violation = ("symmetry", mono, coeff)
-
-    # Phi(x, 0) = x: drop every term containing y and compare with x.
-    at_zero = MultiPoly(
-        {m: c for m, c in phi.terms.items() if m[1] == 0}, 2, phi.order
-    )
-    null_ok = at_zero == MultiPoly.variable(0, 2, phi.order)
-    if not null_ok and violation is None:
-        diff = at_zero - MultiPoly.variable(0, 2, phi.order)
-        mono, coeff = min(diff.iter_terms())
-        violation = ("null-composability", mono, coeff)
-
+    # Phi(x, 0): drop every term containing y
+    at_zero = MultiPoly({m: c for m, c in phi.terms.items() if m[1] == 0}, 2, phi.order)
     phi_n = MultiPoly(
         {m: c for m, c in phi.terms.items() if sum(m) <= assoc_order}, 2, assoc_order
     )
-    pure = {m: c for m, c in phi_n.terms.items() if 0 in m}
-    if pure == {(1, 0): 1, (0, 1): 1}:
-        p = _x1_defect(phi_n)
-        diff = MultiPoly({(1,) + m: c for m, c in p.terms.items()}, 3, assoc_order)
-    else:
-        diff = _trivariate_defect(phi_n)
-    assoc = not diff.terms
-    if not assoc and violation is None:
-        mono, coeff = min(diff.iter_terms())
-        violation = ("associativity", mono, coeff)
-
-    return LawAxiomCheck(
-        symmetric=sym,
-        null_composable=null_ok,
-        associative=assoc,
-        first_violation=violation,
+    defects = {
+        "symmetry": phi - phi.swap(0, 1),
+        "null-composability": at_zero - MultiPoly.variable(0, 2, phi.order),
+        "associativity": _associativity_defect(phi_n),
+    }
+    symmetric, null_composable, associative = (not d.terms for d in defects.values())
+    first_violation = next(
+        ((name, *min(d.iter_terms())) for name, d in defects.items() if d.terms), None
     )
+    return LawAxiomCheck(symmetric, null_composable, associative, first_violation)
 
 
-def _x1_defect(phi: MultiPoly) -> MultiPoly:
-    """P(y, z) = L(Phi(y, z)) - d_1 Phi(y, z) L(y) for a unital Phi.
+def _associativity_defect(phi: MultiPoly) -> MultiPoly:
+    """Phi(x, Phi(y, z)) - Phi(Phi(x, y), z) through Phi's order.
 
-    The coefficient of x^1 in Phi(x, Phi(y, z)) - Phi(Phi(x, y), z), through
-    total degree one below Phi's order; L(w) = sum_k c_1k w^k.
+    For a unital Phi only its x^1 part, as x y^b z^c monomials:
+    P(y, z) = L(Phi(y, z)) - d_1 Phi(y, z) L(y) with L(w) = sum_k c_1k w^k,
+    through total degree one below Phi's order.
     """
-    top = max(phi.order - 1, 0)
+    n = phi.order
+    if {m: c for m, c in phi.terms.items() if 0 in m} != {(1, 0): 1, (0, 1): 1}:
+        x, y, z = (MultiPoly.variable(i, 3, n) for i in range(3))
+        left = phi.substitute_pair(x, phi.substitute_pair(y, z))
+        return left - phi.substitute_pair(phi.substitute_pair(x, y), z)
+    top = max(n - 1, 0)
     L = TruncatedSeries([phi.coefficient((1, k)) for k in range(top + 1)], top)
     L_y = MultiPoly({(k, 0): c for k, c in enumerate(L.coeffs)}, 2, top)
     d1 = MultiPoly(
         {(a - 1, b): a * c for (a, b), c in phi.terms.items() if a}, 2, top
     )
-    return MultiPoly(phi.terms, 2, top).substitute_univariate(L) - d1 * L_y
-
-
-def _trivariate_defect(phi: MultiPoly) -> MultiPoly:
-    """Phi(x, Phi(y, z)) - Phi(Phi(x, y), z), expanded to Phi's order."""
-    x = MultiPoly.variable(0, 3, phi.order)
-    y = MultiPoly.variable(1, 3, phi.order)
-    z = MultiPoly.variable(2, 3, phi.order)
-    left = phi.substitute_pair(x, phi.substitute_pair(y, z))
-    right = phi.substitute_pair(phi.substitute_pair(x, y), z)
-    return left - right
+    p = MultiPoly(phi.terms, 2, top).substitute_univariate(L) - d1 * L_y
+    return MultiPoly({(1,) + m: c for m, c in p.terms.items()}, 3, n)
 
 
 def formal_inverse(law: GroupLaw) -> TruncatedSeries:

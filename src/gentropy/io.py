@@ -32,23 +32,29 @@ def parse_distribution(text: str) -> Distribution:
     return read_distribution_file(text)
 
 
-def read_distribution_file(path: str) -> Distribution:
-    """One probability per line, decimal or p/q; '#' starts a comment."""
+def _read_values(path: str, parse, file_noun: str, value_noun: str) -> list[float]:
+    """parse() of each line of a file; '#' starts a comment."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
-        raise InputFormatError(f"cannot read distribution file {path!r}") from exc
+        raise InputFormatError(f"cannot read {file_noun} file {path!r}") from exc
     values = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            values.append(_parse_number(line))
+            values.append(parse(line))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(
-                f"{path}:{lineno}: malformed probability {line!r}"
+                f"{path}:{lineno}: malformed {value_noun} {line!r}"
             ) from exc
+    return values
+
+
+def read_distribution_file(path: str) -> Distribution:
+    """One probability per line, decimal or p/q; '#' starts a comment."""
+    values = _read_values(path, _parse_number, "distribution", "probability")
     try:
         return Distribution(values)
     except DistributionError as exc:
@@ -57,21 +63,7 @@ def read_distribution_file(path: str) -> Distribution:
 
 def read_energy_file(path: str) -> list[float]:
     """One real energy level per line; '#' starts a comment."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read energy file {path!r}") from exc
-    values = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise InputFormatError(
-                f"{path}:{lineno}: malformed energy {line!r}"
-            ) from exc
+    values = _read_values(path, float, "energy", "energy")
     if not values:
         raise InputFormatError(f"{path}: no energy levels found")
     return values

@@ -171,9 +171,11 @@ def _invert_h(spec: Entropy, target: float, h_lo: float, h_hi: float) -> float:
         return _P_LO
     if target <= h_hi:
         return _P_HI
+    # h_lo and h_hi are h at the ends, so brentq need not evaluate them again
+    ends = {_P_LO: h_lo - target, _P_HI: h_hi - target}
     return float(
         brentq(
-            lambda p: _stationarity(spec, p) - target,
+            lambda p: ends[p] if p in ends else _stationarity(spec, p) - target,
             _P_LO,
             _P_HI,
             xtol=1e-16,
@@ -295,7 +297,8 @@ def asymptotic_scan(
 
     The growth family is chosen by least-squares fit quality on the top half
     of the grid: log S against log ln W (poly-log growth) versus log S
-    against log W (power growth).
+    against log W (power growth).  S must be positive and finite there, or
+    SpecError names the spec.
     """
     if not (points >= 1 and 1 < W_max < math.inf):
         raise SpecError("a scan needs at least one point and a finite W_max > 1")
@@ -304,6 +307,9 @@ def asymptotic_scan(
     for label, spec in specs.items():
         vals = np.array([microcanonical(spec, float(W)) for W in Ws])
         top = slice(points // 2, None)
+        if not np.all((vals[top] > 0) & (vals[top] < math.inf)):
+            raise SpecError(f"{label}: S(uniform W) is not positive and finite "
+                            "on the fitted half of the scan grid")
         y = np.log(vals[top])
         x_poly = np.log(np.log(Ws[top]))
         x_pow = np.log(Ws[top])

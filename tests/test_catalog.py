@@ -28,6 +28,7 @@ from gentropy.catalog import (
     UnsupportedRepresentation,
     _numeric_inverse,
     elementary_functional,
+    solve_increasing,
 )
 
 FIX = Distribution([0.5, 0.3, 0.2])
@@ -276,6 +277,20 @@ class TestGroupEntropy:
             assert SAlphaBetaQ(0.125, -0.125, q).evaluate(FIX) == pytest.approx(
                 bg, abs=1e-4
             )
+
+
+class TestSolveIncreasing:
+    def test_no_x_is_evaluated_twice(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x ** 3 - 20.0
+
+        root = solve_increasing(f, -1.0, 1.0, 1e-15, "no root")
+        assert root == pytest.approx(20.0 ** (1 / 3), rel=1e-14)
+        assert max(calls) == 4.0  # the bracket grew to [-1, 4]
+        assert len(calls) == len(set(calls))
 
 
 class TestSDelta:

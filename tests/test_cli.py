@@ -77,6 +77,24 @@ class TestIO:
         path.write_text("0.0\n1.5\n# done\n")
         assert read_energy_file(str(path)) == [0.0, 1.5]
 
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            (read_distribution_file, None, "cannot read distribution file {path!r}"),
+            (read_distribution_file, "0.5\n1/0\n", "{path}:2: malformed probability '1/0'"),
+            (read_energy_file, None, "cannot read energy file {path!r}"),
+            (read_energy_file, "# levels\n1/2\n", "{path}:2: malformed energy '1/2'"),
+            (read_energy_file, "\n# none\n", "{path}: no energy levels found"),
+        ],
+    )
+    def test_input_file_messages(self, tmp_path, reader, text, message):
+        path = str(tmp_path / "in.txt")
+        if text is not None:
+            (tmp_path / "in.txt").write_text(text)
+        with pytest.raises(InputFormatError) as info:
+            reader(path)
+        assert str(info.value) == message.format(path=path)
+
     def test_empty_energy_file(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("# nothing\n")
@@ -446,6 +464,14 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--spec", "tsallis:oops")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["s_iii:q=3/2", "generic:a=1,-1"])
+    def test_entropy_that_is_not_positive_is_a_usage_error(self, capsys, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "scan", "--spec", "bg", "--spec", spec)
+        assert is_usage_error(code, out, err)
+        assert spec in err
+
 
 class TestUsageErrors:
     """Bad values exit 2 with one 'error:' line, no stdout and no traceback."""
@@ -708,6 +734,9 @@ def run_quiet(argv):
 @example(argv=["maxent", "--entropy", "bg", "--energies", "levels:3", "--target-u=1e-300"])
 # once a vacuous pass: admissibility was checked only up to N = 100
 @example(argv=["occupation", "--entropy", "tsallis", "--q=201/200", "--nmax", "300"])
+# once a nan exponent with exit 0: S(uniform W) is negative on the fitted grid
+@example(argv=["scan", "--spec", "s_iii:q=3/2"])
+@example(argv=["scan", "--spec", "generic:a=1,-1"])
 def test_cli_keeps_the_exit_code_contract(levels, argv):
     argv = [levels[int(a[7:])] if a.startswith("levels:") else a for a in argv]
     code, out, err = run_quiet(argv)

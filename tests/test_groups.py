@@ -123,6 +123,26 @@ class TestAxioms:
         assert not chk.associative
         assert chk.first_violation[0] == "associativity"
 
+    @pytest.mark.parametrize(
+        "table, order, assoc_order, verdicts, violation",
+        [
+            # x + y + x y^2, associative through degree 2, where it is x + y
+            ({(1, 2): 1}, 3, 2, (False, True, True), ("symmetry", (1, 2), 1)),
+            # Phi = 0
+            ({(1, 0): -1, (0, 1): -1}, 3, None, (True, False, True),
+             ("null-composability", (1, 0), -1)),
+            ({(2, 2): 1}, 4, None, (True, True, False), ("associativity", (1, 1, 2), -2)),
+            # symmetry is reported before associativity
+            ({(1, 2): 1}, 3, None, (False, True, False), ("symmetry", (1, 2), 1)),
+        ],
+    )
+    def test_first_violation_names_the_first_failing_axiom(
+        self, table, order, assoc_order, verdicts, violation
+    ):
+        chk = check_axioms(law_from_table(table, order), assoc_order)
+        assert (chk.symmetric, chk.null_composable, chk.associative) == verdicts
+        assert chk.first_violation == violation
+
 
 class TestFormalInverse:
     def test_additive(self):

@@ -1,15 +1,19 @@
 """Occupation laws, extensivity, canonical MaxEnt, and asymptotic scans."""
 
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
+from gentropy import thermo
 from gentropy.catalog import (
     BoltzmannGibbs,
     Distribution,
+    GenericEntropy,
     Kaniadakis,
     SDelta,
     SThird,
@@ -189,6 +193,23 @@ class TestMaxEntTsallis:
         assert res.success
         assert np.max(np.abs(res.x - sol.distribution.p)) <= 1e-6
 
+    def test_invert_h_reuses_the_end_values(self, monkeypatch):
+        spec = Tsallis(0.5)
+        h_lo, h_hi = (thermo._stationarity(spec, p) for p in (thermo._P_LO, thermo._P_HI))
+        target = 0.3 * h_lo + 0.7 * h_hi
+        direct = brentq(lambda p: thermo._stationarity(spec, p) - target,
+                        thermo._P_LO, thermo._P_HI, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+        calls = []
+
+        def stationarity(spec, p):
+            calls.append(p)
+            return original(spec, p)
+
+        original = thermo._stationarity
+        monkeypatch.setattr(thermo, "_stationarity", stationarity)
+        assert thermo._invert_h(spec, target, h_lo, h_hi) == direct
+        assert calls and not {thermo._P_LO, thermo._P_HI} & set(calls)
+
     def test_fixed_energy_mode_without_log_inverse(self):
         # every inner solve meets s_iii's missing log inverse at -beta E
         sol = maxent_solve(MaxEntProblem(SThird(Fraction(4, 5)), (0, 1, 2, 3), target_U=1.0))
@@ -244,3 +265,14 @@ class TestAsymptoticScan:
     def test_values_attached(self):
         rows = asymptotic_scan({"bg": BoltzmannGibbs()}, W_max=1e6, points=7)
         assert len(rows[0].values) == 7
+
+    @pytest.mark.parametrize(
+        "label, spec",
+        [("s_iii:q=3/2", SThird(Fraction(3, 2))), ("generic:a=1,-1", GenericEntropy([1, -1]))],
+    )
+    def test_rejects_an_entropy_that_is_not_positive(self, label, spec):
+        # log S has no value to fit: S(uniform W) < 0 on the top of the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match=re.escape(label)):
+                asymptotic_scan({label: spec})
