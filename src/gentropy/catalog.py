@@ -61,7 +61,7 @@ class Distribution:
             raise DistributionError("probabilities must be finite")
         if abs(total - 1.0) > _SUM_TOL:
             raise DistributionError(
-                f"probabilities sum to {total!r}, not 1 within {_SUM_TOL}"
+                f"probabilities sum to {float(total)!r}, not 1 within {_SUM_TOL}"
             )
         self.p = arr
 

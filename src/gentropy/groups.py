@@ -63,13 +63,16 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
+            mine = out.get(mono)
+            out[mono] = coeff if mine is None else mine + coeff
         return MultiPoly(out, self.nvars, self.order)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - coeff
+            mine = out.get(mono)
+            # equal terms, most of a symmetry defect, cancel with no Fraction made
+            out[mono] = -coeff if mine is None else 0 if mine == coeff else mine - coeff
         return MultiPoly(out, self.nvars, self.order)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":

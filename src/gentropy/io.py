@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .catalog import Distribution, DistributionError
 
@@ -15,10 +14,17 @@ class InputFormatError(ValueError):
 
 
 def _parse_number(token: str) -> float:
-    token = token.strip()
-    if "/" in token:
-        return float(Fraction(token))
-    return float(token)
+    """A decimal, or p/q in Fraction's grammar rounded once to a double.
+
+    int / int is correctly rounded: the double of float(Fraction(token)).
+    """
+    num, slash, den = token.strip().partition("/")
+    if not slash:
+        return float(num)
+    # int() would take the space or sign at the slash that Fraction rejects
+    if num[-1:].isdecimal() and den[:1].isdecimal():
+        return int(num) / int(den)
+    raise ValueError(f"malformed ratio {token!r}")
 
 
 def parse_distribution(text: str) -> Distribution:
@@ -40,12 +46,12 @@ def _read_values(path: str, parse, file_noun: str, value_noun: str) -> list[floa
         raise InputFormatError(f"cannot read {file_noun} file {path!r}") from exc
     values = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         try:
             values.append(parse(line))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputFormatError(
                 f"{path}:{lineno}: malformed {value_noun} {line!r}"
             ) from exc
@@ -77,7 +83,7 @@ def format_float(x: float, digits: int = _DIGITS) -> str:
 
     Round-trips bit-for-bit at the default 17 digits.
     """
-    if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
+    if isinstance(x, float) and not math.isfinite(x):
         return str(x)
     return f"{float(x):.{digits - 1}e}" if digits <= 17 else repr(float(x))
 

@@ -58,6 +58,14 @@ class TestDistribution:
         assert d.W == 4
         assert d.p[-1] == 0.0
 
+    # the sum prints as a plain float, never as numpy's np.float64(...)
+    @pytest.mark.parametrize("build", [Distribution, lambda p: JointDistribution([p])],
+                             ids=["Distribution", "JointDistribution"])
+    def test_bad_sum_message(self, build):
+        with pytest.raises(DistributionError) as info:
+            build([1 / 3, 1 / 3])
+        assert str(info.value) == "probabilities sum to 0.6666666666666666, not 1 within 1e-12"
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_joint_rejects_non_finite(self, bad):
         with pytest.raises(DistributionError, match="finite"):

@@ -82,6 +82,9 @@ class TestIO:
         [
             (read_distribution_file, None, "cannot read distribution file {path!r}"),
             (read_distribution_file, "0.5\n1/0\n", "{path}:2: malformed probability '1/0'"),
+            pytest.param(read_distribution_file, "1" + "0" * 400 + "/1\n",
+                         "{path}:1: malformed probability '1" + "0" * 400 + "/1'",
+                         id="ratio-overflows-a-float"),
             (read_energy_file, None, "cannot read energy file {path!r}"),
             (read_energy_file, "# levels\n1/2\n", "{path}:2: malformed energy '1/2'"),
             (read_energy_file, "\n# none\n", "{path}: no energy levels found"),
@@ -747,3 +750,42 @@ def test_cli_keeps_the_exit_code_contract(levels, argv):
         assert "error:" in err
     if code == 1:
         assert any(line and not line.startswith("#") for line in out.splitlines())
+
+
+# -- the exit-code contract on distribution files -----------------------------
+# A few good lines summing to 1, with bad, huge, commented and blank lines
+# mixed in.
+
+BAD_LINES = ("nan", "inf", "-inf", "1e400", "-0.25", "-1/4", "1/0", "0/0", "quarter",
+             "1 /4", "1/4/1", "1" + "0" * 400 + "/1", "1/1" + "0" * 400, "1" * 5000 + "/1",
+             "# comment", "", "   ", "0.25  # inline")
+
+
+@st.composite
+def distribution_lines(draw):
+    n = draw(st.integers(1, 5))
+    lines = [draw(st.sampled_from((f"1/{n}", repr(1 / n)))) for _ in range(n)]
+    for bad in draw(st.lists(st.sampled_from(BAD_LINES), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines
+
+
+@pytest.fixture(scope="module")
+def dist_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("dists") / "dist.txt"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lines=distribution_lines())
+# once an OverflowError traceback: the ratio is too large for a float
+@example(lines=["1" + "0" * 400 + "/1"])
+def test_distribution_files_keep_the_exit_code_contract(dist_path, lines):
+    dist_path.write_text("\n".join(lines) + "\n")
+    for argv in (["eval", "--entropy", "bg", "--dist", str(dist_path)],
+                 ["check", "--entropy", "bg", "--axiom", "sk3", "--dist", str(dist_path)]):
+        code, out, err = run_quiet(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert is_usage_error(code, out, err), argv
