@@ -60,6 +60,17 @@ def _rat(value: str):
     return exact
 
 
+def _order(value: str) -> int:
+    """A truncation order: argparse names --order in the error for a bad one."""
+    try:
+        order = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if order < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {order}")
+    return order
+
+
 def _real(value: str) -> float:
     return float(_rat(value))
 
@@ -330,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--kb", type=float, default=1.0)
     model.add_argument("--scale", type=_rat, default=None,
                        help="scale constant applied as G(c t); exponential-class kinds only")
-    model.add_argument("--order", type=int, default=12)
+    model.add_argument("--order", type=_order, default=12)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--digits", type=int, default=17)
     spec = [entropy, model, output]

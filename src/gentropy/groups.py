@@ -9,13 +9,14 @@ truncation order, not approximate.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
-from operator import add, itemgetter
+from math import comb, factorial, gcd
+from operator import add, itemgetter, mul
 from typing import Iterator
 
-from .series import SeriesError, TruncatedSeries
+from .series import SeriesError, TruncatedSeries, common_denominator
 
 Monomial = tuple[int, ...]
 
@@ -119,11 +120,36 @@ class MultiPoly:
         """series(self); requires a zero constant term in self."""
         if self.coefficient((0,) * self.nvars) != 0:
             raise SeriesError("substitution requires a zero constant term")
-        n = self.order
-        acc = MultiPoly.constant(series[n], self.nvars, n)
+        # Horner's rule on integer numerators over one denominator, with each
+        # monomial coded as the base-(n + 1) integer of its exponents so that
+        # a product of monomials is a sum of codes.  The accumulator after
+        # step k meets self k more times, so only its degrees <= n - k count.
+        n, nvars = self.order, self.nvars
+        den_s, s = common_denominator([Fraction(series[k]) for k in range(n + 1)])
+        den_p, terms = _integer_terms(self.terms)
+        by_degree = [[] for _ in range(n + 1)]
+        for mono, deg, num in terms:
+            by_degree[deg].append((sum(e * (n + 1) ** i for i, e in enumerate(mono)), num))
+        acc, den = [{0: s[n]}], 1  # acc[d]: code -> numerator over den_s * den, degree d
         for k in range(n - 1, -1, -1):
-            acc = acc * self + MultiPoly.constant(series[k], self.nvars, n)
-        return acc
+            out = [defaultdict(int) for _ in range(n - k + 1)]
+            for d1, left in enumerate(acc):
+                for d2 in range(1, n - k - d1 + 1):
+                    target = out[d1 + d2]
+                    for c2, n2 in by_degree[d2]:
+                        for c1, n1 in left.items():
+                            target[c1 + c2] += n1 * n2
+            den *= den_p
+            out[0][0] = s[k] * den
+            g = gcd(den, *(v for part in out for v in part.values()))
+            acc = [{c: v // g for c, v in part.items() if v} for part in out]
+            den //= g
+        result = {}
+        for part in acc:
+            for code, num in part.items():
+                mono = tuple(code // (n + 1) ** i % (n + 1) for i in range(nvars))
+                result[mono] = Fraction(num, den_s * den)
+        return MultiPoly(result, nvars, n)
 
     def substitute_pair(self, a: "MultiPoly", b: "MultiPoly") -> "MultiPoly":
         """Evaluate a bivariate self at (a, b), both with zero constant term."""
@@ -145,17 +171,13 @@ class MultiPoly:
         return out
 
 
-def _integer_terms(
-    terms: dict[Monomial, Fraction],
-) -> tuple[int, list[tuple[Monomial, int, int]]]:
+def _integer_terms(terms: dict[Monomial, Fraction]) -> tuple[int, list[tuple[Monomial, int, int]]]:
     """A common denominator D and (monomial, degree, numerator) by degree.
 
     Each coefficient equals numerator / D exactly.
     """
-    den = lcm(*(c.denominator for c in terms.values()))
-    out = [(m, sum(m), c.numerator * (den // c.denominator)) for m, c in terms.items()]
-    out.sort(key=itemgetter(1))
-    return den, out
+    den, nums = common_denominator(list(terms.values()))
+    return den, sorted(zip(terms, map(sum, terms), nums), key=itemgetter(1))
 
 
 class GroupLawError(ValueError):
@@ -216,20 +238,22 @@ def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> 
         raise GroupLawError("requested order exceeds the exponential's order")
     Gn = TruncatedSeries(G.coeffs[: order + 1], order)
     F = Gn.revert()
-    g = [Fraction(c) for c in Gn.coeffs]
-    powers = [
-        p.coeffs for p in TruncatedSeries([Fraction(c) for c in F.coeffs], order).powers()
-    ]
+    # the sums run on integer numerators: g over den_g, every power of F over den_f
+    den_g, g = common_denominator([Fraction(c) for c in Gn.coeffs])
+    table = TruncatedSeries([Fraction(c) for c in F.coeffs], order).powers()
+    den_f, flat = common_denominator([c for p in table for c in p.coeffs])
+    columns = [flat[b :: order + 1][: b + 1] for b in range(order + 1)]  # [x^b]F^i, i <= b
+    den = den_g * den_f * den_f
     terms = {}
     for a in range(order + 1):
         # v[i] = sum_j C(i + j, j) g_(i+j) [x^a]F^j, the x^a part of G's
         # binomial expansion paired with F(y)^i
         v = [
-            sum(comb(i + j, j) * g[i + j] * powers[j][a] for j in range(a + 1))
+            sum(comb(i + j, j) * g[i + j] * columns[a][j] for j in range(a + 1))
             for i in range(order - a + 1)
         ]
         for b in range(order - a + 1):
-            terms[(a, b)] = sum(v[i] * powers[i][b] for i in range(b + 1))
+            terms[(a, b)] = Fraction(sum(map(mul, v[: b + 1], columns[b])), den)
     return GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=F)
 
 
@@ -326,12 +350,13 @@ def formal_inverse(law: GroupLaw) -> TruncatedSeries:
     G = TruncatedSeries([Fraction(c) for c in law.exp.coeffs], n)
     F = TruncatedSeries([Fraction(c) for c in law.log.coeffs], n)
     inv = G.compose(-F)
-    # Phi(x, i(x)) = sum_ab c_ab x^a i(x)^b
-    powers = [p.coeffs for p in inv.powers()]
-    closure = [Fraction(0)] * (n + 1)
-    for (a, b), c in law.phi.terms.items():
+    # Phi(x, i(x)) = sum_ab c_ab x^a i(x)^b, summed as integer numerators
+    _, powers = common_denominator([c for p in inv.powers() for c in p.coeffs])
+    _, terms = _integer_terms(law.phi.terms)
+    closure = [0] * (n + 1)
+    for (a, b), _, c in terms:
         for d in range(n + 1 - a):
-            closure[a + d] += c * powers[b][d]
+            closure[a + d] += c * powers[b * (n + 1) + d]
     if any(closure):
         raise GroupLawError("formal inverse does not close: Phi(x, i(x)) != 0")
     return TruncatedSeries([Fraction(c) for c in inv.coeffs], n)

@@ -11,9 +11,25 @@ normalized ones with ``c[0] == 0`` and ``c[1] == 1``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Number = Union[int, float, Fraction]
+
+
+def common_denominator(values: Sequence) -> tuple[int, list[int]] | None:
+    """The least common denominator D and numerators n_i = values[i] * D.
+
+    Exact products summed as these integers normalise one ``Fraction`` per
+    result instead of one per term.  None when a value is not an ``int`` or
+    a ``Fraction``, so float coefficients keep float arithmetic.
+    """
+    if not {int, Fraction}.issuperset(map(type, values)):
+        return None
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    return den, [v.numerator * (den // d) for v, d in zip(values, dens)]
 
 
 class SeriesError(ValueError):
@@ -120,6 +136,12 @@ class TruncatedSeries:
         """Cauchy product, degrees above the common order discarded."""
         self._check_order(other)
         n = self.order
+        exact = common_denominator(self.coeffs), common_denominator(other.coeffs)
+        if all(exact):
+            (den1, a), (den2, b) = exact
+            sums = (sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1))
+            return TruncatedSeries([Fraction(c, den1 * den2) if c else 0 for c in sums], n)
+        # float (or other non-rational) coefficients: the termwise loop
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:

@@ -510,6 +510,33 @@ class TestUsageErrors:
     def test_unknown_or_malformed_input_exits_two(self, capsys, argv):
         assert is_usage_error(*run(capsys, *argv))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # each once exited 0 or failed with an unrelated message
+            ["expand", "--entropy", "s_iii", "--q", "4/5", "--order", "-3"],
+            ["check", "--entropy", "s_iii", "--q", "4/5", "--order", "-1",
+             "--axiom", "concavity-condition"],
+            ["group-law", "--entropy", "tsallis", "--q", "1/2", "--order", "-1"],
+            ["scan", "--spec", "bg", "--order=-2"],
+        ],
+    )
+    def test_negative_order_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--order" in errors[0] and "Traceback" not in err
+
+    def test_order_zero_keeps_its_behaviour(self, capsys):
+        code, out, _ = run(capsys, "expand", "--entropy", "s_iii", "--q", "4/5", "--order", "0",
+                           "--count", "2")
+        assert (code, out) == (0, "#k\tcoefficient\n1\t1\n2\t3/10\n")
+        code, out, _ = run(capsys, "check", "--entropy", "s_iii", "--q", "4/5", "--order", "0",
+                           "--axiom", "concavity-condition")
+        assert code == 0 and out.splitlines()[1].split("\t")[1] == "inconclusive"
+        code, out, err = run(capsys, "group-law", "--entropy", "tsallis", "--q", "1/2", "--order", "0")
+        assert is_usage_error(code, out, err) and "nonzero coefficient" in err
+
     def test_zero_trials_on_all_axioms_is_inconclusive(self, capsys):
         code, out, _ = run(
             capsys, "check", "--entropy", "bg", "--axiom", "all", "--trials", "0",
@@ -693,7 +720,7 @@ def command_lines(draw):
     elif command == "expand":
         argv += ["--count", draw(st.integers(0, 8).map(str))]
     elif command in ("group-law", "check"):
-        argv += ["--order", draw(st.integers(0, 6).map(str))]
+        argv += ["--order", draw(st.integers(-3, 6).map(str))]
     if command == "check":
         argv += ["--axiom", draw(st.sampled_from(list(AXIOMS))), "--trials", draw(cheap)]
         for flag in ("--states", "--wa", "--wb"):
@@ -740,11 +767,15 @@ def run_quiet(argv):
 # once a nan exponent with exit 0: S(uniform W) is negative on the fitted grid
 @example(argv=["scan", "--spec", "s_iii:q=3/2"])
 @example(argv=["scan", "--spec", "generic:a=1,-1"])
+# once exit 0: expand ignored a negative --order
+@example(argv=["expand", "--entropy", "bg", "--order", "-3"])
 def test_cli_keeps_the_exit_code_contract(levels, argv):
     argv = [levels[int(a[7:])] if a.startswith("levels:") else a for a in argv]
     code, out, err = run_quiet(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if "--order" in argv and int(argv[argv.index("--order") + 1]) < 0:
+        assert code == 2 and "--order" in err
     if code == 2:
         assert out == ""
         assert "error:" in err

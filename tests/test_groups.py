@@ -20,6 +20,7 @@ from gentropy.groups import (
     lie_bracket,
 )
 from gentropy.series import SeriesError, TruncatedSeries, from_a_sequence
+from test_acceptance import exponential_catalog
 
 
 def exp_from_a(a, order):
@@ -315,10 +316,11 @@ def c_ab_formula(g, order):
     table = {}
     for a in range(order + 1):
         for b in range(order + 1 - a):
+            # [x^a]F^j = 0 for j > a, so only j <= a and k - j <= b contribute
             c = sum(
                 g[k] * comb(k, j) * powers[j][a] * powers[k - j][b]
                 for k in range(order + 1)
-                for j in range(k + 1)
+                for j in range(max(0, k - b), min(k, a) + 1)
             )
             if c:
                 table[(a, b)] = c
@@ -383,6 +385,27 @@ class TestExactLayerAgainstReferences:
         chk = check_axioms(phi, assoc_order)
         got = (chk.symmetric, chk.null_composable, chk.associative, chk.first_violation)
         assert got == reference_check(phi.terms, order, assoc_order)
+
+    @pytest.mark.parametrize("spec", exponential_catalog(), ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("monos", [((2, 2),), ((4, 5), (5, 4))], ids=["deg4", "deg9"])
+    def test_check_axioms_matches_trivariate_expansion_at_order_10(self, spec, monos):
+        # a symmetric term that is no cocycle: associativity fails at its degree
+        table = group_law_from_exponential(spec.exp_series(10)).c_table()
+        for m in monos:
+            table[m] = table.get(m, 0) + Fraction(-3, 7)
+        phi = law_from_table(table, 10)
+        chk = check_axioms(phi)
+        got = (chk.symmetric, chk.null_composable, chk.associative, chk.first_violation)
+        assert got == reference_check(phi.terms, 10, None)
+        assert got[:3] == (True, True, False) and sum(got[3][1]) == sum(monos[0])
+
+    def test_catalog_at_order_24(self):
+        for spec in exponential_catalog():
+            law = group_law_from_exponential(spec.exp_series(24))
+            assert check_axioms(law.phi).all_pass, spec.name
+            formal_inverse(law)  # raises unless Phi(x, i(x)) = 0 through degree 24
+            if spec.name in ("s_iii", "generic"):
+                assert law.phi.terms == c_ab_formula(list(law.exp.coeffs), 24), spec.name
 
     def test_constant_term_still_rejected(self):
         # a constant term cannot be substituted; the trivariate path says so

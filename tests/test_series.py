@@ -64,6 +64,43 @@ class TestRingOps:
         c = a * b
         assert c.coeffs == (2, 1, Fraction(5, 3))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mul_on_integer_numerators_matches_the_naive_product(self, data):
+        n = data.draw(st.integers(0, 9))
+        # large denominators, zeros and negative numerators, as ints or Fractions
+        exact = st.one_of(
+            st.just(0),
+            st.integers(-10**6, 10**6),
+            st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**18)),
+        )
+        a, b = (data.draw(st.lists(exact, min_size=n + 1, max_size=n + 1)) for _ in "ab")
+        got = TruncatedSeries(a, n) * TruncatedSeries(b, n)
+        naive = [sum((Fraction(a[i]) * b[k - i] for i in range(k + 1)), Fraction(0))
+                 for k in range(n + 1)]
+        assert list(got.coeffs) == naive
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mul_with_floats_keeps_the_termwise_loop(self, data):
+        n = data.draw(st.integers(0, 9))
+        value = st.one_of(
+            st.just(0),
+            st.floats(-1e6, 1e6),
+            st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+        )
+        a = data.draw(st.lists(value, min_size=n + 1, max_size=n + 1))
+        b = data.draw(st.lists(value, min_size=n, max_size=n)) + [0.5]  # one float at least
+        for x, y in ((a, b), (b, a)):
+            out = [0] * (n + 1)
+            for i, c in enumerate(x):
+                if c != 0:
+                    for j in range(n + 1 - i):
+                        if y[j] != 0:
+                            out[i + j] += c * y[j]
+            got = (TruncatedSeries(x, n) * TruncatedSeries(y, n)).coeffs
+            assert [(type(c), c) for c in got] == [(type(c), c) for c in out]
+
     def test_derivative(self):
         s = series([5, 1, 2, 3])
         assert s.derivative().coeffs == (1, 4, 9)
