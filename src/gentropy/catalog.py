@@ -597,8 +597,9 @@ class SQDelta(Entropy):
 
 
 class GenericEntropy(Entropy):
-    """Entropy from a raw a-sequence, evaluated through its truncated series.
+    """Entropy from a raw a-sequence: G(t) = sum_k a_k t^(k+1)/(k+1).
 
+    G is evaluated to degree ``order``, by default len(a): the whole sequence.
     A leading coefficient a_0 != 1 is accepted but flagged: such a series is
     not a normalized group exponential and is excluded from group-law checks.
     """
@@ -607,19 +608,19 @@ class GenericEntropy(Entropy):
     has_exponential = True
     has_group_law = True
 
-    def __init__(self, a: Sequence, order: int = 12, kB: float = 1.0, scale_c=1):
+    def __init__(self, a: Sequence, order: int | None = None, kB: float = 1.0, scale_c=1):
         super().__init__(kB, scale_c)
         a = list(a)
         if not a or all(x == 0 for x in a):
             raise SpecError("generic entropy needs a nonzero coefficient sequence")
         self.a = a
-        self.order = order
+        self.order = len(a) if order is None else order
         self.normalized = a[0] == 1
         if a[0] == 0:
             # G is not invertible at the origin: no usable composition rule
             self.has_group_law = False
         self._series = from_a_sequence(
-            [Fraction(x) if _is_rational(x) else x for x in a], order
+            [Fraction(x) if _is_rational(x) else x for x in a], self.order
         )
         try:
             self._float = self._series.to_float()

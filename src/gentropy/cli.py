@@ -157,13 +157,11 @@ def build_entropy(args) -> Entropy:
         if given != (param in kind.params):
             raise UsageError(f"--entropy {name} {'does not take' if given else 'requires'} {flag}")
     values = [getattr(args, param.dest) for param in kind.params]
-    options = {"kB": float(args.kb)}
+    options = {"kB": getattr(args, "kb", 1.0)}  # expand, group-law and scan take no --kb
     if args.scale is not None:
         if not kind.cls.has_exponential:
             raise UsageError(f"--entropy {name} does not take --scale")
         options["scale_c"] = args.scale
-    if kind.cls is GenericEntropy:
-        options["order"] = args.order  # truncation of the evaluated series
     try:
         return kind.cls(*values, **options)
     except SpecError as exc:
@@ -181,11 +179,10 @@ def cmd_eval(args) -> int:
 def cmd_expand(args) -> int:
     if args.count < 0:
         raise UsageError(f"--count must be nonnegative, got {args.count}")
-    spec = build_entropy(args)
-    coeffs = spec.expansion_coefficients(args.count)
+    coeffs = build_entropy(args).expansion_coefficients(args.count)
     print("#k\tcoefficient")
     for k, c in enumerate(coeffs, start=1):
-        print(tsv_line(k, c, digits=args.digits))
+        print(tsv_line(k, c))
     return 0
 
 
@@ -193,6 +190,8 @@ def cmd_group_law(args) -> int:
     # Phi = G(F(x) + F(y)) is the same law for G(c t) at every c
     if args.scale is not None:
         raise UsageError("group-law does not take --scale; the composition law does not depend on it")
+    if args.order < 1:
+        raise UsageError(f"a group law needs --order >= 1, got {args.order}")
     if args.series:
         flags = {"--entropy": "entropy"}
         flags.update((flag, param.dest) for flag, param in _PARAMS.items())
@@ -201,8 +200,7 @@ def cmd_group_law(args) -> int:
                 raise UsageError(f"--series does not take {flag}")
         G = normalized_from_literal(args.series, args.order)
     else:
-        spec = build_entropy(args)
-        G = spec.exp_series(args.order)
+        G = build_entropy(args).exp_series(args.order)
     law = group_law_from_exponential(G, args.order)
     print("#k\tm\tc_km")
     for (k, m), coeff in law.phi.iter_terms():
@@ -304,7 +302,7 @@ def _spec_from_string(text: str, args):
     """
     name, _, rest = text.partition(":")
     params = {param.name: param for param in _kind(name).params}
-    ns = argparse.Namespace(entropy=name, kb=args.kb, scale=args.scale, order=args.order)
+    ns = argparse.Namespace(entropy=name, scale=args.scale)
     for pair in filter(None, re.split(r",(?=[^,=]*=)", rest)):
         key, eq, value = pair.partition("=")
         param = params.get(key.strip())
@@ -325,42 +323,48 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+# The shared flags, each declared only on the subcommands that read it.
+SHARED = {
+    "--kb": dict(type=float, default=1.0),
+    "--scale": dict(type=_rat, help="scale constant applied as G(c t); exponential-class kinds only"),
+    "--order": dict(type=_order, default=12,
+                    help="total degree of the group law; a_k count of concavity-condition"),
+    "--digits": dict(type=int, default=17),
+}
+
+
 @functools.cache  # argparse reads stdout, stderr and the terminal width per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gentropy",
         description="Generalized entropies, their group laws, and MaxEnt tools.",
     )
-    # the shared flags, declared once and copied into each subcommand
+    # --entropy and every parameter flag, declared once and copied into each entropy subcommand
     entropy = argparse.ArgumentParser(add_help=False)
     entropy.add_argument("--entropy", help="entropy kind (see `catalog`)")
     for flag, param in _PARAMS.items():
         takers = ", ".join(name for name, kind in KINDS.items() if param in kind.params)
         entropy.add_argument(flag, type=param.parse, help=f"{param.name} of {takers}")
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--kb", type=float, default=1.0)
-    model.add_argument("--scale", type=_rat, default=None,
-                       help="scale constant applied as G(c t); exponential-class kinds only")
-    model.add_argument("--order", type=_order, default=12)
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--digits", type=int, default=17)
-    spec = [entropy, model, output]
-
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("eval", parents=spec, help="evaluate an entropy on a distribution")
+    def add(name, func, shared, about, parents=(entropy,)):
+        p = subs.add_parser(name, parents=list(parents), help=about)
+        for flag in shared.split():
+            p.add_argument(flag, **SHARED[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = add("eval", cmd_eval, "--kb --scale --digits", "evaluate an entropy on a distribution")
     p.add_argument("--dist", required=True, help="'uniform:W' or a file path")
-    p.set_defaults(func=cmd_eval)
 
-    p = subs.add_parser("expand", parents=spec, help="elementary-functional expansion coefficients")
+    p = add("expand", cmd_expand, "--scale", "elementary-functional expansion coefficients")
     p.add_argument("--count", type=int, default=8)
-    p.set_defaults(func=cmd_expand)
 
-    p = subs.add_parser("group-law", parents=spec, help="triangular c_km table of the group law")
+    # --scale is declared only to be rejected with its reason
+    p = add("group-law", cmd_group_law, "--scale --order", "triangular c_km table of the group law")
     p.add_argument("--series", help="normalized series literal '1, -1/2, ...'")
-    p.set_defaults(func=cmd_group_law)
 
-    p = subs.add_parser("check", parents=spec, help="run an axiom / property checker")
+    p = add("check", cmd_check, "--kb --scale --order --digits", "run an axiom / property checker")
     p.add_argument("--axiom", required=True, choices=list(AXIOMS))
     p.add_argument("--dist")
     p.add_argument("--states", type=int, default=8)
@@ -370,29 +374,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturbation", type=float, default=1e-4)
     p.add_argument("--witness-file")
-    p.set_defaults(func=cmd_check)
 
-    p = subs.add_parser("maxent", parents=spec, help="canonical maximum-entropy distribution")
+    p = add("maxent", cmd_maxent, "--kb --scale --digits", "canonical maximum-entropy distribution")
     p.add_argument("--energies", required=True, help="file with one level per line")
     p.add_argument("--beta", type=float)
     p.add_argument("--target-u", dest="target_u", type=float)
-    p.set_defaults(func=cmd_maxent)
 
-    p = subs.add_parser("occupation", parents=spec, help="occupation law and extensivity table")
+    p = add("occupation", cmd_occupation, "--kb --scale --digits", "occupation law and extensivity table")
     p.add_argument("--nmax", type=int, default=100)
-    p.set_defaults(func=cmd_occupation)
 
-    p = subs.add_parser("scan", parents=[model, output],
-                        help="asymptotic growth scan on uniform distributions")
+    p = add("scan", cmd_scan, "--scale --digits", "asymptotic growth scan on uniform distributions",
+            parents=())
     p.add_argument("--spec", action="append", required=True,
                    help="entropy as 'kind:param=value,...'; repeatable")
     p.add_argument("--wmax", type=float, default=1e12)
     p.add_argument("--points", type=int, default=13)
-    p.set_defaults(func=cmd_scan)
 
-    p = subs.add_parser("catalog", parents=[output], help="list entropy kinds and parameter domains")
-    p.set_defaults(func=cmd_catalog)
-
+    add("catalog", cmd_catalog, "", "list entropy kinds and parameter domains", parents=())
     return parser
 
 
@@ -404,7 +402,7 @@ def main(argv=None) -> int:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
     try:
-        if args.digits < 1:
+        if getattr(args, "digits", 1) < 1:
             raise UsageError(f"--digits must be at least 1, got {args.digits}")
         return args.func(args)
     except (UsageError, InputFormatError, SpecError, SeriesError, GroupLawError,

@@ -372,6 +372,35 @@ class TestGenericEntropy:
         with pytest.raises(SpecError):
             GenericEntropy([])
 
+    def test_order_defaults_to_the_whole_sequence(self):
+        a = [1] + [0] * 11 + [5]
+        assert GenericEntropy(a).order == 13
+        t = math.log(3)
+        assert GenericEntropy(a).G(t) == pytest.approx(t + 5 * t ** 13 / 13, rel=1e-14)
+        assert GenericEntropy(a, order=12).G(t) == pytest.approx(t, rel=1e-14)
+
+
+def _bits(f, *args):
+    """The float64 bytes of f(*args), or the error it raises."""
+    try:
+        return np.asarray(f(*args), dtype=float).tobytes()
+    except SpecError as exc:  # both orders must fail alike
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.fractions(-2, 2, max_denominator=12), min_size=1, max_size=12).filter(any))
+def test_generic_order_twelve_adds_only_zeros(a):
+    """len(a) <= 12: the derived order gives the same bits as order 12."""
+    own, twelve = GenericEntropy(a), GenericEntropy(a, order=12)
+    t = np.linspace(0.0, 30.0, 61)
+    for name in ("G", "dG", "dh"):
+        assert _bits(getattr(own, name), t) == _bits(getattr(twelve, name), t), name
+    for s in (0.25, 1.0, 4.0):
+        assert _bits(own.F, s) == _bits(twelve.F, s), s
+    for dist in (FIX, Distribution.uniform(7), Distribution([0.9, 0.1, 0.0])):
+        assert _bits(own.evaluate, dist) == _bits(twelve.evaluate, dist)
+
 
 class TestScaleConstant:
     def test_rescales_a_sequence(self):

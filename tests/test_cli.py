@@ -155,6 +155,14 @@ class TestEval:
         assert out == ""
         assert "finite" in err
 
+    def test_generic_evaluates_its_whole_sequence(self, capsys):
+        # once cut at degree 12, which printed ln 3, the BG value
+        code, out, err = run(capsys, "eval", "--entropy", "generic",
+                             "--a-sequence", "1,0,0,0,0,0,0,0,0,0,0,0,5", "--dist", "uniform:3")
+        assert (code, err) == (0, "")
+        t = math.log(3)  # S(uniform W) = G(ln W), G(t) = t + 5 t^13 / 13
+        assert float(out) == pytest.approx(t + 5 * t ** 13 / 13, rel=1e-14)
+
 
 class TestExpand:
     def test_exact_rational_output(self, capsys):
@@ -267,6 +275,15 @@ class TestCheck:
     def test_unknown_axiom(self, capsys):
         code, _, _ = run(capsys, "check", "--entropy", "bg", "--axiom", "bogus")
         assert code == 2
+
+    def test_order_does_not_truncate_a_generic_entropy(self, capsys):
+        # --order 0 once made G identically 0, which passed every axiom
+        code, out, _ = run(capsys, "check", "--entropy", "generic", "--a-sequence", "1,-1/8,1/10",
+                           "--order", "0", "--axiom", "all", "--trials", "20")
+        assert code == 1
+        rows = {line.split("\t")[0]: line.split("\t") for line in out.splitlines()[1:]}
+        assert rows["strict-composability"][1] == "fail"
+        assert "p_A" in rows["strict-composability"][3]
 
 
 class TestMaxent:
@@ -528,14 +545,15 @@ class TestUsageErrors:
         assert len(errors) == 1 and "--order" in errors[0] and "Traceback" not in err
 
     def test_order_zero_keeps_its_behaviour(self, capsys):
-        code, out, _ = run(capsys, "expand", "--entropy", "s_iii", "--q", "4/5", "--order", "0",
-                           "--count", "2")
-        assert (code, out) == (0, "#k\tcoefficient\n1\t1\n2\t3/10\n")
+        code, out, err = run(capsys, "expand", "--entropy", "s_iii", "--q", "4/5", "--order", "0",
+                             "--count", "2")
+        assert (code, out) == (2, "") and "unrecognized arguments: --order 0" in err
         code, out, _ = run(capsys, "check", "--entropy", "s_iii", "--q", "4/5", "--order", "0",
                            "--axiom", "concavity-condition")
         assert code == 0 and out.splitlines()[1].split("\t")[1] == "inconclusive"
-        code, out, err = run(capsys, "group-law", "--entropy", "tsallis", "--q", "1/2", "--order", "0")
-        assert is_usage_error(code, out, err) and "nonzero coefficient" in err
+        for spec in (["--entropy", "tsallis", "--q", "1/2"], ["--series", "1"]):
+            code, out, err = run(capsys, "group-law", *spec, "--order", "0")
+            assert is_usage_error(code, out, err) and "needs --order >= 1" in err
 
     def test_zero_trials_on_all_axioms_is_inconclusive(self, capsys):
         code, out, _ = run(
@@ -556,13 +574,48 @@ class TestUsageErrors:
         assert row[:2] == ["strict-composability", "inconclusive"]
 
 
-class TestCatalogCommand:
-    def test_takes_only_digits(self, capsys):
-        assert run(capsys, "catalog", "--digits", "3")[0] == 0
-        code, out, err = run(capsys, "catalog", "--kb", "2")
-        assert (code, out) == (2, "")
-        assert "unrecognized arguments: --kb" in err
+SHARED_FLAGS = ("--kb", "--scale", "--order", "--digits")
+# Each subcommand's command line, and the shared flags it declares, each with a
+# value that changes its stdout; a flag may name its own command line.
+FLAG_TABLE = {
+    "eval": (["eval", "--entropy", "tsallis", "--q", "1/2", "--dist", "uniform:4"],
+             {"--kb": "2", "--scale": "2", "--digits": "3"}),
+    "expand": (["expand", "--entropy", "bg", "--count", "3"], {"--scale": "2"}),
+    "group-law": (["group-law", "--entropy", "kaniadakis", "--kappa", "1/2"],
+                  {"--scale": "2", "--order": "3"}),  # --scale: its one-line usage error
+    "check": (["check", "--entropy", "s_iii", "--q", "4/5", "--axiom", "strict-composability",
+               "--trials", "5"],
+              {"--kb": "2", "--scale": "2", "--digits": "3",
+               "--order": ("1", ["check", "--entropy", "bg", "--axiom", "concavity-condition"])}),
+    "maxent": (["maxent", "--entropy", "bg", "--beta", "1", "--energies", "levels:4"],
+               {"--kb": "2", "--scale": "2", "--digits": "3"}),
+    "occupation": (["occupation", "--entropy", "tsallis", "--q", "1/2", "--nmax", "3"],
+                   {"--kb": "2", "--scale": "2", "--digits": "3"}),
+    "scan": (["scan", "--spec", "tsallis:q=1/2", "--points", "7"], {"--scale": "2", "--digits": "3"}),
+    "catalog": (["catalog"], {}),
+}
 
+
+@pytest.mark.parametrize("command", list(FLAG_TABLE))
+@pytest.mark.parametrize("flag", SHARED_FLAGS)
+def test_shared_flag_table(levels, command, flag):
+    argv, declared = FLAG_TABLE[command]
+    argv = [levels[int(a[7:])] if a.startswith("levels:") else a for a in argv]
+    if flag not in declared:
+        code, out, err = run_quiet([*argv, flag, "2"])
+        assert (code, out) == (2, "") and f"unrecognized arguments: {flag} 2" in err
+        return
+    value, argv = declared[flag] if isinstance(declared[flag], tuple) else (declared[flag], argv)
+    code, out, err = run_quiet([*argv, flag, value])
+    if (command, flag) == ("group-law", "--scale"):
+        assert is_usage_error(code, out, err) and "does not take --scale" in err
+        return
+    before = run_quiet(argv)
+    assert code == before[0] and code in (0, 1) and err == before[2] == ""
+    assert out != before[1]
+
+
+class TestCatalogCommand:
     def test_lists_all_kinds(self, capsys):
         code, out, _ = run(capsys, "catalog")
         assert code == 0
