@@ -133,27 +133,36 @@ def _as_fraction(x) -> Fraction:
     return f
 
 
-def solve_increasing(f, lo: float, hi: float, xtol: float, failure: str) -> float:
-    """The root of an increasing f, bracketed by doubling the wrong-signed end of [lo, hi].
+def bracket_increasing(f, lo: float, hi: float, failure: str) -> tuple[float, float, float, float]:
+    """lo, hi, f(lo) <= 0 and f(hi) >= 0 for an increasing f, by doubling the wrong-signed end.
 
     An end at 0 stays put.  A wrong-signed value that is not finite, or no
-    bracket after 200 doublings, raises SpecError(failure).  brentq gets the
-    values at the bracket's ends as found, so no x is evaluated twice.
+    bracket after 200 doublings, raises SpecError(failure).
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    for _ in range(200):
+        if f_lo <= 0 <= f_hi:
+            return lo, hi, f_lo, f_hi
+        if not math.isfinite(f_hi if f_lo <= 0 else f_lo):
+            break
+        if f_lo <= 0:
+            hi, f_hi = 2 * hi, f(2 * hi)
+        else:
+            lo, f_lo = 2 * lo, f(2 * lo)
+    raise SpecError(failure)
+
+
+def solve_increasing(f, lo: float, hi: float, xtol: float, failure: str) -> float:
+    """The root of an increasing f, bracketed by ``bracket_increasing`` from [lo, hi].
+
+    brentq gets the values at the bracket's ends as found, so no x is
+    evaluated twice.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        f_lo, f_hi = f(lo), f(hi)
-        for _ in range(200):
-            if f_lo <= 0 <= f_hi:
-                ends = {lo: f_lo, hi: f_hi}
-                return float(brentq(lambda x: ends[x] if x in ends else f(x), lo, hi,
-                                    xtol=xtol, rtol=8.9e-16, maxiter=200))
-            if not math.isfinite(f_hi if f_lo <= 0 else f_lo):
-                break
-            if f_lo <= 0:
-                hi, f_hi = 2 * hi, f(2 * hi)
-            else:
-                lo, f_lo = 2 * lo, f(2 * lo)
-    raise SpecError(failure)
+        lo, hi, f_lo, f_hi = bracket_increasing(f, lo, hi, failure)
+        ends = {lo: f_lo, hi: f_hi}
+        return float(brentq(lambda x: ends[x] if x in ends else f(x), lo, hi,
+                            xtol=xtol, rtol=8.9e-16, maxiter=200))
 
 
 def _numeric_inverse(func: Callable[[float], float], s: float) -> float:

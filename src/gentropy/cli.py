@@ -220,6 +220,20 @@ _CHECKS = {
     "concavity-condition": lambda spec, a: axioms.check_concavity_condition(spec.a_sequence(a.order)),
     "lesche": lambda spec, a: axioms.lesche_probe(spec, a.states, a.perturbation, a.trials, a.seed),
 }
+# The per-axiom flags of `check`, by argparse dest, with their defaults, and
+# the ones each single check reads.  argparse leaves them None, so that
+# cmd_check can tell a flag given from one left out.
+CHECK_DEFAULTS = {"dist": None, "states": 8, "wa": 2, "wb": 3, "trials": 100, "seed": 0,
+                  "perturbation": 1e-4}
+CHECK_READS = {
+    "sk2": ("states", "trials", "seed"),
+    "sk3": ("dist", "states"),
+    "weak-composability": ("wa", "wb"),
+    "strict-composability": ("wa", "wb", "trials", "seed"),
+    "concavity": (),
+    "concavity-condition": (),  # it reads the shared --order
+    "lesche": ("states", "perturbation", "trials", "seed"),
+}
 # The one table of --axiom names, read by the flag's choices and by cmd_check:
 # the checks each name runs, then those it runs only for a spec with a
 # composition rule.
@@ -228,11 +242,19 @@ AXIOMS["all"] = (("sk2", "sk3"), ("weak-composability", "strict-composability"))
 
 
 def cmd_check(args) -> int:
-    if args.trials < 0:
-        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
     spec = build_entropy(args)
     checks, composed = AXIOMS[args.axiom]
-    reports = [_CHECKS[name](spec, args) for name in checks + (composed if spec.has_group_law else ())]
+    names = checks + (composed if spec.has_group_law else ())
+    reads = {dest for name in names for dest in CHECK_READS[name]}
+    for dest, default in CHECK_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in reads:
+            why = " without a composition rule" if any(dest in CHECK_READS[n] for n in composed) else ""
+            raise UsageError(f"--axiom {args.axiom} does not read --{dest} for --entropy {args.entropy}{why}")
+    if args.trials < 0:
+        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
+    reports = [_CHECKS[name](spec, args) for name in names]
     print("#axiom\tverdict\tresidual\twitness")
     failed = False
     for rep in reports:
@@ -367,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check", cmd_check, "--kb --scale --order --digits", "run an axiom / property checker")
     p.add_argument("--axiom", required=True, choices=list(AXIOMS))
     p.add_argument("--dist")
-    p.add_argument("--states", type=int, default=8)
-    p.add_argument("--wa", type=int, default=2)
-    p.add_argument("--wb", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturbation", type=float, default=1e-4)
+    p.add_argument("--states", type=int)
+    p.add_argument("--wa", type=int)
+    p.add_argument("--wb", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--perturbation", type=float)
     p.add_argument("--witness-file")
 
     p = add("maxent", cmd_maxent, "--kb --scale --digits", "canonical maximum-entropy distribution")

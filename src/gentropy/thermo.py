@@ -5,17 +5,26 @@ given entropy is extensive on uniform distributions.  The extensivity check
 works in log space (directly on F(N)), so huge state counts such as e^1000
 never have to be materialized as floats; a rounded-W variant is reported
 separately for ranges where W fits in a double.
+
+Canonical MaxEnt solves the stationarity condition h(ln 1/p_i) = alpha +
+beta E_i, h = kB (G - G'), with one safeguarded array Newton iteration
+(``_newton``) and exact slopes from ``Entropy.dh``: every level at once in
+t = ln 1/p (levels clamped to [_P_LO, _P_HI] are masked and never
+evaluated), alpha on -ln sum p, and in target-U mode beta on the shortfall
+target - U.  Each solve is warm-started from the one before.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
+# never called here: bound only because the benchmark's tracer wraps thermo.brentq by name
+from scipy.optimize import brentq  # noqa: F401
 
-from .catalog import Distribution, Entropy, SpecError, UnsupportedRepresentation, solve_increasing
+from .catalog import Distribution, Entropy, SpecError, UnsupportedRepresentation, bracket_increasing
 
 _MAX_EXP = 700.0  # exp() overflow guard
 
@@ -147,63 +156,151 @@ class MaxEntSolution:
 
 _P_LO = 1e-15
 _P_HI = 1.0 - 1e-15
+_T_LO, _T_HI = -np.log(_P_HI), -np.log(_P_LO)  # t = ln 1/p at the clamps
+_T_INSIDE = (np.nextafter(_T_LO, np.inf), np.nextafter(_T_HI, 0.0))
+_REACH = 2.0 ** 200  # the alpha bracket is clipped to [-_REACH, _REACH]
 
 
-def _stationarity(spec: Entropy, p: float) -> float:
-    """d/dp of the per-state contribution p G(ln 1/p), times kB."""
-    t = -math.log(p)
-    return spec.kB * (float(spec.G(t)) - float(spec.dG(t)))
+def _newton(fdf, x, lo, hi, f_lo, f_hi, d_lo, d_hi):
+    """Roots of increasing functions by safeguarded Newton steps, one per element of x.
+
+    ``fdf(x, i)`` gives the functions of the elements i and their exact slopes
+    at x.  Each element keeps a bracket lo < x < hi across which its function
+    changes sign, with the values f and slopes d at both ends.  A Newton step
+    that leaves the bracket is replaced by a Newton step from an end that lands
+    inside, or else by bisection.  An element freezes once its Newton step, or
+    its bracket, is within 4 ulp of max(|x|, 1); that is decided before any
+    fallback, so a converged step that rounds onto an end does not bisect.  Its
+    last step is taken if it stays inside.  An element still live after 200
+    steps keeps its x.  Returns x and the slope at the last x evaluated.
+    """
+    x = np.array(x, dtype=float)
+    d_x = np.empty_like(x)
+    bracket = np.empty((3, 2, x.size))  # x, f and d at the low and the high end
+    for row, value in zip(bracket.reshape(6, -1), (lo, hi, f_lo, f_hi, d_lo, d_hi)):
+        row[...] = value
+    live = np.arange(x.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            if not live.size:
+                break
+            xi = x[live]
+            f, d = fdf(xi, live)
+            d_x[live] = d
+            bracket[:, (f > 0).astype(int), live] = xi, f, d
+            a, b = bracket[0, :, live].T
+            step = f / d
+            tol = 4 * np.spacing(np.maximum(np.abs(xi), 1.0))
+            done = (f == 0) | (np.abs(step) <= tol) | (b - a <= tol)
+            new = xi - step
+            inside = (a < new) & (new < b)
+            if not np.all(done | inside):
+                (f_a, f_b), (d_a, d_b) = bracket[1:, :, live]
+                for fallback in (a - f_a / d_a, b - f_b / d_b, 0.5 * (a + b)):
+                    new = np.where((a < new) & (new < b), new, fallback)
+            x[live] = np.where(done & ~inside, xi, new)
+            live = live[~done]
+    return x, d_x
 
 
-def _check_monotone(spec: Entropy) -> None:
-    grid = np.geomspace(_P_LO, _P_HI, 64)
-    vals = [_stationarity(spec, float(x)) for x in grid]
-    diffs = np.diff(vals)
-    if not np.all(diffs < 0):
+def _stationarity(spec: Entropy, t):
+    """kB (G(t) - G'(t)) at t = ln 1/p: d/dp of the per-state term kB p G(ln 1/p)."""
+    return spec.kB * (spec.G(t) - spec.dG(t))
+
+
+def _check_monotone(spec: Entropy) -> tuple:
+    """Check that h = kB (G - G') falls as p rises; returns h at _P_LO and _P_HI, then kB h' there."""
+    vals = _stationarity(spec, -np.log(np.geomspace(_P_LO, _P_HI, 64)))
+    if not np.all(np.diff(vals) < 0):
         raise UnsupportedRepresentation(
             f"{spec.name}: stationarity function is not strictly monotone"
         )
+    return (float(vals[0]), float(vals[-1]), *(spec.kB * spec.dh(np.array([_T_HI, _T_LO]))))
 
 
-def _invert_h(spec: Entropy, target: float, h_lo: float, h_hi: float) -> float:
-    """Solve h(p) = target on [_P_LO, _P_HI], where h falls from h_lo to h_hi."""
-    if target >= h_lo:
-        return _P_LO
-    if target <= h_hi:
-        return _P_HI
-    # h_lo and h_hi are h at the ends, so brentq need not evaluate them again
-    ends = {_P_LO: h_lo - target, _P_HI: h_hi - target}
-    return float(
-        brentq(
-            lambda p: ends[p] if p in ends else _stationarity(spec, p) - target,
-            _P_LO,
-            _P_HI,
-            xtol=1e-16,
-            rtol=8.9e-16,
-            maxiter=200,
-        )
-    )
+def _invert_h(spec: Entropy, target: np.ndarray, ends: tuple, t: np.ndarray):
+    """Solve h(ln 1/p_i) = target_i for every level at once, Newton started at t = ln 1/p.
+
+    ``ends`` is ``_check_monotone(spec)``: h_lo and h_hi, the values of h at
+    _P_LO and _P_HI, then kB h' there.  A level whose target lies outside
+    (h_hi, h_lo) is clamped to _P_HI or _P_LO and never evaluated.  Returns p, t and w = p / (kB h'(t)),
+    the rate -dp/dtarget, which is 0 on the clamped levels.
+    """
+    h_lo, h_hi, d_lo, d_hi = ends
+    low, high = target >= h_lo, target <= h_hi
+    free = ~(low | high)
+    t = np.where(low, _T_HI, np.where(high, _T_LO, t))
+    w = np.zeros(t.shape)
+    if free.any():
+        goal = target[free]
+        x, d = _newton(lambda x, i: (_stationarity(spec, x) - goal[i], spec.kB * spec.dh(x)),
+                       np.clip(t[free], *_T_INSIDE), _T_LO, _T_HI, h_hi - goal, h_lo - goal, d_hi, d_lo)
+        t[free] = x
+        w[free] = np.exp(-x) / d
+    p = np.exp(-t)
+    p[low], p[high] = _P_LO, _P_HI
+    return p, t, w
 
 
-def _solve_fixed_beta(spec: Entropy, energies, beta: float) -> MaxEntSolution:
-    h_lo, h_hi = _stationarity(spec, _P_LO), _stationarity(spec, _P_HI)
+class _Levels(NamedTuple):
+    """The levels at one beta: p normalized, t = ln 1/p before that, w = -dp/dtarget."""
 
-    def total_p(alpha: float) -> float:
-        return sum(_invert_h(spec, alpha + beta * e, h_lo, h_hi) for e in energies)
+    alpha: float
+    beta: float
+    p: np.ndarray
+    t: np.ndarray
+    w: np.ndarray
 
-    alpha = solve_increasing(lambda a: 1.0 - total_p(a), -1.0, 1.0, 1e-14,
-                             f"no alpha normalizes the clamped levels at beta = {beta!r}")
-    p = np.array([_invert_h(spec, alpha + beta * e, h_lo, h_hi) for e in energies])
-    p = p / p.sum()  # remove the last normalization rounding
+
+def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
+                      start: _Levels | None = None) -> _Levels:
+    """alpha, by Newton on -ln sum p, and the levels it normalizes at beta.
+
+    The slope of -ln sum p in alpha is sum w / sum p.  ``start``, the levels at
+    a nearby beta, gives the first t and, to first order, the first alpha.
+    """
+    h_lo, h_hi = ends[:2]
+    bE = beta * E
+    if start is None:  # t of the Gibbs weights, and the alpha that fits the lowest level to it
+        low = int(np.argmin(bE))
+        t = bE - bE[low] + math.log(np.exp(bE[low] - bE).sum())
+        alpha = float(_stationarity(spec, np.clip(t[low:low + 1], *_T_INSIDE))[0] - bE[low])
+    else:
+        t, alpha, w = start.t, start.alpha, start.w
+        if w.sum() > 0:
+            alpha -= (beta - start.beta) * float(w @ E) / float(w.sum())
+
+    def sums(a: float, t_start):
+        p, t, w = _invert_h(spec, a + bE, ends, t_start)
+        s = p.sum()
+        return -math.log(s), float(w.sum()) / s, (p, t, w)
+
+    # every level is clamped at _P_HI below the bracket and at _P_LO above it
+    lo, hi = max(h_hi - bE.max(), -_REACH), min(h_lo - bE.min(), _REACH)
+    (f_lo, d_lo, _), (f_hi, d_hi, _) = sums(lo, t), sums(hi, t)
+    if not f_lo <= 0 <= f_hi:
+        raise SpecError(f"no alpha normalizes the clamped levels at beta = {beta!r}")
+    last = None  # alpha and the levels of the last evaluation
+
+    def fdf(a, _):
+        nonlocal last
+        f, d, levels = sums(float(a[0]), t if last is None else last[1][1])
+        last = float(a[0]), levels
+        return np.array([f]), np.array([d])
+
+    a0 = min(max(alpha, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+    (alpha,), _ = _newton(fdf, np.array([a0]), lo, hi, f_lo, f_hi, d_lo, d_hi)
+    a_last, (p, t, w) = last
+    p = p - (alpha - a_last) * w  # the last step, taken in p to first order
+    return _Levels(float(alpha), beta, p / p.sum(), t, w)
+
+
+def _solution(spec: Entropy, energies: tuple, levels: _Levels) -> MaxEntSolution:
+    p, alpha, beta = levels.p, levels.alpha, levels.beta
     dist = Distribution(p)
-    U = float(np.dot(p, energies))
-    S = spec.evaluate(dist)
-    resid = max(
-        abs(_stationarity(spec, float(pi)) - (alpha + beta * e))
-        for pi, e in zip(p, energies)
-    )
-    Z = _partition_value(spec, energies, beta)
-    return MaxEntSolution(dist, alpha, beta, Z, U, S, resid)
+    resid = np.max(np.abs(_stationarity(spec, -np.log(p)) - (alpha + beta * np.asarray(energies))))
+    return MaxEntSolution(dist, alpha, beta, _partition_value(spec, energies, beta),
+                          float(np.dot(p, energies)), spec.evaluate(dist), float(resid))
 
 
 def _partition_value(spec: Entropy, energies, beta: float) -> float:
@@ -214,31 +311,59 @@ def _partition_value(spec: Entropy, energies, beta: float) -> float:
         return math.nan
 
 
+def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
+    """The levels whose mean energy is target, by Newton on the shortfall target - U(beta).
+
+    Its slope is -dU/dbeta = sum w E^2 - (sum w E)^2 / sum w.  U(0) is the mean
+    level, so the bracket is doubled out from [0, 1] or [-1, 0], and the first
+    step is the Newton step from 0.  Each fixed-beta solve starts from the one
+    before.
+    """
+    slopes = {}  # beta -> -dU/dbeta, for every beta solved
+    last = None
+
+    def shortfall(beta: float) -> float:
+        nonlocal last
+        last = _solve_fixed_beta(spec, E, beta, ends, last)
+        w = last.w
+        slopes[beta] = float(w @ E ** 2 - (w @ E) ** 2 / w.sum()) if w.sum() > 0 else 0.0
+        return target - float(last.p @ E)
+
+    def fdf(b, _):
+        f = shortfall(float(b[0]))
+        return np.array([f]), np.array([slopes[float(b[0])]])
+
+    lo, hi, f_lo, f_hi = bracket_increasing(
+        shortfall, *((0.0, 1.0) if target < E.mean() else (-1.0, 0.0)),
+        f"no beta reaches the target energy {target!r} on the clamped levels")
+    f_0, d_0 = (f_lo, slopes[lo]) if lo == 0 else (f_hi, slopes[hi])  # an end at 0 stays put
+    b0 = -f_0 / d_0 if d_0 > 0 and lo < -f_0 / d_0 < hi else lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    b0 = min(max(b0, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+    _newton(fdf, np.array([b0]), lo, hi, f_lo, f_hi, slopes[lo], slopes[hi])
+    return last  # beta's last step, within 4 ulp, is not solved again
+
+
 def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
     """Maximize the entropy under normalization and a mean-energy constraint.
 
-    Uses the standard linear energy constraint.  Each probability comes from
-    monotone inversion of the per-state stationarity function; the spec must
-    have a strictly monotone one (checked at solve time).
+    Uses the standard linear energy constraint.  Each probability solves the
+    stationarity condition h(ln 1/p_i) = alpha + beta E_i, h = kB (G - G'),
+    which needs a strictly monotone h (checked at solve time).  The levels,
+    alpha and, in target-U mode, beta are each found by ``_newton``.
     """
     spec = problem.spec
     if not spec.has_exponential:
         raise UnsupportedRepresentation(f"{spec.name} is not supported by the solver")
-    _check_monotone(spec)
-    if problem.beta is not None:
-        return _solve_fixed_beta(spec, problem.energies, problem.beta)
-
-    target = problem.target_U
-    e_min, e_max = min(problem.energies), max(problem.energies)
-    if not (e_min < target < e_max):
+    ends = _check_monotone(spec)
+    E = np.asarray(problem.energies, dtype=float)
+    if problem.beta is None and not (E.min() < problem.target_U < E.max()):
         raise SpecError("target energy must lie strictly between the extreme levels")
-
-    def shortfall(beta: float) -> float:
-        return target - _solve_fixed_beta(spec, problem.energies, beta).U
-
-    beta = solve_increasing(shortfall, -1.0, 1.0, 1e-12,
-                            f"no beta reaches the target energy {target!r} on the clamped levels")
-    return _solve_fixed_beta(spec, problem.energies, beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if problem.beta is not None:
+            levels = _solve_fixed_beta(spec, E, problem.beta, ends)
+        else:
+            levels = _solve_target_U(spec, E, problem.target_U, ends)
+    return _solution(spec, problem.energies, levels)
 
 
 def legendre_residual(solution: MaxEntSolution, spec: Entropy) -> float:

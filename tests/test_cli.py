@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gentropy import thermo
-from gentropy.cli import AXIOMS, KINDS, build_entropy, build_parser, main
+from gentropy.cli import AXIOMS, CHECK_DEFAULTS, CHECK_READS, KINDS, build_entropy, build_parser, main
 from gentropy.io import (
     InputFormatError,
     format_float,
@@ -284,6 +284,50 @@ class TestCheck:
         rows = {line.split("\t")[0]: line.split("\t") for line in out.splitlines()[1:]}
         assert rows["strict-composability"][1] == "fail"
         assert "p_A" in rows["strict-composability"][3]
+
+
+class TestCheckFlags:
+    """Each per-axiom flag of `check` is accepted exactly where a check that runs reads it."""
+
+    VALUES = {"dist": "uniform:3", "states": "3", "wa": "2", "wb": "2", "trials": "2", "seed": "1",
+              "perturbation": "0.01"}
+
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [
+            (["--axiom", "concavity", "--trials", "5", "--seed", "3", "--states", "4", "--wa", "5",
+              "--perturbation", "0.5"], "--states"),
+            (["--axiom", "sk2", "--order", "3", "--wb", "5", "--perturbation", "0.5"], "--wb"),
+        ],
+        ids=["concavity", "sk2"],
+    )
+    def test_unread_flags_are_usage_errors(self, capsys, flags, unread):
+        # both commands once printed the same bytes as without their unread flags
+        code, out, err = run(capsys, "check", "--entropy", "bg", *flags)
+        assert is_usage_error(code, out, err)
+        assert unread in err and flags[1] in err
+
+    @pytest.mark.parametrize("axiom", list(AXIOMS))
+    def test_flag_table(self, capsys, axiom):
+        checks, composed = AXIOMS[axiom]
+        reads = {dest for name in checks + composed for dest in CHECK_READS[name]}
+        assert set(self.VALUES) == set(CHECK_DEFAULTS)
+        for dest, value in self.VALUES.items():
+            code, out, err = run(capsys, "check", "--entropy", "bg", "--axiom", axiom, f"--{dest}", value)
+            assert is_usage_error(code, out, err) != (dest in reads), (dest, err)
+
+    def test_all_reads_composition_flags_only_with_a_composition_rule(self, capsys):
+        spec = ["check", "--entropy", "generic", "--a-sequence", "0,1", "--axiom", "all"]
+        code, out, err = run(capsys, *spec, "--wa", "3")
+        assert is_usage_error(code, out, err) and "--wa" in err and "composition rule" in err
+        code, _, err = run(capsys, *spec, "--states", "3")
+        assert code != 2, err
+
+    def test_defaults_are_filled_in(self, capsys):
+        code, out, _ = run(capsys, "check", "--entropy", "tsallis", "--q", "1/2", "--axiom", "all")
+        flags = ["--states", "8", "--wa", "2", "--wb", "3", "--trials", "100", "--seed", "0"]
+        assert (code, out) == run(capsys, "check", "--entropy", "tsallis", "--q", "1/2", "--axiom", "all",
+                                  *flags)[:2]
 
 
 class TestMaxent:

@@ -5,13 +5,15 @@ import re
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
 from gentropy import thermo
 from gentropy.catalog import (
     BoltzmannGibbs,
+    BorgesRoditi,
     Distribution,
     GenericEntropy,
     Kaniadakis,
@@ -33,6 +35,49 @@ from gentropy.thermo import (
 )
 
 ENERGIES = (0.0, 0.7, 1.3, 2.0)
+
+
+def mp_G(spec, t):
+    """G(t) at working precision, from each kind's defining formula."""
+    if isinstance(spec, GenericEntropy):
+        return sum(mp.mpf(Fraction(a).numerator) / Fraction(a).denominator * t ** (k + 1) / (k + 1)
+                   for k, a in enumerate(spec.a))
+    r = {name: mp.mpf(Fraction(v).numerator) / Fraction(v).denominator
+         for name, v in vars(spec).items() if name in ("q", "kappa", "a", "b")}
+    if isinstance(spec, Tsallis):
+        s = 1 - r["q"]
+        return mp.expm1(s * t) / s
+    if isinstance(spec, Kaniadakis):
+        return mp.sinh(r["kappa"] * t) / r["kappa"]
+    if isinstance(spec, BorgesRoditi):
+        return (mp.exp(r["a"] * t) - mp.exp(r["b"] * t)) / (r["a"] - r["b"])
+    if isinstance(spec, SThird):  # (1/s) (x^s - 2 x^-s + x^-2s) at x = e^t, s = 1 - q
+        s = 1 - r["q"]
+        return (mp.exp(s * t) - 2 * mp.exp(-s * t) + mp.exp(-2 * s * t)) / s
+    raise TypeError(spec)
+
+
+def mp_level_p(spec, targets):
+    """p = e^-t with kB (G(t) - G'(t)) = target, each root at 50 digits, clamped as the solver clamps."""
+    out = []
+    with mp.workdps(50):
+        def h(t):
+            return spec.kB * (mp_G(spec, t) - mp.diff(lambda x: mp_G(spec, x), t))
+
+        t_lo, t_hi = -mp.log(mp.mpf(thermo._P_HI)), -mp.log(mp.mpf(thermo._P_LO))
+        for target in np.asarray(targets, dtype=float).tolist():
+            if target >= h(t_hi):
+                out.append(thermo._P_LO)
+            elif target <= h(t_lo):
+                out.append(thermo._P_HI)
+            else:
+                a, b = t_lo, t_hi
+                for _ in range(40):  # bisect to start the secant iteration near the root
+                    a, b = (a, (a + b) / 2) if h((a + b) / 2) > target else ((a + b) / 2, b)
+                root = mp.findroot(lambda t: h(t) - target, (a + b) / 2)
+                assert a <= root <= b
+                out.append(float(mp.exp(-root)))
+    return np.array(out)
 
 
 class TestOccupationLaw:
@@ -195,20 +240,21 @@ class TestMaxEntTsallis:
 
     def test_invert_h_reuses_the_end_values(self, monkeypatch):
         spec = Tsallis(0.5)
-        h_lo, h_hi = (thermo._stationarity(spec, p) for p in (thermo._P_LO, thermo._P_HI))
-        target = 0.3 * h_lo + 0.7 * h_hi
-        direct = brentq(lambda p: thermo._stationarity(spec, p) - target,
-                        thermo._P_LO, thermo._P_HI, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+        ends = thermo._check_monotone(spec)
+        h_lo, h_hi = ends[:2]
+        target = np.array([0.3 * h_lo + 0.7 * h_hi, 0.5 * (h_lo + h_hi), 1.0, h_lo, h_hi])
         calls = []
 
-        def stationarity(spec, p):
-            calls.append(p)
-            return original(spec, p)
+        def stationarity(spec, t):
+            calls.extend(np.atleast_1d(t).tolist())
+            return original(spec, t)
 
         original = thermo._stationarity
         monkeypatch.setattr(thermo, "_stationarity", stationarity)
-        assert thermo._invert_h(spec, target, h_lo, h_hi) == direct
-        assert calls and not {thermo._P_LO, thermo._P_HI} & set(calls)
+        p, t, w = thermo._invert_h(spec, target, ends, np.full(target.shape, 1.0))
+        assert calls and not {thermo._T_LO, thermo._T_HI} & set(calls)
+        assert p[3:].tolist() == [thermo._P_LO, thermo._P_HI] and w[3:].tolist() == [0.0, 0.0]
+        assert np.max(np.abs(p - mp_level_p(spec, target))) <= 1e-15
 
     def test_fixed_energy_mode_without_log_inverse(self):
         # every inner solve meets s_iii's missing log inverse at -beta E
@@ -226,6 +272,58 @@ class TestMaxEntTsallis:
     def test_non_exponential_spec_rejected(self):
         with pytest.raises(UnsupportedRepresentation):
             maxent_solve(MaxEntProblem(SDelta(2), ENERGIES, beta=1.0))
+
+
+SOLVER_SPECS = {
+    "tsallis": Tsallis(Fraction(1, 2)),
+    "kaniadakis": Kaniadakis(Fraction(1, 3)),
+    "s_iii": SThird(Fraction(4, 5)),
+    "generic": GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)]),
+    "borges_roditi": BorgesRoditi(Fraction(1, 2), Fraction(-1, 3)),
+}
+
+
+class TestMaxEntNewtonSolver:
+    @pytest.mark.parametrize("kind", SOLVER_SPECS)
+    @pytest.mark.parametrize("clamped", [False, True], ids=["free", "clamped"])
+    def test_levels_match_fifty_digit_roots(self, kind, clamped):
+        spec = SOLVER_SPECS[kind]
+        h_lo, h_hi = thermo._check_monotone(spec)[:2]
+        levels, beta = tuple(5 * i / 19 for i in range(20)), 1.0
+        if clamped:  # the targets span 1.5 times h's range, so the top levels clamp at _P_LO
+            levels, beta = (0.0, 1.0, 2.0, 3.0), (h_lo - h_hi) / 2
+        sol = maxent_solve(MaxEntProblem(spec, levels, beta=beta))
+        targets = sol.alpha + sol.beta * np.array(levels)
+        assert bool(np.any(targets >= h_lo)) == clamped
+        assert np.max(np.abs(sol.distribution.p - mp_level_p(spec, targets))) <= 1e-15
+
+    def test_converged_steps_that_round_onto_an_end_do_not_bisect(self, monkeypatch):
+        # a solver that bisects once its Newton step rounds onto a bracket end
+        # converges linearly: hundreds of array evaluations instead of a few dozen
+        calls = []
+        original = thermo._stationarity
+
+        def stationarity(spec, t):
+            calls.append(np.size(t))
+            return original(spec, t)
+
+        monkeypatch.setattr(thermo, "_stationarity", stationarity)
+        levels = tuple(5 * i / 19 for i in range(20))
+        maxent_solve(MaxEntProblem(Tsallis(Fraction(1, 2)), levels, beta=1.0))
+        assert len(calls) <= 60
+
+    def test_alpha_bracket_follows_the_sign_of_beta(self):
+        # at beta < 0 the bracket ends are h_hi - max(beta E) and h_lo - min(beta E)
+        levels = (0.0, 1.0, 2.0, 3.0)
+        spec = Tsallis(Fraction(3, 2))
+        sol = maxent_solve(MaxEntProblem(spec, levels, beta=-2.0))
+        targets = sol.alpha + sol.beta * np.array(levels)
+        assert np.max(np.abs(sol.distribution.p - mp_level_p(spec, targets))) <= 1e-15
+
+    def test_alpha_bracket_is_clipped_to_the_old_reach(self):
+        # beta E reaches 1e61, past 2^200: the clipped bracket holds no sign change
+        with pytest.raises(SpecError, match="no alpha normalizes"):
+            maxent_solve(MaxEntProblem(Tsallis(Fraction(1, 2)), (0.0, 1.0, 2.0), beta=-1e61))
 
 
 class TestTemperatureTable:
