@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+# never called here: bound only because the benchmark's tracer wraps catalog.brentq by name
+from scipy.optimize import brentq  # noqa: F401
 
 from .series import TruncatedSeries, from_a_sequence
 
@@ -152,25 +153,111 @@ def bracket_increasing(f, lo: float, hi: float, failure: str) -> tuple[float, fl
     raise SpecError(failure)
 
 
-def solve_increasing(f, lo: float, hi: float, xtol: float, failure: str) -> float:
-    """The root of an increasing f, bracketed by ``bracket_increasing`` from [lo, hi].
+def _newton(fdf, x, lo, hi, f_lo, f_hi, d_lo, d_hi):
+    """Roots of increasing functions by safeguarded Newton steps, one per element of x.
 
-    brentq gets the values at the bracket's ends as found, so no x is
-    evaluated twice.
+    ``fdf(x, i)`` gives the functions of the elements i and their exact slopes
+    at x.  Each element keeps a bracket lo < x < hi across which its function
+    changes sign, with the values f and slopes d at both ends.  A Newton step
+    that leaves the bracket is replaced by a Newton step from an end that lands
+    inside, or else by bisection.  An element freezes once its Newton step, or
+    its bracket, is within 4 ulp of max(|x|, 1); that is decided before any
+    fallback, so a converged step that rounds onto an end does not bisect.  Its
+    last step is taken if it stays inside.  An element still live after 200
+    steps keeps its x.  Returns x and the slope at the last x evaluated.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi, f_lo, f_hi = bracket_increasing(f, lo, hi, failure)
-        ends = {lo: f_lo, hi: f_hi}
-        return float(brentq(lambda x: ends[x] if x in ends else f(x), lo, hi,
-                            xtol=xtol, rtol=8.9e-16, maxiter=200))
+    x = np.array(x, dtype=float)
+    d_x = np.empty_like(x)
+    bracket = np.empty((3, 2, x.size))  # x, f and d at the low and the high end
+    for row, value in zip(bracket.reshape(6, -1), (lo, hi, f_lo, f_hi, d_lo, d_hi)):
+        row[...] = value
+    live = np.arange(x.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            if not live.size:
+                break
+            xi = x[live]
+            f, d = fdf(xi, live)
+            d_x[live] = d
+            bracket[:, (f > 0).astype(int), live] = xi, f, d
+            a, b = bracket[0, :, live].T
+            step = f / d
+            tol = 4 * np.spacing(np.maximum(np.abs(xi), 1.0))
+            done = (f == 0) | (np.abs(step) <= tol) | (b - a <= tol)
+            new = xi - step
+            inside = (a < new) & (new < b)
+            if not np.all(done | inside):
+                (f_a, f_b), (d_a, d_b) = bracket[1:, :, live]
+                for fallback in (a - f_a / d_a, b - f_b / d_b, 0.5 * (a + b)):
+                    new = np.where((a < new) & (new < b), new, fallback)
+            x[live] = np.where(done & ~inside, xi, new)
+            live = live[~done]
+    return x, d_x
 
 
-def _numeric_inverse(func: Callable[[float], float], s: float) -> float:
-    """Invert a strictly increasing func with func(0) = 0 near the origin."""
-    if s == 0:
-        return 0.0
-    lo, hi = (0.0, 1.0) if s > 0 else (-1.0, 0.0)
-    return solve_increasing(lambda t: func(t) - s, lo, hi, 1e-15, f"could not bracket inverse at {s!r}")
+class InverseError(SpecError):
+    """G does not reach ``s`` before it stops being finite: G^-1(s) has no value."""
+
+    def __init__(self, s: float):
+        super().__init__(f"could not bracket inverse at {s!r}")
+        self.s = s
+
+
+def _long(x) -> np.longdouble:
+    """x as np.longdouble: a rational from its exact numerator and denominator, a float exactly."""
+    if not _is_rational(x):
+        return np.longdouble(x)
+    return np.longdouble(x.numerator) / np.longdouble(x.denominator)
+
+
+def _numeric_inverse(G, dG, s, G_long):
+    """t with G(t) = s for each element of s, for an increasing G with G(0) = 0.
+
+    Each element solves for u = |t| on sign(s) (G(sign(s) u) - s), which
+    increases in u with slope G'.  Its bracket starts at [0, 1] and doubles
+    its high end, the low end moving up to the last high end, until G there
+    reaches s (at most 200 times).  Where G stops being finite first, or no
+    bracket is found, InverseError names the first such s.  ``_newton`` then
+    solves with the exact slope dG, and one last Newton step takes the
+    residual G(t) - s from ``G_long``, which evaluates G in np.longdouble
+    from exact constants.  With the 64-bit mantissa np.longdouble has on
+    x86-64 Linux, that step rounds t to the double nearest the root except
+    in rare near-ties.  s == 0 gives exactly 0.0.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.zeros(s.size)
+    i = np.flatnonzero(s)
+    if not i.size:
+        return t.reshape(s.shape)
+    goal = s.ravel()[i]
+    sign = np.where(goal > 0, 1.0, -1.0)
+
+    def f(u, j):
+        return sign[j] * (G(sign[j] * u) - goal[j])
+
+    lo, hi, f_lo = np.zeros(i.size), np.ones(i.size), -np.abs(goal)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f_hi = f(hi, slice(None))
+        short = ~(f_hi >= 0)  # the root lies past hi, or G is nan there
+        for _ in range(200):
+            grow = np.flatnonzero(short & np.isfinite(f_hi))
+            if not grow.size:
+                break
+            lo[grow], f_lo[grow] = hi[grow], f_hi[grow]
+            hi[grow] *= 2
+            f_hi[grow] = f(hi[grow], grow)
+            short[grow] = ~(f_hi[grow] >= 0)
+        if short.any():
+            raise InverseError(float(goal[np.argmax(short)]))
+        d_lo, d_hi = dG(sign * lo), dG(sign * hi)
+        u = 0.5 * (lo + hi)
+        for start in (lo - f_lo / d_lo, hi - f_hi / d_hi):
+            u = np.where((lo < start) & (start < hi), start, u)
+        u, d = _newton(lambda u, j: (f(u, j), dG(sign[j] * u)), u, lo, hi, f_lo, f_hi, d_lo, d_hi)
+        x = sign * u
+        step = (G_long(x) - goal.astype(np.longdouble)) / d
+    t[i] = np.where(np.isfinite(step), x - step, x)
+    return t.reshape(s.shape)
 
 
 class Entropy:
@@ -222,7 +309,8 @@ class Entropy:
         raise UnsupportedRepresentation(f"{self.name} has no group exponential")
 
     def _F(self, s):
-        return _numeric_inverse(lambda t: float(self._G(t)), s)
+        # _G_long: _G in np.longdouble from exact constants, for the inverse's last step
+        return _numeric_inverse(self._G, self._dG, s, self._G_long)
 
     def dh(self, t):
         """h'(t) = G'(t) - G''(t), the slope of the stationarity function G - G'."""
@@ -243,12 +331,10 @@ class Entropy:
         return c * c * self._d2G(c * t)
 
     def F(self, s):
-        """Inverse of G on the relevant real domain (closed form or numeric)."""
+        """Inverse of G on the relevant real domain (closed form or numeric), elementwise."""
         if not self.has_exponential:
             raise UnsupportedRepresentation(f"{self.name} has no group exponential")
-        if np.ndim(s):
-            return np.array([self.F(v) for v in np.asarray(s, dtype=float).tolist()])
-        return self._F(s) / float(self.scale)
+        return self._F(np.asarray(s, dtype=float)) / float(self.scale)
 
     def base_a_sequence(self, count: int) -> list[Fraction]:
         """Exact a_k, k = 0..count-1, before the scale-constant rescaling."""
@@ -342,6 +428,7 @@ class ExponentialSum(Entropy):
         self._G_terms = tuple((float(r), float(k)) for r, k in exact.items())
         self._dG_terms = tuple((float(r), float(k * r / s)) for r, k in exact.items())
         self._d2G_terms = tuple((float(r), float(k * r * r / s)) for r, k in exact.items())
+        self._G_long_terms = tuple((_long(r), _long(k / s)) for r, k in exact.items())
         # h' = G' - G'' at scale c, as one sum over e^(r c t)
         c = Fraction(scale_c)
         self._dh_terms = tuple((float(r), float(-k * c * r * (c * r - 1) / s)) for r, k in exact.items())
@@ -356,6 +443,9 @@ class ExponentialSum(Entropy):
 
     def _G(self, t):
         return self._sum(np.expm1, self._G_terms, t) / self._sigma
+
+    def _G_long(self, t):
+        return self._sum(np.expm1, self._G_long_terms, np.asarray(t, dtype=np.longdouble))
 
     def _dG(self, t):
         return self._sum(np.exp, self._dG_terms, t)
@@ -380,7 +470,9 @@ class ExponentialSum(Entropy):
         return self.G(np.log(x))
 
     def log_inverse(self, y):
-        return math.exp(self.F(y))
+        # math.exp, not np.exp: their last bits differ on some doubles, and Z keeps them
+        f = self.F(y)
+        return np.array([math.exp(v) for v in f.tolist()]) if np.ndim(f) else math.exp(f)
 
 
 class Tsallis(ExponentialSum):
@@ -419,7 +511,9 @@ class Tsallis(ExponentialSum):
             base = np.maximum(base, 0.0)
         elif np.any(base <= 0):
             raise SpecError(f"the q-exponential has no value at {y!r} for q > 1")
-        return base ** (1.0 / (s * float(self.scale)))
+        e = 1.0 / (s * float(self.scale))
+        # elementwise scalar powers: numpy's array power differs in the last bit on some doubles
+        return np.array([np.float64(b) ** e for b in base.tolist()]) if np.ndim(base) else base ** e
 
 
 class Kaniadakis(ExponentialSum):
@@ -637,9 +731,17 @@ class GenericEntropy(Entropy):
             raise SpecError("a-sequence coefficients must fit in a float")
         self._dfloat = self._float.derivative()
         self._d2float = self._dfloat.derivative()
+        self._long_coeffs = [_long(c) for c in reversed(self._series.coeffs)]
 
     def _G(self, t):
         return self._float.eval(t)
+
+    def _G_long(self, t):
+        t = np.asarray(t, dtype=np.longdouble)
+        acc = np.longdouble(0)
+        for c in self._long_coeffs:  # Horner, as TruncatedSeries.eval
+            acc = acc * t + c
+        return acc
 
     def _dG(self, t):
         return self._dfloat.eval(t)

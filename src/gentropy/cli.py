@@ -221,18 +221,19 @@ _CHECKS = {
     "lesche": lambda spec, a: axioms.lesche_probe(spec, a.states, a.perturbation, a.trials, a.seed),
 }
 # The per-axiom flags of `check`, by argparse dest, with their defaults, and
-# the ones each single check reads.  argparse leaves them None, so that
-# cmd_check can tell a flag given from one left out.
+# the ones each single check reads, each mapped to the flag whose presence
+# makes the check ignore it (None: read whenever given).  argparse leaves them
+# None, so that cmd_check can tell a flag given from one left out.
 CHECK_DEFAULTS = {"dist": None, "states": 8, "wa": 2, "wb": 3, "trials": 100, "seed": 0,
                   "perturbation": 1e-4}
 CHECK_READS = {
-    "sk2": ("states", "trials", "seed"),
-    "sk3": ("dist", "states"),
-    "weak-composability": ("wa", "wb"),
-    "strict-composability": ("wa", "wb", "trials", "seed"),
-    "concavity": (),
-    "concavity-condition": (),  # it reads the shared --order
-    "lesche": ("states", "perturbation", "trials", "seed"),
+    "sk2": dict.fromkeys(("states", "trials", "seed")),
+    "sk3": {"dist": None, "states": "dist"},  # --states only sizes the uniform stand-in for --dist
+    "weak-composability": dict.fromkeys(("wa", "wb")),
+    "strict-composability": dict.fromkeys(("wa", "wb", "trials", "seed")),
+    "concavity": {},
+    "concavity-condition": {},  # it reads the shared --order
+    "lesche": dict.fromkeys(("states", "perturbation", "trials", "seed")),
 }
 # The one table of --axiom names, read by the flag's choices and by cmd_check:
 # the checks each name runs, then those it runs only for a spec with a
@@ -245,12 +246,15 @@ def cmd_check(args) -> int:
     spec = build_entropy(args)
     checks, composed = AXIOMS[args.axiom]
     names = checks + (composed if spec.has_group_law else ())
-    reads = {dest for name in names for dest in CHECK_READS[name]}
+    reads = {dest for name in names for dest, unless in CHECK_READS[name].items()
+             if unless is None or getattr(args, unless) is None}
     for dest, default in CHECK_DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
         elif dest not in reads:
-            why = " without a composition rule" if any(dest in CHECK_READS[n] for n in composed) else ""
+            unless = {CHECK_READS[n].get(dest) for n in names} - {None}
+            why = (f" with --{unless.pop()}" if unless else
+                   " without a composition rule" if any(dest in CHECK_READS[n] for n in composed) else "")
             raise UsageError(f"--axiom {args.axiom} does not read --{dest} for --entropy {args.entropy}{why}")
     if args.trials < 0:
         raise UsageError(f"--trials must be nonnegative, got {args.trials}")

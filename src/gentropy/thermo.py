@@ -8,7 +8,7 @@ separately for ranges where W fits in a double.
 
 Canonical MaxEnt solves the stationarity condition h(ln 1/p_i) = alpha +
 beta E_i, h = kB (G - G'), with one safeguarded array Newton iteration
-(``_newton``) and exact slopes from ``Entropy.dh``: every level at once in
+(``catalog._newton``) and exact slopes from ``Entropy.dh``: every level at once in
 t = ln 1/p (levels clamped to [_P_LO, _P_HI] are masked and never
 evaluated), alpha on -ln sum p, and in target-U mode beta on the shortfall
 target - U.  Each solve is warm-started from the one before.
@@ -24,7 +24,15 @@ import numpy as np
 # never called here: bound only because the benchmark's tracer wraps thermo.brentq by name
 from scipy.optimize import brentq  # noqa: F401
 
-from .catalog import Distribution, Entropy, SpecError, UnsupportedRepresentation, bracket_increasing
+from .catalog import (
+    Distribution,
+    Entropy,
+    InverseError,
+    SpecError,
+    UnsupportedRepresentation,
+    _newton,
+    bracket_increasing,
+)
 
 _MAX_EXP = 700.0  # exp() overflow guard
 
@@ -37,7 +45,7 @@ class OccupationLaw:
     ln_W: tuple[float, ...] = ()  # ln W(N) for N = 0, 1, ... as far as checked
 
     def log_W(self, N: float) -> float:
-        return float(self.spec.F(N / self.spec.kB))
+        return float(self.spec.F(N))
 
     def W(self, N: float) -> float:
         lw = self.log_W(N)
@@ -50,26 +58,28 @@ def occupation_law(spec: Entropy, N_max: int = 100) -> OccupationLaw:
     """Build W(N) = exp(F(N)) and test admissibility on 0..N_max.
 
     Admissible means: F defined and finite on the whole range, W(0) = 1,
-    W strictly increasing and unbounded-looking (F increasing).
+    W strictly increasing and unbounded-looking (F increasing).  F is taken
+    over the whole range in one call; ``reason`` names the first N that
+    fails, and ``ln_W`` holds the values before it.
     """
     if not spec.has_exponential:
         raise UnsupportedRepresentation(f"{spec.name} has no group exponential")
     if N_max < 0:
         raise SpecError(f"N_max must be nonnegative, got {N_max}")
-    ln_W = []
-    for N in range(0, N_max + 1):
-        try:
-            lw = float(spec.F(N / spec.kB))
-        except (ValueError, SpecError, ZeroDivisionError, OverflowError):
-            return OccupationLaw(spec, False, f"F undefined at N={N}", tuple(ln_W))
-        if not math.isfinite(lw):
-            return OccupationLaw(spec, False, f"F not finite at N={N}", tuple(ln_W))
-        if N == 0 and lw != 0.0:
-            return OccupationLaw(spec, False, "W(0) != 1", tuple(ln_W))
-        if ln_W and lw <= ln_W[-1]:
-            return OccupationLaw(spec, False, f"W not increasing at N={N}", tuple(ln_W))
-        ln_W.append(lw)
-    return OccupationLaw(spec, True, "", tuple(ln_W))
+    N = np.arange(N_max + 1.0)
+    try:
+        ln_W, reason = spec.F(N), ""
+    except InverseError as exc:  # F is defined below the first N it raises at
+        ln_W, reason = spec.F(N[:int(exc.s)]), f"F undefined at N={int(exc.s)}"
+    finite = np.isfinite(ln_W)
+    rising = np.r_[ln_W[:1] == 0.0, ln_W[1:] > ln_W[:-1]]
+    bad = np.flatnonzero(~(finite & rising))
+    if bad.size:
+        k = int(bad[0])
+        reason = (f"F not finite at N={k}" if not finite[k] else "W(0) != 1" if k == 0
+                  else f"W not increasing at N={k}")
+        ln_W = ln_W[:k]
+    return OccupationLaw(spec, not reason, reason, tuple(ln_W.tolist()))
 
 
 def microcanonical(spec: Entropy, W: float) -> float:
@@ -107,22 +117,19 @@ def extensivity_check(
         law = occupation_law(spec, N_max)
     if not law.valid:
         raise SpecError(f"occupation law not admissible: {law.reason}")
-    worst = 0.0
-    worst_rounded = None
-    rows = []
-    for N in range(1, N_max + 1):
-        lw = law.ln_W[N]
-        s = spec.kB * float(spec.G(lw))
-        resid = abs(s - spec.kB * N)
-        worst = max(worst, resid)
-        r_resid = None
-        if lw < _MAX_EXP:
-            w_round = max(1.0, round(math.exp(lw)))
-            s_round = spec.kB * float(spec.G(math.log(w_round)))
-            r_resid = abs(s_round - spec.kB * N)
-            worst_rounded = max(worst_rounded or 0.0, r_resid)
-        rows.append((N, lw, s, resid, r_resid))
-    return ExtensivityReport(worst, worst_rounded, rows)
+    kB, N = spec.kB, np.arange(1, N_max + 1)
+    lw = np.array(law.ln_W[1:N_max + 1])
+    s = kB * spec.G(lw)
+    resid = np.abs(s - kB * N)
+    # W rounded to an integer where it fits in a double; math.exp and math.log
+    # elementwise, as their last bits differ from numpy's on some doubles
+    fits = lw[lw < _MAX_EXP].tolist()
+    w_round = [max(1.0, round(math.exp(v))) for v in fits]
+    r_resid = np.abs(kB * spec.G(np.array([math.log(w) for w in w_round])) - kB * N[:len(fits)])
+    rows = list(zip(N.tolist(), lw.tolist(), s.tolist(), resid.tolist(),
+                    r_resid.tolist() + [None] * (N_max - len(fits))))
+    return ExtensivityReport(float(np.fmax.reduce(resid, initial=0.0)),
+                             float(np.fmax.reduce(r_resid, initial=0.0)) if fits else None, rows)
 
 
 @dataclass(frozen=True)
@@ -159,48 +166,6 @@ _P_HI = 1.0 - 1e-15
 _T_LO, _T_HI = -np.log(_P_HI), -np.log(_P_LO)  # t = ln 1/p at the clamps
 _T_INSIDE = (np.nextafter(_T_LO, np.inf), np.nextafter(_T_HI, 0.0))
 _REACH = 2.0 ** 200  # the alpha bracket is clipped to [-_REACH, _REACH]
-
-
-def _newton(fdf, x, lo, hi, f_lo, f_hi, d_lo, d_hi):
-    """Roots of increasing functions by safeguarded Newton steps, one per element of x.
-
-    ``fdf(x, i)`` gives the functions of the elements i and their exact slopes
-    at x.  Each element keeps a bracket lo < x < hi across which its function
-    changes sign, with the values f and slopes d at both ends.  A Newton step
-    that leaves the bracket is replaced by a Newton step from an end that lands
-    inside, or else by bisection.  An element freezes once its Newton step, or
-    its bracket, is within 4 ulp of max(|x|, 1); that is decided before any
-    fallback, so a converged step that rounds onto an end does not bisect.  Its
-    last step is taken if it stays inside.  An element still live after 200
-    steps keeps its x.  Returns x and the slope at the last x evaluated.
-    """
-    x = np.array(x, dtype=float)
-    d_x = np.empty_like(x)
-    bracket = np.empty((3, 2, x.size))  # x, f and d at the low and the high end
-    for row, value in zip(bracket.reshape(6, -1), (lo, hi, f_lo, f_hi, d_lo, d_hi)):
-        row[...] = value
-    live = np.arange(x.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(200):
-            if not live.size:
-                break
-            xi = x[live]
-            f, d = fdf(xi, live)
-            d_x[live] = d
-            bracket[:, (f > 0).astype(int), live] = xi, f, d
-            a, b = bracket[0, :, live].T
-            step = f / d
-            tol = 4 * np.spacing(np.maximum(np.abs(xi), 1.0))
-            done = (f == 0) | (np.abs(step) <= tol) | (b - a <= tol)
-            new = xi - step
-            inside = (a < new) & (new < b)
-            if not np.all(done | inside):
-                (f_a, f_b), (d_a, d_b) = bracket[1:, :, live]
-                for fallback in (a - f_a / d_a, b - f_b / d_b, 0.5 * (a + b)):
-                    new = np.where((a < new) & (new < b), new, fallback)
-            x[live] = np.where(done & ~inside, xi, new)
-            live = live[~done]
-    return x, d_x
 
 
 def _stationarity(spec: Entropy, t):
@@ -304,11 +269,14 @@ def _solution(spec: Entropy, energies: tuple, levels: _Levels) -> MaxEntSolution
 
 
 def _partition_value(spec: Entropy, energies, beta: float) -> float:
-    """sum_i E(-beta E_i), or nan where the log inverse does not exist there."""
+    """sum_i E(-beta E_i), summed left to right; nan where the log inverse does not exist there,
+    inf where a term is past the largest double."""
     try:
-        return float(sum(spec.log_inverse(-beta * e) for e in energies))
+        return float(sum(spec.log_inverse(-beta * np.asarray(energies, dtype=float)).tolist()))
     except SpecError:
         return math.nan
+    except OverflowError:  # math.exp raises where np.exp gives inf
+        return math.inf
 
 
 def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:

@@ -28,7 +28,6 @@ from gentropy.catalog import (
     UnsupportedRepresentation,
     _numeric_inverse,
     elementary_functional,
-    solve_increasing,
 )
 
 FIX = Distribution([0.5, 0.3, 0.2])
@@ -227,13 +226,13 @@ class TestGroupEntropy:
         calls = []
 
         def G(t):
-            calls.append(t)
-            return float(s3._G(t))
+            calls.extend(t.tolist())
+            return s3._G(t)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SpecError, match="could not bracket"):
-                _numeric_inverse(G, -1.0)
+                _numeric_inverse(G, s3._dG, np.array([-1.0]), s3._G_long)
         assert min(calls) > -2.0 ** 13  # e^(0.4 |t|) overflows past |t| = 1774
 
     def test_array_inverse_names_a_plain_float(self):
@@ -287,18 +286,34 @@ class TestGroupEntropy:
             )
 
 
-class TestSolveIncreasing:
-    def test_no_x_is_evaluated_twice(self):
+class TestNumericInverse:
+    def test_no_point_is_evaluated_twice_per_element(self):
+        # G(t) = t^3/3 + t; elements are solved independently, so one element per call shows each one's points
         calls = []
 
-        def f(x):
-            calls.append(x)
-            return x ** 3 - 20.0
+        def G(t):
+            calls.extend(t.tolist())
+            return t ** 3 / 3 + t
 
-        root = solve_increasing(f, -1.0, 1.0, 1e-15, "no root")
-        assert root == pytest.approx(20.0 ** (1 / 3), rel=1e-14)
-        assert max(calls) == 4.0  # the bracket grew to [-1, 4]
-        assert len(calls) == len(set(calls))
+        def G_long(t):
+            t = np.asarray(t, dtype=np.longdouble)
+            return t ** 3 / 3 + t
+
+        for s in (-20.0, 0.5, 20.0, 300.0):
+            calls.clear()
+            (t,) = _numeric_inverse(G, lambda t: t * t + 1, np.array([s]), G_long)
+            assert t ** 3 / 3 + t == pytest.approx(s, rel=1e-15)
+            assert len(calls) == len(set(calls)), s
+            assert 0.0 not in calls  # G(0) = 0 is known
+        assert 16.0 in calls and 32.0 not in calls  # s = 300: the bracket grew to [8, 16]
+
+    def test_elements_are_solved_independently(self):
+        spec = BorgesRoditi(Fraction(1, 2), Fraction(-1, 3))
+        s = np.array([3.0, -2.0, 0.0, 150.0, 0.5])
+        whole = _numeric_inverse(spec._G, spec._dG, s, spec._G_long)
+        alone = [_numeric_inverse(spec._G, spec._dG, np.array([v]), spec._G_long)[0] for v in s]
+        assert whole.tobytes() == np.array(alone).tobytes()
+        assert whole[2] == 0.0
 
 
 class TestSDelta:

@@ -7,6 +7,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -298,14 +299,20 @@ class TestCheckFlags:
             (["--axiom", "concavity", "--trials", "5", "--seed", "3", "--states", "4", "--wa", "5",
               "--perturbation", "0.5"], "--states"),
             (["--axiom", "sk2", "--order", "3", "--wb", "5", "--perturbation", "0.5"], "--wb"),
+            (["--axiom", "sk3", "--dist", "uniform:3", "--states", "4"], "--states"),
         ],
-        ids=["concavity", "sk2"],
+        ids=["concavity", "sk2", "sk3 with --dist"],
     )
     def test_unread_flags_are_usage_errors(self, capsys, flags, unread):
-        # both commands once printed the same bytes as without their unread flags
+        # each command once printed the same bytes as without its unread flags
         code, out, err = run(capsys, "check", "--entropy", "bg", *flags)
         assert is_usage_error(code, out, err)
         assert unread in err and flags[1] in err
+
+    def test_states_is_read_through_sk2_when_sk3_has_a_dist(self, capsys):
+        flags = ["check", "--entropy", "bg", "--axiom", "all", "--dist", "uniform:3", "--trials", "5"]
+        code, out, err = run(capsys, *flags, "--states", "4")
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("axiom", list(AXIOMS))
     def test_flag_table(self, capsys, axiom):
@@ -387,6 +394,17 @@ class TestMaxent:
         assert math.isnan(fields["Z"])
         assert "legendre_residual" not in fields
 
+    def test_partition_value_past_the_largest_double_is_inf(self, capsys, tmp_path):
+        # E(1e17) = exp(arcsinh(1e17 / 20) * 20) overflows; it once raised OverflowError with a traceback
+        path = tmp_path / "e.txt"
+        path.write_text("0\n1\n2\n")
+        code, out, err = run(
+            capsys, "maxent", "--entropy", "kaniadakis", "--kappa", "1/20",
+            "--energies", str(path), "--beta=-1e17",
+        )
+        assert (code, err) == (0, "")
+        assert maxent_fields(out)["Z"] == math.inf
+
     def test_scaled_bg_keeps_the_legendre_relation(self, capsys, tmp_path):
         # Log(x) = c ln x and E(y) = e^(y/c) carry the scale constant
         path = tmp_path / "e.txt"
@@ -438,7 +456,8 @@ class TestOccupation:
         assert float(n3[1]) == pytest.approx(3.0)
 
     def test_numeric_inverse_table_unchanged(self, capsys):
-        # Borges-Roditi has no closed-form F, so every ln W is a brentq solve
+        # Borges-Roditi has no closed-form F, so every ln W comes from the numeric inverse;
+        # each value is correctly rounded (checked against 50-digit roots in test_thermo)
         code, out, _ = run(
             capsys, "occupation", "--entropy", "borges_roditi", "--a", "1/2",
             "--b=-1/3", "--nmax", "4",
@@ -493,9 +512,9 @@ class TestOccupation:
         calls = []
         inverse = catalog._numeric_inverse
 
-        def counting(func, s):
-            calls.append(s)
-            return inverse(func, s)
+        def counting(G, dG, s, G_long):
+            calls.append(s.tolist())
+            return inverse(G, dG, s, G_long)
 
         monkeypatch.setattr(catalog, "_numeric_inverse", counting)
         code, _, _ = run(
@@ -503,7 +522,21 @@ class TestOccupation:
             "--b=-1/3", "--nmax", "150",
         )
         assert code == 0
-        assert calls == [float(N) for N in range(151)]
+        assert calls == [[float(N) for N in range(151)]]
+
+    @pytest.mark.parametrize("flags", [["bg"], ["tsallis", "--q", "1/2"], ["borges_roditi", "--a", "1/2", "--b=-1/3"]],
+                             ids=["bg", "tsallis", "borges_roditi"])
+    def test_kb_scales_the_entropy_not_the_law(self, capsys, flags):
+        # W(N) = exp(F(N)), so S(W(N)) = kB N; the law once solved F(N / kB), and residuals grew as N
+        code, out, _ = run(capsys, "occupation", "--entropy", *flags, "--kb", "2", "--nmax", "50")
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()[2:]]
+        assert [int(r[0]) for r in rows] == list(range(1, 51))
+        for N, lw, W, S, resid in rows:
+            assert float(S) == pytest.approx(2 * int(N), rel=1e-12)
+            assert float(resid) <= 1e-9 * int(N)
+        _, one, _ = run(capsys, "occupation", "--entropy", *flags, "--nmax", "50")
+        assert [r[1] for r in rows] == [line.split("\t")[1] for line in one.splitlines()[2:]]
 
 
 class TestScan:
@@ -712,6 +745,14 @@ class TestRegistry:
             assert (code, err) == (0, "")
         else:
             assert is_usage_error(code, out, err)
+
+    def test_array_F_is_scalar_F_bit_for_bit(self, kind):
+        args = build_parser().parse_args(["eval", "--entropy", kind, *spec_flags(kind), "--dist", "-"])
+        spec = build_entropy(args)
+        if not spec.has_exponential:
+            return
+        s = np.linspace(0.0, 40.0, 161)
+        assert spec.F(s).tobytes() == np.array([spec.F(v) for v in s.tolist()]).tobytes()
 
     def test_scan_spec_builds_what_the_flags_build(self, capsys, kind):
         pairs = [f"{param.name}={VALUES[param.flag]}" for param in KINDS[kind].params]

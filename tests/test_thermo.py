@@ -35,6 +35,38 @@ from gentropy.thermo import (
 )
 
 ENERGIES = (0.0, 0.7, 1.3, 2.0)
+CLOSED_FORM_SPECS = {
+    "bg": BoltzmannGibbs(),
+    "tsallis 1/2": Tsallis(Fraction(1, 2)),
+    "tsallis 3/10": Tsallis(Fraction(3, 10)),
+    "kaniadakis 1/3": Kaniadakis(Fraction(1, 3)),
+    "kaniadakis -3/5 c=2": Kaniadakis(Fraction(-3, 5), scale_c=2),
+}
+INVERSE_SPECS = {
+    "borges_roditi 1/2 -1/3": BorgesRoditi(Fraction(1, 2), Fraction(-1, 3)),
+    "borges_roditi 1/10 -3/5": BorgesRoditi(Fraction(1, 10), Fraction(-3, 5)),
+    "s_iii 4/5": SThird(Fraction(4, 5)),
+    "generic": GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)]),
+}
+KB_SPECS = {  # kind -> the spec at a given kB
+    "bg": lambda kB: BoltzmannGibbs(kB=kB),
+    "tsallis": lambda kB: Tsallis(Fraction(1, 2), kB=kB),
+    "borges_roditi": lambda kB: BorgesRoditi(Fraction(1, 2), Fraction(-1, 3), kB=kB),
+}
+
+
+def scalar_extensivity_rows(spec, ln_W):
+    """The extensivity rows, one scalar G evaluation per N and per rounded W."""
+    rows = []
+    for N in range(1, len(ln_W)):
+        lw = ln_W[N]
+        s = spec.kB * float(spec.G(lw))
+        r_resid = None
+        if lw < 700:
+            w_round = max(1.0, round(math.exp(lw)))
+            r_resid = abs(spec.kB * float(spec.G(math.log(w_round))) - spec.kB * N)
+        rows.append((N, lw, s, abs(s - spec.kB * N), r_resid))
+    return rows
 
 
 def mp_G(spec, t):
@@ -113,6 +145,62 @@ class TestOccupationLaw:
     def test_keeps_the_checked_values(self):
         spec = Kaniadakis(0.3)
         assert occupation_law(spec, 7).ln_W == tuple(float(spec.F(N)) for N in range(8))
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS.values(), ids=CLOSED_FORM_SPECS.keys())
+    def test_closed_forms_match_a_scalar_reference(self, spec):
+        # one array F call over 0..1000 gives the bits of one scalar closed-form call per N
+        law = occupation_law(spec, 1000)
+        ln_W = tuple(float(spec.F(N)) for N in range(1001))
+        assert law.valid and law.ln_W == ln_W
+        assert extensivity_check(spec, 1000, law).rows == scalar_extensivity_rows(spec, ln_W)
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [(GenericEntropy([1, -1]), "F undefined at N=1"),
+         # G peaks at 50 at t = 100; F(47) = 75.5 exists, but the bracket doubles from 64 past the peak
+         (GenericEntropy([1, Fraction(-1, 100)]), "F undefined at N=47"),
+         (Tsallis(Fraction(3, 2)), "F not finite at N=2")],
+        ids=["generic bounded at 1/2", "generic bounded at 50", "tsallis 3/2"],
+    )
+    def test_first_fault_and_the_values_before_it(self, spec, reason):
+        law = occupation_law(spec, 1000)
+        assert (law.valid, law.reason) == (False, reason)
+        N = int(reason.rsplit("=", 1)[1])
+        assert law.ln_W == tuple(float(spec.F(n)) for n in range(N))
+
+    @pytest.mark.parametrize("spec", INVERSE_SPECS.values(), ids=INVERSE_SPECS.keys())
+    def test_numeric_ln_W_is_correctly_rounded(self, spec):
+        # the last Newton step, in np.longdouble, rounds each ln W(N) to the double nearest the
+        # root, except in a near-tie: generic N = 28 sits 0.50012 ulp from it, so 0.501 ulp is allowed
+        ln_W = occupation_law(spec, 300).ln_W
+        assert ln_W[0] == 0.0 and math.copysign(1.0, ln_W[0]) == 1.0
+        with mp.workdps(50):
+            for N, lw in enumerate(ln_W[1:], start=1):
+                root = mp.findroot(lambda t: mp_G(spec, t) - N, mp.mpf(lw))
+                assert abs(mp.mpf(lw) - root) <= 0.501 * math.ulp(lw), N
+
+    @pytest.mark.parametrize("make", KB_SPECS.values(), ids=KB_SPECS.keys())
+    def test_kb_scales_the_entropy_not_the_law(self, make):
+        # W(N) = exp(F(N)) gives S(W(N)) = kB N; F(N / kB) gave N, a residual that grew as N
+        spec = make(2.0)
+        law = occupation_law(spec, 200)
+        assert law.ln_W == occupation_law(make(1.0), 200).ln_W
+        for N, lw, S, resid, _ in extensivity_check(spec, 200, law).rows:
+            assert resid <= 1e-9 * N
+        assert law.log_W(5) == law.ln_W[5]
+
+
+@pytest.mark.parametrize("spec", [*CLOSED_FORM_SPECS.values(), Tsallis(Fraction(5, 4))],
+                         ids=[*CLOSED_FORM_SPECS, "tsallis 5/4"])
+def test_partition_value_keeps_the_scalar_bits(spec):
+    # one log_inverse call over all levels, summed left to right as one scalar call per level was
+    levels = tuple(5 * i / 19 for i in range(20))
+    for beta in (-2.0, 0.5, 1.0, 3.0):
+        try:
+            scalar = float(sum(spec.log_inverse(-beta * e) for e in levels))
+        except SpecError:  # tsallis 5/4 at beta = -2: no q-exponential past 1 + (1-q) y = 0
+            scalar = math.nan
+        assert np.array(thermo._partition_value(spec, levels, beta)).tobytes() == np.array(scalar).tobytes()
 
 
 class TestMicrocanonical:
