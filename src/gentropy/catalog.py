@@ -14,6 +14,9 @@ composition law G(F(x) + F(y)) is the same for every c.
 
 Closed forms are authoritative for evaluation; series expansions are only
 used for coefficient reporting and cross-checks.
+
+Float roots, here and in ``thermo``, are solved on arrays: ``_bracket``
+grows brackets by doubling and ``_newton`` solves in them with exact slopes.
 """
 
 from __future__ import annotations
@@ -134,45 +137,61 @@ def _as_fraction(x) -> Fraction:
     return f
 
 
-def bracket_increasing(f, lo: float, hi: float, failure: str) -> tuple[float, float, float, float]:
-    """lo, hi, f(lo) <= 0 and f(hi) >= 0 for an increasing f, by doubling the wrong-signed end.
+def _bracket(fdf, bracket):
+    """Grow brackets of increasing functions until each function changes sign across its own.
 
-    An end at 0 stays put.  A wrong-signed value that is not finite, or no
-    bracket after 200 doublings, raises SpecError(failure).
+    ``fdf`` and ``bracket`` are ``_newton``'s, both ends filled in.  A high end
+    with f < 0 (or nan) doubles, the low end taking its old place; a low end
+    with f > 0, the reverse.  An element stops where f at that end is not finite,
+    where its slope there is negative (its function has turned), or after 200
+    doublings.  Returns the mask of the elements with no sign change.
     """
-    f_lo, f_hi = f(lo), f(hi)
+    live = np.arange(bracket.shape[2])  # the elements that grew last
     for _ in range(200):
-        if f_lo <= 0 <= f_hi:
-            return lo, hi, f_lo, f_hi
-        if not math.isfinite(f_hi if f_lo <= 0 else f_lo):
+        _, (f_a, f_b), (d_a, d_b) = bracket[:, :, live]
+        up = ~(f_b >= 0)  # the high end is wrong-signed; else the low end may be
+        grow = (up | (f_a > 0)) & np.isfinite(np.where(up, f_b, f_a)) & ~(np.where(up, d_b, d_a) < 0)
+        live, side = live[grow], up[grow].astype(int)
+        if not live.size:
             break
-        if f_lo <= 0:
-            hi, f_hi = 2 * hi, f(2 * hi)
-        else:
-            lo, f_lo = 2 * lo, f(2 * lo)
-    raise SpecError(failure)
+        moved = bracket[:, side, live]
+        bracket[:, 1 - side, live] = moved
+        x = 2 * moved[0]
+        bracket[:, side, live] = x, *fdf(x, live)
+    _, (f_a, f_b) = bracket[:2]
+    return ~((f_a <= 0) & (f_b >= 0))
 
 
-def _newton(fdf, x, lo, hi, f_lo, f_hi, d_lo, d_hi):
-    """Roots of increasing functions by safeguarded Newton steps, one per element of x.
+def _inside(bracket, x):
+    """x where it lies inside its bracket, else the Newton step from an end that does, else the
+    midpoint; but an end where f is 0, where there is one."""
+    (a, b), (f_a, f_b), (d_a, d_b) = bracket
+    for fallback in (a - f_a / d_a, b - f_b / d_b, 0.5 * (a + b)):
+        x = np.where((a < x) & (x < b), x, fallback)
+    return np.where(f_a == 0, a, np.where(f_b == 0, b, x))
+
+
+def _newton(fdf, bracket, x=None):
+    """Roots of increasing functions by safeguarded Newton steps, one per element.
 
     ``fdf(x, i)`` gives the functions of the elements i and their exact slopes
-    at x.  Each element keeps a bracket lo < x < hi across which its function
-    changes sign, with the values f and slopes d at both ends.  A Newton step
-    that leaves the bracket is replaced by a Newton step from an end that lands
-    inside, or else by bisection.  An element freezes once its Newton step, or
-    its bracket, is within 4 ulp of max(|x|, 1); that is decided before any
-    fallback, so a converged step that rounds onto an end does not bisect.  Its
-    last step is taken if it stays inside.  An element still live after 200
-    steps keeps its x.  Returns x and the slope at the last x evaluated.
+    at x.  ``bracket`` (3, 2, n) holds x, f and the slope d at both ends of
+    each element's bracket, across which its function changes sign, and is
+    updated in place.  ``_inside`` places an x outside it (every x, with none
+    given) and a Newton step that leaves it.  An element freezes once its
+    Newton step, or its bracket, is within 4 ulp of max(|x|, 1); that is
+    decided before any fallback, so a converged step that rounds onto an end
+    does not bisect.  Its last step is taken if it stays inside.  An element
+    still live after 200 steps keeps its x.  Returns x and the slope at the
+    last x evaluated.
     """
-    x = np.array(x, dtype=float)
-    d_x = np.empty_like(x)
-    bracket = np.empty((3, 2, x.size))  # x, f and d at the low and the high end
-    for row, value in zip(bracket.reshape(6, -1), (lo, hi, f_lo, f_hi, d_lo, d_hi)):
-        row[...] = value
-    live = np.arange(x.size)
+    n = bracket.shape[2]
+    d_x = np.empty(n)
+    live = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.full(n, np.nan) if x is None else np.array(x, dtype=float)
+        if not np.all((bracket[0, 0] < x) & (x < bracket[0, 1])):
+            x = _inside(bracket, x)
         for _ in range(200):
             if not live.size:
                 break
@@ -187,16 +206,14 @@ def _newton(fdf, x, lo, hi, f_lo, f_hi, d_lo, d_hi):
             new = xi - step
             inside = (a < new) & (new < b)
             if not np.all(done | inside):
-                (f_a, f_b), (d_a, d_b) = bracket[1:, :, live]
-                for fallback in (a - f_a / d_a, b - f_b / d_b, 0.5 * (a + b)):
-                    new = np.where((a < new) & (new < b), new, fallback)
+                new = _inside(bracket[:, :, live], new)
             x[live] = np.where(done & ~inside, xi, new)
             live = live[~done]
     return x, d_x
 
 
 class InverseError(SpecError):
-    """G does not reach ``s`` before it stops being finite: G^-1(s) has no value."""
+    """G does not reach ``s`` before it stops being finite or turns: G^-1(s) has no value."""
 
     def __init__(self, s: float):
         super().__init__(f"could not bracket inverse at {s!r}")
@@ -211,14 +228,15 @@ def _long(x) -> np.longdouble:
 
 
 def _numeric_inverse(G, dG, s, G_long):
-    """t with G(t) = s for each element of s, for an increasing G with G(0) = 0.
+    """t with G(t) = s for each element of s, for a G with G(0) = 0 that rises from 0.
 
-    Each element solves for u = |t| on sign(s) (G(sign(s) u) - s), which
-    increases in u with slope G'.  Its bracket starts at [0, 1] and doubles
-    its high end, the low end moving up to the last high end, until G there
-    reaches s (at most 200 times).  Where G stops being finite first, or no
-    bracket is found, InverseError names the first such s.  ``_newton`` then
-    solves with the exact slope dG, and one last Newton step takes the
+    Each element solves for u = |t| on sign(s) (G(sign(s) u) - s), whose slope
+    in u is G'.  ``_bracket`` grows its bracket from [0, 1].  Where G turns
+    first, ``_newton`` finds its turning point t* on -G', with slope -G'' =
+    -Im G'(t + ih) / h from a complex step h = 1e-100 (so dG must take
+    complex t); if G(t*) reaches s, t* is the high end.  Where G stops being
+    finite or turns first, InverseError names the first such s.  ``_newton``
+    then solves with the exact slope dG, and one last Newton step takes the
     residual G(t) - s from ``G_long``, which evaluates G in np.longdouble
     from exact constants.  With the 64-bit mantissa np.longdouble has on
     x86-64 Linux, that step rounds t to the double nearest the root except
@@ -232,28 +250,30 @@ def _numeric_inverse(G, dG, s, G_long):
     goal = s.ravel()[i]
     sign = np.where(goal > 0, 1.0, -1.0)
 
-    def f(u, j):
-        return sign[j] * (G(sign[j] * u) - goal[j])
+    def fdf(u, j):
+        return sign[j] * (G(sign[j] * u) - goal[j]), dG(sign[j] * u)
 
-    lo, hi, f_lo = np.zeros(i.size), np.ones(i.size), -np.abs(goal)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f_hi = f(hi, slice(None))
-        short = ~(f_hi >= 0)  # the root lies past hi, or G is nan there
-        for _ in range(200):
-            grow = np.flatnonzero(short & np.isfinite(f_hi))
-            if not grow.size:
-                break
-            lo[grow], f_lo[grow] = hi[grow], f_hi[grow]
-            hi[grow] *= 2
-            f_hi[grow] = f(hi[grow], grow)
-            short[grow] = ~(f_hi[grow] >= 0)
+        bracket = np.empty((3, 2, i.size))  # [0, 1], where G(0) = 0 is known
+        bracket[0], bracket[1, 0], bracket[2, 0] = [[0.0], [1.0]], -np.abs(goal), dG(0.0)
+        bracket[1:, 1] = fdf(bracket[0, 1], slice(None))
+        short = _bracket(fdf, bracket)
+        k = np.flatnonzero(short & (bracket[2, 1] < 0))  # G turned before it reached s
+        if k.size:
+            def turn(u, j):
+                g = dG(sign[k[j]] * u + 1e-100j)
+                return -g.real, -sign[k[j]] * g.imag * 1e100
+
+            top = bracket[:, :, k]
+            top[1:] = turn(top[0], slice(None))
+            u, _ = _newton(turn, top)
+            f, d = fdf(u, k)
+            reach = f >= 0
+            bracket[:, 1, k[reach]] = u[reach], f[reach], d[reach]
+            short[k[reach]] = False
         if short.any():
             raise InverseError(float(goal[np.argmax(short)]))
-        d_lo, d_hi = dG(sign * lo), dG(sign * hi)
-        u = 0.5 * (lo + hi)
-        for start in (lo - f_lo / d_lo, hi - f_hi / d_hi):
-            u = np.where((lo < start) & (start < hi), start, u)
-        u, d = _newton(lambda u, j: (f(u, j), dG(sign[j] * u)), u, lo, hi, f_lo, f_hi, d_lo, d_hi)
+        u, d = _newton(fdf, bracket)
         x = sign * u
         step = (G_long(x) - goal.astype(np.longdouble)) / d
     t[i] = np.where(np.isfinite(step), x - step, x)
@@ -349,8 +369,8 @@ class Entropy:
         return [ak * c ** k for k, ak in enumerate(base)]
 
     def exp_series(self, order: int) -> TruncatedSeries:
-        """Truncated expansion of the group exponential, exact coefficients."""
-        return from_a_sequence(self.a_sequence(order), order)
+        """Truncated expansion of G at scale 1, exact: its law G(F(x) + F(y)) holds at every c."""
+        return from_a_sequence(self.base_a_sequence(order), order)
 
     def expansion_coefficients(self, count: int) -> list[Fraction]:
         """Coefficients a_{k-1} c^k / k of S/kB = sum_k coefficient_k S_k."""

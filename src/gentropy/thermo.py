@@ -11,7 +11,8 @@ beta E_i, h = kB (G - G'), with one safeguarded array Newton iteration
 (``catalog._newton``) and exact slopes from ``Entropy.dh``: every level at once in
 t = ln 1/p (levels clamped to [_P_LO, _P_HI] are masked and never
 evaluated), alpha on -ln sum p, and in target-U mode beta on the shortfall
-target - U.  Each solve is warm-started from the one before.
+target - U, whose bracket ``catalog._bracket`` grows from [0, 1] or [-1, 0].
+Each solve is warm-started from the one before.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .catalog import (
     InverseError,
     SpecError,
     UnsupportedRepresentation,
+    _bracket,
     _newton,
-    bracket_increasing,
 )
 
 _MAX_EXP = 700.0  # exp() overflow guard
@@ -164,7 +165,6 @@ class MaxEntSolution:
 _P_LO = 1e-15
 _P_HI = 1.0 - 1e-15
 _T_LO, _T_HI = -np.log(_P_HI), -np.log(_P_LO)  # t = ln 1/p at the clamps
-_T_INSIDE = (np.nextafter(_T_LO, np.inf), np.nextafter(_T_HI, 0.0))
 _REACH = 2.0 ** 200  # the alpha bracket is clipped to [-_REACH, _REACH]
 
 
@@ -198,8 +198,10 @@ def _invert_h(spec: Entropy, target: np.ndarray, ends: tuple, t: np.ndarray):
     w = np.zeros(t.shape)
     if free.any():
         goal = target[free]
+        bracket = np.empty((3, 2, goal.size))
+        bracket[0], bracket[1], bracket[2] = [[_T_LO], [_T_HI]], (h_hi - goal, h_lo - goal), [[d_hi], [d_lo]]
         x, d = _newton(lambda x, i: (_stationarity(spec, x) - goal[i], spec.kB * spec.dh(x)),
-                       np.clip(t[free], *_T_INSIDE), _T_LO, _T_HI, h_hi - goal, h_lo - goal, d_hi, d_lo)
+                       bracket, t[free])
         t[free] = x
         w[free] = np.exp(-x) / d
     p = np.exp(-t)
@@ -226,10 +228,12 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
     """
     h_lo, h_hi = ends[:2]
     bE = beta * E
-    if start is None:  # t of the Gibbs weights, and the alpha that fits the lowest level to it
+    if start is None:  # t of the Gibbs weights, and the alpha that fits the lowest level to it,
+        # or frees that level from _P_HI: -ln sum p has a kink where the level clamps
         low = int(np.argmin(bE))
         t = bE - bE[low] + math.log(np.exp(bE[low] - bE).sum())
-        alpha = float(_stationarity(spec, np.clip(t[low:low + 1], *_T_INSIDE))[0] - bE[low])
+        alpha = max(float(_stationarity(spec, t[low:low + 1])[0] - bE[low]),
+                    np.nextafter(h_hi - bE[low], math.inf))
     else:
         t, alpha, w = start.t, start.alpha, start.w
         if w.sum() > 0:
@@ -253,8 +257,7 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
         last = float(a[0]), levels
         return np.array([f]), np.array([d])
 
-    a0 = min(max(alpha, np.nextafter(lo, hi)), np.nextafter(hi, lo))
-    (alpha,), _ = _newton(fdf, np.array([a0]), lo, hi, f_lo, f_hi, d_lo, d_hi)
+    (alpha,), _ = _newton(fdf, np.array([[[lo], [hi]], [[f_lo], [f_hi]], [[d_lo], [d_hi]]]), [alpha])
     a_last, (p, t, w) = last
     p = p - (alpha - a_last) * w  # the last step, taken in p to first order
     return _Levels(float(alpha), beta, p / p.sum(), t, w)
@@ -282,32 +285,29 @@ def _partition_value(spec: Entropy, energies, beta: float) -> float:
 def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
     """The levels whose mean energy is target, by Newton on the shortfall target - U(beta).
 
-    Its slope is -dU/dbeta = sum w E^2 - (sum w E)^2 / sum w.  U(0) is the mean
-    level, so the bracket is doubled out from [0, 1] or [-1, 0], and the first
-    step is the Newton step from 0.  Each fixed-beta solve starts from the one
-    before.
+    Its slope is -dU/dbeta = sum w E^2 - (sum w E)^2 / sum w, a variance, kept
+    at 0 or above where rounding would take it below.  U(0) is the mean level;
+    the sign of target - U(0) as solved (the mean may round to the other side)
+    picks the bracket [0, 1] or [-1, 0], and ``_bracket`` grows it.  Each
+    fixed-beta solve starts from the one before.
     """
-    slopes = {}  # beta -> -dU/dbeta, for every beta solved
     last = None
 
-    def shortfall(beta: float) -> float:
-        nonlocal last
-        last = _solve_fixed_beta(spec, E, beta, ends, last)
-        w = last.w
-        slopes[beta] = float(w @ E ** 2 - (w @ E) ** 2 / w.sum()) if w.sum() > 0 else 0.0
-        return target - float(last.p @ E)
-
     def fdf(b, _):
-        f = shortfall(float(b[0]))
-        return np.array([f]), np.array([slopes[float(b[0])]])
+        nonlocal last
+        last = _solve_fixed_beta(spec, E, float(b[0]), ends, last)
+        w = last.w
+        slope = max(0.0, float(w @ E ** 2 - (w @ E) ** 2 / w.sum())) if w.sum() > 0 else 0.0
+        return np.array([target - float(last.p @ E)]), np.array([slope])
 
-    lo, hi, f_lo, f_hi = bracket_increasing(
-        shortfall, *((0.0, 1.0) if target < E.mean() else (-1.0, 0.0)),
-        f"no beta reaches the target energy {target!r} on the clamped levels")
-    f_0, d_0 = (f_lo, slopes[lo]) if lo == 0 else (f_hi, slopes[hi])  # an end at 0 stays put
-    b0 = -f_0 / d_0 if d_0 > 0 and lo < -f_0 / d_0 < hi else lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    b0 = min(max(b0, np.nextafter(lo, hi)), np.nextafter(hi, lo))
-    _newton(fdf, np.array([b0]), lo, hi, f_lo, f_hi, slopes[lo], slopes[hi])
+    bracket = np.zeros((3, 2, 1))
+    bracket[1:, 0] = fdf(bracket[0, 0], None)
+    up = int(bracket[1, 0, 0] < 0)  # U(0) lies above the target: beta > 0, and 0 stays the low end
+    bracket[:, 1 - up], bracket[0, up] = bracket[:, 0], 2 * up - 1
+    bracket[1:, up] = fdf(bracket[0, up], None)
+    if _bracket(fdf, bracket)[0]:
+        raise SpecError(f"no beta reaches the target energy {target!r} on the clamped levels")
+    _newton(fdf, bracket)
     return last  # beta's last step, within 4 ulp, is not solved again
 
 

@@ -26,6 +26,7 @@ from gentropy.catalog import (
     SpecError,
     Tsallis,
     UnsupportedRepresentation,
+    _bracket,
     _numeric_inverse,
     elementary_functional,
 )
@@ -314,6 +315,64 @@ class TestNumericInverse:
         alone = [_numeric_inverse(spec._G, spec._dG, np.array([v]), spec._G_long)[0] for v in s]
         assert whole.tobytes() == np.array(alone).tobytes()
         assert whole[2] == 0.0
+
+
+    def test_a_rise_and_fall_inverse_brackets_below_the_turning_point(self):
+        # G(t) = t - t^2/200 peaks at G(100) = 50; the doubling passes the peak at 128 (G = 46.08)
+        spec = GenericEntropy([1, Fraction(-1, 100)])
+        t = spec.F(np.array([47.0, 49.0, 50.0]))
+        assert t[2] == 100.0 and np.all(np.diff(t) > 0)
+        assert spec.G(t[:2]) == pytest.approx([47.0, 49.0], rel=1e-15)
+        with pytest.raises(SpecError, match="could not bracket inverse at 51.0"):
+            spec.F(np.array([50.0, 51.0]))
+
+
+def grow(f, d, lo, hi):
+    """_bracket on one element from [lo, hi]: its no-sign-change flag, its bracket, every x evaluated."""
+    calls = []
+
+    def fdf(x, i):
+        calls.extend(x.tolist())
+        return f(x), d(x)
+
+    x = np.array([lo, hi])
+    bracket = np.array([x, f(x), d(x)])[:, :, None]
+    return bool(_bracket(fdf, bracket)[0]), bracket[:, :, 0].tolist(), calls
+
+
+class TestBracket:
+    def test_growth_up_moves_the_low_end_to_the_old_high_end(self):
+        short, bracket, calls = grow(lambda x: x - 5, np.ones_like, 0.0, 1.0)
+        assert not short and calls == [2.0, 4.0, 8.0]
+        assert bracket == [[4.0, 8.0], [-1.0, 3.0], [1.0, 1.0]]
+
+    def test_growth_down_moves_the_high_end_to_the_old_low_end(self):
+        short, bracket, calls = grow(lambda x: x + 5, np.ones_like, -1.0, 0.0)
+        assert not short and calls == [-2.0, -4.0, -8.0]
+        assert bracket == [[-8.0, -4.0], [-3.0, 1.0], [1.0, 1.0]]
+
+    def test_stops_at_a_value_that_is_not_finite(self):
+        short, bracket, calls = grow(lambda x: np.where(x < 64, -1.0, np.nan), np.ones_like, 0.0, 1.0)
+        assert short and calls[-1] == 64.0 and bracket[0] == [32.0, 64.0]
+
+    def test_stops_where_the_slope_turns_negative(self):
+        # f = t - t^2/200 - 60 peaks below 0 at t = 100, and its slope is first negative at 128
+        short, bracket, calls = grow(lambda x: x - x * x / 200 - 60, lambda x: 1 - x / 100, 0.0, 1.0)
+        assert short and calls == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+        assert bracket[0] == [64.0, 128.0] and bracket[2][1] < 0
+
+    def test_stops_after_200_doublings(self):
+        short, bracket, calls = grow(lambda x: -np.ones_like(x), np.zeros_like, 0.0, 1.0)
+        assert short and len(calls) == 200 and bracket[0] == [2.0 ** 199, 2.0 ** 200]
+
+    def test_elements_grow_their_own_ends(self):
+        def fdf(x, i):
+            return x - np.array([5.0, -5.0, 0.5])[i], np.ones_like(x)
+
+        bracket = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 1.0]], [[-5.0, 4.0, -0.5], [-4.0, 5.0, 0.5]],
+                            np.ones((2, 3))])
+        assert not _bracket(fdf, bracket).any()
+        assert bracket[0].T.tolist() == [[4.0, 8.0], [-8.0, -4.0], [0.0, 1.0]]
 
 
 class TestSDelta:

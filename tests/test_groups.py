@@ -1,12 +1,25 @@
 """Formal group laws: construction, axioms, inverses, and the Abel family."""
 
+import functools
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gentropy.catalog import SThird
+from gentropy.catalog import (
+    BoltzmannGibbs,
+    BorgesRoditi,
+    GenericEntropy,
+    GroupEntropy,
+    Kaniadakis,
+    SAlphaBetaQ,
+    SFourth,
+    SThird,
+    Tsallis,
+)
+from gentropy.cli import KINDS
 from gentropy.groups import (
     GroupLaw,
     GroupLawError,
@@ -170,6 +183,51 @@ class TestFormalInverse:
             {(k,): Fraction(inv.coeffs[k]) for k in range(1, 8)}, 1, 7
         )
         assert law.phi.substitute_pair(x, cand).terms == {}
+
+
+LAW_SPECS = {  # kind -> the spec at scale c, for every kind with a group exponential
+    "bg": lambda c: BoltzmannGibbs(scale_c=c),
+    "tsallis": lambda c: Tsallis(Fraction(1, 2), scale_c=c),
+    "kaniadakis": lambda c: Kaniadakis(Fraction(1, 3), scale_c=c),
+    "borges_roditi": lambda c: BorgesRoditi(Fraction(1, 2), Fraction(-1, 3), scale_c=c),
+    "group_entropy": lambda c: GroupEntropy(
+        Fraction(1, 3), {2: Fraction(1, 4), 1: Fraction(1, 8), -1: Fraction(-3, 8)}, scale_c=c),
+    "s_iii": lambda c: SThird(Fraction(4, 5), scale_c=c),
+    "s_iv": lambda c: SFourth(Fraction(9, 10), scale_c=c),
+    "s_alpha_beta_q": lambda c: SAlphaBetaQ(Fraction(1, 8), Fraction(-1, 8), Fraction(9, 10), scale_c=c),
+    "generic": lambda c: GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)], scale_c=c),
+}
+LAW_ORDER = 24
+
+
+@functools.cache
+def exact_law(kind, c):
+    """The spec and the terms of its order-24 exact table."""
+    spec = LAW_SPECS[kind](c)
+    return spec, list(group_law_from_exponential(spec.exp_series(LAW_ORDER)).phi.iter_terms())
+
+
+class TestExactLawIsTheFloatLaw:
+    def test_every_kind_with_a_group_exponential_is_covered(self):
+        assert set(LAW_SPECS) == {name for name, kind in KINDS.items() if kind.cls.has_exponential}
+
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("kind", LAW_SPECS)
+    @settings(max_examples=30, deadline=None)
+    @given(x=st.floats(-0.05, 0.05, allow_subnormal=False), y=st.floats(-0.05, 0.05, allow_subnormal=False))
+    @example(x=0.0, y=1e-200)  # F(1e-200) is 1e-200, not 0 within the solver's absolute tolerance
+    def test_table_matches_phi(self, kind, c, x, y):
+        # the table summed degree by degree; eval_with_tail gives its last retained degree, the
+        # truncation indicator, unless the law is a polynomial the table holds whole.  The rest
+        # is rounding: a few ulp of |x| + |y| in F, in F(x) + F(y), in G and in the table's terms
+        spec, terms = exact_law(kind, c)
+        by_degree = [0.0] * (LAW_ORDER + 1)
+        for (a, b), coeff in terms:
+            by_degree[a + b] += float(coeff) * x ** a * y ** b
+        value, tail = TruncatedSeries(by_degree, LAW_ORDER).eval_with_tail(1.0)
+        if max(a + b for (a, b), _ in terms) < LAW_ORDER - 1:
+            tail = 0.0
+        assert abs(value - spec.phi(x, y)) <= tail + 16 * sys.float_info.epsilon * (abs(x) + abs(y))
 
 
 class TestLieBracket:

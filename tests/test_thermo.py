@@ -112,6 +112,22 @@ def mp_level_p(spec, targets):
     return np.array(out)
 
 
+def mp_maxent_p(spec, levels, beta, sol):
+    """The MaxEnt p at beta, every level free, with alpha and each level's root at 50 digits.
+
+    Unlike p at the float targets sol.alpha + beta E, this does not carry the rounding of alpha.
+    """
+    with mp.workdps(50):
+        def h(t):
+            return spec.kB * (mp_G(spec, t) - mp.diff(lambda x: mp_G(spec, x), t))
+
+        def p(alpha):
+            return [mp.exp(-mp.findroot(lambda t: h(t) - alpha - beta * E, -mp.log(p0)))
+                    for E, p0 in zip(levels, sol.distribution.p.tolist())]
+
+        return np.array([float(v) for v in p(mp.findroot(lambda a: mp.fsum(p(a)) - 1, sol.alpha))])
+
+
 class TestOccupationLaw:
     def test_bg_exponential_growth(self):
         law = occupation_law(BoltzmannGibbs())
@@ -157,8 +173,8 @@ class TestOccupationLaw:
     @pytest.mark.parametrize(
         "spec, reason",
         [(GenericEntropy([1, -1]), "F undefined at N=1"),
-         # G peaks at 50 at t = 100; F(47) = 75.5 exists, but the bracket doubles from 64 past the peak
-         (GenericEntropy([1, Fraction(-1, 100)]), "F undefined at N=47"),
+         # G peaks at 50 at t = 100: the bracket stops at 128, where G' < 0, and F(50) = 100 is the last value
+         (GenericEntropy([1, Fraction(-1, 100)]), "F undefined at N=51"),
          (Tsallis(Fraction(3, 2)), "F not finite at N=2")],
         ids=["generic bounded at 1/2", "generic bounded at 50", "tsallis 3/2"],
     )
@@ -399,6 +415,41 @@ class TestMaxEntNewtonSolver:
         levels = tuple(5 * i / 19 for i in range(20))
         maxent_solve(MaxEntProblem(Tsallis(Fraction(1, 2)), levels, beta=1.0))
         assert len(calls) <= 60
+
+    @pytest.mark.parametrize("beta", [30.0, -30.0])
+    def test_an_alpha_start_at_the_clamp_kink_does_not_crawl(self, monkeypatch, beta):
+        # the Gibbs weight of the lowest level rounds past _P_HI, where -ln sum p has a kink (the
+        # clamped level adds no slope); started on the kink, the solve made 113 and 110 array
+        # calls, and started just past it, 20 and 19.  alpha is near -1 and 149, so p is checked
+        # against the normalized MaxEnt p, not against roots at the rounded targets
+        calls = []
+        original = thermo._stationarity
+
+        def stationarity(spec, t):
+            calls.append(np.size(t))
+            return original(spec, t)
+
+        monkeypatch.setattr(thermo, "_stationarity", stationarity)
+        spec, levels = SThird(Fraction(3, 4)), (0.0, 1.25, 2.5, 3.75, 5.0)
+        sol = maxent_solve(MaxEntProblem(spec, levels, beta=beta))
+        assert len(calls) <= 30
+        assert np.max(np.abs(sol.distribution.p - mp_maxent_p(spec, levels, beta, sol))) <= 1e-15
+
+    @pytest.mark.parametrize("target", [0.2, 4.8], ids=["past [0, 1]", "past [-1, 0]"])
+    def test_target_energy_near_an_extreme_level_grows_the_beta_bracket(self, target):
+        # beta is about +-6.6: the bracket doubles out from [0, 1] or [-1, 0] to [4, 8] or [-8, -4]
+        levels = tuple(5 * i / 19 for i in range(20))
+        sol = maxent_solve(MaxEntProblem(Tsallis(Fraction(1, 2)), levels, target_U=target))
+        assert 4 < abs(sol.beta) < 8 and math.copysign(1.0, sol.beta) == (1.0 if target < 2.5 else -1.0)
+        assert abs(sol.U - target) <= 1e-9
+
+    def test_a_target_at_the_mean_level_is_met_at_beta_near_0(self):
+        # U(0) as solved may round to either side of the mean, so the side of 0 is read off U(0):
+        # an end at 0 with the wrong sign cannot be doubled away
+        levels = (2.718, 4.675, 4.079, 0.014, 4.287, 0.168)
+        target = float(np.mean(levels))
+        sol = maxent_solve(MaxEntProblem(BoltzmannGibbs(), levels, target_U=target))
+        assert abs(sol.beta) <= 1e-15 and abs(sol.U - target) <= 1e-15
 
     def test_alpha_bracket_follows_the_sign_of_beta(self):
         # at beta < 0 the bracket ends are h_hi - max(beta E) and h_lo - min(beta E)
