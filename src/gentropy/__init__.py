@@ -45,8 +45,6 @@ from .scd import (
     ScdEntropy,
     inner_polynomial_coefficients,
     delta_coefficient,
-    scd_gamma_oracle,
-    gamma_identity_residual,
 )
 from .axioms import (
     AxiomReport,

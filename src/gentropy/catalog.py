@@ -5,7 +5,13 @@ incomplete-gamma family, an additive constant).  Where the entropy belongs to
 the exponential class, the class also exposes the group exponential G with
 S = kB * sum_i p_i * G(ln 1/p_i), its closed-form derivatives, the exact
 rational coefficient sequence a_k with G(t) = sum a_k t^(k+1)/(k+1), and the
-generalized logarithm / its inverse when one exists in closed form.
+generalized logarithm G(ln x) / its inverse.
+
+Each family is written once, and its known entropies are parameter points
+of it: S_delta is S_{q,delta} at q = 1, and the q-deformed kinds take
+sigma = 1 - q from one rule.  ``Entropy`` holds what every kind with a group
+exponential shares: G, G' and G'' on arrays, the generalized logarithm, and
+the one stub that kinds without a group exponential raise.
 
 A scale constant c turns G(t) into G(c t), so S scales every elementary
 functional S_k by c^k; it defaults to 1 and is folded into the public
@@ -322,11 +328,7 @@ class Entropy:
     def _G(self, t):
         raise UnsupportedRepresentation(f"{self.name} has no group exponential")
 
-    def _dG(self, t):
-        raise UnsupportedRepresentation(f"{self.name} has no group exponential")
-
-    def _d2G(self, t):
-        raise UnsupportedRepresentation(f"{self.name} has no group exponential")
+    _dG = _d2G = _G
 
     def _F(self, s):
         # _G_long: _G in np.longdouble from exact constants, for the inverse's last step
@@ -337,18 +339,15 @@ class Entropy:
         return self.dG(t) - self.d2G(t)
 
     def G(self, t):
-        c = float(self.scale)
-        return self._G(c * np.asarray(t, dtype=float)) if np.ndim(t) else self._G(c * t)
+        return self._G(float(self.scale) * np.asarray(t, dtype=float))
 
     def dG(self, t):
         c = float(self.scale)
-        t = np.asarray(t, dtype=float) if np.ndim(t) else t
-        return c * self._dG(c * t)
+        return c * self._dG(c * np.asarray(t, dtype=float))
 
     def d2G(self, t):
         c = float(self.scale)
-        t = np.asarray(t, dtype=float) if np.ndim(t) else t
-        return c * c * self._d2G(c * t)
+        return c * c * self._d2G(c * np.asarray(t, dtype=float))
 
     def F(self, s):
         """Inverse of G on the relevant real domain (closed form or numeric), elementwise."""
@@ -380,7 +379,12 @@ class Entropy:
     # -- generalized logarithm -------------------------------------------------
 
     def generalized_log(self, x):
-        raise UnsupportedRepresentation(f"{self.name} has no generalized logarithm")
+        """Log(x) = G(ln x), with the scale constant."""
+        if not self.has_exponential:
+            raise UnsupportedRepresentation(f"{self.name} has no generalized logarithm")
+        if np.any(np.asarray(x) <= 0):
+            raise SpecError("logarithm needs a positive argument")
+        return self.G(np.log(x))
 
     def log_inverse(self, y):
         """E = inverse of the generalized logarithm."""
@@ -405,10 +409,10 @@ class BoltzmannGibbs(Entropy):
         return t
 
     def _dG(self, t):
-        return np.ones_like(t) if np.ndim(t) else 1.0
+        return np.ones_like(t)
 
     def _d2G(self, t):
-        return np.zeros_like(t) if np.ndim(t) else 0.0
+        return np.zeros_like(t)
 
     def _F(self, s):
         return s
@@ -416,13 +420,10 @@ class BoltzmannGibbs(Entropy):
     def base_a_sequence(self, count):
         return [Fraction(1)] + [Fraction(0)] * (count - 1)
 
-    def generalized_log(self, x):
-        if np.any(np.asarray(x) <= 0):
-            raise SpecError("logarithm needs a positive argument")
-        return self.G(np.log(x))
-
     def log_inverse(self, y):
-        return np.exp(self.F(y))
+        # E past the largest double is inf, with no warning, as _partition_value gives it for every kind
+        with np.errstate(over="ignore"):
+            return np.exp(self.F(y))
 
 
 class ExponentialSum(Entropy):
@@ -484,15 +485,17 @@ class ExponentialSum(Entropy):
     def dh(self, t):
         return self._sum(np.exp, self._dh_terms, float(self.scale) * np.asarray(t, dtype=float))
 
-    def generalized_log(self, x):
-        if np.any(np.asarray(x) <= 0):
-            raise SpecError("logarithm needs a positive argument")
-        return self.G(np.log(x))
-
     def log_inverse(self, y):
         # math.exp, not np.exp: their last bits differ on some doubles, and Z keeps them
         f = self.F(y)
         return np.array([math.exp(v) for v in f.tolist()]) if np.ndim(f) else math.exp(f)
+
+
+def _q_sigma(q):
+    """sigma = 1 - q of a q-deformed kind; q = 1 is BG itself."""
+    if q == 1:
+        raise SpecError("q = 1 is the BG case; use BoltzmannGibbs")
+    return 1 - q
 
 
 class Tsallis(ExponentialSum):
@@ -501,9 +504,8 @@ class Tsallis(ExponentialSum):
     name = "tsallis"
 
     def __init__(self, q, kB: float = 1.0, scale_c=1):
-        if q == 1:
-            raise SpecError("q = 1 is the BG case; use BoltzmannGibbs")
-        super().__init__(1 - q, {1 - q: 1}, kB, scale_c)
+        sigma = _q_sigma(q)
+        super().__init__(sigma, {sigma: 1}, kB, scale_c)
         self.q = q
 
     def _F(self, s_val):
@@ -599,9 +601,7 @@ class SThird(GroupEntropy):
     name = "s_iii"
 
     def __init__(self, q, kB: float = 1.0, scale_c=1):
-        if q == 1:
-            raise SpecError("q = 1 is the BG case; use BoltzmannGibbs")
-        super().__init__(1 - q, {1: 1, -1: -2, -2: 1}, kB, scale_c)
+        super().__init__(_q_sigma(q), {1: 1, -1: -2, -2: 1}, kB, scale_c)
         self.q = q
 
 
@@ -611,14 +611,7 @@ class SFourth(GroupEntropy):
     name = "s_iv"
 
     def __init__(self, q, kB: float = 1.0, scale_c=1):
-        if q == 1:
-            raise SpecError("q = 1 is the BG case; use BoltzmannGibbs")
-        super().__init__(
-            1 - q,
-            {2: 1, 1: Fraction(-3, 2), -1: Fraction(3, 2), -2: -1},
-            kB,
-            scale_c,
-        )
+        super().__init__(_q_sigma(q), {2: 1, 1: Fraction(-3, 2), -1: Fraction(3, 2), -2: -1}, kB, scale_c)
         self.q = q
 
 
@@ -628,8 +621,7 @@ class SAlphaBetaQ(GroupEntropy):
     name = "s_alpha_beta_q"
 
     def __init__(self, alpha, beta, q, kB: float = 1.0, scale_c=1):
-        if q == 1:
-            raise SpecError("q = 1 is the BG case; use BoltzmannGibbs")
+        sigma = _q_sigma(q)
         # exact binary fractions keep the two coefficient constraints exact
         al = Fraction(alpha)
         be = Fraction(beta)
@@ -640,54 +632,19 @@ class SAlphaBetaQ(GroupEntropy):
             -2: be,
         }
         coeffs = {n: v for n, v in coeffs.items() if v != 0}
-        super().__init__(1 - q, coeffs, kB, scale_c)
+        super().__init__(sigma, coeffs, kB, scale_c)
         self.alpha = alpha
         self.beta = beta
         self.q = q
 
 
-class SDelta(Entropy):
-    """S_delta = kB sum p (ln 1/p)^delta, 0 < delta <= 1 + ln W.
-
-    The uniform-distribution composition rule is
-    (x^(1/delta) + y^(1/delta))^delta, a monoid rather than a group law
-    unless delta is an odd integer.
-    """
-
-    name = "s_delta"
-    has_exponential = False
-    has_group_law = True
-    monoid_only = True
-
-    def __init__(self, delta, kB: float = 1.0):
-        super().__init__(kB)
-        if delta <= 0:
-            raise SpecError("delta must be positive")
-        self.delta = delta
-
-    def validate_for(self, W: int) -> None:
-        """The stated admissibility range; the defining sum exists regardless.
-
-        Evaluation itself stays lenient so composition identities can be
-        checked across state counts; call this to enforce the range.
-        """
-        if W > 1 and self.delta > 1 + math.log(W):
-            raise SpecError(f"delta = {self.delta} exceeds 1 + ln W for W = {W}")
-
-    def density(self, x):
-        return (-np.log(np.asarray(x, dtype=float))) ** float(self.delta)
-
-    def phi(self, x, y):
-        d = float(self.delta)
-        kb = self.kB
-        return kb * ((x / kb) ** (1 / d) + (y / kb) ** (1 / d)) ** d
-
-
 class SQDelta(Entropy):
-    """S_{q,delta} = kB sum p (ln_q 1/p)^delta; delta = 1 recovers Tsallis.
+    """S_{q,delta} = kB sum p (ln_q 1/p)^delta; delta = 1 recovers Tsallis, q = 1 is S_delta.
 
-    Evaluated as defined; no concavity or admissibility claim is made for
-    general (q, delta).
+    The uniform-distribution composition rule is (u + v + (1-q) u v)^delta
+    with u = x^(1/delta), v = y^(1/delta): a monoid rather than a group law
+    in general.  Evaluated as defined; no concavity or admissibility claim is
+    made for general (q, delta).
     """
 
     name = "s_q_delta"
@@ -699,6 +656,9 @@ class SQDelta(Entropy):
         super().__init__(kB)
         if q == 1:
             raise SpecError("q = 1 with general delta is the s_delta case")
+        self._deform(q, delta)
+
+    def _deform(self, q, delta):
         if delta <= 0:
             raise SpecError("delta must be positive")
         self.q = q
@@ -707,8 +667,8 @@ class SQDelta(Entropy):
 
     def density(self, x):
         s = float(self.sigma)
-        lnq = np.expm1(-s * np.log(np.asarray(x, dtype=float))) / s  # ln_q(1/x)
-        return lnq ** float(self.delta)
+        ln = -np.log(np.asarray(x, dtype=float))  # ln(1/x), the q -> 1 limit of ln_q(1/x)
+        return (np.expm1(s * ln) / s if s else ln) ** float(self.delta)
 
     def phi(self, x, y):
         d = float(self.delta)
@@ -716,7 +676,31 @@ class SQDelta(Entropy):
         kb = self.kB
         u = (x / kb) ** (1 / d)
         v = (y / kb) ** (1 / d)
-        return kb * (u + v + s * u * v) ** d
+        w = u + v
+        return kb * (w + s * u * v if s else w) ** d  # S_delta's w at s = 0: 0 * u v is nan if u v overflows
+
+
+class SDelta(SQDelta):
+    """S_delta = kB sum p (ln 1/p)^delta, 0 < delta <= 1 + ln W: S_{q,delta} at q = 1.
+
+    Its composition rule (x^(1/delta) + y^(1/delta))^delta is a group law
+    only where delta is an odd integer.
+    """
+
+    name = "s_delta"
+
+    def __init__(self, delta, kB: float = 1.0):
+        Entropy.__init__(self, kB)  # the q = 1 point that SQDelta's constructor turns away
+        self._deform(1, delta)
+
+    def validate_for(self, W: int) -> None:
+        """The stated admissibility range; the defining sum exists regardless.
+
+        Evaluation itself stays lenient so composition identities can be
+        checked across state counts; call this to enforce the range.
+        """
+        if W > 1 and self.delta > 1 + math.log(W):
+            raise SpecError(f"delta = {self.delta} exceeds 1 + ln W for W = {W}")
 
 
 class GenericEntropy(Entropy):

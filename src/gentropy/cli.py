@@ -208,6 +208,16 @@ def cmd_group_law(args) -> int:
     return 0
 
 
+# The shared flags, each declared only on the subcommands that read it.
+SHARED = {
+    "--kb": dict(type=float, default=1.0),
+    "--scale": dict(type=_rat, help="scale constant applied as G(c t); exponential-class kinds only"),
+    "--order": dict(type=_order, default=12,
+                    help="total degree of the group law; a_k count of concavity-condition"),
+    "--digits": dict(type=int, default=17),
+}
+
+
 # Each single check, run as check(spec, args) -> AxiomReport.
 _CHECKS = {
     "sk2": lambda spec, a: axioms.check_sk2_maximum(spec, a.states, a.trials, a.seed),
@@ -220,20 +230,21 @@ _CHECKS = {
     "concavity-condition": lambda spec, a: axioms.check_concavity_condition(spec.a_sequence(a.order)),
     "lesche": lambda spec, a: axioms.lesche_probe(spec, a.states, a.perturbation, a.trials, a.seed),
 }
-# The per-axiom flags of `check`, by argparse dest, with their defaults, and
-# the ones each single check reads, each mapped to the flag whose presence
-# makes the check ignore it (None: read whenever given).  argparse leaves them
-# None, so that cmd_check can tell a flag given from one left out.
-CHECK_DEFAULTS = {"dist": None, "states": 8, "wa": 2, "wb": 3, "trials": 100, "seed": 0,
-                  "perturbation": 1e-4}
+# The per-axiom flags of `check` and the shared --kb and --order, by argparse
+# dest, with their defaults, and the ones each single check reads, each mapped
+# to the flag whose presence makes the check ignore it (None: read whenever
+# given).  argparse leaves them None, so that cmd_check can tell a flag given
+# from one left out.
+CHECK_DEFAULTS = {"dist": None, "states": 8, "wa": 2, "wb": 3, "trials": 100, "seed": 0, "perturbation": 1e-4,
+                  "kb": SHARED["--kb"]["default"], "order": SHARED["--order"]["default"]}
 CHECK_READS = {
-    "sk2": dict.fromkeys(("states", "trials", "seed")),
-    "sk3": {"dist": None, "states": "dist"},  # --states only sizes the uniform stand-in for --dist
-    "weak-composability": dict.fromkeys(("wa", "wb")),
-    "strict-composability": dict.fromkeys(("wa", "wb", "trials", "seed")),
+    "sk2": dict.fromkeys(("states", "trials", "seed", "kb")),
+    "sk3": {"dist": None, "kb": None, "states": "dist"},  # --states only sizes sk3's stand-in for --dist
+    "weak-composability": dict.fromkeys(("wa", "wb", "kb")),
+    "strict-composability": dict.fromkeys(("wa", "wb", "trials", "seed", "kb")),
     "concavity": {},
-    "concavity-condition": {},  # it reads the shared --order
-    "lesche": dict.fromkeys(("states", "perturbation", "trials", "seed")),
+    "concavity-condition": {"order": None},
+    "lesche": dict.fromkeys(("states", "perturbation", "trials", "seed", "kb")),
 }
 # The one table of --axiom names, read by the flag's choices and by cmd_check:
 # the checks each name runs, then those it runs only for a spec with a
@@ -243,15 +254,17 @@ AXIOMS["all"] = (("sk2", "sk3"), ("weak-composability", "strict-composability"))
 
 
 def cmd_check(args) -> int:
-    spec = build_entropy(args)
+    given = [dest for dest in CHECK_DEFAULTS if getattr(args, dest) is not None]
+    for dest, default in CHECK_DEFAULTS.items():
+        if dest not in given:
+            setattr(args, dest, default)
+    spec = build_entropy(args)  # with the resolved --kb
     checks, composed = AXIOMS[args.axiom]
     names = checks + (composed if spec.has_group_law else ())
     reads = {dest for name in names for dest, unless in CHECK_READS[name].items()
-             if unless is None or getattr(args, unless) is None}
-    for dest, default in CHECK_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif dest not in reads:
+             if unless is None or unless not in given}
+    for dest in given:
+        if dest not in reads:
             unless = {CHECK_READS[n].get(dest) for n in names} - {None}
             why = (f" with --{unless.pop()}" if unless else
                    " without a composition rule" if any(dest in CHECK_READS[n] for n in composed) else "")
@@ -349,16 +362,6 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-# The shared flags, each declared only on the subcommands that read it.
-SHARED = {
-    "--kb": dict(type=float, default=1.0),
-    "--scale": dict(type=_rat, help="scale constant applied as G(c t); exponential-class kinds only"),
-    "--order": dict(type=_order, default=12,
-                    help="total degree of the group law; a_k count of concavity-condition"),
-    "--digits": dict(type=int, default=17),
-}
-
-
 @functools.cache  # argparse reads stdout, stderr and the terminal width per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -391,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", help="normalized series literal '1, -1/2, ...'")
 
     p = add("check", cmd_check, "--kb --scale --order --digits", "run an axiom / property checker")
+    p.set_defaults(kb=None, order=None)  # cmd_check fills them in from CHECK_DEFAULTS
     p.add_argument("--axiom", required=True, choices=list(AXIOMS))
     p.add_argument("--dist")
     p.add_argument("--states", type=int)

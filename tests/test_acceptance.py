@@ -40,12 +40,8 @@ from gentropy.catalog import (
     Tsallis,
 )
 from gentropy.groups import check_axioms, group_law_from_exponential
-from gentropy.scd import (
-    ScdEntropy,
-    gamma_identity_residual,
-    inner_polynomial_coefficients,
-    scd_gamma_oracle,
-)
+from gentropy.scd import ScdEntropy, inner_polynomial_coefficients
+from scd_oracle import gamma_identity_residual, scd_gamma_oracle
 from gentropy.series import TruncatedSeries
 from conftest import record_acceptance_line
 from gentropy.thermo import (

@@ -400,6 +400,17 @@ class TestSDelta:
         with pytest.raises(UnsupportedRepresentation):
             SDelta(2).G(1.0)
 
+    @pytest.mark.parametrize("delta", [0.5, 1, 2.5, 3])
+    def test_is_s_q_delta_at_q_one(self, delta):
+        # the closed forms S_delta had before it became the q = 1 point, bit for bit
+        sd, d = SDelta(delta, kB=2.0), float(delta)
+        assert isinstance(sd, SQDelta) and (sd.q, sd.sigma) == (1, 0)
+        for p in (FIX.p, np.array([1.0]), np.array([0.9, 0.1, 0.0])):
+            q = p[p > 0]
+            assert sd.evaluate(Distribution(p)) == 2.0 * float(np.sum(q * (-np.log(q)) ** d))
+        for x, y in [(0.3, 1.7), (0.0, 2.0), (1e150, 1e150)]:  # u v overflows at the last for delta 1/2
+            assert sd.phi(x, y) == 2.0 * ((x / 2.0) ** (1 / d) + (y / 2.0) ** (1 / d)) ** d
+
 
 class TestSQDelta:
     def test_delta_one_is_tsallis(self):
@@ -413,6 +424,11 @@ class TestSQDelta:
             SQDelta(1, 2)
         with pytest.raises(SpecError):
             SQDelta(0.5, 0)
+
+    def test_q_one_points_to_s_delta(self):
+        # S_delta is the q = 1 point, but SQDelta itself still turns q = 1 away
+        with pytest.raises(SpecError, match="^q = 1 with general delta is the s_delta case$"):
+            SQDelta(1, 2)
 
     def test_uniform_closed_form(self):
         q, d = 0.5, 2.0
@@ -646,6 +662,12 @@ class TestExponentialSum:
         expected = scaled.dG(t) - scaled.d2G(t)
         assert scaled.dh(t) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("make", [Tsallis, SThird, SFourth, lambda q: SAlphaBetaQ(0, 0, q)],
+                             ids=["tsallis", "s_iii", "s_iv", "s_alpha_beta_q"])
+    def test_q_one_is_bg(self, make):
+        with pytest.raises(SpecError, match="^q = 1 is the BG case; use BoltzmannGibbs$"):
+            make(1)
+
     @pytest.mark.parametrize("kappa", [Fraction(1, 2), Fraction(-1, 3), 1], ids=str)
     def test_kaniadakis_log_pair(self, kappa):
         ka = Kaniadakis(kappa)
@@ -654,3 +676,22 @@ class TestExponentialSum:
             expected = (x ** k - x ** -k) / (2 * k)
             assert ka.generalized_log(x) == pytest.approx(expected, rel=1e-14, abs=1e-16)
             assert ka.log_inverse(ka.generalized_log(x)) == pytest.approx(x, rel=1e-14)
+
+
+class TestCapabilities:
+    """The representations Entropy gives every kind with a group exponential, and the ones it refuses."""
+
+    def test_generalized_log_is_G_of_ln(self):
+        for spec in (BoltzmannGibbs(scale_c=2), Tsallis(Fraction(1, 2)), GenericEntropy([1, Fraction(1, 8)])):
+            x = np.array([0.3, 1.0, 4.0])
+            assert spec.generalized_log(x).tolist() == spec.G(np.log(x)).tolist()
+            with pytest.raises(SpecError, match="positive argument"):
+                spec.generalized_log(0.0)
+
+    @pytest.mark.parametrize("spec", [SDelta(2), SQDelta(Fraction(1, 2), 2)], ids=["s_delta", "s_q_delta"])
+    def test_kinds_without_a_group_exponential(self, spec):
+        with pytest.raises(UnsupportedRepresentation, match=f"^{spec.name} has no generalized logarithm$"):
+            spec.generalized_log(2.0)
+        for method in (spec.G, spec.dG, spec.d2G, spec.F):
+            with pytest.raises(UnsupportedRepresentation, match=f"^{spec.name} has no group exponential$"):
+                method(np.array([0.5]))

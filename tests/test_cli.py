@@ -278,20 +278,22 @@ class TestCheck:
         assert code == 2
 
     def test_order_does_not_truncate_a_generic_entropy(self, capsys):
-        # --order 0 once made G identically 0, which passed every axiom
-        code, out, _ = run(capsys, "check", "--entropy", "generic", "--a-sequence", "1,-1/8,1/10",
-                           "--order", "0", "--axiom", "all", "--trials", "20")
+        # --order 0 once made G identically 0, which passed every axiom; no check of all reads --order
+        argv = ["check", "--entropy", "generic", "--a-sequence", "1,-1/8,1/10", "--axiom", "all", "--trials", "20"]
+        code, out, _ = run(capsys, *argv)
         assert code == 1
         rows = {line.split("\t")[0]: line.split("\t") for line in out.splitlines()[1:]}
         assert rows["strict-composability"][1] == "fail"
         assert "p_A" in rows["strict-composability"][3]
+        code, out, err = run(capsys, *argv, "--order", "0")
+        assert is_usage_error(code, out, err) and "--axiom all does not read --order" in err
 
 
 class TestCheckFlags:
     """Each per-axiom flag of `check` is accepted exactly where a check that runs reads it."""
 
     VALUES = {"dist": "uniform:3", "states": "3", "wa": "2", "wb": "2", "trials": "2", "seed": "1",
-              "perturbation": "0.01"}
+              "perturbation": "0.01", "kb": "2", "order": "3"}
 
     @pytest.mark.parametrize(
         "flags, unread",
@@ -300,8 +302,12 @@ class TestCheckFlags:
               "--perturbation", "0.5"], "--states"),
             (["--axiom", "sk2", "--order", "3", "--wb", "5", "--perturbation", "0.5"], "--wb"),
             (["--axiom", "sk3", "--dist", "uniform:3", "--states", "4"], "--states"),
+            (["--axiom", "sk2", "--order", "3"], "--order"),
+            (["--axiom", "concavity-condition", "--kb", "2"], "--kb"),
+            (["--axiom", "concavity", "--kb", "2", "--order", "3"], "--kb"),
         ],
-        ids=["concavity", "sk2", "sk3 with --dist"],
+        ids=["concavity", "sk2", "sk3 with --dist", "sk2 --order", "concavity-condition --kb",
+             "concavity --kb --order"],
     )
     def test_unread_flags_are_usage_errors(self, capsys, flags, unread):
         # each command once printed the same bytes as without its unread flags
@@ -329,6 +335,23 @@ class TestCheckFlags:
         assert is_usage_error(code, out, err) and "--wa" in err and "composition rule" in err
         code, _, err = run(capsys, *spec, "--states", "3")
         assert code != 2, err
+
+    def test_kb_and_order_where_read(self, capsys):
+        argv = ["check", "--entropy", "tsallis", "--q", "1/2"]
+        for axiom, flags in [("sk2", ["--kb", "1"]), ("lesche", ["--kb", "1"]),
+                             ("concavity-condition", ["--order", "12"])]:
+            default = run(capsys, *argv, "--axiom", axiom)
+            assert default[0] == 0 and default == run(capsys, *argv, "--axiom", axiom, *flags)
+        code, out, err = run(capsys, *argv, "--axiom", "concavity-condition", "--order", "1")
+        assert (code, err) == (0, "") and out.splitlines()[1].split("\t")[1] == "inconclusive"
+        # the spec is built with the given kB: the witness's entropy values double
+        witness = {}
+        for kb in ("1", "2"):
+            code, out, _ = run(capsys, "check", "--entropy", "s_iii", "--q", "4/5", "--axiom",
+                               "strict-composability", "--trials", "20", "--kb", kb)
+            assert code == 1
+            witness[kb] = ast.literal_eval(out.splitlines()[1].split("\t")[3])
+        assert witness["2"]["S_AB"] == pytest.approx(2 * witness["1"]["S_AB"], rel=1e-15)
 
     def test_defaults_are_filled_in(self, capsys):
         code, out, _ = run(capsys, "check", "--entropy", "tsallis", "--q", "1/2", "--axiom", "all")
@@ -402,6 +425,20 @@ class TestMaxent:
             capsys, "maxent", "--entropy", "kaniadakis", "--kappa", "1/20",
             "--energies", str(path), "--beta=-1e17",
         )
+        assert (code, err) == (0, "")
+        assert maxent_fields(out)["Z"] == math.inf
+
+    @pytest.mark.parametrize("beta", ["-800", "-1e17"])
+    @pytest.mark.parametrize("option", [[], ["--kb", "2"], ["--scale", "2"]], ids=["plain", "kb", "scale"])
+    def test_bg_partition_value_past_the_largest_double_is_inf_without_a_warning(
+            self, capsys, tmp_path, beta, option):
+        # np.exp in BG's log inverse once printed an overflow RuntimeWarning on stderr
+        path = tmp_path / "e.txt"
+        path.write_text("0\n1\n3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "maxent", "--entropy", "bg", "--energies", str(path),
+                                 f"--beta={beta}", *option)
         assert (code, err) == (0, "")
         assert maxent_fields(out)["Z"] == math.inf
 

@@ -230,6 +230,42 @@ class TestExactLawIsTheFloatLaw:
         assert abs(value - spec.phi(x, y)) <= tail + 16 * sys.float_info.epsilon * (abs(x) + abs(y))
 
 
+@functools.cache
+def exact_series(kind):
+    """The scale-1 order-24 series of G, of G' and of F = G^-1."""
+    G = LAW_SPECS[kind](1).exp_series(LAW_ORDER)
+    return G, G.derivative(), G.revert()
+
+
+def value_and_tail(series, x):
+    """eval_with_tail, with no tail for a polynomial the series holds whole."""
+    value, tail = series.eval_with_tail(x)
+    whole = max(deg for deg, c in enumerate(series.coeffs) if c != 0) < series.order
+    return value, 0.0 if whole else tail
+
+
+class TestFloatExponentialIsTheExactSeries:
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("kind", LAW_SPECS)
+    @settings(max_examples=30, deadline=None)
+    @given(t=st.floats(-0.05, 0.05, allow_subnormal=False))
+    @example(t=0.0)
+    @example(t=1e-200)
+    @example(t=-1e-200)
+    def test_G_dG_and_F_match_the_series(self, kind, c, t):
+        # G(t) = G_1(c t), G'(t) = c G_1'(c t) and F(t) = F_1(t) / c for the scale-1 series; the
+        # bound is the truncation indicator plus a few ulp of rounding in the float forms
+        spec = LAW_SPECS[kind](c)
+        G, dG, F = exact_series(kind)
+        eps = sys.float_info.epsilon
+        value, tail = value_and_tail(G, c * t)
+        assert abs(float(spec.G(t)) - value) <= tail + 16 * eps * abs(t)
+        value, tail = value_and_tail(dG, c * t)
+        assert abs(float(spec.dG(t)) - c * value) <= c * tail + 16 * eps
+        value, tail = value_and_tail(F, t)
+        assert abs(float(spec.F(t)) - value / c) <= tail / c + 16 * eps * abs(t)
+
+
 class TestLieBracket:
     def test_commutative_laws_have_zero_bracket(self):
         g = exp_from_a([1, Fraction(2, 3), Fraction(-1, 4)], 6)

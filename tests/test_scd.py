@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from gentropy.catalog import BoltzmannGibbs, Distribution, SpecError, elementary_functional
-from gentropy.scd import (
-    ScdEntropy,
-    delta_coefficient,
+from gentropy.scd import ScdEntropy, delta_coefficient, inner_polynomial_coefficients
+from scd_oracle import (
     gamma_identity_residual,
     gamma_tail_closed_form,
-    inner_polynomial_coefficients,
     scd_gamma_oracle,
     upper_incomplete_gamma,
 )
