@@ -33,10 +33,10 @@ from math import factorial
 from typing import Sequence
 
 import numpy as np
-# never called here: bound only because the benchmark's tracer wraps catalog.brentq by name
-from scipy.optimize import brentq  # noqa: F401
 
 from .series import TruncatedSeries, from_a_sequence
+
+brentq = None  # never called: benchmark/spans.py wraps catalog.brentq by name, so it stays bound
 
 
 class SpecError(ValueError):

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-# never called here: bound only because the benchmark's tracer wraps thermo.brentq by name
-from scipy.optimize import brentq  # noqa: F401
 
 from .catalog import (
     Distribution,
@@ -35,6 +33,7 @@ from .catalog import (
     _newton,
 )
 
+brentq = None  # never called: benchmark/spans.py wraps thermo.brentq by name, so it stays bound
 _MAX_EXP = 700.0  # exp() overflow guard
 
 
@@ -266,7 +265,9 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
 def _solution(spec: Entropy, energies: tuple, levels: _Levels) -> MaxEntSolution:
     p, alpha, beta = levels.p, levels.alpha, levels.beta
     dist = Distribution(p)
-    resid = np.max(np.abs(_stationarity(spec, -np.log(p)) - (alpha + beta * np.asarray(energies))))
+    with np.errstate(over="ignore"):  # beta E past the largest double is inf, and so is the residual
+        bE = beta * np.asarray(energies)
+    resid = np.max(np.abs(_stationarity(spec, -np.log(p)) - (alpha + bE)))
     return MaxEntSolution(dist, alpha, beta, _partition_value(spec, energies, beta),
                           float(np.dot(p, energies)), spec.evaluate(dist), float(resid))
 
@@ -274,8 +275,10 @@ def _solution(spec: Entropy, energies: tuple, levels: _Levels) -> MaxEntSolution
 def _partition_value(spec: Entropy, energies, beta: float) -> float:
     """sum_i E(-beta E_i), summed left to right; nan where the log inverse does not exist there,
     inf where a term is past the largest double."""
+    with np.errstate(over="ignore"):
+        y = -beta * np.asarray(energies, dtype=float)
     try:
-        return float(sum(spec.log_inverse(-beta * np.asarray(energies, dtype=float)).tolist()))
+        return float(sum(spec.log_inverse(y).tolist()))
     except SpecError:
         return math.nan
     except OverflowError:  # math.exp raises where np.exp gives inf
@@ -391,10 +394,12 @@ def asymptotic_scan(
     The growth family is chosen by least-squares fit quality on the top half
     of the grid: log S against log ln W (poly-log growth) versus log S
     against log W (power growth).  S must be positive and finite there, or
-    SpecError names the spec.
+    SpecError names the spec.  Both lines fit two points exactly, so the top
+    half needs three points, and the grid five.
     """
-    if not (points >= 1 and 1 < W_max < math.inf):
-        raise SpecError("a scan needs at least one point and a finite W_max > 1")
+    if not (points >= 5 and 1 < W_max < math.inf):
+        raise SpecError("a scan needs at least five points (three on the fitted half) "
+                        "and a finite W_max > 1")
     Ws = np.geomspace(10.0, W_max, points)
     rows = []
     for label, spec in specs.items():

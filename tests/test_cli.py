@@ -442,6 +442,23 @@ class TestMaxent:
         assert (code, err) == (0, "")
         assert maxent_fields(out)["Z"] == math.inf
 
+    @pytest.mark.parametrize("flags", [
+        ["--entropy", "bg"],
+        ["--entropy", "tsallis", "--q", "1/2"],
+        ["--entropy", "tsallis", "--q", "3/2"],
+        ["--entropy", "kaniadakis", "--kappa", "1/3"],
+        ["--entropy", "generic", "--a-sequence", "1,1/8,1/10"],
+    ], ids=["bg", "tsallis 1/2", "tsallis 3/2", "kaniadakis", "generic"])
+    def test_beta_times_energy_past_the_largest_double_prints_no_warning(self, capsys, tmp_path, flags):
+        # beta E overflowed in the residual and in the partition value, with a RuntimeWarning each
+        path = tmp_path / "e.txt"
+        path.write_text("0\n1\n3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "maxent", *flags, "--energies", str(path), "--beta", "1e308")
+        assert (code, err) == (0, "")
+        assert maxent_fields(out)["stationarity_residual"] == math.inf
+
     def test_scaled_bg_keeps_the_legendre_relation(self, capsys, tmp_path):
         # Log(x) = c ln x and E(y) = e^(y/c) carry the scale constant
         path = tmp_path / "e.txt"
@@ -605,6 +622,20 @@ class TestScan:
             code, out, err = run(capsys, "scan", "--spec", "bg", "--spec", spec)
         assert is_usage_error(code, out, err)
         assert spec in err
+
+    @pytest.mark.parametrize("points", ["1", "2", "3", "4"])
+    def test_too_few_points_to_fit_is_a_usage_error(self, capsys, points):
+        # below five points the fitted top half holds one or two, which both lines fit
+        # exactly, so the fit cannot tell (ln W)^a from W^b
+        code, out, err = run(capsys, "scan", "--spec", "bg", "--points", points)
+        assert is_usage_error(code, out, err)
+        assert "five points" in err
+
+    def test_five_points_tell_the_families_apart(self, capsys):
+        code, out, _ = run(capsys, "scan", "--spec", "bg", "--spec", "tsallis:q=1/2", "--points", "5")
+        assert code == 0
+        rows = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
+        assert [(r[1], round(float(r[2]), 2)) for r in rows] == [("(ln W)^a", 1.0), ("W^b", 0.5)]
 
 
 class TestUsageErrors:

@@ -367,7 +367,8 @@ class TestMaxEntTsallis:
         assert math.isnan(sol.Z)
 
     def test_fixed_energy_mode_on_a_slow_alpha_solve(self):
-        # the inner alpha solve needs more than brentq's default 100 iterations
+        # two equal top levels: the target-U solve whose inner alpha solves once ran out of
+        # iterations still lands U within 1e-9
         target = 3.0468555453721207
         levels = (0.269555408149792, 5.253742259270281, 5.253742259270281)
         sol = maxent_solve(MaxEntProblem(Tsallis(Fraction(3, 2)), levels, target_U=target))
