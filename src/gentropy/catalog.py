@@ -387,8 +387,12 @@ class Entropy:
         return self.G(np.log(x))
 
     def log_inverse(self, y):
-        """E = inverse of the generalized logarithm."""
-        raise UnsupportedRepresentation(f"{self.name} has no generalized logarithm")
+        """E = inverse of the generalized logarithm, exp(F(y)) with the scale constant."""
+        if not self.has_exponential:
+            raise UnsupportedRepresentation(f"{self.name} has no generalized logarithm")
+        # math.exp, not np.exp: their last bits differ on some doubles, and Z keeps them
+        f = self.F(y)
+        return np.array([math.exp(v) for v in f.tolist()]) if np.ndim(f) else math.exp(f)
 
     # -- composition rule ------------------------------------------------------
 
@@ -484,11 +488,6 @@ class ExponentialSum(Entropy):
 
     def dh(self, t):
         return self._sum(np.exp, self._dh_terms, float(self.scale) * np.asarray(t, dtype=float))
-
-    def log_inverse(self, y):
-        # math.exp, not np.exp: their last bits differ on some doubles, and Z keeps them
-        f = self.F(y)
-        return np.array([math.exp(v) for v in f.tolist()]) if np.ndim(f) else math.exp(f)
 
 
 def _q_sigma(q):

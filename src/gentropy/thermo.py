@@ -10,9 +10,12 @@ Canonical MaxEnt solves the stationarity condition h(ln 1/p_i) = alpha +
 beta E_i, h = kB (G - G'), with one safeguarded array Newton iteration
 (``catalog._newton``) and exact slopes from ``Entropy.dh``: every level at once in
 t = ln 1/p (levels clamped to [_P_LO, _P_HI] are masked and never
-evaluated), alpha on -ln sum p, and in target-U mode beta on the shortfall
-target - U, whose bracket ``catalog._bracket`` grows from [0, 1] or [-1, 0].
-Each solve is warm-started from the one before.
+evaluated), and alpha on -ln sum p.  In target-U mode alpha and beta are one
+damped Newton iteration on (sum p - 1, sum p E - target), whose 2 x 2
+Jacobian is the Hessian of the convex MaxEnt dual; where it cannot move,
+beta is solved on the shortfall target - U instead, in a bracket
+``catalog._bracket`` grows from [0, 1] or [-1, 0].  Each solve is
+warm-started from the one before.
 """
 
 from __future__ import annotations
@@ -164,6 +167,12 @@ class MaxEntSolution:
 _P_LO = 1e-15
 _P_HI = 1.0 - 1e-15
 _T_LO, _T_HI = -np.log(_P_HI), -np.log(_P_LO)  # t = ln 1/p at the clamps
+# where h is checked for monotonicity: 64 points from _T_HI down to _T_LO spaced evenly in t, and
+# 16 more spaced evenly in ln t over the last gap (_T_LO, 0.55), where h' may change sign near p = 1;
+# built in Python floats, as numpy's geomspace would add half a megabyte to every import
+_T_GAP = (_T_HI - _T_LO) / 63
+_T_GRID = np.array([_T_HI - k * _T_GAP for k in range(63)]
+                   + [_T_GAP * (_T_LO / _T_GAP) ** (j / 17) for j in range(1, 17)] + [_T_LO])
 _REACH = 2.0 ** 200  # the alpha bracket is clipped to [-_REACH, _REACH]
 
 
@@ -173,13 +182,17 @@ def _stationarity(spec: Entropy, t):
 
 
 def _check_monotone(spec: Entropy) -> tuple:
-    """Check that h = kB (G - G') falls as p rises; returns h at _P_LO and _P_HI, then kB h' there."""
-    vals = _stationarity(spec, -np.log(np.geomspace(_P_LO, _P_HI, 64)))
-    if not np.all(np.diff(vals) < 0):
+    """Check that h = kB (G - G') falls as p rises; returns h at _P_LO and _P_HI, then kB h' there.
+
+    h is sampled on _T_GRID, and kB h' must be positive at both ends.
+    """
+    vals = _stationarity(spec, _T_GRID)
+    slopes = spec.kB * spec.dh(np.array([_T_HI, _T_LO]))
+    if not (np.all(np.diff(vals) < 0) and np.all(slopes > 0)):
         raise UnsupportedRepresentation(
             f"{spec.name}: stationarity function is not strictly monotone"
         )
-    return (float(vals[0]), float(vals[-1]), *(spec.kB * spec.dh(np.array([_T_HI, _T_LO]))))
+    return (float(vals[0]), float(vals[-1]), *slopes)
 
 
 def _invert_h(spec: Entropy, target: np.ndarray, ends: tuple, t: np.ndarray):
@@ -285,14 +298,96 @@ def _partition_value(spec: Entropy, energies, beta: float) -> float:
         return math.inf
 
 
+_JOINT_CAP = 100  # level solves before the joint iteration gives way to the bracketed one
+
+
 def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
+    """The levels whose mean energy is target, by damped Newton on (alpha, beta) jointly.
+
+    Energies and alpha are taken at the target: the levels solve
+    h = alpha + beta (E - target), so that on a spectrum far from 0 neither
+    the targets nor the residual cancel.  The residual
+    g = (sum p - 1, sum p (E - target)) has the Jacobian
+    -[[sum w, sum w E], [sum w E, sum w E^2]] in these E, the Hessian of the
+    convex MaxEnt dual; its step is solved in centred form, with
+    m = sum w E / sum w and the weighted variance sum w (E - m)^2.  The
+    iteration starts from the uniform levels at beta = 0 (t = ln L,
+    alpha = h(ln L)), and each iterate's levels come from ``_invert_h``
+    started at the last.  A step is halved until it lowers
+    |g_1| + |g_2| / (E_max - E_min) and leaves two free levels at distinct
+    energies, so a positive variance.  It stops once the step moves no
+    level's target alpha + beta (E - target) by more than 4 ulp of
+    max(|target|, 1), which holds however small beta's scale is, or once a
+    full step fails to lower a residual that is already at rounding level;
+    that last step is taken in p to first order.  Where no step can move
+    (fewer than two free levels, a variance past the largest double, no
+    halving lowers the residual, or _JOINT_CAP level solves), the bracketed
+    beta solve takes over: it reaches targets the joint steps do not, some
+    with levels at the clamps and some near an extreme level, where one
+    level holds p near 1.
+    """
+    span, eps = float(E.max() - E.min()), np.finfo(float).eps
+    dE = E - target  # alpha is taken at the target: on E far from 0, alpha + beta E would cancel
+
+    def state(alpha, beta, p, t, w):
+        """The levels at (alpha, beta) with their residual, its rounding level and the Newton step;
+        None with fewer than two free levels at distinct energies."""
+        free = dE[w > 0]
+        if not (free.size and free.min() < free.max()):
+            return None
+        sw = w.sum()
+        m = float(w @ dE) / sw
+        var = float(w @ (dE - m) ** 2)
+        if not 0 < var < math.inf:  # past the largest double, every step would round to 0
+            return None
+        g1, g2 = p.sum() - 1.0, float(p @ dE)
+        d_beta = (g2 - m * g1) / var
+        # rounding: t to a few ulp, each target alpha + beta E_i to one, and the sums
+        floor = 16 * eps * (E.size + float(p @ np.maximum(t, 1.0)) + float(w @ (abs(alpha) + abs(beta * dE))))
+        return _Levels(alpha, beta, p, t, w), abs(g1) + abs(g2) / span, floor, (g1 / sw - m * d_beta, d_beta)
+
+    t = np.full(E.size, math.log(E.size))
+    p = np.exp(-t)
+    now, lam = state(float(_stationarity(spec, t[:1])[0]), 0.0, p, t, p / (spec.kB * spec.dh(t))), 1.0
+    for _ in range(_JOINT_CAP if now else 0):
+        levels, r, floor, step = now
+        d_alpha, d_beta = lam * step[0], lam * step[1]
+        h = levels.alpha + levels.beta * dE
+        if np.all(np.abs(d_alpha + d_beta * dE) <= 4 * np.spacing(np.maximum(np.abs(h), 1.0))):
+            if lam < 1.0:
+                break  # halved to nothing: no step lowers the residual
+            return _last_step(levels, dE, target, *step)
+        a, b = levels.alpha + d_alpha, levels.beta + d_beta
+        finite = math.isfinite(a) and math.isfinite(b)
+        trial = state(a, b, *_invert_h(spec, a + b * dE, ends, levels.t)) if finite else None
+        if trial is not None and trial[1] < r:
+            now, lam = trial, 1.0
+        elif lam == 1.0 and r <= floor:
+            return _last_step(levels, dE, target, *step)
+        else:
+            lam /= 2
+    return _solve_target_U_bracketed(spec, E, target, ends)
+
+
+def _last_step(levels: _Levels, dE: np.ndarray, target: float, d_alpha: float, d_beta: float) -> _Levels:
+    """The levels after a last (alpha, beta) step, taken in p to first order, with p normalized.
+
+    alpha is taken at the target, with dE = E - target; the alpha returned is taken at E = 0.
+    """
+    p = levels.p - (d_alpha + d_beta * dE) * levels.w
+    beta = levels.beta + d_beta
+    return levels._replace(alpha=levels.alpha + d_alpha - beta * target, beta=beta, p=p / p.sum())
+
+
+def _solve_target_U_bracketed(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
     """The levels whose mean energy is target, by Newton on the shortfall target - U(beta).
 
-    Its slope is -dU/dbeta = sum w E^2 - (sum w E)^2 / sum w, a variance, kept
-    at 0 or above where rounding would take it below.  U(0) is the mean level;
-    the sign of target - U(0) as solved (the mean may round to the other side)
-    picks the bracket [0, 1] or [-1, 0], and ``_bracket`` grows it.  Each
-    fixed-beta solve starts from the one before.
+    ``_solve_target_U`` hands its problem here where its joint steps cannot
+    move.  The shortfall's slope is -dU/dbeta = sum w E^2 - (sum w E)^2 / sum w,
+    a variance, kept at 0 or above where rounding would take it below.  U(0)
+    is the mean level; the sign of target - U(0) as solved (the mean may round
+    to the other side) picks the bracket [0, 1] or [-1, 0], and ``_bracket``
+    grows it.  Each fixed-beta solve starts from the one before.
     """
     last = None
 
@@ -319,8 +414,9 @@ def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
 
     Uses the standard linear energy constraint.  Each probability solves the
     stationarity condition h(ln 1/p_i) = alpha + beta E_i, h = kB (G - G'),
-    which needs a strictly monotone h (checked at solve time).  The levels,
-    alpha and, in target-U mode, beta are each found by ``_newton``.
+    which needs a strictly monotone h (checked at solve time).  The levels
+    and alpha are each found by ``_newton``; in target-U mode alpha and beta
+    are one joint Newton iteration, with the bracketed beta solve behind it.
     """
     spec = problem.spec
     if not spec.has_exponential:

@@ -7,6 +7,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -427,6 +428,35 @@ class TestMaxent:
         )
         assert (code, err) == (0, "")
         assert maxent_fields(out)["Z"] == math.inf
+
+    def test_generic_partition_value(self, capsys, tmp_path):
+        # generic had no log inverse and printed Z nan; Z = sum exp(F(-beta E)), F = G^-1 at 50 digits
+        path = tmp_path / "e.txt"
+        path.write_text("0\n1\n3\n")
+        code, out, err = run(capsys, "maxent", "--entropy", "generic", "--a-sequence", "1,1/8,1/10",
+                             "--energies", str(path), "--beta", "1")
+        assert (code, err) == (0, "")
+        fields = maxent_fields(out)
+        with mp.workdps(50):
+            def F(y):
+                return mp.findroot(lambda t: t + t ** 2 / 16 + t ** 3 / 30 - y, y)
+
+            z = float(mp.fsum(mp.exp(F(-e)) for e in (0, 1, 3)))
+        assert fields["Z"] == pytest.approx(z, rel=1e-14)
+        assert math.isfinite(fields["legendre_residual"])
+
+    @pytest.mark.parametrize("flags", [
+        ["--q", "1/2", "--beta", "1"],
+        ["--q", "3/4", "--scale", "2", "--target-u", "0.4"],
+    ], ids=["h' < 0 at t = 0", "h' < 0 at t = 0 at scale 2"])
+    def test_a_stationarity_function_that_turns_near_p_1_is_rejected(self, capsys, tmp_path, flags):
+        # h falls on t in (0, 0.204), inside the first gap (0, 0.548) of the samples evenly spaced
+        # in t; the solve went on and printed a stationarity residual of 0.68, or U = 0.389 for 0.4
+        path = tmp_path / "e.txt"
+        path.write_text("0\n1\n3\n")
+        code, out, err = run(capsys, "maxent", "--entropy", "s_iii", *flags, "--energies", str(path))
+        assert is_usage_error(code, out, err)
+        assert "not strictly monotone" in err
 
     @pytest.mark.parametrize("beta", ["-800", "-1e17"])
     @pytest.mark.parametrize("option", [[], ["--kb", "2"], ["--scale", "2"]], ids=["plain", "kb", "scale"])

@@ -8,6 +8,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from gentropy import thermo
@@ -126,6 +128,28 @@ def mp_maxent_p(spec, levels, beta, sol):
                     for E, p0 in zip(levels, sol.distribution.p.tolist())]
 
         return np.array([float(v) for v in p(mp.findroot(lambda a: mp.fsum(p(a)) - 1, sol.alpha))])
+
+
+def mp_target_U_p(spec, levels, target, sol):
+    """The MaxEnt p with mean energy target, with alpha, beta and each level's root at 50 digits.
+
+    Every level is free; the roots start from the solver's t = ln 1/p, and (alpha, beta) from its own.
+    """
+    with mp.workdps(50):
+        def h(t):
+            return spec.kB * (mp_G(spec, t) - mp.diff(lambda x: mp_G(spec, x), t))
+
+        start = (-np.log(sol.distribution.p)).tolist()
+
+        def p(alpha, beta):
+            return [mp.exp(-mp.findroot(lambda t: h(t) - alpha - beta * E, t0)) for E, t0 in zip(levels, start)]
+
+        def residual(alpha, beta):
+            ps = p(alpha, beta)
+            return [mp.fsum(ps) - 1, mp.fsum(pi * E for pi, E in zip(ps, levels)) - target]
+
+        alpha, beta = mp.findroot(residual, (mp.mpf(sol.alpha), mp.mpf(sol.beta)))
+        return np.array([float(v) for v in p(alpha, beta)])
 
 
 class TestOccupationLaw:
@@ -437,8 +461,9 @@ class TestMaxEntNewtonSolver:
         assert np.max(np.abs(sol.distribution.p - mp_maxent_p(spec, levels, beta, sol))) <= 1e-15
 
     @pytest.mark.parametrize("target", [0.2, 4.8], ids=["past [0, 1]", "past [-1, 0]"])
-    def test_target_energy_near_an_extreme_level_grows_the_beta_bracket(self, target):
+    def test_target_energy_near_an_extreme_level_grows_the_beta_bracket(self, monkeypatch, target):
         # beta is about +-6.6: the bracket doubles out from [0, 1] or [-1, 0] to [4, 8] or [-8, -4]
+        monkeypatch.setattr(thermo, "_solve_target_U", thermo._solve_target_U_bracketed)
         levels = tuple(5 * i / 19 for i in range(20))
         sol = maxent_solve(MaxEntProblem(Tsallis(Fraction(1, 2)), levels, target_U=target))
         assert 4 < abs(sol.beta) < 8 and math.copysign(1.0, sol.beta) == (1.0 if target < 2.5 else -1.0)
@@ -464,6 +489,136 @@ class TestMaxEntNewtonSolver:
         # beta E reaches 1e61, past 2^200: the clipped bracket holds no sign change
         with pytest.raises(SpecError, match="no alpha normalizes"):
             maxent_solve(MaxEntProblem(Tsallis(Fraction(1, 2)), (0.0, 1.0, 2.0), beta=-1e61))
+
+
+TARGET_U_SPECS = {
+    "tsallis 1/2": Tsallis(Fraction(1, 2)),
+    "tsallis 3/4": Tsallis(Fraction(3, 4)),
+    "kaniadakis 1/3": Kaniadakis(Fraction(1, 3)),
+    "borges_roditi 1/2 -1/3": BorgesRoditi(Fraction(1, 2), Fraction(-1, 3)),
+    "generic 1 1/8 1/10": GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)]),
+    "s_iii 4/5": SThird(Fraction(4, 5)),
+}
+# specs for the comparison with the bracketed solve, with kB and the scale constant varied
+COMPARED_SPECS = [
+    BoltzmannGibbs(), BoltzmannGibbs(kB=2.0), Tsallis(Fraction(1, 2)), Tsallis(Fraction(1, 2), scale_c=2),
+    Tsallis(Fraction(3, 2)), Tsallis(Fraction(9, 8), kB=2.0), Kaniadakis(Fraction(1, 3)),
+    Kaniadakis(Fraction(-3, 5), scale_c=2), BorgesRoditi(Fraction(1, 2), Fraction(-1, 3), kB=2.0),
+    GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)]), SThird(Fraction(4, 5)), SThird(Fraction(7, 10), kB=2.0),
+]
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of thermo's function ``name`` from now on."""
+    calls = []
+    original = getattr(thermo, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(thermo, name, counted)
+    return calls
+
+
+def solve_outcome(problem):
+    """maxent_solve's p, or the text of its SpecError."""
+    try:
+        return maxent_solve(problem).distribution.p
+    except SpecError as exc:
+        return str(exc)
+
+
+class TestTargetUJointSolve:
+    @pytest.mark.parametrize("kind", TARGET_U_SPECS)
+    @pytest.mark.parametrize("L", [3, 20])
+    def test_p_matches_a_fifty_digit_alpha_beta_solve(self, kind, L):
+        spec = TARGET_U_SPECS[kind]
+        levels, target = ((0.0, 1.0, 2.5), 0.8) if L == 3 else (tuple(5 * i / 19 for i in range(20)), 1.5)
+        sol = maxent_solve(MaxEntProblem(spec, levels, target_U=target))
+        assert np.max(np.abs(sol.distribution.p - mp_target_U_p(spec, levels, target, sol))) <= 1e-15
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(spec=st.sampled_from(COMPARED_SPECS),
+           levels=st.lists(st.integers(0, 20), min_size=2, max_size=6).filter(lambda e: min(e) < max(e)),
+           f=st.one_of(st.floats(0.01, 0.99), st.sampled_from([1e-6, 1e-3, 1 - 1e-3, 1 - 1e-6])))
+    # the top level sits at the q-exponential cut-off: the bracketed solve takes over
+    @example(spec=Tsallis(Fraction(9, 8)), levels=[0, 1, 100], f=5e-6)
+    def test_same_outcome_as_the_bracketed_solve(self, spec, levels, f):
+        levels = tuple(e / 4 for e in levels)
+        lo, hi = min(levels), max(levels)
+        problem = MaxEntProblem(spec, levels, target_U=lo + f * (hi - lo))
+        joint = solve_outcome(problem)
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(thermo, "_solve_target_U", thermo._solve_target_U_bracketed)
+            bracketed = solve_outcome(problem)
+        assert type(joint) is type(bracketed)
+        if isinstance(joint, str):
+            assert joint == bracketed
+        else:
+            assert np.max(np.abs(joint - bracketed)) <= 1e-13
+
+    @pytest.mark.parametrize("spec", [BoltzmannGibbs(), *TARGET_U_SPECS.values()],
+                             ids=["bg", *TARGET_U_SPECS])
+    @pytest.mark.parametrize("levels", [(0.0, 1.3, 2.9), (0.4, 3.1, 3.1)], ids=["spaced", "degenerate"])
+    def test_three_levels_take_few_level_solves(self, monkeypatch, spec, levels):
+        # the nested beta, alpha and level solves took 32 to 36 level solves
+        calls = count_calls(monkeypatch, "_invert_h")
+        target = levels[0] + 0.6 * (np.mean(levels) - levels[0])
+        sol = maxent_solve(MaxEntProblem(spec, levels, target_U=target))
+        assert len(calls) <= 15
+        assert abs(sol.U - target) <= 1e-15 * (1 + target)
+
+    def test_a_degenerate_overshoot_is_halved_not_handed_on(self, monkeypatch):
+        # the first full step clamps the lowest level and leaves the two free levels at one energy:
+        # their weighted variance rounds to a tiny positive number, and the next step to 1e31
+        bracketed = count_calls(monkeypatch, "_solve_target_U_bracketed")
+        levels, target = (0.2825779087061063, 0.802086975471106, 0.802086975471106), 0.3713765359692684
+        sol = maxent_solve(MaxEntProblem(BoltzmannGibbs(), levels, target_U=target))
+        assert not bracketed
+        assert abs(sol.U - target) <= 1e-15
+
+    def test_levels_near_a_large_energy_offset_do_not_crawl(self, monkeypatch):
+        # every level is near 1.8 and the spread is 0.018: a residual that weighs |sum p - 1| by
+        # E / (E_max - E_min) took a hundred halved steps and then the bracketed solve
+        calls = count_calls(monkeypatch, "_invert_h")
+        levels, target = (1.8106055071204263, 1.8286153035617074, 1.8286153035617074), 1.8144741754193057
+        sol = maxent_solve(MaxEntProblem(BoltzmannGibbs(), levels, target_U=target))
+        assert len(calls) <= 20
+        assert abs(sol.U - target) <= 1e-15 * target
+
+    @pytest.mark.parametrize("levels, target", [
+        ((0.0, 1e19, 3e19), 1e19),
+        ((1e5, 1e5 + 1e-6, 1e5 + 3e-6), 1e5 + 1e-6),
+    ], ids=["spread 3e19", "spread 3e-6 at 1e5"])
+    def test_bg_far_from_unit_energies(self, levels, target):
+        # taken at E = 0, alpha + beta E cancels at 1e5, and at 1e19 beta's steps of 1e-20 stop
+        # as if converged: the bracketed solve misses U by 0.11 % and 0.74 % of the span
+        sol = maxent_solve(MaxEntProblem(BoltzmannGibbs(), levels, target_U=target))
+        span = max(levels) - min(levels)
+        with mp.workdps(50):
+            dE = [(mp.mpf(e) - mp.mpf(target)) / span for e in levels]  # from the target, in spans
+
+            def weights(b):
+                return [mp.exp(-b * d) for d in dE]
+
+            b = mp.findroot(lambda b: mp.fsum(w * d for w, d in zip(weights(b), dE)), sol.beta * span)
+            ref = np.array([float(w / mp.fsum(weights(b))) for w in weights(b)])
+        assert np.max(np.abs(sol.distribution.p - ref)) <= 1e-15
+
+    def test_kaniadakis_with_two_top_levels_meets_the_target(self):
+        # beta is 151.2, and the two top levels hold 1/160 each
+        sol = maxent_solve(MaxEntProblem(Kaniadakis(Fraction(1, 3)), (0.0, 0.04, 0.04), target_U=0.0005))
+        assert abs(sol.beta - 151.2) < 0.1
+        assert abs(sol.U - 0.0005) <= 1e-15
+
+    def test_a_level_at_the_cut_off_is_reached_by_the_bracketed_solve(self, monkeypatch):
+        # the top level sits at _P_LO, past the q-exponential cut-off; the joint steps stall there
+        bracketed = count_calls(monkeypatch, "_solve_target_U_bracketed")
+        sol = maxent_solve(MaxEntProblem(Tsallis(Fraction(9, 8)), (0.0, 0.02, 2.0), target_U=1e-5))
+        assert bracketed
+        assert sol.distribution.p[2] == pytest.approx(thermo._P_LO, rel=1e-12)
+        assert abs(sol.U - 1e-5) <= 1e-15
 
 
 class TestTemperatureTable:
