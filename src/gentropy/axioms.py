@@ -172,6 +172,22 @@ def _dirichlet(rng: np.random.Generator, W: int, size: int | None = None) -> np.
     return rng.dirichlet(np.ones(W), size=size)
 
 
+def _dirichlet_pairs(rng: np.random.Generator, W_A: int, W_B: int, trials: int) -> tuple:
+    """trials Dirichlet(1) samples of W_A states, each followed by one of W_B states.
+
+    One gamma draw for all of them: bit for bit the stream of per-trial
+    ``rng.dirichlet(np.ones(W_A))``, ``rng.dirichlet(np.ones(W_B))`` calls,
+    as numpy's dirichlet divides each sample's gamma variates the same way,
+    by a left-to-right sum and a multiply by its reciprocal.
+    """
+    if not trials:
+        return np.empty((0, max(W_A, 0))), np.empty((0, max(W_B, 0)))
+    if min(W_A, W_B) < 1:
+        raise DistributionError("need at least one state")
+    gamma = rng.standard_gamma(1.0, size=(trials, W_A + W_B))
+    return tuple(g * (1.0 / np.cumsum(g, axis=1)[:, -1:]) for g in (gamma[:, :W_A], gamma[:, W_A:]))
+
+
 def _batch_entropy(spec: Entropy, samples: np.ndarray) -> np.ndarray:
     p = np.where(samples > 0, samples, 1.0)
     terms = np.where(samples > 0, samples * spec.density(p), 0.0)
@@ -255,16 +271,14 @@ def check_strict_composability(
     Each extra (p_A, p_B) pair is checked before the random ones; p_A needs
     W_A states and p_B needs W_B.
     """
-    rng = np.random.default_rng(seed)
     extra = [(Distribution(pa).p, Distribution(pb).p) for pa, pb in extra_marginals]
     # A then B within each trial, so a seed's samples do not depend on the batching
-    drawn = [(_dirichlet(rng, W_A), _dirichlet(rng, W_B)) for _ in range(trials)]
-    cases = extra + drawn
+    drawn = _dirichlet_pairs(np.random.default_rng(seed), W_A, W_B, trials)
+    cases = len(extra) + trials
     if not cases:  # nothing was checked
         return AxiomReport("strict-composability", INCONCLUSIVE, 0.0, trials=0, seed=seed)
-    pa = np.array([a for a, _ in cases])
-    pb = np.array([b for _, b in cases])
-    s_ab = _batch_entropy(spec, (pa[:, :, None] * pb[:, None, :]).reshape(len(cases), -1))
+    pa, pb = (np.vstack([case[k] for case in extra] + [drawn[k]]) for k in (0, 1))
+    s_ab = _batch_entropy(spec, (pa[:, :, None] * pb[:, None, :]).reshape(cases, -1))
     composed = spec.phi(_batch_entropy(spec, pa), _batch_entropy(spec, pb))
     residuals = np.abs(s_ab - composed) / np.maximum(1.0, np.abs(s_ab))
     i = int(np.argmax(residuals))
@@ -277,7 +291,7 @@ def check_strict_composability(
         verdict=PASS if ok else FAIL,
         worst_residual=worst,
         witness=None if ok else witness,
-        trials=len(cases),
+        trials=cases,
         seed=seed,
     )
 
@@ -320,9 +334,7 @@ def lesche_probe(
     rng = np.random.default_rng(seed)
     s_max = spec.evaluate(Distribution.uniform(W))
     # p then r within each trial, so a seed's samples do not depend on the batching
-    pairs = [(_dirichlet(rng, W), _dirichlet(rng, W)) for _ in range(trials)]
-    p = np.array([a for a, _ in pairs]).reshape(trials, W)
-    r = np.array([b for _, b in pairs]).reshape(trials, W)
+    p, r = _dirichlet_pairs(rng, W, W, trials)
     l1 = np.abs(p - r).sum(axis=1)
     eps = np.minimum(1.0, delta / np.where(l1 == 0, 1.0, l1)) * (l1 != 0)
     p2 = (1 - eps[:, None]) * p + eps[:, None] * r

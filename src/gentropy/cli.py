@@ -41,6 +41,7 @@ from .io import (
     parse_distribution,
     read_energy_file,
     tsv_line,
+    tsv_table,
 )
 from .scd import ScdEntropy
 from .series import SeriesError, normalized_from_literal, parse_rational_list
@@ -305,8 +306,7 @@ def cmd_maxent(args) -> int:
     except SpecError:
         pass
     print("#i\tenergy\tp")
-    for i, (e, p) in enumerate(zip(energies, sol.distribution.p)):
-        print(tsv_line(i, e, p, digits=args.digits))
+    print(tsv_table(range(len(energies)), energies, sol.distribution.p, digits=args.digits))
     return 0
 
 
@@ -318,9 +318,10 @@ def cmd_occupation(args) -> int:
     if not law.valid:
         return 1
     report = thermo.extensivity_check(spec, args.nmax, law)
-    for N, lw, s, resid, _ in report.rows:
-        W = float(np.exp(lw)) if lw < 700 else float("inf")
-        print(tsv_line(N, lw, W, s, resid, digits=args.digits))
+    if report.rows:
+        N, lw, s, resid, _ = zip(*report.rows)
+        W = np.exp(np.where(np.less(lw, 700), lw, np.inf))
+        print(tsv_table(N, lw, W, s, resid, digits=args.digits))
     return 0
 
 

@@ -383,20 +383,23 @@ def _solve_target_U_bracketed(spec: Entropy, E: np.ndarray, target: float, ends:
     """The levels whose mean energy is target, by Newton on the shortfall target - U(beta).
 
     ``_solve_target_U`` hands its problem here where its joint steps cannot
-    move.  The shortfall's slope is -dU/dbeta = sum w E^2 - (sum w E)^2 / sum w,
-    a variance, kept at 0 or above where rounding would take it below.  U(0)
-    is the mean level; the sign of target - U(0) as solved (the mean may round
-    to the other side) picks the bracket [0, 1] or [-1, 0], and ``_bracket``
-    grows it.  Each fixed-beta solve starts from the one before.
+    move.  Newton runs on b = beta (E_max - E_min), so that its 4-ulp stop is
+    relative to the spectrum's scale.  The shortfall's slope in beta is
+    -dU/dbeta = sum w E^2 - (sum w E)^2 / sum w, a variance, kept at 0 or
+    above where rounding would take it below.  U(0) is the mean level; the
+    sign of target - U(0) as solved (the mean may round to the other side)
+    picks the bracket [0, 1] or [-1, 0] of b, and ``_bracket`` grows it.
+    Each fixed-beta solve starts from the one before.
     """
     last = None
+    span = float(E.max() - E.min())
 
     def fdf(b, _):
         nonlocal last
-        last = _solve_fixed_beta(spec, E, float(b[0]), ends, last)
+        last = _solve_fixed_beta(spec, E, float(b[0]) / span, ends, last)
         w = last.w
         slope = max(0.0, float(w @ E ** 2 - (w @ E) ** 2 / w.sum())) if w.sum() > 0 else 0.0
-        return np.array([target - float(last.p @ E)]), np.array([slope])
+        return np.array([target - float(last.p @ E)]), np.array([slope / span])
 
     bracket = np.zeros((3, 2, 1))
     bracket[1:, 0] = fdf(bracket[0, 0], None)

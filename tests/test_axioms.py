@@ -11,6 +11,7 @@ from gentropy.axioms import (
     PASS,
     AxiomReport,
     ParameterRegion,
+    _dirichlet_pairs,
     check_concavity_condition,
     check_concavity_numeric,
     check_sk2_maximum,
@@ -33,6 +34,7 @@ from gentropy.catalog import (
     SThird,
     Tsallis,
 )
+from gentropy.cli import main
 
 FIX = Distribution([0.5, 0.3, 0.2])
 
@@ -234,6 +236,29 @@ class TestStrictComposability:
         rep = check_strict_composability(spec, 3, 4, trials=30, seed=7, tol=0.0)
         assert rep.worst_residual == worst
         assert (rep.witness["p_A"], rep.witness["p_B"]) == witness
+
+    @pytest.mark.parametrize("trials", [0, 1, 100])
+    @pytest.mark.parametrize("W_A, W_B", [(1, 1), (2, 3), (5, 7), (12, 20)])
+    def test_one_draw_is_the_per_trial_dirichlet_stream(self, W_A, W_B, trials):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            pairs = [(rng.dirichlet(np.ones(W_A)), rng.dirichlet(np.ones(W_B))) for _ in range(trials)]
+            pa, pb = _dirichlet_pairs(np.random.default_rng(seed), W_A, W_B, trials)
+            assert pa.shape == (trials, W_A) and pb.shape == (trials, W_B)
+            assert pa.tobytes() == b"".join(a.tobytes() for a, _ in pairs)
+            assert pb.tobytes() == b"".join(b.tobytes() for _, b in pairs)
+
+    def test_cli_witness_is_pinned(self, capsys):
+        code = main(["check", "--entropy", "s_delta", "--delta", "3/2", "--axiom", "strict-composability",
+                     "--seed", "3", "--wa", "4", "--wb", "5", "--trials", "37"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "#axiom\tverdict\tresidual\twitness\n"
+            "strict-composability\tfail\t1.2546519511010684e-01\t"
+            "{'p_A': [0.07237902402798335, 0.11458971957797487, 0.7870081382022758, 0.026023118191766066], "
+            "'p_B': [0.1141354537862193, 0.12087809189435293, 0.08080008824006653, 0.5517143785349734, "
+            "0.13247198754438802], 'S_AB': 3.271592127647434, 'composed': 3.682063072263409}\n"
+        )
 
     @pytest.mark.parametrize("W_A, W_B", [(0, 3), (2, -1)])
     def test_empty_parts_are_rejected(self, W_A, W_B):

@@ -157,6 +157,19 @@ class TestEval:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--dist", ("eval", "--entropy", "bg")),
+        ("--dist", ("check", "--entropy", "bg", "--axiom", "sk3")),
+        ("--energies", ("maxent", "--entropy", "bg", "--beta", "1")),
+    ], ids=["eval", "check-sk3", "maxent"])
+    def test_a_file_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path, flag, argv):
+        # the decoding error was a traceback with exit 1
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"0.5\n\xff0.5\n")
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert is_usage_error(code, out, err)
+        assert str(path) in err and "UTF-8" in err
+
     def test_generic_evaluates_its_whole_sequence(self, capsys):
         # once cut at degree 12, which printed ln 3, the BG value
         code, out, err = run(capsys, "eval", "--entropy", "generic",

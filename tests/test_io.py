@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gentropy.io import _parse_number, format_float, read_distribution_file
+from gentropy.io import InputFormatError, _parse_number, _read_values, format_float, read_distribution_file
 
 
 def fraction_parse(token):
@@ -68,6 +68,65 @@ decimal_tokens = st.one_of(
 @example(token="1/" + "1" * 5000)  # over int()'s digit limit
 def test_parse_number_matches_fraction(token):
     assert outcome(_parse_number, token) == outcome(fraction_parse, token)
+
+
+# splitlines' breaks: text mode reads \r\n and \r as \n, and leaves the others
+SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85")
+plain_tokens = st.one_of(
+    st.builds("{}/{}".format, st.integers(0, 10 ** 16), st.integers(0, 10 ** 16)),
+    st.floats(0, 1).map(repr),
+)
+
+
+@st.composite
+def file_texts(draw):
+    """Lines of tokens, comments and blanks, now and then after about a chunk of p/q lines.
+
+    Half the files hold only plain tokens, and half only the breaks that
+    text mode reads as \\n: a bulk reader reads a file of both without help.
+    """
+    plain = draw(st.booleans())
+    tokens = plain_tokens if plain else st.one_of(ratio_tokens(), decimal_tokens, plain_tokens)
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        token = draw(tokens)
+        pad, comment = draw(st.sampled_from(("", " ", "\t ", "\x1f"))), draw(st.sampled_from(("", "#", " # c")))
+        lines.append(draw(st.sampled_from((f"{pad}{token}{pad}{comment}", "", "   ", "# note"))))
+    # 16 characters a line: 4096 lines fill a chunk of 1 << 16
+    head = "1/3 # padding\n  " * draw(st.one_of(st.just(0), st.just(0), st.integers(4_080, 4_100)))
+    separators = st.sampled_from(draw(st.sampled_from((SEPARATORS[:3], SEPARATORS))))
+    return head + "".join(line + draw(separators) for line in lines) + draw(st.sampled_from(("", "0.5")))
+
+
+def per_line_reference(text, path, parse, noun):
+    """The values' bytes, or the message naming the first malformed line."""
+    values = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            try:
+                values.append(parse(line))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                return f"{path}:{lineno}: malformed {noun} {line!r}"
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=file_texts())
+@example(text="0.5 # c\x0c0.25")  # one value if comments go before the split at \x0c
+@example(text="1/2\r\n 1_0/3\n")
+@example(text="0.5\n3/0\n")
+@example(text="12/3e3\n0.5\n")
+@example(text="0." + "0" * 70_000 + "5\n1/2\n")  # one line longer than a chunk
+def test_whole_files_read_as_line_by_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("files") / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    for noun, value, parse in (("distribution", "probability", _parse_number), ("energy", "energy", float)):
+        try:
+            got = _read_values(str(path), noun).tobytes()
+        except InputFormatError as exc:
+            got = str(exc)
+        assert got == per_line_reference(text, path, parse, value)
 
 
 def test_mixed_file_reads_to_the_fraction_floats(tmp_path):

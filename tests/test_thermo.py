@@ -606,6 +606,13 @@ class TestTargetUJointSolve:
             ref = np.array([float(w / mp.fsum(weights(b))) for w in weights(b)])
         assert np.max(np.abs(sol.distribution.p - ref)) <= 1e-15
 
+    def test_the_bracketed_solve_stops_relative_to_the_span(self, monkeypatch):
+        # beta's 4-ulp stop was absolute: it stopped at 8.88e-16, with U at 4e185
+        bracketed = count_calls(monkeypatch, "_solve_target_U_bracketed")
+        sol = maxent_solve(MaxEntProblem(BoltzmannGibbs(), (0.0, 1e200, 3e200), target_U=1e200))
+        assert bracketed
+        assert abs(sol.U - 1e200) <= 1e-12 * 1e200
+
     def test_kaniadakis_with_two_top_levels_meets_the_target(self):
         # beta is 151.2, and the two top levels hold 1/160 each
         sol = maxent_solve(MaxEntProblem(Kaniadakis(Fraction(1, 3)), (0.0, 0.04, 0.04), target_U=0.0005))
