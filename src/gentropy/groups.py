@@ -16,7 +16,7 @@ from math import comb, factorial, gcd
 from operator import add, itemgetter, mul
 from typing import Iterator
 
-from .series import SeriesError, TruncatedSeries, common_denominator
+from .series import SeriesError, TruncatedSeries, _bell_table, _divided_powers, common_denominator
 
 Monomial = tuple[int, ...]
 
@@ -223,37 +223,32 @@ class LawAxiomCheck:
 def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> GroupLaw:
     """Construct Phi(x, y) = G(F(x) + F(y)) truncated at total degree.
 
-    Expanding G(F(x) + F(y)) = sum_k g_k (F(x) + F(y))^k binomially gives
+    With e_k and phi_k the divided-power integers of G and F = revert(G) at
+    one scale D (``series._divided_powers``), Faa di Bruno gives
 
-        c_ab = sum_k g_k sum_j C(k, j) [x^a]F^j [x^b]F^(k-j),
+        c_ab a! b! D^(a+b-1) = sum_(i,j) e_(i+j) B_(a,j)(phi) B_(b,i)(phi),
 
-    read off the power table of F.  Since F has no constant term,
-    [x^a]F^j vanishes for j > a, so j runs to a and k - j to b.
+    B the partial Bell polynomials (B_(a,j)(phi) / a! is [x^a] F(D x)^j /
+    (j! D^j)), summed through v_i = sum_j e_(i+j) B_(a,j)(phi) for a <= b.
     """
-    if not G.is_normalized():
-        raise GroupLawError("group exponential must be normalized (G(0)=0, G'(0)=1)")
     if order is None:
         order = G.order
+    if order < 1:
+        raise GroupLawError(f"a group law needs order >= 1, got {order}")
+    if not G.is_normalized():
+        raise GroupLawError("group exponential must be normalized (G(0)=0, G'(0)=1)")
     if order > G.order:
         raise GroupLawError("requested order exceeds the exponential's order")
     Gn = TruncatedSeries(G.coeffs[: order + 1], order)
     F = Gn.revert()
-    # the sums run on integer numerators: g over den_g, every power of F over den_f
-    den_g, g = common_denominator([Fraction(c) for c in Gn.coeffs])
-    table = TruncatedSeries([Fraction(c) for c in F.coeffs], order).powers()
-    den_f, flat = common_denominator([c for p in table for c in p.coeffs])
-    columns = [flat[b :: order + 1][: b + 1] for b in range(order + 1)]  # [x^b]F^i, i <= b
-    den = den_g * den_f * den_f
+    D, (e, f) = _divided_powers(Gn.coeffs, F.coeffs)
+    bell = _bell_table(f)
     terms = {}
-    for a in range(order + 1):
-        # v[i] = sum_j C(i + j, j) g_(i+j) [x^a]F^j, the x^a part of G's
-        # binomial expansion paired with F(y)^i
-        v = [
-            sum(comb(i + j, j) * g[i + j] * columns[a][j] for j in range(a + 1))
-            for i in range(order - a + 1)
-        ]
-        for b in range(order - a + 1):
-            terms[(a, b)] = Fraction(sum(map(mul, v[: b + 1], columns[b])), den)
+    for a in range(order // 2 + 1):
+        v = [sum(map(mul, e[i : i + a + 1], bell[a])) for i in range(order - a + 1)]
+        for b in range(a, order - a + 1):
+            if p := sum(map(mul, v[: b + 1], bell[b])):
+                terms[(a, b)] = terms[(b, a)] = Fraction(p, factorial(a) * factorial(b) * D ** (a + b - 1))
     return GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=F)
 
 
@@ -300,6 +295,8 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
     """
     if assoc_order is None:
         assoc_order = phi.order
+    if not 0 <= assoc_order <= phi.order:
+        raise GroupLawError(f"assoc_order must be in 0..{phi.order}, got {assoc_order}")
     # Phi(x, 0): drop every term containing y
     at_zero = MultiPoly({m: c for m, c in phi.terms.items() if m[1] == 0}, 2, phi.order)
     phi_n = MultiPoly(
@@ -342,24 +339,31 @@ def _associativity_defect(phi: MultiPoly) -> MultiPoly:
 def formal_inverse(law: GroupLaw) -> TruncatedSeries:
     """The series i with Phi(x, i(x)) = 0 to the law's order.
 
-    For a law with logarithm F and exponential G, i(x) = G(-F(x)); the
-    result is checked against Phi itself.  Purely formal, no claim about
-    real arguments.
+    For a law with logarithm F and exponential G, i(x) = G(-F(x)), in the
+    divided-power form of ``group_law_from_exponential``: iota_m =
+    sum_k (-1)^k e_k B_(m,k)(phi).  The result is checked against Phi
+    itself, in integers: m! D^m [x^m] Phi(x, i(x)) = sum_ab c_ab a! b!
+    D^(a+b) C(m, a) B_(m-a,b)(iota).  Purely formal, no claim about real
+    arguments.
     """
     n = law.order
-    G = TruncatedSeries([Fraction(c) for c in law.exp.coeffs], n)
-    F = TruncatedSeries([Fraction(c) for c in law.log.coeffs], n)
-    inv = G.compose(-F)
-    # Phi(x, i(x)) = sum_ab c_ab x^a i(x)^b, summed as integer numerators
-    _, powers = common_denominator([c for p in inv.powers() for c in p.coeffs])
+    G, F = (TruncatedSeries(s.coeffs, n) for s in (law.exp, law.log))
+    if not (G.is_normalized() and F.is_normalized()):
+        raise GroupLawError("formal inverse needs a normalized exponential and logarithm")
+    D, (e, f) = _divided_powers(G.coeffs, F.coeffs)
+    signed = [(-1) ** k * c for k, c in enumerate(e)]
+    iota = [sum(map(mul, signed, row)) for row in _bell_table(f)]
+    powers = _bell_table(iota)
     _, terms = _integer_terms(law.phi.terms)
     closure = [0] * (n + 1)
     for (a, b), _, c in terms:
-        for d in range(n + 1 - a):
-            closure[a + d] += c * powers[b * (n + 1) + d]
+        c *= factorial(a) * factorial(b) * D ** (a + b)
+        for m in range(b, n + 1 - a):
+            closure[a + m] += c * comb(a + m, a) * powers[m][b]
     if any(closure):
         raise GroupLawError("formal inverse does not close: Phi(x, i(x)) != 0")
-    return TruncatedSeries([Fraction(c) for c in inv.coeffs], n)
+    inv = [Fraction(v, factorial(m) * D ** (m - 1)) if m else Fraction(0) for m, v in enumerate(iota)]
+    return TruncatedSeries(inv, n)
 
 
 def lie_bracket(phi: MultiPoly) -> MultiPoly:

@@ -6,12 +6,16 @@ terms of degree greater than ``N``.  Two backends are supported: ``Fraction``
 coefficients for bit-exact identity checking, and plain floats for numeric
 evaluation.  The "group series" used by the entropy machinery are the
 normalized ones with ``c[0] == 0`` and ``c[1] == 1``.
+
+Exact reversion, and the group laws and inverses of ``gentropy.groups``, run
+in divided-power form: G is carried as the integers e_k = c_k k! D^(k-1), the
+coefficients of G(D t)/D on t^k / k!, and summed over partial Bell polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -30,6 +34,46 @@ def common_denominator(values: Sequence) -> tuple[int, list[int]] | None:
     dens = [v.denominator for v in values]
     den = lcm(*dens)
     return den, [v.numerator * (den // d) for v, d in zip(values, dens)]
+
+
+def _divided_powers(*series: Sequence) -> tuple[int, list[list[int]]]:
+    """A graded scale D and each series' integers e_k = c_k k! D^(k-1).
+
+    Each series has c_0 = 0 and an integer c_1.  At degree k, D takes in the
+    part u of den(c_k k!) that D^(k-1) misses, as its exact integer root of
+    the highest order t <= k - 1 (integer Newton steps: u may pass the float
+    range).  Tsallis q = 3/7 gets D = 7, not the lcm 7^(N-1) of the
+    denominators; with k! in e_k, no prime up to N enters D just for k!.
+    """
+    ratios = ([c.as_integer_ratio() for c in s] for s in series)  # exact for a float too
+    scaled = [[(p * factorial(k), d) for k, (p, d) in enumerate(r)] for r in ratios]
+    D = 1
+    for k in range(2, len(scaled[0])):
+        u = lcm(*(d // gcd(p, d) for p, d in (s[k] for s in scaled)))
+        u //= gcd(u, D ** (k - 1))
+        for t in range(k - 1, 0, -1) if u > 1 else ():
+            x = 1 << -(-u.bit_length() // t)  # floor(u^(1/t)) from above
+            while (y := ((t - 1) * x + u // x ** (t - 1)) // t) < x:
+                x = y
+            if x ** t == u:
+                D *= x
+                break
+    return D, [[p * D ** (k - 1) // d if k else 0 for k, (p, d) in enumerate(s)] for s in scaled]
+
+
+def _bell_table(e: Sequence[int]) -> list[tuple[int, ...]]:
+    """Rows ``B[m][k]`` = B_(m,k)(e), the partial Bell polynomials, k, m <= N.
+
+    B_(m,k) = m! [t^m] g^k / k! for g = sum_i e_i t^i / i!, zero for k > m,
+    by B_(m,k) = sum_i C(m-1, i-1) e_i B_(m-i,k-1) on rows of weights
+    C(m-1, i-1) e_i made once.
+    """
+    n = len(e) - 1
+    weights = [[comb(m - 1, j) * e[m - j] for j in range(m)] for m in range(n + 1)]
+    cols = [[1] + [0] * n]
+    for k in range(1, n + 1):
+        cols.append([0] * k + [sum(map(mul, weights[m][k - 1:], cols[-1][k - 1:m])) for m in range(k, n + 1)])
+    return list(zip(*cols))
 
 
 class SeriesError(ValueError):
@@ -64,10 +108,6 @@ class TruncatedSeries:
         self.order = order
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0], order)
 
     @classmethod
     def identity(cls, order: int) -> "TruncatedSeries":
@@ -162,13 +202,6 @@ class TruncatedSeries:
         out = [k * self.coeffs[k] for k in range(1, self.order + 1)]
         return TruncatedSeries(out, self.order - 1)
 
-    def powers(self) -> list["TruncatedSeries"]:
-        """The table self**0, self**1, ..., self**N, each truncated at N."""
-        out = [TruncatedSeries.monomial(0, self.order)]
-        for _ in range(self.order):
-            out.append(out[-1] * self)
-        return out
-
     # -- composition and reversion -------------------------------------------
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -192,14 +225,25 @@ class TruncatedSeries:
 
         Solves coefficient-by-coefficient for f with f(self(t)) = t; the
         triangular recursion is the workhorse form of Lagrange inversion.
-        Exact when the coefficients are exact.
+        Exact coefficients run it in divided-power form, where by Faa di
+        Bruno phi_m = -sum_(k<m) phi_k B_(m,k)(e) in integers; floats run it
+        on the power table of self.
         """
         if not self.is_normalized():
             raise SeriesError(
                 "reversion requires a normalized series (g(0)=0, g'(0)=1)"
             )
         n = self.order
-        powers = self.powers()
+        if {int, Fraction}.issuperset(map(type, self.coeffs)):
+            D, (e,) = _divided_powers(self.coeffs)
+            bell, phi = _bell_table(e), [0, 1]
+            for m in range(2, n + 1):
+                phi.append(-sum(map(mul, phi[1:], bell[m][1:m])))
+            inv = [Fraction(p, factorial(m) * D ** (m - 1)) if m > 1 else p for m, p in enumerate(phi)]
+            return TruncatedSeries(inv, n)
+        powers = [TruncatedSeries.monomial(0, n)]
+        for _ in range(n):
+            powers.append(powers[-1] * self)
         inv = [0] * (n + 1)
         inv[1] = 1
         for m in range(2, n + 1):

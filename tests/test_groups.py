@@ -87,6 +87,12 @@ class TestConstruction:
         with pytest.raises(GroupLawError):
             group_law_from_exponential(g, 6)
 
+    @pytest.mark.parametrize("order", [0, -1, -5])
+    def test_an_order_below_one_is_a_group_law_error(self, order):
+        # it was a SeriesError from reversion or truncation, not about the law
+        with pytest.raises(GroupLawError, match=f"a group law needs order >= 1, got {order}"):
+            group_law_from_exponential(exp_from_a([1, 1], 4), order)
+
 
 class TestLazardRelations:
     @pytest.mark.parametrize(
@@ -136,6 +142,15 @@ class TestAxioms:
         assert chk.symmetric and chk.null_composable
         assert not chk.associative
         assert chk.first_violation[0] == "associativity"
+
+    @pytest.mark.parametrize("assoc_order", [7, 8, -1])
+    def test_assoc_order_outside_the_table(self, assoc_order):
+        # past its order the table's missing terms read as zero: at 8 this law
+        # reported ("associativity", (1, 1, 5), 3114/3125), and -1 passed vacuously
+        phi = group_law_from_exponential(SThird(Fraction(4, 5)).exp_series(6)).phi
+        with pytest.raises(GroupLawError, match=r"assoc_order must be in 0\.\.6, got " + str(assoc_order)):
+            check_axioms(phi, assoc_order)
+        assert check_axioms(phi, 6).all_pass and check_axioms(phi, 0).all_pass
 
     @pytest.mark.parametrize(
         "table, order, assoc_order, verdicts, violation",
@@ -466,7 +481,8 @@ def tables(draw):
         table[(a, b)] = table.get((a, b), 0) + draw(rationals.filter(bool))
         if symmetric:
             table[(b, a)] = table[(a, b)]
-    assoc_order = draw(st.one_of(st.none(), st.integers(0, order + 1)))
+    # past the table's order check_axioms raises (test_assoc_order_outside_the_table)
+    assoc_order = draw(st.one_of(st.none(), st.integers(0, order)))
     return table, order, assoc_order
 
 
