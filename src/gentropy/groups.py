@@ -190,7 +190,7 @@ class GroupLaw:
 
     phi: MultiPoly  # bivariate, truncated at total degree `order`
     exp: TruncatedSeries  # G
-    log: TruncatedSeries  # F = revert(G)
+    log: TruncatedSeries  # F = G^-1, exact also for a float G
 
     @property
     def order(self) -> int:
@@ -240,7 +240,7 @@ def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> 
     if order > G.order:
         raise GroupLawError("requested order exceeds the exponential's order")
     Gn = TruncatedSeries(G.coeffs[: order + 1], order)
-    F = Gn.revert()
+    F = Gn.exact_inverse()  # of a float G too, so that Phi is the exact law of Gn
     D, (e, f) = _divided_powers(Gn.coeffs, F.coeffs)
     bell = _bell_table(f)
     terms = {}

@@ -4,7 +4,8 @@ A series is stored as its coefficient list ``c[0..N]`` (degree ascending)
 together with the truncation order ``N``.  Arithmetic silently discards all
 terms of degree greater than ``N``.  Two backends are supported: ``Fraction``
 coefficients for bit-exact identity checking, and plain floats for numeric
-evaluation.  The "group series" used by the entropy machinery are the
+evaluation (a float series is reverted on its coefficients' exact values and
+rounded once).  The "group series" used by the entropy machinery are the
 normalized ones with ``c[0] == 0`` and ``c[1] == 1``.
 
 Exact reversion, and the group laws and inverses of ``gentropy.groups``, run
@@ -224,33 +225,30 @@ class TruncatedSeries:
         """Compositional inverse of a normalized group series.
 
         Solves coefficient-by-coefficient for f with f(self(t)) = t; the
-        triangular recursion is the workhorse form of Lagrange inversion.
-        Exact coefficients run it in divided-power form, where by Faa di
-        Bruno phi_m = -sum_(k<m) phi_k B_(m,k)(e) in integers; floats run it
-        on the power table of self.
+        triangular recursion is the workhorse form of Lagrange inversion.  It
+        runs on the coefficients' exact values (``exact_inverse``); a series
+        with a float coefficient gets that inverse rounded to floats once.
+        """
+        inv = self.exact_inverse()
+        return inv if {int, Fraction}.issuperset(map(type, self.coeffs)) else inv.to_float()
+
+    def exact_inverse(self) -> "TruncatedSeries":
+        """The compositional inverse in exact rationals, whatever the coefficients' type.
+
+        Runs in divided-power form, where by Faa di Bruno phi_m = -sum_(k<m)
+        phi_k B_(m,k)(e) in integers; ``_divided_powers`` reads a float
+        coefficient exactly.
         """
         if not self.is_normalized():
             raise SeriesError(
                 "reversion requires a normalized series (g(0)=0, g'(0)=1)"
             )
         n = self.order
-        if {int, Fraction}.issuperset(map(type, self.coeffs)):
-            D, (e,) = _divided_powers(self.coeffs)
-            bell, phi = _bell_table(e), [0, 1]
-            for m in range(2, n + 1):
-                phi.append(-sum(map(mul, phi[1:], bell[m][1:m])))
-            inv = [Fraction(p, factorial(m) * D ** (m - 1)) if m > 1 else p for m, p in enumerate(phi)]
-            return TruncatedSeries(inv, n)
-        powers = [TruncatedSeries.monomial(0, n)]
-        for _ in range(n):
-            powers.append(powers[-1] * self)
-        inv = [0] * (n + 1)
-        inv[1] = 1
+        D, (e,) = _divided_powers(self.coeffs)
+        bell, phi = _bell_table(e), [0, 1]
         for m in range(2, n + 1):
-            s = 0
-            for k in range(1, m):
-                s += inv[k] * powers[k].coeffs[m]
-            inv[m] = -s
+            phi.append(-sum(map(mul, phi[1:], bell[m][1:m])))
+        inv = [Fraction(p, factorial(m) * D ** (m - 1)) if m > 1 else p for m, p in enumerate(phi)]
         return TruncatedSeries(inv, n)
 
     # -- evaluation -----------------------------------------------------------

@@ -11,10 +11,9 @@ beta E_i, h = kB (G - G'), with one safeguarded array Newton iteration
 (``catalog._newton``) and exact slopes from ``Entropy.dh``: every level at once in
 t = ln 1/p (levels clamped to [_P_LO, _P_HI] are masked and never
 evaluated), and alpha on -ln sum p.  In target-U mode alpha and beta are one
-damped Newton iteration on (sum p - 1, sum p E - target), whose 2 x 2
-Jacobian is the Hessian of the convex MaxEnt dual; where it cannot move,
-beta is solved on the shortfall target - U instead, in a bracket
-``catalog._bracket`` grows from [0, 1] or [-1, 0].  Each solve is
+damped Newton iteration on the convex MaxEnt dual, with an Armijo test on
+the dual and the step solved in units of the spectrum's span; a target it
+cannot reach on the clamped levels raises SpecError.  Each solve is
 warm-started from the one before.
 """
 
@@ -32,7 +31,6 @@ from .catalog import (
     InverseError,
     SpecError,
     UnsupportedRepresentation,
-    _bracket,
     _newton,
 )
 
@@ -298,118 +296,104 @@ def _partition_value(spec: Entropy, energies, beta: float) -> float:
         return math.inf
 
 
-_JOINT_CAP = 100  # level solves before the joint iteration gives way to the bracketed one
+_JOINT_CAP = 200  # level solves before the target counts as out of reach
 
 
 def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
-    """The levels whose mean energy is target, by damped Newton on (alpha, beta) jointly.
+    """The levels whose mean energy is target, by damped Newton on the convex MaxEnt dual.
 
-    Energies and alpha are taken at the target: the levels solve
-    h = alpha + beta (E - target), so that on a spectrum far from 0 neither
-    the targets nor the residual cancel.  The residual
-    g = (sum p - 1, sum p (E - target)) has the Jacobian
-    -[[sum w, sum w E], [sum w E, sum w E^2]] in these E, the Hessian of the
-    convex MaxEnt dual; its step is solved in centred form, with
-    m = sum w E / sum w and the weighted variance sum w (E - m)^2.  The
-    iteration starts from the uniform levels at beta = 0 (t = ln L,
-    alpha = h(ln L)), and each iterate's levels come from ``_invert_h``
-    started at the last.  A step is halved until it lowers
-    |g_1| + |g_2| / (E_max - E_min) and leaves two free levels at distinct
-    energies, so a positive variance.  It stops once the step moves no
-    level's target alpha + beta (E - target) by more than 4 ulp of
-    max(|target|, 1), which holds however small beta's scale is, or once a
-    full step fails to lower a residual that is already at rounding level;
-    that last step is taken in p to first order.  Where no step can move
-    (fewer than two free levels, a variance past the largest double, no
-    halving lowers the residual, or _JOINT_CAP level solves), the bracketed
-    beta solve takes over: it reaches targets the joint steps do not, some
-    with levels at the clamps and some near an extreme level, where one
-    level holds p near 1.
+    Energies are taken from the target in units of the span E_max - E_min:
+    the levels solve h = alpha + b x, x = (E - target) / span and
+    b = beta span, so that on a spectrum far from 0 neither the targets nor
+    the residual cancel, and the weighted variance below stays finite
+    whatever the span.  g = (sum p - 1, sum p x) is minus the gradient of
+    the dual D(alpha, b) = kB sum p G(t) - alpha g_1 - b g_2, convex with p
+    clamped to [_P_LO, _P_HI], and D's Hessian is
+    [[sum w, sum w x], [sum w x, sum w x^2]]; the Newton step is solved in
+    centred form, with m = sum w x / sum w and the weighted variance
+    sum w (x - m)^2.  The iteration starts from the uniform levels at b = 0
+    (t = ln L, alpha = h(ln L)), and each iterate's levels come from
+    ``_invert_h`` started at the last.
+
+    A step that frees a level clamped at _P_HI is cut to land just past the
+    first such clamp: the clamped level adds no curvature, so the full step
+    overshoots there by about 10^4.  The step is then halved until it leaves
+    two free levels at distinct energies and either lowers the residual
+    |g_1| + |g_2| or, while that residual is above its rounding level, meets
+    the Armijo condition on D with c = 1e-4 (below it, such steps would
+    alternate at rounding level).  It stops once the step moves no level's
+    target by more than 4 ulp of max(|target|, 1), or once a first step
+    fails to lower a residual already at rounding level; that last step is
+    taken in p to first order.  A step halved to nothing, a last step that
+    takes a p to 0 or below, or _JOINT_CAP level solves mean that no beta
+    reaches the target on the clamped levels: SpecError.
     """
-    span, eps = float(E.max() - E.min()), np.finfo(float).eps
-    dE = E - target  # alpha is taken at the target: on E far from 0, alpha + beta E would cancel
+    span, eps, h_hi = float(E.max() - E.min()), np.finfo(float).eps, ends[1]
+    x = (E - target) / span
+    past = 1e-9 * max(1.0, abs(h_hi))  # where a cut step puts the first level it frees from _P_HI
 
-    def state(alpha, beta, p, t, w):
-        """The levels at (alpha, beta) with their residual, its rounding level and the Newton step;
-        None with fewer than two free levels at distinct energies."""
-        free = dE[w > 0]
+    def state(alpha, b, p, t, w):
+        """The levels at (alpha, b) (b in their ``beta``), the residual, its rounding level, the
+        Newton step and g; None with fewer than two free levels at distinct energies."""
+        free = x[w > 0]
         if not (free.size and free.min() < free.max()):
             return None
         sw = w.sum()
-        m = float(w @ dE) / sw
-        var = float(w @ (dE - m) ** 2)
-        if not 0 < var < math.inf:  # past the largest double, every step would round to 0
+        m = float(w @ x) / sw
+        var = float(w @ (x - m) ** 2)
+        if not 0 < var < math.inf:  # rounded to 0, or w past the largest double
             return None
-        g1, g2 = p.sum() - 1.0, float(p @ dE)
-        d_beta = (g2 - m * g1) / var
-        # rounding: t to a few ulp, each target alpha + beta E_i to one, and the sums
-        floor = 16 * eps * (E.size + float(p @ np.maximum(t, 1.0)) + float(w @ (abs(alpha) + abs(beta * dE))))
-        return _Levels(alpha, beta, p, t, w), abs(g1) + abs(g2) / span, floor, (g1 / sw - m * d_beta, d_beta)
+        g1, g2 = p.sum() - 1.0, float(p @ x)
+        d_b = (g2 - m * g1) / var
+        # rounding: t to a few ulp, each target alpha + b x_i to one, and the sums
+        floor = 16 * eps * (E.size + float(p @ np.maximum(t, 1.0)) + float(w @ (abs(alpha) + abs(b * x))))
+        return _Levels(alpha, b, p, t, w), abs(g1) + abs(g2), floor, (g1 / sw - m * d_b, d_b), (g1, g2)
+
+    def dual(levels, g):  # D(alpha, b)
+        return spec.kB * float(levels.p @ spec.G(levels.t)) - levels.alpha * g[0] - levels.beta * g[1]
+
+    def first_lam(levels, step):
+        """1, or the share of the full step that takes the first level it frees from _P_HI past the clamp."""
+        h = levels.alpha + levels.beta * x
+        move = step[0] + step[1] * x
+        freed = (h <= h_hi) & (h + move > h_hi)
+        return min(1.0, float(np.min((h_hi + past - h[freed]) / move[freed]))) if freed.any() else 1.0
 
     t = np.full(E.size, math.log(E.size))
     p = np.exp(-t)
-    now, lam = state(float(_stationarity(spec, t[:1])[0]), 0.0, p, t, p / (spec.kB * spec.dh(t))), 1.0
+    now = state(float(_stationarity(spec, t[:1])[0]), 0.0, p, t, p / (spec.kB * spec.dh(t)))
+    lam = lam0 = 1.0  # no uniform level is clamped
+    d_now = None  # D at now, evaluated once a trial fails to lower the residual
     for _ in range(_JOINT_CAP if now else 0):
-        levels, r, floor, step = now
-        d_alpha, d_beta = lam * step[0], lam * step[1]
-        h = levels.alpha + levels.beta * dE
-        if np.all(np.abs(d_alpha + d_beta * dE) <= 4 * np.spacing(np.maximum(np.abs(h), 1.0))):
-            if lam < 1.0:
-                break  # halved to nothing: no step lowers the residual
-            return _last_step(levels, dE, target, *step)
-        a, b = levels.alpha + d_alpha, levels.beta + d_beta
-        finite = math.isfinite(a) and math.isfinite(b)
-        trial = state(a, b, *_invert_h(spec, a + b * dE, ends, levels.t)) if finite else None
-        if trial is not None and trial[1] < r:
-            now, lam = trial, 1.0
-        elif lam == 1.0 and r <= floor:
-            return _last_step(levels, dE, target, *step)
+        levels, r, floor, step, g = now
+        d_alpha, d_b = lam * step[0], lam * step[1]
+        h = levels.alpha + levels.beta * x
+        if np.all(np.abs(d_alpha + d_b * x) <= 4 * np.spacing(np.maximum(np.abs(h), 1.0))):
+            if lam < lam0:
+                break  # halved to nothing
         else:
-            lam /= 2
-    return _solve_target_U_bracketed(spec, E, target, ends)
-
-
-def _last_step(levels: _Levels, dE: np.ndarray, target: float, d_alpha: float, d_beta: float) -> _Levels:
-    """The levels after a last (alpha, beta) step, taken in p to first order, with p normalized.
-
-    alpha is taken at the target, with dE = E - target; the alpha returned is taken at E = 0.
-    """
-    p = levels.p - (d_alpha + d_beta * dE) * levels.w
-    beta = levels.beta + d_beta
-    return levels._replace(alpha=levels.alpha + d_alpha - beta * target, beta=beta, p=p / p.sum())
-
-
-def _solve_target_U_bracketed(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
-    """The levels whose mean energy is target, by Newton on the shortfall target - U(beta).
-
-    ``_solve_target_U`` hands its problem here where its joint steps cannot
-    move.  Newton runs on b = beta (E_max - E_min), so that its 4-ulp stop is
-    relative to the spectrum's scale.  The shortfall's slope in beta is
-    -dU/dbeta = sum w E^2 - (sum w E)^2 / sum w, a variance, kept at 0 or
-    above where rounding would take it below.  U(0) is the mean level; the
-    sign of target - U(0) as solved (the mean may round to the other side)
-    picks the bracket [0, 1] or [-1, 0] of b, and ``_bracket`` grows it.
-    Each fixed-beta solve starts from the one before.
-    """
-    last = None
-    span = float(E.max() - E.min())
-
-    def fdf(b, _):
-        nonlocal last
-        last = _solve_fixed_beta(spec, E, float(b[0]) / span, ends, last)
-        w = last.w
-        slope = max(0.0, float(w @ E ** 2 - (w @ E) ** 2 / w.sum())) if w.sum() > 0 else 0.0
-        return np.array([target - float(last.p @ E)]), np.array([slope / span])
-
-    bracket = np.zeros((3, 2, 1))
-    bracket[1:, 0] = fdf(bracket[0, 0], None)
-    up = int(bracket[1, 0, 0] < 0)  # U(0) lies above the target: beta > 0, and 0 stays the low end
-    bracket[:, 1 - up], bracket[0, up] = bracket[:, 0], 2 * up - 1
-    bracket[1:, up] = fdf(bracket[0, up], None)
-    if _bracket(fdf, bracket)[0]:
-        raise SpecError(f"no beta reaches the target energy {target!r} on the clamped levels")
-    _newton(fdf, bracket)
-    return last  # beta's last step, within 4 ulp, is not solved again
+            a, b = levels.alpha + d_alpha, levels.beta + d_b
+            finite = math.isfinite(a) and math.isfinite(b)
+            trial = state(a, b, *_invert_h(spec, a + b * x, ends, levels.t)) if finite else None
+            if trial is not None and trial[1] >= r:  # the residual did not fall: the Armijo test on D
+                if r > floor and d_now is None:
+                    d_now = dual(levels, g)
+                descent = g[0] * step[0] + g[1] * step[1]  # -dD along the full step
+                if r <= floor or dual(trial[0], trial[4]) > d_now - 1e-4 * lam * descent:
+                    trial = None
+            if trial is not None:
+                now, d_now = trial, None
+                lam = lam0 = first_lam(now[0], now[3])
+                continue
+            if lam < lam0 or r > floor:
+                lam /= 2
+                continue
+        p = levels.p - (step[0] + step[1] * x) * levels.w  # the last step, in p to first order
+        if not p.min() > 0:
+            break  # the target lies past the clamps
+        beta = (levels.beta + step[1]) / span
+        return levels._replace(alpha=levels.alpha + step[0] - beta * target, beta=beta, p=p / p.sum())
+    raise SpecError(f"no beta reaches the target energy {target!r} on the clamped levels")
 
 
 def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
@@ -419,7 +403,7 @@ def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
     stationarity condition h(ln 1/p_i) = alpha + beta E_i, h = kB (G - G'),
     which needs a strictly monotone h (checked at solve time).  The levels
     and alpha are each found by ``_newton``; in target-U mode alpha and beta
-    are one joint Newton iteration, with the bracketed beta solve behind it.
+    are one damped Newton iteration on the convex dual (``_solve_target_U``).
     """
     spec = problem.spec
     if not spec.has_exponential:

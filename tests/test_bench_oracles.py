@@ -1,11 +1,11 @@
 """Benchmark jobs as tier-1 checks: each op against its own oracle.
 
-One round of exact-laws jobs, made by ``benchmark/exact_laws.py``
-``make_jobs`` at fixed seeds, runs through ``harness.run_job`` and
-``check_job`` as ``benchmark/run.py`` runs it.  A round is one job of each
-kind; every op's result is checked against ``benchmark/oracles.py``, which
-computes apart from gentropy.  This reads ``benchmark/`` and changes nothing
-in it.
+One round of exact-laws jobs and one of maxent-thermo jobs, made by
+``benchmark/exact_laws.py`` and ``benchmark/maxent_thermo.py`` ``make_jobs``
+at fixed seeds, run through ``harness.run_job`` and ``check_job`` as
+``benchmark/run.py`` runs them.  A round is one job of each kind; every op's
+result is checked against ``benchmark/oracles.py``, which computes apart
+from gentropy.  This reads ``benchmark/`` and changes nothing in it.
 """
 
 import importlib
@@ -18,17 +18,16 @@ BENCH = Path(__file__).resolve().parents[1] / "benchmark"
 
 
 @pytest.fixture(scope="module")
-def exact_laws():
+def harness():
     sys.path.insert(0, str(BENCH))  # the workload modules import harness and oracles by name
     try:
-        yield importlib.import_module("exact_laws"), importlib.import_module("harness")
+        yield importlib.import_module("harness")
     finally:
         sys.path.remove(str(BENCH))
 
 
-@pytest.mark.parametrize("seed", [7, 61, 201])
-def test_one_round_of_exact_laws_passes_its_oracles(exact_laws, seed):
-    workload, harness = exact_laws
+def round_failures(harness, workload, seed):
+    """The failed ops of one round of ``workload``'s jobs at ``seed``."""
     jobs = workload.make_jobs(seed, 1, None)
     assert [job.kind for job in jobs] == list(workload.KINDS)
     failures = []
@@ -37,4 +36,14 @@ def test_one_round_of_exact_laws_passes_its_oracles(exact_laws, seed):
         _, _, results = harness.run_job(job)
         failures += harness.check_job(index, job, results)
         workload.release(job)
-    assert failures == []
+    return failures
+
+
+@pytest.mark.parametrize("seed", [7, 61, 201])
+def test_one_round_of_exact_laws_passes_its_oracles(harness, seed):
+    assert round_failures(harness, importlib.import_module("exact_laws"), seed) == []
+
+
+@pytest.mark.parametrize("seed", [7, 61, 201])
+def test_one_round_of_maxent_thermo_passes_its_oracles(harness, seed):
+    assert round_failures(harness, importlib.import_module("maxent_thermo"), seed) == []

@@ -528,11 +528,13 @@ class TestMaxent:
             ("0\n1\n2\n", ["--entropy", "tsallis", "--q", "1/2", "--beta=-1e61"]),
             ("-5\n0\n5\n", ["--entropy", "bg", "--beta", "1e61"]),
             ("0\n1\n2\n", ["--entropy", "bg", "--target-u", "1e-300"]),
+            # 1e-15 sum (E_i - E_min) = 5e-14 is the lowest mean energy on the clamped levels
+            ("".join(f"{5 * i / 19!r}\n" for i in range(20)), ["--entropy", "bg", "--target-u", "4.9e-14"]),
         ],
-        ids=["tsallis beta -1e61", "bg beta 1e61", "bg target-u 1e-300"],
+        ids=["tsallis beta -1e61", "bg beta 1e61", "bg target-u 1e-300", "bg target-u 4.9e-14"],
     )
     def test_out_of_reach_of_the_clamped_levels(self, capsys, tmp_path, levels, flags):
-        # p is clamped to [1e-15, 1 - 1e-15], so no bracket of 200 doublings holds the root
+        # p is clamped to [1e-15, 1 - 1e-15], so no alpha or beta reaches these
         path = tmp_path / "e.txt"
         path.write_text(levels)
         assert is_usage_error(*run(capsys, "maxent", "--energies", str(path), *flags))

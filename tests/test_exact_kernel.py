@@ -20,6 +20,7 @@ from gentropy.groups import (
     GroupLaw,
     GroupLawError,
     abel_exponential,
+    check_axioms,
     formal_inverse,
     group_law_from_exponential,
     law_from_table,
@@ -94,6 +95,21 @@ def test_float_coefficients_keep_the_float_reversion(order):
     law = group_law_from_exponential(G)
     assert law.log == F_float
     assert law.phi.terms == o.law_terms(exact, order)
+    assert list(formal_inverse(law).coeffs) == o.compose(exact, [-c for c in f], order)
+
+
+@pytest.mark.parametrize("order", [3, 6, 12])
+def test_a_float_exponential_gives_the_exact_law_of_its_values(order):
+    # 0.1 is not dyadic-short: F reverted in floats and rounded made a Phi with
+    # Phi(x, 0) != x, and a formal inverse that did not close, from order 3 on
+    G = TruncatedSeries([0, 1.0, 0.1], order)
+    exact = [F(c) for c in G.coeffs]
+    f = o.revert(exact, order)
+    assert list(G.revert().coeffs) == [float(c) for c in f]
+    law = group_law_from_exponential(G)
+    assert list(law.log.coeffs) == f
+    assert law.phi.terms == o.law_terms(exact, order)
+    assert check_axioms(law.phi).first_violation is None
     assert list(formal_inverse(law).coeffs) == o.compose(exact, [-c for c in f], order)
 
 

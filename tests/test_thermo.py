@@ -1,6 +1,7 @@
 """Occupation laws, extensivity, canonical MaxEnt, and asymptotic scans."""
 
 import math
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from target_u_oracle import solve_target_U_bracketed
 
 from gentropy import thermo
 from gentropy.catalog import (
@@ -19,7 +21,9 @@ from gentropy.catalog import (
     Distribution,
     GenericEntropy,
     Kaniadakis,
+    SAlphaBetaQ,
     SDelta,
+    SFourth,
     SThird,
     SpecError,
     Tsallis,
@@ -460,12 +464,14 @@ class TestMaxEntNewtonSolver:
         assert len(calls) <= 30
         assert np.max(np.abs(sol.distribution.p - mp_maxent_p(spec, levels, beta, sol))) <= 1e-15
 
-    @pytest.mark.parametrize("target", [0.2, 4.8], ids=["past [0, 1]", "past [-1, 0]"])
-    def test_target_energy_near_an_extreme_level_grows_the_beta_bracket(self, monkeypatch, target):
-        # beta is about +-6.6: the bracket doubles out from [0, 1] or [-1, 0] to [4, 8] or [-8, -4]
-        monkeypatch.setattr(thermo, "_solve_target_U", thermo._solve_target_U_bracketed)
+    @pytest.mark.parametrize("target", [0.2, 4.8], ids=["beta near 6.6", "beta near -6.6"])
+    def test_target_energy_near_an_extreme_level_takes_few_level_solves(self, monkeypatch, target):
+        # beta is about +-6.6, far from the start at 0: the joint steps take 10 level solves, and a
+        # beta solve in a bracket grown from [0, 1] or [-1, 0] takes 23
+        calls = count_calls(monkeypatch, "_invert_h")
         levels = tuple(5 * i / 19 for i in range(20))
         sol = maxent_solve(MaxEntProblem(Tsallis(Fraction(1, 2)), levels, target_U=target))
+        assert len(calls) <= 12
         assert 4 < abs(sol.beta) < 8 and math.copysign(1.0, sol.beta) == (1.0 if target < 2.5 else -1.0)
         assert abs(sol.U - target) <= 1e-9
 
@@ -529,6 +535,45 @@ def solve_outcome(problem):
         return str(exc)
 
 
+CORPUS_KINDS = {  # kind -> the spec at a given kB and scale constant
+    "bg": lambda kB, c: BoltzmannGibbs(kB=kB, scale_c=c),
+    "tsallis 1/2": lambda kB, c: Tsallis(Fraction(1, 2), kB=kB, scale_c=c),
+    "tsallis 3/2": lambda kB, c: Tsallis(Fraction(3, 2), kB=kB, scale_c=c),
+    "kaniadakis 1/3": lambda kB, c: Kaniadakis(Fraction(1, 3), kB=kB, scale_c=c),
+    "borges_roditi 3/5 -1/2": lambda kB, c: BorgesRoditi(Fraction(3, 5), Fraction(-1, 2), kB=kB, scale_c=c),
+    "s_iii 4/5": lambda kB, c: SThird(Fraction(4, 5), kB=kB, scale_c=c),
+    "s_iv 4/5": lambda kB, c: SFourth(Fraction(4, 5), kB=kB, scale_c=c),
+    "s_alpha_beta_q 3/4 3/16 7/8": lambda kB, c: SAlphaBetaQ(
+        Fraction(3, 4), Fraction(3, 16), Fraction(7, 8), kB=kB, scale_c=c),
+    "generic 1 1/8 1/10": lambda kB, c: GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)], kB=kB, scale_c=c),
+}
+
+
+def target_u_corpus(seed, n):
+    """n seeded target-U problems (spec, levels, target).
+
+    kB and the scale constant are 1 or 2, and L is 2, 3, 5, 20 or 100 levels
+    over a span from 1e-6 to 1e150, half of them offset from 0 by 1 to 1e4
+    spans.  Half of the targets lie 1e-12 to 1e-3 of the span from an extreme
+    level, the rest anywhere in between.
+    """
+    rng = random.Random(seed)
+    for _ in range(n):
+        spec = CORPUS_KINDS[rng.choice(sorted(CORPUS_KINDS))](rng.choice((1.0, 2.0)), rng.choice((1, 2)))
+        L = rng.choice((2, 3, 5, 20, 100))
+        span = 10 ** rng.uniform(-6, 150)
+        offset = 0.0 if rng.random() < 0.5 else rng.choice((-1, 1)) * span * 10 ** rng.uniform(0, 4)
+        levels = [offset + span * u for u in [0.0, 1.0] + [rng.random() for _ in range(L - 2)]]
+        rng.shuffle(levels)
+        lo, hi = min(levels), max(levels)
+        if rng.random() < 0.5:
+            f = 10 ** rng.uniform(-12, -3)
+            target = lo + f * (hi - lo) if rng.random() < 0.5 else hi - f * (hi - lo)
+        else:
+            target = lo + rng.uniform(1e-3, 1 - 1e-3) * (hi - lo)
+        yield spec, tuple(levels), target
+
+
 class TestTargetUJointSolve:
     @pytest.mark.parametrize("kind", TARGET_U_SPECS)
     @pytest.mark.parametrize("L", [3, 20])
@@ -542,7 +587,7 @@ class TestTargetUJointSolve:
     @given(spec=st.sampled_from(COMPARED_SPECS),
            levels=st.lists(st.integers(0, 20), min_size=2, max_size=6).filter(lambda e: min(e) < max(e)),
            f=st.one_of(st.floats(0.01, 0.99), st.sampled_from([1e-6, 1e-3, 1 - 1e-3, 1 - 1e-6])))
-    # the top level sits at the q-exponential cut-off: the bracketed solve takes over
+    # the top level sits at the q-exponential cut-off
     @example(spec=Tsallis(Fraction(9, 8)), levels=[0, 1, 100], f=5e-6)
     def test_same_outcome_as_the_bracketed_solve(self, spec, levels, f):
         levels = tuple(e / 4 for e in levels)
@@ -550,7 +595,7 @@ class TestTargetUJointSolve:
         problem = MaxEntProblem(spec, levels, target_U=lo + f * (hi - lo))
         joint = solve_outcome(problem)
         with pytest.MonkeyPatch.context() as mp_:
-            mp_.setattr(thermo, "_solve_target_U", thermo._solve_target_U_bracketed)
+            mp_.setattr(thermo, "_solve_target_U", solve_target_U_bracketed)
             bracketed = solve_outcome(problem)
         assert type(joint) is type(bracketed)
         if isinstance(joint, str):
@@ -569,13 +614,13 @@ class TestTargetUJointSolve:
         assert len(calls) <= 15
         assert abs(sol.U - target) <= 1e-15 * (1 + target)
 
-    def test_a_degenerate_overshoot_is_halved_not_handed_on(self, monkeypatch):
+    def test_a_degenerate_overshoot_is_halved(self, monkeypatch):
         # the first full step clamps the lowest level and leaves the two free levels at one energy:
         # their weighted variance rounds to a tiny positive number, and the next step to 1e31
-        bracketed = count_calls(monkeypatch, "_solve_target_U_bracketed")
+        calls = count_calls(monkeypatch, "_invert_h")
         levels, target = (0.2825779087061063, 0.802086975471106, 0.802086975471106), 0.3713765359692684
         sol = maxent_solve(MaxEntProblem(BoltzmannGibbs(), levels, target_U=target))
-        assert not bracketed
+        assert len(calls) <= 12
         assert abs(sol.U - target) <= 1e-15
 
     def test_levels_near_a_large_energy_offset_do_not_crawl(self, monkeypatch):
@@ -606,11 +651,12 @@ class TestTargetUJointSolve:
             ref = np.array([float(w / mp.fsum(weights(b))) for w in weights(b)])
         assert np.max(np.abs(sol.distribution.p - ref)) <= 1e-15
 
-    def test_the_bracketed_solve_stops_relative_to_the_span(self, monkeypatch):
-        # beta's 4-ulp stop was absolute: it stopped at 8.88e-16, with U at 4e185
-        bracketed = count_calls(monkeypatch, "_solve_target_U_bracketed")
+    def test_energies_past_1e154_stop_relative_to_the_span(self, monkeypatch):
+        # beta is 2.3e-201: a stop absolute in beta would stop at once, with U at 4e185, and past
+        # 1.3e154 the slope sum w E^2 overflows, so the step is taken in units of the span
+        calls = count_calls(monkeypatch, "_invert_h")
         sol = maxent_solve(MaxEntProblem(BoltzmannGibbs(), (0.0, 1e200, 3e200), target_U=1e200))
-        assert bracketed
+        assert len(calls) <= 8
         assert abs(sol.U - 1e200) <= 1e-12 * 1e200
 
     def test_kaniadakis_with_two_top_levels_meets_the_target(self):
@@ -619,13 +665,53 @@ class TestTargetUJointSolve:
         assert abs(sol.beta - 151.2) < 0.1
         assert abs(sol.U - 0.0005) <= 1e-15
 
-    def test_a_level_at_the_cut_off_is_reached_by_the_bracketed_solve(self, monkeypatch):
-        # the top level sits at _P_LO, past the q-exponential cut-off; the joint steps stall there
-        bracketed = count_calls(monkeypatch, "_solve_target_U_bracketed")
+    def test_a_level_at_the_cut_off_is_reached(self, monkeypatch):
+        # the top level sits at _P_LO, past the q-exponential cut-off, and the lowest near _P_HI:
+        # a full step that frees it from that clamp overshoots unless it is cut at the kink
+        calls = count_calls(monkeypatch, "_invert_h")
         sol = maxent_solve(MaxEntProblem(Tsallis(Fraction(9, 8)), (0.0, 0.02, 2.0), target_U=1e-5))
-        assert bracketed
+        assert len(calls) <= 30
         assert sol.distribution.p[2] == pytest.approx(thermo._P_LO, rel=1e-12)
         assert abs(sol.U - 1e-5) <= 1e-15
+
+    def test_a_seeded_corpus_is_met_or_refused_as_the_bracketed_solve_refuses(self, monkeypatch):
+        # every problem is met to 1e-12 of the span, plus the rounding of sum p E, in at most half
+        # of _JOINT_CAP level solves, or refused as the bracketed beta solve refuses it
+        calls, solved = count_calls(monkeypatch, "_invert_h"), 0
+        for spec, levels, target in target_u_corpus(20261019, 300):
+            calls.clear()
+            problem = MaxEntProblem(spec, levels, target_U=target)
+            try:
+                sol, refused = maxent_solve(problem), None
+            except SpecError as exc:
+                refused = exc
+            assert len(calls) <= thermo._JOINT_CAP // 2, (spec.name, levels, target)
+            if refused is None:
+                bound = 1e-12 * (max(levels) - min(levels)) + 16 * np.finfo(float).eps * len(levels) * max(
+                    map(abs, levels))
+                assert abs(sol.U - target) <= bound, (spec.name, levels, target)
+                solved += 1
+                continue
+            with pytest.MonkeyPatch.context() as mp_:
+                mp_.setattr(thermo, "_solve_target_U", solve_target_U_bracketed)
+                with pytest.raises(type(refused), match=re.escape(str(refused))):
+                    maxent_solve(problem)
+        assert solved >= 200
+
+    @pytest.mark.parametrize("target", [4.8e-14, 4.9e-14, 4.95e-14, 4.5e-14])
+    def test_a_target_below_the_reachable_bound_is_refused(self, target):
+        # on the clamped levels the lowest reachable target is 1e-15 sum (E_i - E_min) = 5e-14; a
+        # last step taken in p to first order would take a level near _P_LO below 0
+        levels = tuple(5 * i / 19 for i in range(20))
+        with pytest.raises(SpecError, match=re.escape(f"no beta reaches the target energy {target!r} "
+                                                      "on the clamped levels")):
+            maxent_solve(MaxEntProblem(BoltzmannGibbs(), levels, target_U=target))
+
+    def test_a_target_just_above_the_reachable_bound_is_met(self):
+        levels = tuple(5 * i / 19 for i in range(20))
+        sol = maxent_solve(MaxEntProblem(BoltzmannGibbs(), levels, target_U=5.05e-14))
+        assert abs(sol.U - 5.05e-14) <= 1e-12 * 5
+        assert np.all(sol.distribution.p >= thermo._P_LO)
 
 
 class TestTemperatureTable:
