@@ -26,6 +26,7 @@ from gentropy.groups import (
     law_from_table,
 )
 from gentropy.series import TruncatedSeries, _divided_powers, from_a_sequence
+from test_acceptance import exponential_catalog
 
 ORACLES = Path(__file__).resolve().parents[1] / "benchmark" / "oracles.py"
 
@@ -80,6 +81,21 @@ def test_revert_law_and_inverse_match_the_oracles(name, order):
     assert list(law.log.coeffs) == f
     assert law.phi.terms == o.law_terms(g, order)
     assert list(formal_inverse(law).coeffs) == o.compose(g, [-c for c in f], order)
+
+
+@pytest.mark.parametrize("order", [24, 32])
+@pytest.mark.parametrize("monos", [((2, 2),), ((3, 1), (1, 3))], ids=["x2y2", "x3y+xy3"])
+@pytest.mark.parametrize("spec", exponential_catalog(), ids=lambda spec: spec.name)
+def test_a_perturbed_law_fails_at_its_degree_4_defect(spec, monos, order):
+    # the benchmark's perturbed table at orders past its own: a symmetric
+    # degree-4 term that is no cocycle, so the x y z^2 defect comes first
+    table = group_law_from_exponential(spec.exp_series(order)).c_table()
+    for m in monos:
+        table[m] = table.get(m, 0) + F(-3, 7)
+    defect = o.associativity_defect({(1, 0): F(1), (0, 1): F(1), **table}, 4)
+    chk = check_axioms(law_from_table(table, order))
+    assert (chk.symmetric, chk.null_composable, chk.associative) == (True, True, False)
+    assert chk.first_violation == ("associativity", (1, 1, 2), defect[(1, 1, 2)])
 
 
 @pytest.mark.parametrize("order", [12, 24])

@@ -497,7 +497,11 @@ class TestExactLayerAgainstReferences:
         assert got == reference_check(phi.terms, order, assoc_order)
 
     @pytest.mark.parametrize("spec", exponential_catalog(), ids=lambda spec: spec.name)
-    @pytest.mark.parametrize("monos", [((2, 2),), ((4, 5), (5, 4))], ids=["deg4", "deg9"])
+    @pytest.mark.parametrize(
+        "monos",
+        [((2, 2),), ((4, 5), (5, 4)), ((2, 6), (6, 2), (3, 3))],
+        ids=["deg4", "deg9", "lex-lowest-not-lowest-degree"],
+    )
     def test_check_axioms_matches_trivariate_expansion_at_order_10(self, spec, monos):
         # a symmetric term that is no cocycle: associativity fails at its degree
         table = group_law_from_exponential(spec.exp_series(10)).c_table()

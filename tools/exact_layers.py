@@ -5,7 +5,9 @@ Times ``TruncatedSeries.revert``, ``group_law_from_exponential``,
 for four group exponentials, in-process, and prints one JSON object: the
 median milliseconds of 7 calls per layer, spec and order (3 for
 ``check_axioms``), with the git sha of the checkout timed and the machine
-(nproc, Python and numpy versions).
+(nproc, Python and numpy versions).  ``check_axioms_perturbed`` times
+``check_axioms`` on the law's table plus -3/7 x^2 y^2, a symmetric term that
+is no cocycle, so that associativity fails at total degree 4.
 
     python3 tools/exact_layers.py                      # this checkout
     python3 tools/exact_layers.py --root ../other      # another checkout's src/
@@ -14,8 +16,7 @@ The last two are ``--series`` literals that bring a new prime in at each
 degree, so the divided-power scale D is their product (1155, and 111546435
 for the primes 3 to 23) rather than one small prime: the integers of the
 exact kernel grow as D^(k-1).  Each layer's input is built once, outside its
-clock.  A run takes about 20 s on a 2-CPU x86-64 machine, most of it in
-``check_axioms`` at N = 48.
+clock.
 """
 
 from __future__ import annotations
@@ -61,10 +62,14 @@ def sweep() -> dict:
         for n in ORDERS:
             G = build(g, n)
             law = g.group_law_from_exponential(G)
+            table = law.c_table()
+            table[(2, 2)] = table.get((2, 2), 0) + Fraction(-3, 7)
+            perturbed = g.law_from_table(table, n)
             rows[str(n)] = {
                 "revert": median_ms(G.revert, REPEATS),
                 "group_law_from_exponential": median_ms(lambda: g.group_law_from_exponential(G), REPEATS),
                 "check_axioms": median_ms(lambda: g.check_axioms(law.phi), REPEATS // 2),
+                "check_axioms_perturbed": median_ms(lambda: g.check_axioms(perturbed), REPEATS // 2),
                 "formal_inverse": median_ms(lambda: g.formal_inverse(law), REPEATS),
             }
     return out
