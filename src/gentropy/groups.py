@@ -253,8 +253,8 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
       s Delta) ds, whose constant term is F'(0) = 1.
     - d_y H = d_1 Phi / L(Phi) - 1/L(y), so P = -d_y H L(Phi) L(y).
     - Multiplying by a series with constant term 1 keeps the
-      lexicographically lowest term, and its degree, so truncation at
-      degree N does not reach it.
+      lexicographically lowest term as it is, so truncation at degree N
+      keeps it too.
     - d_y keeps the lexicographic order: every term of H has b >= 1, since
       Delta(0, z) = 0, and y^b z^c goes to b y^(b-1) z^c.
 
@@ -294,9 +294,10 @@ def _associativity_defect(phi: MultiPoly) -> MultiPoly:
 
     For a unital Phi, a polynomial with the same zero set and the same
     lexicographically lowest term: with r = 1/L by the triangular recursion,
-    L(w) = sum_k c_1k w^k, F = integral of r and Phi* = G(F(x) + F(y)) for
-    G = revert(F), Delta = Phi - Phi* = sum d_bc y^b z^c gives the terms
-    -b d_bc x y^(b-1) z^c (proof in ``check_axioms``).
+    L(w) = sum_k c_1k w^k, F = integral of r, G = revert(F) and the rebuilt
+    law Phi*(y, z) = G(F(y) + F(z)), each term d_bc y^b z^c of
+    Delta = Phi - Phi* gives -b d_bc x y^(b-1) z^c (proof in
+    ``check_axioms``).
     """
     n = phi.order
     if {m: c for m, c in phi.terms.items() if 0 in m} != {(1, 0): 1, (0, 1): 1}:
