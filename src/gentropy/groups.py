@@ -15,7 +15,7 @@ from math import comb, factorial
 from operator import add, itemgetter, mul
 from typing import Iterator
 
-from .series import SeriesError, TruncatedSeries, _bell_table, _divided_powers, common_denominator
+from .series import SeriesError, TruncatedSeries, _bell_table, _divided_powers, _reversion, common_denominator
 
 Monomial = tuple[int, ...]
 
@@ -189,13 +189,8 @@ class LawAxiomCheck:
 def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> GroupLaw:
     """Construct Phi(x, y) = G(F(x) + F(y)) truncated at total degree.
 
-    With e_k and phi_k the divided-power integers of G and F = revert(G) at
-    one scale D (``series._divided_powers``), Faa di Bruno gives
-
-        c_ab a! b! D^(a+b-1) = sum_(i,j) e_(i+j) B_(a,j)(phi) B_(b,i)(phi),
-
-    B the partial Bell polynomials (B_(a,j)(phi) / a! is [x^a] F(D x)^j /
-    (j! D^j)), summed through v_i = sum_j e_(i+j) B_(a,j)(phi) for a <= b.
+    F = revert(G), exact also for a float G.  The integer route runs from
+    ``_divided_powers`` of G and F to ``_law_sums``, one Fraction per term.
     """
     if order is None:
         order = G.order
@@ -208,14 +203,24 @@ def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> 
     Gn = TruncatedSeries(G.coeffs[: order + 1], order)
     F = Gn.exact_inverse()  # of a float G too, so that Phi is the exact law of Gn
     D, (e, f) = _divided_powers(Gn.coeffs, F.coeffs)
-    bell = _bell_table(f)
     terms = {}
+    for a, b, p, s in _law_sums(e, _bell_table(f), D, order):
+        if p:
+            terms[(a, b)] = terms[(b, a)] = Fraction(p, s)
+    return GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=F)
+
+
+def _law_sums(e: list[int], bell: list, D: int, order: int) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, p, s), a <= b, 1 <= a + b <= order, with p / s = [x^a y^b] G(F(x) + F(y)).
+
+    For e and bell = ``_bell_table(phi)``, G's and F's integers at scale D, Faa di
+    Bruno gives s = a! b! D^(a+b-1) and p = sum_(i,j) e_(i+j) B_(a,j)(phi) B_(b,i)(phi).
+    """
+    up = [factorial(k) * D**k for k in range(order + 1)]
     for a in range(order // 2 + 1):
         v = [sum(map(mul, e[i : i + a + 1], bell[a])) for i in range(order - a + 1)]
-        for b in range(a, order - a + 1):
-            if p := sum(map(mul, v[: b + 1], bell[b])):
-                terms[(a, b)] = terms[(b, a)] = Fraction(p, factorial(a) * factorial(b) * D ** (a + b - 1))
-    return GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=F)
+        for b in range(max(a, 1), order - a + 1):
+            yield a, b, sum(map(mul, v[: b + 1], bell[b])), up[a] * up[b] // D
 
 
 def law_from_table(c: dict[tuple[int, int], Fraction], order: int) -> MultiPoly:
@@ -293,31 +298,38 @@ def _associativity_defect(phi: MultiPoly) -> MultiPoly:
     """Phi(x, Phi(y, z)) - Phi(Phi(x, y), z) through Phi's order N.
 
     For a unital Phi, a polynomial with the same zero set and the same
-    lexicographically lowest term: with r = 1/L by the triangular recursion,
-    L(w) = sum_k c_1k w^k, F = integral of r, G = revert(F) and the rebuilt
-    law Phi*(y, z) = G(F(y) + F(z)), each term d_bc y^b z^c of
-    Delta = Phi - Phi* gives -b d_bc x y^(b-1) z^c (proof in
-    ``check_axioms``).
+    lexicographically lowest term: with L(w) = sum_k c_1k w^k, F = integral
+    of 1/L, G = revert(F) and the rebuilt law Phi*(y, z) = G(F(y) + F(z)),
+    each term d_bc y^b z^c of Delta = Phi - Phi* gives -b d_bc x y^(b-1) z^c
+    (proof in ``check_axioms``).  Integers run from ``_divided_powers`` of the
+    integral of L (scale D, l_k = c_1k k! D^k) through F's f_(k+1) = rho_k = -sum_j
+    C(k, j) l_j rho_(k-j), one Bell table, ``_reversion`` and ``_law_sums`` to a
+    compare with c_ab and its mirror c_ba; only a term that differs becomes a Fraction.
     """
     n = phi.order
     if {m: c for m, c in phi.terms.items() if 0 in m} != {(1, 0): 1, (0, 1): 1}:
         x, y, z = (MultiPoly.variable(i, 3, n) for i in range(3))
         left = phi.substitute_pair(x, phi.substitute_pair(y, z))
         return left - phi.substitute_pair(phi.substitute_pair(x, y), z)
-    L = [phi.coefficient((1, k)) for k in range(n)]
-    r = [Fraction(1)]
+    D, (ell,) = _divided_powers([0] + [Fraction(phi.terms.get((1, k), 0), k + 1) for k in range(n)])
+    f = [0, 1]
     for k in range(1, n):
-        r.append(-sum(map(mul, L[1 : k + 1], r[k - 1 :: -1])))
-    F = TruncatedSeries([0] + [c / (k + 1) for k, c in enumerate(r)], n)
-    delta = phi - group_law_from_exponential(F.exact_inverse()).phi
-    return MultiPoly({(1, b - 1, c): -b * d for (b, c), d in delta.terms.items()}, 3, n)
+        f.append(-sum(comb(k, j) * ell[j + 1] * f[k - j + 1] for j in range(1, k + 1)))
+    bell = _bell_table(f)
+    out = {}
+    for a, b, p, s in _law_sums(_reversion(bell), bell, D, n):
+        for m in {(a, b), (b, a)}:
+            d = phi.terms.get(m, 0)
+            if d.numerator * s != p * d.denominator:
+                out[(1, m[0] - 1, m[1])] = -m[0] * (d - Fraction(p, s))
+    return MultiPoly(out, 3, n)
 
 
 def formal_inverse(law: GroupLaw) -> TruncatedSeries:
     """The series i with Phi(x, i(x)) = 0 to the law's order.
 
     For a law with logarithm F and exponential G, i(x) = G(-F(x)), in the
-    divided-power form of ``group_law_from_exponential``: iota_m =
+    divided-power form of ``_law_sums``: iota_m =
     sum_k (-1)^k e_k B_(m,k)(phi).  The result is checked against Phi
     itself, in integers: m! D^m [x^m] Phi(x, i(x)) = sum_ab c_ab a! b!
     D^(a+b) C(m, a) B_(m-a,b)(iota).  Purely formal, no claim about real

@@ -77,6 +77,14 @@ def _bell_table(e: Sequence[int]) -> list[tuple[int, ...]]:
     return list(zip(*cols))
 
 
+def _reversion(bell: Sequence[Sequence[int]]) -> list[int]:
+    """Integers phi_m = -sum_(k<m) phi_k B_(m,k)(e) of revert(e), bell = ``_bell_table(e)``."""
+    phi = [0, 1]
+    for m in range(2, len(bell)):
+        phi.append(-sum(map(mul, phi[1:], bell[m][1:m])))
+    return phi
+
+
 class SeriesError(ValueError):
     """Invalid operand for a truncated-series operation."""
 
@@ -235,21 +243,16 @@ class TruncatedSeries:
     def exact_inverse(self) -> "TruncatedSeries":
         """The compositional inverse in exact rationals, whatever the coefficients' type.
 
-        Runs in divided-power form, where by Faa di Bruno phi_m = -sum_(k<m)
-        phi_k B_(m,k)(e) in integers; ``_divided_powers`` reads a float
-        coefficient exactly.
+        Runs in divided-power form (``_reversion``), reading a float coefficient exactly.
         """
         if not self.is_normalized():
             raise SeriesError(
                 "reversion requires a normalized series (g(0)=0, g'(0)=1)"
             )
-        n = self.order
         D, (e,) = _divided_powers(self.coeffs)
-        bell, phi = _bell_table(e), [0, 1]
-        for m in range(2, n + 1):
-            phi.append(-sum(map(mul, phi[1:], bell[m][1:m])))
+        phi = _reversion(_bell_table(e))
         inv = [Fraction(p, factorial(m) * D ** (m - 1)) if m > 1 else p for m, p in enumerate(phi)]
-        return TruncatedSeries(inv, n)
+        return TruncatedSeries(inv, self.order)
 
     # -- evaluation -----------------------------------------------------------
 

@@ -19,6 +19,7 @@ from gentropy.catalog import (
     SThird,
     Tsallis,
 )
+from gentropy import groups
 from gentropy.cli import KINDS
 from gentropy.groups import (
     GroupLaw,
@@ -32,7 +33,7 @@ from gentropy.groups import (
     law_from_table,
     lie_bracket,
 )
-from gentropy.series import SeriesError, TruncatedSeries, from_a_sequence
+from gentropy.series import SeriesError, TruncatedSeries, from_a_sequence, normalized_from_literal
 from test_acceptance import exponential_catalog
 
 
@@ -564,3 +565,83 @@ class TestExactLayerAgainstReferences:
         )
         with pytest.raises(GroupLawError):
             formal_inverse(bent)
+
+
+def _fields(phi, assoc_order=None):
+    chk = check_axioms(phi, assoc_order)
+    return (chk.symmetric, chk.null_composable, chk.associative, chk.first_violation)
+
+
+PRIMES = "1, 1/3, 1/5, 1/7, 1/11, 1/13"
+
+
+class TestAssociativityInIntegers:
+    """The unital associativity check rebuilds the law in divided-power integers."""
+
+    def test_no_rational_round_trip(self, monkeypatch):
+        law = group_law_from_exponential(SThird(Fraction(4, 5)).exp_series(12))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_axioms went through the rational law builder")
+
+        monkeypatch.setattr(groups, "group_law_from_exponential", refuse)
+        monkeypatch.setattr(TruncatedSeries, "exact_inverse", refuse)
+        assert check_axioms(law.phi).all_pass
+
+    @pytest.mark.parametrize(
+        "table, order",
+        [
+            ({(2, 1): 1}, 6),  # x + y + x^2 y
+            ({(1, 1): 1, (4, 1): Fraction(-2, 3)}, 7),
+            ({(1, 1): Fraction(1, 2), (3, 2): Fraction(5, 7)}, 8),
+            ("s_iii", 8),
+        ],
+        ids=["x2y", "xy+x4y", "xy+x3y2", "s_iii+x3y2"],
+    )
+    def test_a_defect_only_below_the_diagonal(self, table, order):
+        # Delta = Phi - G(F(x) + F(y)) sits at a > b only, read from the mirror c_ba
+        if table == "s_iii":
+            table = group_law_from_exponential(SThird(Fraction(4, 5)).exp_series(order)).c_table()
+            table[(3, 2)] += Fraction(2, 7)
+        phi = law_from_table(table, order)
+        for assoc_order in (None, *range(order + 1)):
+            assert _fields(phi, assoc_order) == reference_check(phi.terms, order, assoc_order)
+        assert _fields(phi)[:3] == (False, True, False)
+
+    @pytest.mark.parametrize("order", [16, 24])
+    def test_several_primes_in_the_denominators(self, order):
+        # c_1k = 1/p_k: the scale D takes in every prime at once
+        sparse = {(2, 2): Fraction(3, 7)}
+        for k, p in enumerate((3, 5, 7, 11, 13), 1):
+            sparse[(1, k)] = sparse[(k, 1)] = Fraction(1, p)
+        phi = law_from_table(sparse, order)
+        assert _fields(phi) == reference_check(phi.terms, order, None)
+        assert check_axioms(group_law_from_exponential(normalized_from_literal(PRIMES, order)).phi).all_pass
+
+    def test_several_primes_in_a_perturbed_law(self):
+        # a dense law: its trivariate expansion takes seconds past order 16
+        law = group_law_from_exponential(normalized_from_literal(PRIMES, 16))
+        table = law.c_table()
+        table[(3, 5)] = table[(5, 3)] = table[(3, 5)] + Fraction(2, 17)
+        phi = law_from_table(table, 16)
+        got = _fields(phi)
+        assert got == reference_check(phi.terms, 16, None)
+        assert got[3][:2] == ("associativity", (1, 2, 5))
+
+    @pytest.mark.parametrize(
+        "terms, verdict",
+        [
+            ({(1, 1): 2}, (True, True, True)),
+            ({(1, 1): 1, (2, 2): 1}, (True, True, False)),
+            ({(2, 1): 1}, (False, True, False)),
+            ({(1, 1): -1, (1, 2): 3, (2, 1): 3}, (True, True, False)),
+        ],
+        ids=["x+y+2xy", "xy+x2y2", "x2y", "xy+xy2+x2y"],
+    )
+    def test_plain_int_coefficients(self, terms, verdict):
+        order = 6
+        phi = MultiPoly({(1, 0): 1, (0, 1): 1, **terms}, 2, order)
+        assert all(type(c) is int for c in phi.terms.values())
+        got = _fields(phi)
+        assert got == reference_check(phi.terms, order, None)
+        assert got[:3] == verdict
