@@ -434,9 +434,12 @@ class ExponentialSum(Entropy):
     """Group exponential G(t) = (1/sigma) sum_r k_r (e^(r t) - 1) over a few rates r.
 
     ``rates`` maps each rate r to its weight k_r.  Every term is an expm1, so
-    G keeps its relative accuracy as the rates go to 0 (the BG limit).  The
-    generalized logarithm is G(ln x), and its inverse is exp(F(y)), both with
-    the scale constant.
+    G keeps its relative accuracy as the rates go to 0 (the BG limit).  Two
+    close rates r, r' with weights k and -k are one term, k (e^(r t) -
+    e^(r' t)) = e^(r' t) k expm1((r - r') t), so G keeps it as they meet
+    (Borges-Roditi as a -> b); rates farther apart than half the larger one
+    keep their own terms.  The generalized logarithm is G(ln x), and its
+    inverse is exp(F(y)), both with the scale constant.
     """
 
     has_exponential = True
@@ -447,23 +450,42 @@ class ExponentialSum(Entropy):
         self.sigma = sigma
         self.rates = rates
         exact = {Fraction(r): Fraction(k) for r, k in rates.items()}
-        s = Fraction(sigma)
+        s, c = Fraction(sigma), Fraction(scale_c)
         self._sigma = float(sigma)
-        # (rate, weight) pairs of sigma G, G' and G'', each weight rounded once
-        self._G_terms = tuple((float(r), float(k)) for r, k in exact.items())
-        self._dG_terms = tuple((float(r), float(k * r / s)) for r, k in exact.items())
-        self._d2G_terms = tuple((float(r), float(k * r * r / s)) for r, k in exact.items())
-        self._G_long_terms = tuple((_long(r), _long(k / s)) for r, k in exact.items())
+        # rates r, r' with weights k, -k and 0 < |r - r'| < max(|r|, |r'|) / 2 are summed as one pair
+        single, pairs = dict(exact), []
+        for r, k in exact.items():
+            mate = next((q for q, v in single.items() if v == -k and 0 < 2 * abs(r - q) < max(abs(r), abs(q))), None)
+            if r in single and mate is not None:
+                pairs.append((r, mate))
+                del single[r], single[mate]
+
+        def terms(weight, to=float):
+            """(r, k w(r)) of each single rate, (r', r - r', k w(r), k w(r) - k w(r')) of each pair."""
+            return (tuple((to(r), to(k * weight(r))) for r, k in single.items())
+                    + tuple((to(q), to(r - q), to(exact[r] * weight(r)), to(exact[r] * (weight(r) - weight(q))))
+                            for r, q in pairs))
+
+        # the terms of sigma G, G' and G'', each weight rounded once
+        self._G_terms = terms(lambda r: 1)
+        self._dG_terms = terms(lambda r: r / s)
+        self._d2G_terms = terms(lambda r: r * r / s)
+        self._G_long_terms = terms(lambda r: 1 / s, _long)
         # h' = G' - G'' at scale c, as one sum over e^(r c t)
-        c = Fraction(scale_c)
-        self._dh_terms = tuple((float(r), float(-k * c * r * (c * r - 1) / s)) for r, k in exact.items())
+        self._dh_terms = terms(lambda r: -c * r * (c * r - 1) / s)
 
     @staticmethod
     def _sum(func, terms, t):
+        """The sum of w func(r t) over the single rates and of e^(r' t) (w expm1(d t) + w0) over the pairs."""
         out = None  # not 0.0, which would turn a lone -0.0 term into 0.0
-        for r, w in terms:
-            term = w * func(r * t)
-            out = term if out is None else out + term
+        for term in terms:
+            if len(term) == 2:
+                r, w = term
+                value = w * func(r * t)
+            else:
+                r, d, w, w0 = term
+                value = np.exp(r * t) * (w * np.expm1(d * t) + w0)
+            out = value if out is None else out + value
         return out
 
     def _G(self, t):

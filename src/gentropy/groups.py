@@ -283,7 +283,7 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
         {m: c for m, c in phi.terms.items() if sum(m) <= assoc_order}, 2, assoc_order
     )
     defects = {
-        "symmetry": phi - phi.swap(0, 1),
+        "symmetry": _symmetry_defect(phi),
         "null-composability": at_zero - MultiPoly.variable(0, 2, phi.order),
         "associativity": _associativity_defect(phi_n),
     }
@@ -292,6 +292,19 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
         ((name, *min(d.iter_terms())) for name, d in defects.items() if d.terms), None
     )
     return LawAxiomCheck(symmetric, null_composable, associative, first_violation)
+
+
+def _symmetry_defect(phi: MultiPoly) -> MultiPoly:
+    """Phi(x, y) - Phi(y, x), from the terms where c_ab differs from its mirror c_ba."""
+    terms, out = phi.terms, {}
+    for (a, b), c in terms.items():
+        if a < b:
+            mirror = terms.get((b, a), 0)
+            if c != mirror:
+                out[a, b], out[b, a] = c - mirror, mirror - c
+        elif a > b and (b, a) not in terms:
+            out[a, b], out[b, a] = c, -c
+    return MultiPoly(out, 2, phi.order)
 
 
 def _associativity_defect(phi: MultiPoly) -> MultiPoly:

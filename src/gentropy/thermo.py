@@ -7,14 +7,17 @@ never have to be materialized as floats; a rounded-W variant is reported
 separately for ranges where W fits in a double.
 
 Canonical MaxEnt solves the stationarity condition h(ln 1/p_i) = alpha +
-beta E_i, h = kB (G - G'), with one safeguarded array Newton iteration
-(``catalog._newton``) and exact slopes from ``Entropy.dh``: every level at once in
-t = ln 1/p (levels clamped to [_P_LO, _P_HI] are masked and never
-evaluated), and alpha on -ln sum p.  In target-U mode alpha and beta are one
-damped Newton iteration on the convex MaxEnt dual, with an Armijo test on
-the dual and the step solved in units of the spectrum's span; a target it
-cannot reach on the clamped levels raises SpecError.  Each solve is
-warm-started from the one before.
+beta E_i, h = kB (G - G'), with exact slopes from ``Entropy.dh``.  At fixed
+beta, alpha and every level's t = ln 1/p are one Newton iteration on that
+system and sum p = 1: each step evaluates h once on the free levels (levels
+clamped to [_P_LO, _P_HI] are masked and never evaluated) and eliminates
+them, which leaves alpha's step in closed form.  The alpha bracket where the
+levels clamp safeguards it: where a step is refused, the levels are solved
+to 4 ulp (``catalog._newton``, elementwise) to place alpha in it.  In
+target-U mode alpha and beta are one damped Newton iteration on the convex
+MaxEnt dual, with an Armijo test on the dual and the step solved in units of
+the spectrum's span; a target it cannot reach on the clamped levels raises
+SpecError.  Each solve is warm-started from the one before.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .catalog import (
     InverseError,
     SpecError,
     UnsupportedRepresentation,
+    _inside,
     _newton,
 )
 
@@ -172,6 +176,7 @@ _T_GAP = (_T_HI - _T_LO) / 63
 _T_GRID = np.array([_T_HI - k * _T_GAP for k in range(63)]
                    + [_T_GAP * (_T_LO / _T_GAP) ** (j / 17) for j in range(1, 17)] + [_T_LO])
 _REACH = 2.0 ** 200  # the alpha bracket is clipped to [-_REACH, _REACH]
+_EPS = float(np.finfo(float).eps)
 
 
 def _stationarity(spec: Entropy, t):
@@ -231,10 +236,26 @@ class _Levels(NamedTuple):
 
 def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
                       start: _Levels | None = None) -> _Levels:
-    """alpha, by Newton on -ln sum p, and the levels it normalizes at beta.
+    """alpha and the levels it normalizes at beta, by one Newton iteration on the joint system.
 
-    The slope of -ln sum p in alpha is sum w / sum p.  ``start``, the levels at
-    a nearby beta, gives the first t and, to first order, the first alpha.
+    The system is h(t_i) = alpha + beta E_i, sum_i e^-t_i = 1, in alpha and
+    the t_i = ln 1/p_i of the free levels; a level whose target lies outside
+    (h_hi, h_lo) is clamped as ``_invert_h`` clamps it.  Each step evaluates
+    h and kB h' once on the free levels and eliminates them: with
+    r_i = alpha + beta E_i - h(t_i) and w_i = p_i / kB h'_i, alpha moves by
+    d = (sum p - 1 - sum w r) / sum w and each t_i by (r_i + d) / kB h'_i.
+
+    alpha keeps the bracket where the levels clamp, with -ln sum p and its
+    slope at both ends.  A step is taken only if it stays inside the
+    bracket, clamps no level (-ln sum p has a kink where one clamps), and is
+    smaller than the last one (relative to alpha and to each t); otherwise
+    the levels are solved to 4 ulp at this alpha, which moves the end of the
+    bracket on that side there, and the next alpha is the Newton step from
+    those levels, or ``_inside``'s fallback.  The iteration ends after a step within 4 ulp
+    of alpha and of each t, or after a solve whose step is within 4 ulp of
+    alpha, or whose bracket is; that last step is taken in p to first
+    order.  ``start``, the levels at a nearby beta, gives the first t and,
+    to first order, the first alpha.
     """
     h_lo, h_hi = ends[:2]
     bE = beta * E
@@ -249,27 +270,73 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
         if w.sum() > 0:
             alpha -= (beta - start.beta) * float(w @ E) / float(w.sum())
 
-    def sums(a: float, t_start):
-        p, t, w = _invert_h(spec, a + bE, ends, t_start)
-        s = p.sum()
-        return -math.log(s), float(w.sum()) / s, (p, t, w)
-
-    # every level is clamped at _P_HI below the bracket and at _P_LO above it
-    lo, hi = max(h_hi - bE.max(), -_REACH), min(h_lo - bE.min(), _REACH)
-    (f_lo, d_lo, _), (f_hi, d_hi, _) = sums(lo, t), sums(hi, t)
-    if not f_lo <= 0 <= f_hi:
+    # every level is clamped at _P_HI below the bracket and at _P_LO above it, but for rounding:
+    # the levels left free at an end are solved from that clamp, unless sum p lies strictly on
+    # that end's side of 1 with every one of them at the other clamp
+    bracket = np.zeros((3, 2, 1))  # alpha, -ln sum p and its slope, at the low and the high end
+    ends_at = ((max(h_hi - bE.max(), -_REACH), _T_LO, _P_LO), (min(h_lo - bE.min(), _REACH), _T_HI, _P_HI))
+    for side, (a, t_clamp, p_other) in enumerate(ends_at):
+        target = a + bE
+        n_low, n_high = np.count_nonzero(target >= h_lo), np.count_nonzero(target <= h_hi)
+        n_free = E.size - n_low - n_high
+        s = n_low * _P_LO + n_high * _P_HI + n_free * p_other
+        if n_free and (s <= 1 if side == 0 else s >= 1):
+            p, _, w = _invert_h(spec, target, ends, np.full(E.size, t_clamp))
+            s = p.sum()
+            bracket[2, side] = w.sum() / s
+        bracket[:2, side] = [[a], [-math.log(s)]]
+    if not bracket[1, 0, 0] <= 0 <= bracket[1, 1, 0]:
         raise SpecError(f"no alpha normalizes the clamped levels at beta = {beta!r}")
-    last = None  # alpha and the levels of the last evaluation
 
-    def fdf(a, _):
-        nonlocal last
-        f, d, levels = sums(float(a[0]), t if last is None else last[1][1])
-        last = float(a[0]), levels
-        return np.array([f]), np.array([d])
+    def inside(a: float) -> float:
+        """a where it lies inside the bracket, else ``_inside``'s fallback."""
+        if bracket[0, 0, 0] < a < bracket[0, 1, 0]:
+            return a
+        with np.errstate(divide="ignore", invalid="ignore"):  # a clamped end has slope 0
+            return float(_inside(bracket, np.array([a]))[0])
 
-    (alpha,), _ = _newton(fdf, np.array([[[lo], [hi]], [[f_lo], [f_hi]], [[d_lo], [d_hi]]]), [alpha])
-    a_last, (p, t, w) = last
-    p = p - (alpha - a_last) * w  # the last step, taken in p to first order
+    alpha, t, last = inside(alpha), np.array(t, dtype=float), math.inf  # last: the size of the last step
+    for _ in range(200):
+        target = alpha + bE
+        low, high = target >= h_lo, target <= h_hi
+        n_low, n_high = np.count_nonzero(low), np.count_nonzero(high)
+        if n_low + n_high < E.size:
+            free = ~(low | high)
+            x = np.clip(t[free], _T_LO, _T_HI)
+            r = target[free] - _stationarity(spec, x)
+            d = spec.kB * spec.dh(x)
+            p = np.exp(-x)
+            w = p / d
+            sw = float(w.sum())
+            d_alpha = (p.sum() + n_low * _P_LO + n_high * _P_HI - 1 - float(w @ r)) / sw if sw > 0 else math.nan
+            step = (r + d_alpha) / d
+            size = max(abs(d_alpha) / max(abs(alpha), 1.0), float(np.max(np.abs(step) / np.maximum(x, 1.0))))
+            a = alpha + d_alpha
+            moved = a + bE  # alpha only shifts the targets: a level clamps iff a count grows
+            clamps = (np.count_nonzero(moved >= h_lo) - n_low, np.count_nonzero(moved <= h_hi) - n_high)
+            if bracket[0, 0, 0] < a < bracket[0, 1, 0] and size < last and max(clamps) <= 0:
+                t[free], alpha, last = x + step, a, size
+                if size <= 4 * _EPS and clamps == (0, 0):
+                    t = np.where(low, _T_HI, np.where(high, _T_LO, t))
+                    p = np.exp(-t)
+                    p[low], p[high] = _P_LO, _P_HI
+                    w = np.zeros(E.size)
+                    w[free] = p[free] / d
+                    break
+                continue
+        # the step is refused: the levels solved to 4 ulp at alpha move an end of the bracket there
+        p, t, w = _invert_h(spec, target, ends, t)
+        s, sw = p.sum(), w.sum()
+        bracket[:, int(s < 1), 0] = alpha, -math.log(s), sw / s
+        d_alpha = (s - 1) / sw if sw > 0 else math.nan
+        tol = 4 * np.spacing(max(abs(alpha), 1.0))
+        if s == 1 or abs(d_alpha) <= tol or bracket[0, 1, 0] - bracket[0, 0, 0] <= tol:
+            if bracket[0, 0, 0] < alpha + d_alpha < bracket[0, 1, 0]:
+                p, alpha = p - d_alpha * w, alpha + d_alpha
+            break
+        alpha, last = inside(alpha + d_alpha), math.inf
+    else:
+        p, t, w = _invert_h(spec, alpha + bE, ends, t)
     return _Levels(float(alpha), beta, p / p.sum(), t, w)
 
 
@@ -401,9 +468,10 @@ def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
 
     Uses the standard linear energy constraint.  Each probability solves the
     stationarity condition h(ln 1/p_i) = alpha + beta E_i, h = kB (G - G'),
-    which needs a strictly monotone h (checked at solve time).  The levels
-    and alpha are each found by ``_newton``; in target-U mode alpha and beta
-    are one damped Newton iteration on the convex dual (``_solve_target_U``).
+    which needs a strictly monotone h (checked at solve time).  At fixed beta
+    the levels and alpha are one Newton iteration (``_solve_fixed_beta``); in
+    target-U mode alpha and beta are one damped Newton iteration on the
+    convex dual (``_solve_target_U``).
     """
     spec = problem.spec
     if not spec.has_exponential:

@@ -1,0 +1,62 @@
+"""Test-side reference for fixed-beta MaxEnt: the nested alpha solve.
+
+``gentropy.thermo._solve_fixed_beta`` finds alpha and the levels as one
+Newton iteration on the joint system.  This reference reaches the same levels
+another way: alpha by safeguarded Newton on -ln sum p, in the bracket where
+the levels clamp, with every level solved to 4 ulp by ``thermo._invert_h`` at
+each alpha.  It takes the same arguments, so a test can put it in
+``_solve_fixed_beta``'s place.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from gentropy.catalog import Entropy, SpecError, _newton
+from gentropy.thermo import _REACH, _Levels, _invert_h, _stationarity
+
+
+def solve_fixed_beta_nested(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
+                            start: _Levels | None = None) -> _Levels:
+    """alpha, by Newton on -ln sum p, and the levels it normalizes at beta.
+
+    The slope of -ln sum p in alpha is sum w / sum p.  ``start``, the levels at
+    a nearby beta, gives the first t and, to first order, the first alpha.
+    """
+    h_lo, h_hi = ends[:2]
+    bE = beta * E
+    if start is None:  # t of the Gibbs weights, and the alpha that fits the lowest level to it,
+        # or frees that level from _P_HI: -ln sum p has a kink where the level clamps
+        low = int(np.argmin(bE))
+        t = bE - bE[low] + math.log(np.exp(bE[low] - bE).sum())
+        alpha = max(float(_stationarity(spec, t[low:low + 1])[0] - bE[low]),
+                    np.nextafter(h_hi - bE[low], math.inf))
+    else:
+        t, alpha, w = start.t, start.alpha, start.w
+        if w.sum() > 0:
+            alpha -= (beta - start.beta) * float(w @ E) / float(w.sum())
+
+    def sums(a: float, t_start):
+        p, t, w = _invert_h(spec, a + bE, ends, t_start)
+        s = p.sum()
+        return -math.log(s), float(w.sum()) / s, (p, t, w)
+
+    # every level is clamped at _P_HI below the bracket and at _P_LO above it
+    lo, hi = max(h_hi - bE.max(), -_REACH), min(h_lo - bE.min(), _REACH)
+    (f_lo, d_lo, _), (f_hi, d_hi, _) = sums(lo, t), sums(hi, t)
+    if not f_lo <= 0 <= f_hi:
+        raise SpecError(f"no alpha normalizes the clamped levels at beta = {beta!r}")
+    last = None  # alpha and the levels of the last evaluation
+
+    def fdf(a, _):
+        nonlocal last
+        f, d, levels = sums(float(a[0]), t if last is None else last[1][1])
+        last = float(a[0]), levels
+        return np.array([f]), np.array([d])
+
+    (alpha,), _ = _newton(fdf, np.array([[[lo], [hi]], [[f_lo], [f_hi]], [[d_lo], [d_hi]]]), [alpha])
+    a_last, (p, t, w) = last
+    p = p - (alpha - a_last) * w  # the last step, taken in p to first order
+    return _Levels(float(alpha), beta, p / p.sum(), t, w)

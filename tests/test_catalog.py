@@ -4,6 +4,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +210,36 @@ class TestBorgesRoditi:
         br = BorgesRoditi(0.5, 0.2)
         for x in (0.3, 0.8, 1.7):
             assert br.log_inverse(br.generalized_log(x)) == pytest.approx(x, rel=1e-10)
+
+    @pytest.mark.parametrize("gap", [Fraction(1, 10 ** 9), Fraction(1, 10 ** 12)], ids=["1e-9", "1e-12"])
+    @pytest.mark.parametrize("kB, c", [(1.0, 1), (2.0, 2)], ids=["plain", "kB 2 scale 2"])
+    def test_close_parameters_keep_their_relative_accuracy(self, gap, kB, c):
+        # expm1(a t) - expm1(b t) cancelled: G was off by 6.2e-8 at a - b = 1e-9 and by 5.1e-5 at 1e-12
+        a, b = Fraction(1, 2), Fraction(1, 2) - gap
+        spec = BorgesRoditi(a, b, kB=kB, scale_c=c)
+        t = [1e-8, 0.3, 2.0, 10.0]
+        with mp.workdps(60):
+            am, bm = (mp.mpf(v.numerator) / v.denominator for v in (a, b))
+
+            def G(x):
+                return (mp.exp(am * c * x) - mp.exp(bm * c * x)) / (am - bm)
+
+            def h(x):
+                return G(x) - mp.diff(G, x)
+
+            refs = {"G": [G(x) for x in t], "dG": [mp.diff(G, x) for x in t], "dh": [mp.diff(h, x) for x in t],
+                    "F": [mp.findroot(lambda x: G(x) - y, y) for y in t]}
+            got = {"G": spec.G(np.array(t)), "dG": spec.dG(np.array(t)), "dh": spec.dh(np.array(t)),
+                   "F": spec.F(np.array(t))}
+            for name, ref in refs.items():
+                worst = max(abs((mp.mpf(float(v)) - r) / r) for v, r in zip(got[name], ref))
+                assert worst <= 1e-15, name
+
+    def test_separated_parameters_keep_the_two_rate_sum(self):
+        # the pair form is only for close rates: here G keeps the bits of the plain sum
+        t = np.linspace(-5.0, 12.0, 35)
+        plain = (1.0 * np.expm1(0.5 * t) + -1.0 * np.expm1(float(Fraction(-1, 3)) * t)) / float(Fraction(5, 6))
+        assert BorgesRoditi(Fraction(1, 2), Fraction(-1, 3)).G(t).tolist() == plain.tolist()
 
 
 class TestGroupEntropy:

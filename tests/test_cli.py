@@ -122,6 +122,16 @@ class TestEval:
         assert code == 0
         assert float(out) == pytest.approx(math.log(2), rel=1e-12)
 
+    def test_borges_roditi_with_close_parameters(self, capsys):
+        # the two rates of G cancelled: it printed 2.7724489370939409, a relative error of 5.0e-5
+        code, out, err = run(capsys, "eval", "--entropy", "borges_roditi", "--a", "1/2",
+                             "--b", "499999999999/1000000000000", "--dist", "uniform:4")
+        assert (code, err) == (0, "")
+        with mp.workdps(50):
+            a, b, x = mp.mpf(1) / 2, mp.mpf(499999999999) / 10 ** 12, mp.log(4)
+            ref = (mp.exp(a * x) - mp.exp(b * x)) / (a - b)  # S(uniform over 4) = G(ln 4)
+        assert abs(mp.mpf(float(out)) - ref) <= 4e-16 * ref
+
     def test_tsallis_requires_q(self, capsys):
         code, _, err = run(capsys, "eval", "--entropy", "tsallis", "--dist", "uniform:2")
         assert code == 2

@@ -1,6 +1,7 @@
 """Formal group laws: construction, axioms, inverses, and the Abel family."""
 
 import functools
+import random
 import sys
 from fractions import Fraction
 from math import comb
@@ -573,6 +574,32 @@ def _fields(phi, assoc_order=None):
 
 
 PRIMES = "1, 1/3, 1/5, 1/7, 1/11, 1/13"
+
+
+class TestSymmetryDefect:
+    """The symmetry defect compares each c_ab with its mirror c_ba in the table."""
+
+    def test_random_asymmetric_tables_match_the_swapped_difference(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            order = rng.randint(1, 12)
+            monos = [(a, b) for a in range(order + 1) for b in range(order + 1 - a) if a + b]
+            terms = {}
+            for a, b in rng.sample(monos, rng.randint(0, len(monos))):
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7 else rng.randint(-3, 3)
+                terms[a, b] = c
+                roll = rng.random()  # the mirror equal to c, equal as an int and a Fraction, or different
+                if roll < 0.4:
+                    terms[b, a] = c
+                elif roll < 0.5:
+                    terms[b, a] = Fraction(c) if type(c) is int else c
+            phi = MultiPoly(terms, 2, order)
+            swapped = phi - phi.swap(0, 1)
+            assert groups._symmetry_defect(phi).terms == swapped.terms, terms
+            chk = check_axioms(phi, 0)  # symmetry is checked first, whatever the associativity order
+            assert chk.symmetric == (not swapped.terms)
+            if swapped.terms:
+                assert chk.first_violation == ("symmetry", *min(swapped.iter_terms()))
 
 
 class TestAssociativityInIntegers:

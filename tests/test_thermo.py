@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from fixed_beta_oracle import solve_fixed_beta_nested
 from scipy.optimize import minimize
 from target_u_oracle import solve_target_U_bracketed
 
@@ -712,6 +713,100 @@ class TestTargetUJointSolve:
         sol = maxent_solve(MaxEntProblem(BoltzmannGibbs(), levels, target_U=5.05e-14))
         assert abs(sol.U - 5.05e-14) <= 1e-12 * 5
         assert np.all(sol.distribution.p >= thermo._P_LO)
+
+
+def fixed_beta_corpus(seed, n):
+    """n seeded fixed-beta problems (spec, levels, beta, ends), drawn as ``target_u_corpus`` draws.
+
+    kB and the scale constant are 1 or 2 (a spec whose stationarity function
+    is not monotone is drawn again: maxent_solve refuses it before any level
+    is solved), L is 2, 3, 5, 20 or 100 levels over a span from 1e-6 to
+    1e150, half of them offset from 0 by 1 to 1e4 spans, and beta has either
+    sign.  beta times the span is 1e-3 to 100 in 45 % of the problems; 0.5
+    to 3 times the range of h in 45 %, so that levels clamp at either end;
+    and 1e55 to 1e65 in the rest, past the reach of the alpha bracket.
+    """
+    rng = random.Random(seed)
+    made = 0
+    while made < n:
+        spec = CORPUS_KINDS[rng.choice(sorted(CORPUS_KINDS))](rng.choice((1.0, 2.0)), rng.choice((1, 2)))
+        try:
+            ends = thermo._check_monotone(spec)
+        except UnsupportedRepresentation:
+            continue
+        L = rng.choice((2, 3, 5, 20, 100))
+        span = 10 ** rng.uniform(-6, 150)
+        offset = 0.0 if rng.random() < 0.5 else rng.choice((-1, 1)) * span * 10 ** rng.uniform(0, 4)
+        levels = [offset + span * u for u in [0.0, 1.0] + [rng.random() for _ in range(L - 2)]]
+        rng.shuffle(levels)
+        kind = rng.random()
+        spread = (10 ** rng.uniform(-3, 2) if kind < 0.45 else rng.uniform(0.5, 3) * (ends[0] - ends[1])
+                  if kind < 0.9 else 10 ** rng.uniform(55, 65))
+        yield spec, np.array(levels), rng.choice((-1, 1)) * spread / span, ends
+        made += 1
+
+
+def fixed_beta_levels(solve, spec, E, beta, ends):
+    """solve's levels, as maxent_solve calls it, or the text of its SpecError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve(spec, E, beta, ends)
+    except SpecError as exc:
+        return str(exc)
+
+
+class TestFixedBetaJointSolve:
+    def test_a_seeded_corpus_matches_the_nested_solve(self, monkeypatch):
+        # the same refusals, and p within 1e-15 plus what the rounding of the targets alpha + beta E
+        # moves it by: eps (|alpha| + |beta E_i|) w_i, w = -dp/dtarget, reaches 1e-10 with an offset.
+        # Taking steps that grow, or that clamp a level, costs up to 24 and 360 evaluations of h more
+        # than twice the nested solve's on one problem; in all the joint solve makes 0.73 times as many
+        eps = np.finfo(float).eps
+        calls, total = count_calls(monkeypatch, "_stationarity"), np.zeros(2)
+        refused = clamped = 0
+        for spec, E, beta, ends in fixed_beta_corpus(20261019, 300):
+            outcomes, n = [], []
+            for solve in (thermo._solve_fixed_beta, solve_fixed_beta_nested):
+                calls.clear()
+                outcomes.append(fixed_beta_levels(solve, spec, E, beta, ends))
+                n.append(len(calls))
+            (joint, nested), case = outcomes, (spec.name, spec.kB, spec.scale, E.tolist(), beta)
+            assert n[0] <= 2 * n[1] + 10, case
+            total += n
+            assert type(joint) is type(nested), case
+            if isinstance(joint, str):
+                assert joint == nested, case
+                refused += 1
+                continue
+            rounding = eps * float(np.max((abs(nested.alpha) + np.abs(beta * E)) * nested.w))
+            assert np.max(np.abs(joint.p - nested.p)) <= 1e-15 + rounding, case
+            clamped += bool(np.any(nested.w == 0))
+        assert refused >= 5 and clamped >= 50
+        assert total[0] <= total[1]
+
+    def test_twenty_levels_take_few_evaluations(self, monkeypatch):
+        # the nested solve evaluated h on the levels 39 times, 29 of them on all 20 levels
+        calls = count_calls(monkeypatch, "_stationarity")
+        levels = tuple(5 * i / 19 for i in range(20))
+        maxent_solve(MaxEntProblem(Tsallis(Fraction(1, 2)), levels, beta=1.0))
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("beta", [-2.0, 1.0, 3.0])
+    def test_the_levels_keep_their_meaning(self, beta):
+        # t = ln 1/p before normalization, w = p / kB h'(t), and clamped levels at the clamps with w = 0
+        spec, E = Tsallis(Fraction(3, 2)), np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+        ends = thermo._check_monotone(spec)
+        levels = fixed_beta_levels(thermo._solve_fixed_beta, spec, E, beta, ends)
+        target = levels.alpha + beta * E
+        low, high = target >= ends[0], target <= ends[1]
+        assert np.any(low | high) and not np.all(low | high)
+        assert levels.t[low].tolist() == [thermo._T_HI] * np.count_nonzero(low)
+        assert levels.t[high].tolist() == [thermo._T_LO] * np.count_nonzero(high)
+        assert np.all(levels.w[low | high] == 0)
+        free = ~(low | high)
+        p = np.exp(-levels.t[free])
+        assert np.max(np.abs(levels.w[free] * spec.kB * spec.dh(levels.t[free]) / p - 1)) <= 1e-12
+        assert np.max(np.abs(p / p.sum() - levels.p[free] / levels.p[free].sum())) <= 1e-15
 
 
 class TestTemperatureTable:
