@@ -41,36 +41,57 @@ from .catalog import (
     SQDelta,
     GenericEntropy,
 )
-from .scd import (
-    ScdEntropy,
-    inner_polynomial_coefficients,
-    delta_coefficient,
-)
-from .axioms import (
-    AxiomReport,
-    ParameterRegion,
-    check_concavity_condition,
-    check_concavity_numeric,
-    scan_concavity,
-    check_sk2_maximum,
-    check_sk3_expansibility,
-    check_weak_composability,
-    check_strict_composability,
-    check_sk4_bg,
-    lesche_probe,
-)
-from .thermo import (
-    OccupationLaw,
-    occupation_law,
-    microcanonical,
-    ExtensivityReport,
-    extensivity_check,
-    MaxEntProblem,
-    MaxEntSolution,
-    maxent_solve,
-    legendre_residual,
-    temperature_table,
-    asymptotic_scan,
-)
+
+__all__ = [name for name in dir() if not name.startswith("_")]
+
+# The float-only modules and the names each exports, imported on first use
+# (PEP 562), so that `import gentropy` executes neither them nor numpy.
+_DEFERRED = {
+    "scd": ("ScdEntropy", "inner_polynomial_coefficients", "delta_coefficient"),
+    "axioms": (
+        "AxiomReport",
+        "ParameterRegion",
+        "check_concavity_condition",
+        "check_concavity_numeric",
+        "scan_concavity",
+        "check_sk2_maximum",
+        "check_sk3_expansibility",
+        "check_weak_composability",
+        "check_strict_composability",
+        "check_sk4_bg",
+        "lesche_probe",
+    ),
+    "thermo": (
+        "OccupationLaw",
+        "occupation_law",
+        "microcanonical",
+        "ExtensivityReport",
+        "extensivity_check",
+        "MaxEntProblem",
+        "MaxEntSolution",
+        "maxent_solve",
+        "legendre_residual",
+        "temperature_table",
+        "asymptotic_scan",
+    ),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+__all__ += [*_DEFERRED, *_HOME]
+
+
+def __getattr__(name):
+    import importlib
+
+    if name in _DEFERRED:
+        return importlib.import_module(f".{name}", __name__)  # the import binds it here as well
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"

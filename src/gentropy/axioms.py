@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .catalog import (
     BoltzmannGibbs,
     Distribution,

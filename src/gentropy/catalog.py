@@ -27,13 +27,13 @@ grows brackets by doubling and ``_newton`` solves in them with exact slopes.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .series import TruncatedSeries, from_a_sequence
 
 brentq = None  # never called: benchmark/spans.py wraps catalog.brentq by name, so it stays bound
@@ -470,7 +470,7 @@ class ExponentialSum(Entropy):
         self._G_terms = terms(lambda r: 1)
         self._dG_terms = terms(lambda r: r / s)
         self._d2G_terms = terms(lambda r: r * r / s)
-        self._G_long_terms = terms(lambda r: 1 / s, _long)
+        self._G_exact_terms = terms(lambda r: 1 / s, Fraction)
         # h' = G' - G'' at scale c, as one sum over e^(r c t)
         self._dh_terms = terms(lambda r: -c * r * (c * r - 1) / s)
 
@@ -490,6 +490,11 @@ class ExponentialSum(Entropy):
 
     def _G(self, t):
         return self._sum(np.expm1, self._G_terms, t) / self._sigma
+
+    @functools.cached_property
+    def _G_long_terms(self):
+        """The terms of G in np.longdouble, made on first use: building an entropy needs no numpy."""
+        return tuple(tuple(map(_long, term)) for term in self._G_exact_terms)
 
     def _G_long(self, t):
         return self._sum(np.expm1, self._G_long_terms, np.asarray(t, dtype=np.longdouble))
@@ -756,7 +761,11 @@ class GenericEntropy(Entropy):
             raise SpecError("a-sequence coefficients must fit in a float")
         self._dfloat = self._float.derivative()
         self._d2float = self._dfloat.derivative()
-        self._long_coeffs = [_long(c) for c in reversed(self._series.coeffs)]
+
+    @functools.cached_property
+    def _long_coeffs(self):
+        """The series' coefficients in np.longdouble, highest first, made on first use."""
+        return [_long(c) for c in reversed(self._series.coeffs)]
 
     def _G(self, t):
         return self._float.eval(t)

@@ -15,9 +15,8 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import axioms, thermo
+from ._lazy import np
 from .catalog import (
     BoltzmannGibbs,
     BorgesRoditi,

@@ -8,8 +8,7 @@ import re
 from fractions import Fraction
 from itertools import compress, repeat
 
-import numpy as np
-
+from ._lazy import np
 from .catalog import Distribution, DistributionError
 
 
@@ -176,7 +175,7 @@ def format_value(x, digits: int = _DIGITS) -> str:
 
 def _format_column(column, digits: int) -> list[str]:
     """format_value of each entry; a column of ints or of floats in one C-level map."""
-    column = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    column = column.tolist() if hasattr(column, "tolist") else list(column)  # an array
     types = set(map(type, column))
     if types <= {int}:
         return list(map(str, column))

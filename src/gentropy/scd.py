@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from numbers import Integral
 
-import numpy as np
-
+from ._lazy import np
 from .catalog import Distribution, Entropy, SpecError
 from .series import TruncatedSeries
 
@@ -23,7 +23,7 @@ from .series import TruncatedSeries
 def _check_params(c: float, d: int) -> None:
     if not (0 < c <= 1):
         raise SpecError("scd: c must lie in (0, 1]")
-    if not (isinstance(d, (int, np.integer)) and d >= 0):
+    if not (isinstance(d, Integral) and d >= 0):  # int or np.integer
         raise SpecError("scd: d must be a nonnegative integer")
     if 1 - c + c * d == 0:
         raise SpecError("scd: parameters with 1 - c + c d = 0 are singular")

@@ -22,12 +22,13 @@ SpecError.  Each solve is warm-started from the one before.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .catalog import (
     Distribution,
     Entropy,
@@ -168,15 +169,20 @@ class MaxEntSolution:
 
 _P_LO = 1e-15
 _P_HI = 1.0 - 1e-15
-_T_LO, _T_HI = -np.log(_P_HI), -np.log(_P_LO)  # t = ln 1/p at the clamps
+_T_LO, _T_HI = -math.log(_P_HI), -math.log(_P_LO)  # t = ln 1/p at the clamps, the bits of -np.log
 # where h is checked for monotonicity: 64 points from _T_HI down to _T_LO spaced evenly in t, and
-# 16 more spaced evenly in ln t over the last gap (_T_LO, 0.55), where h' may change sign near p = 1;
-# built in Python floats, as numpy's geomspace would add half a megabyte to every import
+# 16 more spaced evenly in ln t over the last gap (_T_LO, 0.55), where h' may change sign near p = 1
 _T_GAP = (_T_HI - _T_LO) / 63
-_T_GRID = np.array([_T_HI - k * _T_GAP for k in range(63)]
-                   + [_T_GAP * (_T_LO / _T_GAP) ** (j / 17) for j in range(1, 17)] + [_T_LO])
+_T_POINTS = ([_T_HI - k * _T_GAP for k in range(63)]
+             + [_T_GAP * (_T_LO / _T_GAP) ** (j / 17) for j in range(1, 17)] + [_T_LO])
 _REACH = 2.0 ** 200  # the alpha bracket is clipped to [-_REACH, _REACH]
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
+
+
+@functools.cache
+def _t_grid():
+    """_T_POINTS as an array, made on first use so that importing thermo needs no numpy."""
+    return np.array(_T_POINTS)
 
 
 def _stationarity(spec: Entropy, t):
@@ -187,9 +193,9 @@ def _stationarity(spec: Entropy, t):
 def _check_monotone(spec: Entropy) -> tuple:
     """Check that h = kB (G - G') falls as p rises; returns h at _P_LO and _P_HI, then kB h' there.
 
-    h is sampled on _T_GRID, and kB h' must be positive at both ends.
+    h is sampled on _t_grid(), and kB h' must be positive at both ends.
     """
-    vals = _stationarity(spec, _T_GRID)
+    vals = _stationarity(spec, _t_grid())
     slopes = spec.kB * spec.dh(np.array([_T_HI, _T_LO]))
     if not (np.all(np.diff(vals) < 0) and np.all(slopes > 0)):
         raise UnsupportedRepresentation(

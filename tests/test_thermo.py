@@ -408,6 +408,18 @@ class TestMaxEntTsallis:
             maxent_solve(MaxEntProblem(SDelta(2), ENERGIES, beta=1.0))
 
 
+def test_clamp_constants_and_grid_keep_numpys_bits():
+    # made with math and Python floats so that importing thermo needs no numpy
+    t_lo, t_hi = -np.log(thermo._P_HI), -np.log(thermo._P_LO)
+    assert (thermo._T_LO.hex(), thermo._T_HI.hex()) == (float(t_lo).hex(), float(t_hi).hex())
+    assert thermo._EPS == np.finfo(float).eps
+    gap = (t_hi - t_lo) / 63  # the grid as numpy's float64 scalars built it
+    grid = np.array([t_hi - k * gap for k in range(63)]
+                    + [gap * (t_lo / gap) ** (j / 17) for j in range(1, 17)] + [t_lo])
+    assert thermo._t_grid().tobytes() == grid.tobytes()
+    assert thermo._t_grid() is thermo._t_grid()
+
+
 SOLVER_SPECS = {
     "tsallis": Tsallis(Fraction(1, 2)),
     "kaniadakis": Kaniadakis(Fraction(1, 3)),
