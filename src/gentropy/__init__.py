@@ -48,32 +48,12 @@ __all__ = [name for name in dir() if not name.startswith("_")]
 # (PEP 562), so that `import gentropy` executes neither them nor numpy.
 _DEFERRED = {
     "scd": ("ScdEntropy", "inner_polynomial_coefficients", "delta_coefficient"),
-    "axioms": (
-        "AxiomReport",
-        "ParameterRegion",
-        "check_concavity_condition",
-        "check_concavity_numeric",
-        "scan_concavity",
-        "check_sk2_maximum",
-        "check_sk3_expansibility",
-        "check_weak_composability",
-        "check_strict_composability",
-        "check_sk4_bg",
-        "lesche_probe",
-    ),
-    "thermo": (
-        "OccupationLaw",
-        "occupation_law",
-        "microcanonical",
-        "ExtensivityReport",
-        "extensivity_check",
-        "MaxEntProblem",
-        "MaxEntSolution",
-        "maxent_solve",
-        "legendre_residual",
-        "temperature_table",
-        "asymptotic_scan",
-    ),
+    "axioms": ("AxiomReport", "ParameterRegion", "check_concavity_condition", "check_concavity_numeric",
+               "scan_concavity", "check_sk2_maximum", "check_sk3_expansibility", "check_weak_composability",
+               "check_strict_composability", "check_sk4_bg", "lesche_probe"),
+    "thermo": ("OccupationLaw", "occupation_law", "microcanonical", "ExtensivityReport", "extensivity_check",
+               "MaxEntProblem", "MaxEntSolution", "maxent_solve", "legendre_residual", "temperature_table",
+               "asymptotic_scan"),
 }
 _HOME = {name: module for module, names in _DEFERRED.items() for name in names}
 __all__ += [*_DEFERRED, *_HOME]
