@@ -58,6 +58,8 @@ INPUTS = {
     "levels-crlf.txt": b"# levels\r\n0\r\n1.5\r\n3\r\n",
     "levels-ratio.txt": b"0\n1/2\n",
     "levels-huge.txt": b"0\n1e200\n3e200\n",
+    "levels20.txt": "".join(f"{i}\n" for i in range(20)).encode(),
+    "levels-degenerate.txt": b"0.4\n3.1\n3.1\n",
 }
 
 # each kind's parameters as (flag, name in a scan spec, value), at values where its checks and solvers run
@@ -82,8 +84,24 @@ def scan_spec(kind: str) -> str:
     return f"{kind}:{','.join(pairs)}" if pairs else kind
 
 
+def target_u_commands(spec: list[str]) -> list[list[str]]:
+    """maxent --target-u for a kind with a group exponential: with --kb 2 and --scale 2; on 20
+    levels 0..19 at 0.25, 0.6 and 0.9 of the way from the lowest level to the mean; on a repeated
+    level at 0.6 of that way; and 1e-6 of the span from each extreme of levels4.txt."""
+    maxent = ["maxent", *spec, "--target-u"]
+    return [
+        [*maxent, "0.8", "--energies", "@levels6.txt", "--kb", "2"],
+        [*maxent, "0.8", "--energies", "@levels6.txt", "--scale", "2"],
+        *([*maxent, target, "--energies", "@levels20.txt"] for target in ("2.375", "5.7", "8.55")),
+        [*maxent, "1.48", "--energies", "@levels-degenerate.txt"],
+        *([*maxent, target, "--energies", "@levels4.txt"] for target in ("3e-6", "2.999997")),
+    ]
+
+
 def commands() -> list[list[str]]:
     """Every subcommand for every kind, plain, with --kb 2 and with --scale 2, then the edge cases."""
+    from gentropy.cli import KINDS
+
     out = [["catalog"]]
     for kind, params in SPECS.items():
         spec = ["--entropy", kind, *(f"{flag}={value}" for flag, _, value in params)]
@@ -108,6 +126,8 @@ def commands() -> list[list[str]]:
             ["maxent", *spec, "--beta", "1", "--energies", "@levels4.txt"],
             ["occupation", *spec, "--nmax", "20"],
         )]
+        if KINDS[kind].cls.has_exponential:
+            out += target_u_commands(spec)
     out += [
         ["scan", "--spec", scan_spec("bg"), "--spec", scan_spec("tsallis"), "--spec", scan_spec("s_delta"),
          "--points", "7", "--scale", "2", "--digits", "5"],
