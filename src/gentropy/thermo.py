@@ -14,10 +14,11 @@ clamped to [_P_LO, _P_HI] are masked and never evaluated) and eliminates
 them, which leaves alpha's step in closed form.  The alpha bracket where the
 levels clamp safeguards it: where a step is refused, the levels are solved
 to 4 ulp (``catalog._newton``, elementwise) to place alpha in it.  In
-target-U mode alpha and beta are one damped Newton iteration on the convex
-MaxEnt dual, with an Armijo test on the dual and the step solved in units of
-the spectrum's span; a target it cannot reach on the clamped levels raises
-SpecError.  Each solve is warm-started from the one before.
+target-U mode alpha, beta and the levels are one Newton iteration the same
+way, in units of the spectrum's span; where a joint step is refused, the
+levels are solved to 4 ulp and the step is damped on the convex MaxEnt dual,
+with an Armijo test on it.  A target it cannot reach on the clamped levels
+raises SpecError.  Each solve is warm-started from the one before.
 """
 
 from __future__ import annotations
@@ -204,6 +205,13 @@ def _check_monotone(spec: Entropy) -> tuple:
     return (float(vals[0]), float(vals[-1]), *slopes)
 
 
+def _free_levels(spec: Entropy, t: np.ndarray, target: np.ndarray) -> tuple:
+    """At the free levels' t: p = e^-t, kB h'(t), w = p / kB h'(t) and r = target - h(t)."""
+    d = spec.kB * spec.dh(t)
+    p = np.exp(-t)
+    return p, d, p / d, target - _stationarity(spec, t)
+
+
 def _invert_h(spec: Entropy, target: np.ndarray, ends: tuple, t: np.ndarray):
     """Solve h(ln 1/p_i) = target_i for every level at once, Newton started at t = ln 1/p.
 
@@ -309,10 +317,7 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
         if n_low + n_high < E.size:
             free = ~(low | high)
             x = np.clip(t[free], _T_LO, _T_HI)
-            r = target[free] - _stationarity(spec, x)
-            d = spec.kB * spec.dh(x)
-            p = np.exp(-x)
-            w = p / d
+            p, d, w, r = _free_levels(spec, x, target[free])
             sw = float(w.sum())
             d_alpha = (p.sum() + n_low * _P_LO + n_high * _P_HI - 1 - float(w @ r)) / sw if sw > 0 else math.nan
             step = (r + d_alpha) / d
@@ -369,11 +374,11 @@ def _partition_value(spec: Entropy, energies, beta: float) -> float:
         return math.inf
 
 
-_JOINT_CAP = 200  # level solves before the target counts as out of reach
+_JOINT_CAP = 200  # steps of either kind, joint or through a level solve, before the target counts as out of reach
 
 
 def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
-    """The levels whose mean energy is target, by damped Newton on the convex MaxEnt dual.
+    """The levels whose mean energy is target, by Newton on the joint system, damped on the MaxEnt dual.
 
     Energies are taken from the target in units of the span E_max - E_min:
     the levels solve h = alpha + b x, x = (E - target) / span and
@@ -385,8 +390,19 @@ def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) ->
     [[sum w, sum w x], [sum w x, sum w x^2]]; the Newton step is solved in
     centred form, with m = sum w x / sum w and the weighted variance
     sum w (x - m)^2.  The iteration starts from the uniform levels at b = 0
-    (t = ln L, alpha = h(ln L)), and each iterate's levels come from
-    ``_invert_h`` started at the last.
+    (t = ln L, alpha = h(ln L)).
+
+    A step is first tried as one Newton step on the joint system in alpha,
+    b and the t_i of the free levels: it evaluates h and kB h' once on the
+    free levels and, with r_i = alpha + b x_i - h(t_i), solves the same
+    centred system with g shifted to (sum p - 1 - sum w r, sum p x - sum w r x),
+    then moves each t_i by (r_i + d_alpha + d_b x_i) / kB h'_i.  It is taken
+    only as a full step, neither cut nor halved, that clamps or frees no
+    level, keeps every t inside (_T_LO, _T_HI) and is smaller than the last
+    joint step (each level's move in h relative to max(|h|, 1)).  Otherwise
+    the levels are solved to 4 ulp at (alpha, b) by ``_invert_h``, unless
+    they already are, and the step is tried from there as below, each
+    trial's levels solved by ``_invert_h`` started at the last.
 
     A step that frees a level clamped at _P_HI is cut to land just past the
     first such clamp: the clamped level adds no curvature, so the full step
@@ -395,19 +411,22 @@ def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) ->
     |g_1| + |g_2| or, while that residual is above its rounding level, meets
     the Armijo condition on D with c = 1e-4 (below it, such steps would
     alternate at rounding level).  It stops once the step moves no level's
-    target by more than 4 ulp of max(|target|, 1), or once a first step
-    fails to lower a residual already at rounding level; that last step is
-    taken in p to first order.  A step halved to nothing, a last step that
-    takes a p to 0 or below, or _JOINT_CAP level solves mean that no beta
-    reaches the target on the clamped levels: SpecError.
+    target by more than 4 ulp of max(|target|, 1) and each level's own
+    Newton step r_i / kB h'_i is within 4 ulp of max(t_i, 1), or once a
+    first step fails to lower a residual already at rounding level; that
+    last step, r included, is taken in p to first order.  A step halved to
+    nothing, a last step that takes a p to 0 or below, or _JOINT_CAP
+    iterations mean that no beta reaches the target on the clamped levels:
+    SpecError.
     """
-    span, eps, h_hi = float(E.max() - E.min()), np.finfo(float).eps, ends[1]
+    span, eps, (h_lo, h_hi) = float(E.max() - E.min()), np.finfo(float).eps, ends[:2]
     x = (E - target) / span
     past = 1e-9 * max(1.0, abs(h_hi))  # where a cut step puts the first level it frees from _P_HI
 
-    def state(alpha, b, p, t, w):
+    def state(alpha, b, p, t, w, resid):
         """The levels at (alpha, b) (b in their ``beta``), the residual, its rounding level, the
-        Newton step and g; None with fewer than two free levels at distinct energies."""
+        Newton step, g and resid, each level's alpha + b x - h(t); None with fewer than two free
+        levels at distinct energies."""
         free = x[w > 0]
         if not (free.size and free.min() < free.max()):
             return None
@@ -416,11 +435,28 @@ def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) ->
         var = float(w @ (x - m) ** 2)
         if not 0 < var < math.inf:  # rounded to 0, or w past the largest double
             return None
-        g1, g2 = p.sum() - 1.0, float(p @ x)
+        wr = w * resid
+        g1, g2 = p.sum() - 1.0 - wr.sum(), float(p @ x) - float(wr @ x)
         d_b = (g2 - m * g1) / var
         # rounding: t to a few ulp, each target alpha + b x_i to one, and the sums
         floor = 16 * eps * (E.size + float(p @ np.maximum(t, 1.0)) + float(w @ (abs(alpha) + abs(b * x))))
-        return _Levels(alpha, b, p, t, w), abs(g1) + abs(g2), floor, (g1 / sw - m * d_b, d_b), (g1, g2)
+        return _Levels(alpha, b, p, t, w), abs(g1) + abs(g2), floor, (g1 / sw - m * d_b, d_b), (g1, g2), resid
+
+    def joint(levels, h, a, b, move):
+        """The levels at (a, b), each free t moved by its step in h over kB h', as one Newton step
+        from levels at targets h; None where that clamps or frees a level or takes a t past the clamps."""
+        target = a + b * x
+        low, high = target >= h_lo, target <= h_hi
+        if not (np.array_equal(low, h >= h_lo) and np.array_equal(high, h <= h_hi)):
+            return None
+        free = ~(low | high)
+        t = levels.t.copy()
+        t[free] += move[free] * levels.w[free] / levels.p[free]
+        if not (t[free].min() > _T_LO and t[free].max() < _T_HI):
+            return None
+        p, w, resid = levels.p.copy(), np.zeros(E.size), np.zeros(E.size)
+        p[free], _, w[free], resid[free] = _free_levels(spec, t[free], target[free])
+        return state(a, b, p, t, w, resid)
 
     def dual(levels, g):  # D(alpha, b)
         return spec.kB * float(levels.p @ spec.G(levels.t)) - levels.alpha * g[0] - levels.beta * g[1]
@@ -432,22 +468,39 @@ def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) ->
         freed = (h <= h_hi) & (h + move > h_hi)
         return min(1.0, float(np.min((h_hi + past - h[freed]) / move[freed]))) if freed.any() else 1.0
 
+    exact = np.zeros(E.size)  # resid of levels solved to 4 ulp
     t = np.full(E.size, math.log(E.size))
     p = np.exp(-t)
-    now = state(float(_stationarity(spec, t[:1])[0]), 0.0, p, t, p / (spec.kB * spec.dh(t)))
+    now = state(float(_stationarity(spec, t[:1])[0]), 0.0, p, t, p / (spec.kB * spec.dh(t)), exact)
     lam = lam0 = 1.0  # no uniform level is clamped
     d_now = None  # D at now, evaluated once a trial fails to lower the residual
+    last = math.inf  # the size of the last joint step: inf after a trial, 0 after a level solve at now
     for _ in range(_JOINT_CAP if now else 0):
-        levels, r, floor, step, g = now
+        levels, r, floor, step, g, resid = now
         d_alpha, d_b = lam * step[0], lam * step[1]
         h = levels.alpha + levels.beta * x
-        if np.all(np.abs(d_alpha + d_b * x) <= 4 * np.spacing(np.maximum(np.abs(h), 1.0))):
+        move = d_alpha + d_b * x + resid  # each level's step in h
+        scale = np.maximum(np.abs(h), 1.0)
+        # within 4 ulp: the step in each target, and each level's own Newton step in t at its target
+        if (np.all(np.abs(d_alpha + d_b * x) <= 4 * np.spacing(scale))
+                and np.all(np.abs(resid) * levels.w <= 4 * np.spacing(np.maximum(levels.t, 1.0)) * levels.p)):
             if lam < lam0:
                 break  # halved to nothing
         else:
             a, b = levels.alpha + d_alpha, levels.beta + d_b
             finite = math.isfinite(a) and math.isfinite(b)
-            trial = state(a, b, *_invert_h(spec, a + b * x, ends, levels.t)) if finite else None
+            size = float(np.max(np.abs(move) / scale))
+            trial = joint(levels, h, a, b, move) if finite and lam == 1 and size < last else None
+            if trial is not None:
+                now, last = trial, size
+                continue
+            if resid.any():  # the joint step is refused: solve the levels at now, and step from there
+                now, last = state(levels.alpha, levels.beta, *_invert_h(spec, h, ends, levels.t), exact), 0.0
+                if now is None:
+                    break
+                lam = lam0 = first_lam(now[0], now[3])
+                continue
+            trial = state(a, b, *_invert_h(spec, a + b * x, ends, levels.t), exact) if finite else None
             if trial is not None and trial[1] >= r:  # the residual did not fall: the Armijo test on D
                 if r > floor and d_now is None:
                     d_now = dual(levels, g)
@@ -455,13 +508,13 @@ def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) ->
                 if r <= floor or dual(trial[0], trial[4]) > d_now - 1e-4 * lam * descent:
                     trial = None
             if trial is not None:
-                now, d_now = trial, None
+                now, d_now, last = trial, None, math.inf
                 lam = lam0 = first_lam(now[0], now[3])
                 continue
             if lam < lam0 or r > floor:
                 lam /= 2
                 continue
-        p = levels.p - (step[0] + step[1] * x) * levels.w  # the last step, in p to first order
+        p = levels.p - (step[0] + step[1] * x + resid) * levels.w  # the last step, in p to first order
         if not p.min() > 0:
             break  # the target lies past the clamps
         beta = (levels.beta + step[1]) / span
@@ -476,8 +529,8 @@ def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
     stationarity condition h(ln 1/p_i) = alpha + beta E_i, h = kB (G - G'),
     which needs a strictly monotone h (checked at solve time).  At fixed beta
     the levels and alpha are one Newton iteration (``_solve_fixed_beta``); in
-    target-U mode alpha and beta are one damped Newton iteration on the
-    convex dual (``_solve_target_U``).
+    target-U mode the levels, alpha and beta are, damped on the convex dual
+    (``_solve_target_U``).
     """
     spec = problem.spec
     if not spec.has_exponential:

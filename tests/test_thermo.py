@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import statistics
 import warnings
 from fractions import Fraction
 
@@ -81,6 +82,8 @@ def mp_G(spec, t):
     if isinstance(spec, GenericEntropy):
         return sum(mp.mpf(Fraction(a).numerator) / Fraction(a).denominator * t ** (k + 1) / (k + 1)
                    for k, a in enumerate(spec.a))
+    if isinstance(spec, BoltzmannGibbs):
+        return t
     r = {name: mp.mpf(Fraction(v).numerator) / Fraction(v).denominator
          for name, v in vars(spec).items() if name in ("q", "kappa", "a", "b")}
     if isinstance(spec, Tsallis):
@@ -479,8 +482,9 @@ class TestMaxEntNewtonSolver:
 
     @pytest.mark.parametrize("target", [0.2, 4.8], ids=["beta near 6.6", "beta near -6.6"])
     def test_target_energy_near_an_extreme_level_takes_few_level_solves(self, monkeypatch, target):
-        # beta is about +-6.6, far from the start at 0: the joint steps take 10 level solves, and a
-        # beta solve in a bracket grown from [0, 1] or [-1, 0] takes 23
+        # beta is about +-6.6, far from the start at 0: 2 level solves and then 8 joint steps (10 level
+        # solves when each iterate's levels were solved), and a beta solve in a bracket grown from
+        # [0, 1] or [-1, 0] takes 23
         calls = count_calls(monkeypatch, "_invert_h")
         levels = tuple(5 * i / 19 for i in range(20))
         sol = maxent_solve(MaxEntProblem(Tsallis(Fraction(1, 2)), levels, target_U=target))
@@ -587,7 +591,34 @@ def target_u_corpus(seed, n):
         yield spec, tuple(levels), target
 
 
+def target_u_grid(seed):
+    """(spec, levels, target) for bg and each of TARGET_U_SPECS, on L = 3 and 20 levels in [0, 5]:
+    equally spaced, seeded uniform draws, and a third of them drawn with the rest repeats of those,
+    at 0.25, 0.6 and 0.9 of the way from the lowest level to the mean."""
+    rng = random.Random(seed)
+    for spec in (BoltzmannGibbs(), *TARGET_U_SPECS.values()):
+        for L in (3, 20):
+            distinct = [rng.uniform(0.0, 5.0) for _ in range(max(2, L // 3))]
+            for levels in ([5 * i / (L - 1) for i in range(L)], [rng.uniform(0.0, 5.0) for _ in range(L)],
+                           distinct + [rng.choice(distinct) for _ in range(L - len(distinct))]):
+                lo, mean = min(levels), sum(levels) / L
+                for f in (0.25, 0.6, 0.9):
+                    yield spec, tuple(sorted(levels)), lo + f * (mean - lo)
+
+
 class TestTargetUJointSolve:
+    def test_joint_steps_leave_few_level_solves(self, monkeypatch):
+        # solving the levels at every iterate took 4 to 9 level solves on this grid, median 6
+        calls, counts = count_calls(monkeypatch, "_invert_h"), []
+        for k, (spec, levels, target) in enumerate(target_u_grid(27)):
+            calls.clear()
+            sol = maxent_solve(MaxEntProblem(spec, levels, target_U=target))
+            assert len(calls) <= 4, (spec.name, levels, target)
+            counts.append(len(calls))
+            if k % 17 == 0:
+                assert np.max(np.abs(sol.distribution.p - mp_target_U_p(spec, levels, target, sol))) <= 1e-15
+        assert len(counts) == 126 and statistics.median(counts) == 0
+
     @pytest.mark.parametrize("kind", TARGET_U_SPECS)
     @pytest.mark.parametrize("L", [3, 20])
     def test_p_matches_a_fifty_digit_alpha_beta_solve(self, kind, L):
