@@ -374,7 +374,7 @@ def _partition_value(spec: Entropy, energies, beta: float) -> float:
         return math.inf
 
 
-_JOINT_CAP = 200  # steps of either kind, joint or through a level solve, before the target counts as out of reach
+_JOINT_CAP = 200  # steps, joint or through a level solve, before the target counts as out of reach
 
 
 def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
@@ -424,9 +424,8 @@ def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) ->
     past = 1e-9 * max(1.0, abs(h_hi))  # where a cut step puts the first level it frees from _P_HI
 
     def state(alpha, b, p, t, w, resid):
-        """The levels at (alpha, b) (b in their ``beta``), the residual, its rounding level, the
-        Newton step, g and resid, each level's alpha + b x - h(t); None with fewer than two free
-        levels at distinct energies."""
+        """The levels at (alpha, b) (b in their ``beta``), the residual, its rounding level, the Newton
+        step, g and resid (alpha + b x - h(t)); None with fewer than two free levels at distinct energies."""
         free = x[w > 0]
         if not (free.size and free.min() < free.max()):
             return None
@@ -447,12 +446,10 @@ def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) ->
         from levels at targets h; None where that clamps or frees a level or takes a t past the clamps."""
         target = a + b * x
         low, high = target >= h_lo, target <= h_hi
-        if not (np.array_equal(low, h >= h_lo) and np.array_equal(high, h <= h_hi)):
-            return None
-        free = ~(low | high)
-        t = levels.t.copy()
+        free, t = ~(low | high), levels.t.copy()
         t[free] += move[free] * levels.w[free] / levels.p[free]
-        if not (t[free].min() > _T_LO and t[free].max() < _T_HI):
+        if not (np.array_equal(low, h >= h_lo) and np.array_equal(high, h <= h_hi)
+                and t[free].min() > _T_LO and t[free].max() < _T_HI):
             return None
         p, w, resid = levels.p.copy(), np.zeros(E.size), np.zeros(E.size)
         p[free], _, w[free], resid[free] = _free_levels(spec, t[free], target[free])
