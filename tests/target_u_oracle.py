@@ -3,10 +3,11 @@
 ``gentropy.thermo._solve_target_U`` finds alpha, beta and the levels' t as
 one Newton iteration on the joint system, which evaluates h once per step
 and falls back to solving the levels and damping the step on the convex
-MaxEnt dual.  This reference reaches the same levels another way: beta by safeguarded Newton on the shortfall target -
-U(beta), in a bracket grown from [0, 1] or [-1, 0], with alpha solved at
-each beta by ``thermo._solve_fixed_beta``.  It takes the same arguments, so
-a test can put it in ``_solve_target_U``'s place.
+MaxEnt dual.  This reference reaches the same levels another way: beta by
+safeguarded Newton on the shortfall target - U(beta), in a bracket grown
+from [0, 1] or [-1, 0], with alpha solved at each beta by
+``thermo._solve_fixed_beta``.  It takes the same arguments, so a test can
+put it in ``_solve_target_U``'s place.
 """
 
 from __future__ import annotations

@@ -593,8 +593,8 @@ def target_u_corpus(seed, n):
 
 def target_u_grid(seed):
     """(spec, levels, target) for bg and each of TARGET_U_SPECS, on L = 3 and 20 levels in [0, 5]:
-    equally spaced, seeded uniform draws, and a third of them drawn with the rest repeats of those,
-    at 0.25, 0.6 and 0.9 of the way from the lowest level to the mean."""
+    equally spaced, seeded uniform draws, and degenerate (L // 3 draws, at least 2, the rest repeats
+    of them), at 0.25, 0.6 and 0.9 of the way from the lowest level to the mean."""
     rng = random.Random(seed)
     for spec in (BoltzmannGibbs(), *TARGET_U_SPECS.values()):
         for L in (3, 20):
