@@ -85,6 +85,22 @@ def _reversion(bell: Sequence[Sequence[int]]) -> list[int]:
     return phi
 
 
+def horner(coeffs: Sequence, x, acc=0.0):
+    """sum_k coeffs[k] x^k by Horner's rule, started at the highest nonzero coefficient.
+
+    ``acc`` is the zero to start from, of the wanted type.  Each leading zero
+    skipped would keep a finite x's acc at exactly 0.0, so the value has the
+    bits of the untrimmed rule.  The first step forms acc * x, so a
+    non-finite x gives nan, as the untrimmed rule does.
+    """
+    n = len(coeffs)
+    while n > 1 and coeffs[n - 1] == 0:
+        n -= 1
+    for c in reversed(coeffs[:n]):
+        acc = acc * x + c
+    return acc
+
+
 class SeriesError(ValueError):
     """Invalid operand for a truncated-series operation."""
 
@@ -257,14 +273,12 @@ class TruncatedSeries:
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, x):
-        """Horner evaluation of the truncated polynomial at x.
+        """Horner evaluation of the truncated polynomial at x, from its highest nonzero coefficient.
 
         x may be a float or a numpy array; an array is evaluated elementwise.
+        A non-finite x gives nan (``horner``).
         """
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+        return horner([float(c) for c in self.coeffs], x)
 
     def eval_with_tail(self, x: float) -> tuple[float, float]:
         """Value plus |highest nonzero retained term|, a truncation indicator."""
