@@ -21,8 +21,9 @@ composition law G(F(x) + F(y)) is the same for every c.
 Closed forms are authoritative for evaluation; series expansions are only
 used for coefficient reporting and cross-checks.
 
-Float roots, here and in ``thermo``, are solved on arrays: ``_bracket``
-grows brackets by doubling and ``_newton`` solves in them with exact slopes.
+Float roots, here and in ``thermo``, are solved on arrays by ``_newton``,
+with exact slopes; the numeric inverse reads its brackets off one doubling
+ladder of G per sign (``_ladder``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from math import factorial
 from typing import Sequence
 
 from ._lazy import np
-from .series import TruncatedSeries, from_a_sequence
+from .series import TruncatedSeries, from_a_sequence, horner
 
 brentq = None  # never called: benchmark/spans.py wraps catalog.brentq by name, so it stays bound
 
@@ -143,31 +144,6 @@ def _as_fraction(x) -> Fraction:
     return f
 
 
-def _bracket(fdf, bracket):
-    """Grow brackets of increasing functions until each function changes sign across its own.
-
-    ``fdf`` and ``bracket`` are ``_newton``'s, both ends filled in.  A high end
-    with f < 0 (or nan) doubles, the low end taking its old place; a low end
-    with f > 0, the reverse.  An element stops where f at that end is not finite,
-    where its slope there is negative (its function has turned), or after 200
-    doublings.  Returns the mask of the elements with no sign change.
-    """
-    live = np.arange(bracket.shape[2])  # the elements that grew last
-    for _ in range(200):
-        _, (f_a, f_b), (d_a, d_b) = bracket[:, :, live]
-        up = ~(f_b >= 0)  # the high end is wrong-signed; else the low end may be
-        grow = (up | (f_a > 0)) & np.isfinite(np.where(up, f_b, f_a)) & ~(np.where(up, d_b, d_a) < 0)
-        live, side = live[grow], up[grow].astype(int)
-        if not live.size:
-            break
-        moved = bracket[:, side, live]
-        bracket[:, 1 - side, live] = moved
-        x = 2 * moved[0]
-        bracket[:, side, live] = x, *fdf(x, live)
-    _, (f_a, f_b) = bracket[:2]
-    return ~((f_a <= 0) & (f_b >= 0))
-
-
 def _inside(bracket, x):
     """x where it lies inside its bracket, else the Newton step from an end that does, else the
     midpoint; but an end where f is 0, where there is one."""
@@ -233,11 +209,54 @@ def _long(x) -> np.longdouble:
     return np.longdouble(x.numerator) / np.longdouble(x.denominator)
 
 
+def _ladder(G, dG, goal, sign):
+    """``_newton``'s brackets in u = |t| of f(u) = sign (G(sign u) - goal), each [0, 1] or [2^(k-1), 2^k].
+
+    One doubling ladder per sign evaluates G and G' once at each rung
+    u = 2^k, k = 0, 1, ..., for every element of that sign.  It climbs until
+    sign G reaches its farthest finite |goal|, G is not finite, its slope is
+    negative, or u = 2^200.  An element's high end is its first rung where f
+    is not below 0 (one ``searchsorted`` on the running maximum of sign G),
+    is not finite (an |goal| that is not, or a sign G - |goal| past the
+    largest double: the running minimum tells), or is the ladder's top.
+    """
+    g, side = np.abs(goal), (sign < 0).astype(int)  # side 0 climbs u > 0, side 1 u < 0
+    finite = np.where(np.isfinite(goal), goal, 0.0)
+    reach = float(finite.max()), -float(finite.min())  # each side's farthest finite |goal|
+    d0 = dG(0.0)
+    ys, ds = ([0.0], [0.0]), ([d0], [d0])  # each side's G and G' at u = 0, 1, 2, 4, ...
+    sides = [c for c, count in enumerate(np.bincount(side, minlength=2)) if count]
+    live, u = sides, 1.0
+    while live and u <= 2.0 ** 200:
+        x = np.array([-u if c else u for c in live])
+        y, d = G(x).tolist(), dG(x).tolist()
+        for c, yc, dc in zip(live, y, d):
+            ys[c].append(yc)
+            ds[c].append(dc)
+        live = [c for c, yc, dc in zip(live, y, d)
+                if math.isfinite(yc) and not dc < 0 and (-yc if c else yc) < reach[c]]
+        u *= 2
+    n = max(map(len, ys))
+    rungs = np.array([[v + [math.nan] * (n - len(v)) for v in w] for w in (ys, ds)])
+    low = np.empty(g.size, int)  # each element's low end, its high end one rung up
+    for c in sides:
+        j = np.flatnonzero(side == c)
+        h = (1 - 2 * c) * rungs[0, c, 1:len(ys[c])]
+        low[j] = np.minimum(np.searchsorted(np.maximum.accumulate(h), g[j]), h.size - 1)
+        least = np.minimum.accumulate(h)  # sign G - |goal| first passes the largest double at its least
+        over = j[~np.isfinite(least[low[j]] - g[j])]
+        low[over] = np.argmax(~np.isfinite(least[:, None] - g[over]), axis=0)
+    ends = np.array([low, low + 1])
+    y, d = rungs[:, side, ends]
+    return np.array([np.where(ends > 0, np.ldexp(1.0, ends - 1), 0.0), sign * (y - goal), d])
+
+
 def _numeric_inverse(G, dG, s, G_long):
     """t with G(t) = s for each element of s, for a G with G(0) = 0 that rises from 0.
 
     Each element solves for u = |t| on sign(s) (G(sign(s) u) - s), whose slope
-    in u is G'.  ``_bracket`` grows its bracket from [0, 1].  Where G turns
+    in u is G'.  ``_ladder`` gives its bracket [0, 1] or [2^(k-1), 2^k], from G
+    evaluated once per rung for all elements of its sign.  Where G turns
     first, ``_newton`` finds its turning point t* on -G', with slope -G'' =
     -Im G'(t + ih) / h from a complex step h = 1e-100 (so dG must take
     complex t); if G(t*) reaches s, t* is the high end.  Where G stops being
@@ -260,10 +279,8 @@ def _numeric_inverse(G, dG, s, G_long):
         return sign[j] * (G(sign[j] * u) - goal[j]), dG(sign[j] * u)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bracket = np.empty((3, 2, i.size))  # [0, 1], where G(0) = 0 is known
-        bracket[0], bracket[1, 0], bracket[2, 0] = [[0.0], [1.0]], -np.abs(goal), dG(0.0)
-        bracket[1:, 1] = fdf(bracket[0, 1], slice(None))
-        short = _bracket(fdf, bracket)
+        bracket = _ladder(G, dG, goal, sign)
+        short = ~((bracket[1, 0] <= 0) & (bracket[1, 1] >= 0))
         k = np.flatnonzero(short & (bracket[2, 1] < 0))  # G turned before it reached s
         if k.size:
             def turn(u, j):
@@ -733,6 +750,9 @@ class GenericEntropy(Entropy):
     """Entropy from a raw a-sequence: G(t) = sum_k a_k t^(k+1)/(k+1).
 
     G is evaluated to degree ``order``, by default len(a): the whole sequence.
+    G, its derivatives and ``_G_long`` run Horner's rule from the highest
+    nonzero coefficient (``series.horner``), so an order past the sequence
+    adds no step and changes no bit; a non-finite t gives nan.
     A leading coefficient a_0 != 1 is accepted but flagged: such a series is
     not a normalized group exponential and is excluded from group-law checks.
     """
@@ -764,18 +784,14 @@ class GenericEntropy(Entropy):
 
     @functools.cached_property
     def _long_coeffs(self):
-        """The series' coefficients in np.longdouble, highest first, made on first use."""
-        return [_long(c) for c in reversed(self._series.coeffs)]
+        """The series' coefficients in np.longdouble, made on first use."""
+        return [_long(c) for c in self._series.coeffs]
 
     def _G(self, t):
         return self._float.eval(t)
 
     def _G_long(self, t):
-        t = np.asarray(t, dtype=np.longdouble)
-        acc = np.longdouble(0)
-        for c in self._long_coeffs:  # Horner, as TruncatedSeries.eval
-            acc = acc * t + c
-        return acc
+        return horner(self._long_coeffs, np.asarray(t, dtype=np.longdouble), np.longdouble(0))
 
     def _dG(self, t):
         return self._dfloat.eval(t)

@@ -14,8 +14,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from gentropy.catalog import Entropy, SpecError, _bracket, _newton
+from gentropy.catalog import Entropy, SpecError, _newton
 from gentropy.thermo import _Levels, _solve_fixed_beta
+
+
+def _bracket(fdf, bracket):
+    """Grow brackets of increasing functions until each function changes sign across its own.
+
+    ``fdf`` and ``bracket`` are ``_newton``'s, both ends filled in.  A high end
+    with f < 0 (or nan) doubles, the low end taking its old place; a low end
+    with f > 0, the reverse.  An element stops where f at that end is not finite,
+    where its slope there is negative (its function has turned), or after 200
+    doublings.  Returns the mask of the elements with no sign change.
+    """
+    live = np.arange(bracket.shape[2])  # the elements that grew last
+    for _ in range(200):
+        _, (f_a, f_b), (d_a, d_b) = bracket[:, :, live]
+        up = ~(f_b >= 0)  # the high end is wrong-signed; else the low end may be
+        grow = (up | (f_a > 0)) & np.isfinite(np.where(up, f_b, f_a)) & ~(np.where(up, d_b, d_a) < 0)
+        live, side = live[grow], up[grow].astype(int)
+        if not live.size:
+            break
+        moved = bracket[:, side, live]
+        bracket[:, 1 - side, live] = moved
+        x = 2 * moved[0]
+        bracket[:, side, live] = x, *fdf(x, live)
+    _, (f_a, f_b) = bracket[:2]
+    return ~((f_a <= 0) & (f_b >= 0))
 
 
 def solve_target_U_bracketed(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:

@@ -1,6 +1,7 @@
 """Entropy catalog: values, expansions, limits, and parameter validation."""
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from target_u_oracle import _bracket
 
+from gentropy import catalog
 from gentropy.catalog import (
     BoltzmannGibbs,
     BorgesRoditi,
@@ -17,6 +20,7 @@ from gentropy.catalog import (
     ExponentialSum,
     GenericEntropy,
     GroupEntropy,
+    InverseError,
     JointDistribution,
     Kaniadakis,
     SAlphaBetaQ,
@@ -27,7 +31,7 @@ from gentropy.catalog import (
     SpecError,
     Tsallis,
     UnsupportedRepresentation,
-    _bracket,
+    _ladder,
     _numeric_inverse,
     elementary_functional,
 )
@@ -406,6 +410,92 @@ class TestBracket:
         assert bracket[0].T.tolist() == [[4.0, 8.0], [-8.0, -4.0], [0.0, 1.0]]
 
 
+def bracketed(G, dG, goal, sign):
+    """``_ladder``'s brackets the element-wise way: [0, 1] grown by ``_bracket``."""
+    def fdf(u, j):
+        return sign[j] * (G(sign[j] * u) - goal[j]), dG(sign[j] * u)
+
+    bracket = np.empty((3, 2, goal.size))
+    bracket[0], bracket[1, 0], bracket[2, 0] = [[0.0], [1.0]], -np.abs(goal), dG(0.0)
+    bracket[1:, 1] = fdf(bracket[0, 1], slice(None))
+    _bracket(fdf, bracket)
+    return bracket
+
+
+def _ratio(rng, lo, hi):
+    return Fraction(rng.randint(lo, hi), 64)
+
+
+def ladder_specs(seed):
+    """One seeded spec of each kind with a numeric F, and the rise-and-fall t - t^2/200."""
+    rng = random.Random(seed)
+
+    def q():
+        return 1 + _ratio(rng, 1, 40) * rng.choice((-1, 1))
+
+    x = _ratio(rng, 1, 40)  # k_2 of a three-index group entropy; k_1 and k_-1 follow
+    return [
+        BorgesRoditi(_ratio(rng, 1, 60), -_ratio(rng, 1, 60)),
+        SThird(q()),
+        SFourth(q()),
+        SAlphaBetaQ(_ratio(rng, -32, 32), _ratio(rng, -32, 32), q()),
+        GroupEntropy(_ratio(rng, 1, 40), {2: x, 1: (1 - 3 * x) / 2, -1: (x - 1) / 2}),
+        GenericEntropy([1, _ratio(rng, -8, 8), _ratio(rng, 1, 8)], order=12),
+        GenericEntropy([1, Fraction(-1, 100)]),
+    ]
+
+
+# 0; +-1e-300 .. +-1e300; past the rise-and-fall's peak of 50; at and past the largest double
+LADDER_GOALS = [0.0, 47.0, 50.0, 51.0, 60.0, 1.7e308, 1.79e308, math.inf] + [
+    sign * 10.0 ** e for e in range(-300, 301, 50) for sign in (1, -1)]
+
+
+def _inverse(G, dG, s, G_long):
+    """_numeric_inverse's bytes, or the s its InverseError names."""
+    try:
+        return _numeric_inverse(G, dG, np.array(s), G_long).tobytes()
+    except InverseError as exc:
+        return exc.s
+
+
+class TestLadder:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_brackets_and_roots_equal_the_elementwise_growth(self, seed, monkeypatch):
+        for spec in ladder_specs(seed):
+            G, dG, G_long = spec._G, spec._dG, spec._G_long
+            goal = np.array(LADDER_GOALS[1:])
+            sign = np.where(goal > 0, 1.0, -1.0)
+            with np.errstate(all="ignore"):
+                np.testing.assert_array_equal(_ladder(G, dG, goal, sign), bracketed(G, dG, goal, sign))
+            ladder = [_inverse(G, dG, LADDER_GOALS, G_long)] + [_inverse(G, dG, [s], G_long) for s in LADDER_GOALS]
+            with monkeypatch.context() as mp_:
+                mp_.setattr(catalog, "_ladder", bracketed)
+                grown = [_inverse(G, dG, LADDER_GOALS, G_long)] + [_inverse(G, dG, [s], G_long) for s in LADDER_GOALS]
+            assert ladder == grown, spec.name
+
+    def test_an_f_past_the_largest_double_stops_its_element_where_g_is_finite(self, monkeypatch):
+        # G dips to -1.5e308 at |t| = 1, so f = G - 1e308 there is -inf: the element-wise growth
+        # stops there, although G reaches 1e308 by t = 128
+        def G(t):
+            return np.where(np.abs(t) == 1.0, -1.5e308 * t, 1e306 * t)
+
+        def dG(t):
+            return np.full(np.shape(t), 1e306)
+
+        goal = np.array([1e308, 1e307, -1e308, -1e307])
+        sign = np.where(goal > 0, 1.0, -1.0)
+        with np.errstate(all="ignore"):
+            bracket = _ladder(G, dG, goal, sign)
+            np.testing.assert_array_equal(bracket, bracketed(G, dG, goal, sign))
+        assert bracket[0].T.tolist() == [[0.0, 1.0], [8.0, 16.0], [0.0, 1.0], [8.0, 16.0]]
+        for s in goal:
+            with monkeypatch.context() as mp_:
+                mp_.setattr(catalog, "_ladder", bracketed)
+                grown = _inverse(G, dG, [s], G)
+            assert _inverse(G, dG, [s], G) == grown
+        assert _inverse(G, dG, goal, G) == 1e308
+
+
 class TestSDelta:
     def test_delta_one_is_bg(self):
         assert SDelta(1).evaluate(FIX) == pytest.approx(
@@ -521,6 +611,48 @@ def test_generic_order_twelve_adds_only_zeros(a):
         assert _bits(own.F, s) == _bits(twelve.F, s), s
     for dist in (FIX, Distribution.uniform(7), Distribution([0.9, 0.1, 0.0])):
         assert _bits(own.evaluate, dist) == _bits(twelve.evaluate, dist)
+
+
+def _same(x, y):
+    """Equal values of one float type, nan where nan, and equal signs, so -0.0 is not 0.0."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+# negative t, -0.0 and huge finite |t|, where the terms overflow
+HORNER_T = np.array([-1e300, -1e30, -30.0, -1.5, -1e-300, -0.0, 0.0, 5e-324, 0.5, 2.0, 30.0, 1e30, 1e300,
+                     np.finfo(float).max])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.fractions(-2, 2, max_denominator=12), min_size=1, max_size=12).filter(any))
+def test_generic_order_twelve_trims_to_the_same_bits(a):
+    """Horner starts at the highest nonzero coefficient: order 12 gives the derived order's bits."""
+    own, twelve = GenericEntropy(a), GenericEntropy(a, order=12)
+    with np.errstate(all="ignore"):
+        for name in ("G", "dG", "d2G", "dh", "_G_long"):
+            assert _same(getattr(own, name)(HORNER_T), getattr(twelve, name)(HORNER_T)), name
+        untrimmed = 0.0
+        for c in reversed(twelve._float.coeffs):
+            untrimmed = untrimmed * HORNER_T + c
+        assert _same(twelve.G(HORNER_T), untrimmed)
+    for s in (-30.0, -1.0, 0.0, 0.25, 4.0, 1e30):
+        assert _bits(own.F, s) == _bits(twelve.F, s), s
+    for t in (-30.0, -1.5, -0.0, 0.5, 2.0, 30.0):
+        deg = max(k for k, ak in enumerate(a) if ak) + 1
+        tail = abs(float(Fraction(a[deg - 1]) / deg) * t ** deg)
+        assert own.truncation_indicator(t) == twelve.truncation_indicator(t) == tail
+
+
+@pytest.mark.parametrize("a", [[1], [1, Fraction(1, 8), Fraction(1, 10)]], ids=str)
+def test_series_g_is_nan_at_a_non_finite_t(a):
+    spec = GenericEntropy(a, order=12)
+    t = np.array([math.inf, -math.inf, math.nan])
+    with np.errstate(invalid="ignore"):  # the first step's 0.0 * inf
+        for name in ("G", "dG", "d2G", "dh", "_G_long"):
+            assert np.isnan(getattr(spec, name)(t)).all(), name
+    assert math.isnan(spec._float.eval(math.inf)) and math.isnan(spec._float.eval(-math.inf))
 
 
 class TestScaleConstant:
