@@ -2,7 +2,9 @@
 
 Times ``maxent_solve`` at fixed beta = 1 and at target U = 1.5 on L = 20,
 100 and 1,000 levels 5 i / (L - 1), and ``occupation_law`` at N_max = 1,000,
-for four float specs, in-process, and prints one JSON object: the median
+for four float specs, and F alone at L = 1, 20, 301 and 1,000 points
+300 i / L, i = 1..L, for three specs with a numeric F (the series-defined one
+at order 12, past its degree 3), in-process, and prints one JSON object: the median
 milliseconds of 7 calls per layer, spec and size, with the git sha of the
 checkout timed and the machine (nproc, Python and numpy versions).
 
@@ -35,6 +37,12 @@ SPECS = {
     "borges_roditi (1/2, -1/3)": lambda g: g.BorgesRoditi(Fraction(1, 2), Fraction(-1, 3)),
     "generic (1, 1/8, 1/10)": lambda g: g.GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)]),
 }
+F_POINTS = (1, 20, 301, 1000)
+F_SPECS = {
+    "borges_roditi (1/2, -1/3)": SPECS["borges_roditi (1/2, -1/3)"],
+    "s_iii 4/5": lambda g: g.SThird(Fraction(4, 5)),
+    "generic (1, 1/8, 1/10) order 12": lambda g: g.GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)], order=12),
+}
 
 
 def median_ms(call, repeats: int) -> float:
@@ -47,6 +55,8 @@ def median_ms(call, repeats: int) -> float:
 
 
 def sweep() -> dict:
+    import numpy
+
     import gentropy as g
 
     out = {}
@@ -60,6 +70,12 @@ def sweep() -> dict:
             rows[f"maxent_fixed_beta L={L}"] = median_ms(lambda: g.maxent_solve(fixed), REPEATS)
             rows[f"maxent_target_u L={L}"] = median_ms(lambda: g.maxent_solve(target), REPEATS)
         rows[f"occupation_law N_max={N_MAX}"] = median_ms(lambda: g.occupation_law(spec, N_MAX), REPEATS)
+    for name, build in F_SPECS.items():
+        spec = build(g)
+        rows = out.setdefault(name, {})
+        for L in F_POINTS:
+            s = numpy.arange(1, L + 1) * (300 / L)
+            rows[f"F L={L}"] = median_ms(lambda: spec.F(s), REPEATS)
     return out
 
 
