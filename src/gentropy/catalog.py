@@ -21,9 +21,8 @@ composition law G(F(x) + F(y)) is the same for every c.
 Closed forms are authoritative for evaluation; series expansions are only
 used for coefficient reporting and cross-checks.
 
-Float roots, here and in ``thermo``, are solved on arrays by ``_newton``,
-with exact slopes; the numeric inverse reads its brackets off one doubling
-ladder of G per sign (``_ladder``).
+Float roots, here and in ``thermo``, are solved on arrays by ``_newton`` with
+exact slopes; the numeric inverse's brackets come from ``_ladder``.
 """
 
 from __future__ import annotations
@@ -212,42 +211,38 @@ def _long(x) -> np.longdouble:
 def _ladder(G, dG, goal, sign):
     """``_newton``'s brackets in u = |t| of f(u) = sign (G(sign u) - goal), each [0, 1] or [2^(k-1), 2^k].
 
-    One doubling ladder per sign evaluates G and G' once at each rung
-    u = 2^k, k = 0, 1, ..., for every element of that sign.  It climbs until
-    sign G reaches its farthest finite |goal|, G is not finite, its slope is
-    negative, or u = 2^200.  An element's high end is its first rung where f
-    is not below 0 (one ``searchsorted`` on the running maximum of sign G),
-    is not finite (an |goal| that is not, or a sign G - |goal| past the
-    largest double: the running minimum tells), or is the ladder's top.
+    One ladder per sign evaluates G and G' once at each rung u = 2^k for all
+    elements of that sign, and climbs until sign G reaches its farthest finite
+    |goal|, G is not finite, its slope is negative, or u = 2^200.  An element's
+    high end is its first rung where f is not below 0 (a ``searchsorted`` on
+    the running maximum of sign G), or not finite (by the running minimum).
     """
     g, side = np.abs(goal), (sign < 0).astype(int)  # side 0 climbs u > 0, side 1 u < 0
     finite = np.where(np.isfinite(goal), goal, 0.0)
     reach = float(finite.max()), -float(finite.min())  # each side's farthest finite |goal|
-    d0 = dG(0.0)
-    ys, ds = ([0.0], [0.0]), ([d0], [d0])  # each side's G and G' at u = 0, 1, 2, 4, ...
-    sides = [c for c, count in enumerate(np.bincount(side, minlength=2)) if count]
-    live, u = sides, 1.0
-    while live and u <= 2.0 ** 200:
+    rungs = [[(0.0, d0)] for d0 in [dG(0.0)] * 2]  # each side's (G, G') at u = 0, 1, 2, 4, ...
+    sides = live = [c for c, count in enumerate(np.bincount(side, minlength=2)) if count]
+    for u in (2.0 ** k for k in range(201)):
+        if not live:
+            break
         x = np.array([-u if c else u for c in live])
-        y, d = G(x).tolist(), dG(x).tolist()
-        for c, yc, dc in zip(live, y, d):
-            ys[c].append(yc)
-            ds[c].append(dc)
-        live = [c for c, yc, dc in zip(live, y, d)
-                if math.isfinite(yc) and not dc < 0 and (-yc if c else yc) < reach[c]]
-        u *= 2
-    n = max(map(len, ys))
-    rungs = np.array([[v + [math.nan] * (n - len(v)) for v in w] for w in (ys, ds)])
+        step, live = zip(live, G(x).tolist(), dG(x).tolist()), []
+        for c, y, d in step:
+            rungs[c].append((y, d))
+            if math.isfinite(y) and not d < 0 and (-y if c else y) < reach[c]:
+                live.append(c)
+    tops = [len(r) - 1 for r in rungs]
+    rungs = np.array([r + [(math.nan, math.nan)] * (max(tops) - top) for r, top in zip(rungs, tops)]).T
     low = np.empty(g.size, int)  # each element's low end, its high end one rung up
     for c in sides:
         j = np.flatnonzero(side == c)
-        h = (1 - 2 * c) * rungs[0, c, 1:len(ys[c])]
+        h = (1 - 2 * c) * rungs[0, 1:tops[c] + 1, c]
         low[j] = np.minimum(np.searchsorted(np.maximum.accumulate(h), g[j]), h.size - 1)
         least = np.minimum.accumulate(h)  # sign G - |goal| first passes the largest double at its least
         over = j[~np.isfinite(least[low[j]] - g[j])]
         low[over] = np.argmax(~np.isfinite(least[:, None] - g[over]), axis=0)
     ends = np.array([low, low + 1])
-    y, d = rungs[:, side, ends]
+    y, d = rungs[:, ends, side]
     return np.array([np.where(ends > 0, np.ldexp(1.0, ends - 1), 0.0), sign * (y - goal), d])
 
 
@@ -255,9 +250,8 @@ def _numeric_inverse(G, dG, s, G_long):
     """t with G(t) = s for each element of s, for a G with G(0) = 0 that rises from 0.
 
     Each element solves for u = |t| on sign(s) (G(sign(s) u) - s), whose slope
-    in u is G'.  ``_ladder`` gives its bracket [0, 1] or [2^(k-1), 2^k], from G
-    evaluated once per rung for all elements of its sign.  Where G turns
-    first, ``_newton`` finds its turning point t* on -G', with slope -G'' =
+    in u is G'.  ``_ladder`` gives its bracket, from G evaluated once per rung
+    for all elements of its sign.  Where G turns first, ``_newton`` finds its turning point t* on -G', with slope -G'' =
     -Im G'(t + ih) / h from a complex step h = 1e-100 (so dG must take
     complex t); if G(t*) reaches s, t* is the high end.  Where G stops being
     finite or turns first, InverseError names the first such s.  ``_newton``
@@ -749,10 +743,8 @@ class SDelta(SQDelta):
 class GenericEntropy(Entropy):
     """Entropy from a raw a-sequence: G(t) = sum_k a_k t^(k+1)/(k+1).
 
-    G is evaluated to degree ``order``, by default len(a): the whole sequence.
-    G, its derivatives and ``_G_long`` run Horner's rule from the highest
-    nonzero coefficient (``series.horner``), so an order past the sequence
-    adds no step and changes no bit; a non-finite t gives nan.
+    G is evaluated to degree ``order``, by default len(a): the whole sequence,
+    by ``series.horner``, so an order past it changes no bit; non-finite t gives nan.
     A leading coefficient a_0 != 1 is accepted but flagged: such a series is
     not a normalized group exponential and is excluded from group-law checks.
     """

@@ -86,13 +86,9 @@ def _reversion(bell: Sequence[Sequence[int]]) -> list[int]:
 
 
 def horner(coeffs: Sequence, x, acc=0.0):
-    """sum_k coeffs[k] x^k by Horner's rule, started at the highest nonzero coefficient.
-
-    ``acc`` is the zero to start from, of the wanted type.  Each leading zero
-    skipped would keep a finite x's acc at exactly 0.0, so the value has the
-    bits of the untrimmed rule.  The first step forms acc * x, so a
-    non-finite x gives nan, as the untrimmed rule does.
-    """
+    """sum_k coeffs[k] x^k by Horner's rule from acc, the zero of the wanted type, at the highest
+    nonzero coefficient: a leading zero would keep a finite x's acc at exactly 0.0, so the bits are
+    the untrimmed rule's.  The first step forms acc * x, so a non-finite x gives nan."""
     n = len(coeffs)
     while n > 1 and coeffs[n - 1] == 0:
         n -= 1
@@ -273,22 +269,16 @@ class TruncatedSeries:
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, x):
-        """Horner evaluation of the truncated polynomial at x, from its highest nonzero coefficient.
+        """Horner evaluation of the truncated polynomial at x (``horner``: nan at a non-finite x).
 
         x may be a float or a numpy array; an array is evaluated elementwise.
-        A non-finite x gives nan (``horner``).
         """
         return horner([float(c) for c in self.coeffs], x)
 
     def eval_with_tail(self, x: float) -> tuple[float, float]:
         """Value plus |highest nonzero retained term|, a truncation indicator."""
-        value = self.eval(x)
-        tail = 0.0
-        for deg in range(self.order, -1, -1):
-            if self.coeffs[deg] != 0:
-                tail = abs(float(self.coeffs[deg]) * x ** deg)
-                break
-        return value, tail
+        deg = max((k for k, c in enumerate(self.coeffs) if c != 0), default=0)
+        return self.eval(x), abs(float(self.coeffs[deg]) * x ** deg)
 
     def to_float(self) -> "TruncatedSeries":
         return TruncatedSeries([float(c) for c in self.coeffs], self.order)
