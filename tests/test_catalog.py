@@ -591,6 +591,18 @@ class TestGenericEntropy:
         assert GenericEntropy(a, order=12).G(t) == pytest.approx(t, rel=1e-14)
 
 
+def _same(x, y):
+    """Equal values of one float type, nan where nan, and equal signs, so -0.0 is not 0.0."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+# negative t, -0.0 and huge finite |t|, where the terms overflow
+HORNER_T = np.array([-1e300, -1e30, -30.0, -1.5, -1e-300, -0.0, 0.0, 5e-324, 0.5, 2.0, 30.0, 1e30, 1e300,
+                     np.finfo(float).max])
+
+
 def _bits(f, *args):
     """The float64 bytes of f(*args), or the error it raises."""
     try:
@@ -611,25 +623,7 @@ def test_generic_order_twelve_adds_only_zeros(a):
         assert _bits(own.F, s) == _bits(twelve.F, s), s
     for dist in (FIX, Distribution.uniform(7), Distribution([0.9, 0.1, 0.0])):
         assert _bits(own.evaluate, dist) == _bits(twelve.evaluate, dist)
-
-
-def _same(x, y):
-    """Equal values of one float type, nan where nan, and equal signs, so -0.0 is not 0.0."""
-    x, y = np.asarray(x), np.asarray(y)
-    return (x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
-            and np.array_equal(np.signbit(x), np.signbit(y)))
-
-
-# negative t, -0.0 and huge finite |t|, where the terms overflow
-HORNER_T = np.array([-1e300, -1e30, -30.0, -1.5, -1e-300, -0.0, 0.0, 5e-324, 0.5, 2.0, 30.0, 1e30, 1e300,
-                     np.finfo(float).max])
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.fractions(-2, 2, max_denominator=12), min_size=1, max_size=12).filter(any))
-def test_generic_order_twelve_trims_to_the_same_bits(a):
-    """Horner starts at the highest nonzero coefficient: order 12 gives the derived order's bits."""
-    own, twelve = GenericEntropy(a), GenericEntropy(a, order=12)
+    # Horner starts at the highest nonzero coefficient: the same bits on the whole finite line
     with np.errstate(all="ignore"):
         for name in ("G", "dG", "d2G", "dh", "_G_long"):
             assert _same(getattr(own, name)(HORNER_T), getattr(twelve, name)(HORNER_T)), name
@@ -637,10 +631,10 @@ def test_generic_order_twelve_trims_to_the_same_bits(a):
         for c in reversed(twelve._float.coeffs):
             untrimmed = untrimmed * HORNER_T + c
         assert _same(twelve.G(HORNER_T), untrimmed)
-    for s in (-30.0, -1.0, 0.0, 0.25, 4.0, 1e30):
+    for s in (-30.0, -1.0, 0.0, 1e30):
         assert _bits(own.F, s) == _bits(twelve.F, s), s
+    deg = max(k for k, ak in enumerate(a) if ak) + 1
     for t in (-30.0, -1.5, -0.0, 0.5, 2.0, 30.0):
-        deg = max(k for k, ak in enumerate(a) if ak) + 1
         tail = abs(float(Fraction(a[deg - 1]) / deg) * t ** deg)
         assert own.truncation_indicator(t) == twelve.truncation_indicator(t) == tail
 
