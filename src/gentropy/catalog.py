@@ -220,23 +220,24 @@ def _ladder(G, dG, goal, sign):
     g, side = np.abs(goal), (sign < 0).astype(int)  # side 0 climbs u > 0, side 1 u < 0
     finite = np.where(np.isfinite(goal), goal, 0.0)
     reach = float(finite.max()), -float(finite.min())  # each side's farthest finite |goal|
-    rungs = [[(0.0, d0)] for d0 in [dG(0.0)] * 2]  # each side's (G, G') at u = 0, 1, 2, 4, ...
-    sides = live = [c for c, count in enumerate(np.bincount(side, minlength=2)) if count]
-    for u in (2.0 ** k for k in range(201)):
+    d0 = dG(0.0)
+    rungs = [(0.0, d0)], [(0.0, d0)]  # each side's (G, G') at u = 0, 1, 2, 4, ...
+    sides = live = np.flatnonzero(np.bincount(side, minlength=2)).tolist()
+    for k in range(201):
         if not live:
             break
-        x = np.array([-u if c else u for c in live])
+        x = np.ldexp(np.array([1.0, -1.0])[live], k)
         step, live = zip(live, G(x).tolist(), dG(x).tolist()), []
         for c, y, d in step:
             rungs[c].append((y, d))
             if math.isfinite(y) and not d < 0 and (-y if c else y) < reach[c]:
                 live.append(c)
-    tops = [len(r) - 1 for r in rungs]
-    rungs = np.array([r + [(math.nan, math.nan)] * (max(tops) - top) for r, top in zip(rungs, tops)]).T
+    sizes = list(map(len, rungs))
+    rungs = np.array([r + [(math.nan, math.nan)] * (max(sizes) - size) for r, size in zip(rungs, sizes)]).T
     low = np.empty(g.size, int)  # each element's low end, its high end one rung up
     for c in sides:
         j = np.flatnonzero(side == c)
-        h = (1 - 2 * c) * rungs[0, 1:tops[c] + 1, c]
+        h = (1 - 2 * c) * rungs[0, 1:sizes[c], c]
         low[j] = np.minimum(np.searchsorted(np.maximum.accumulate(h), g[j]), h.size - 1)
         least = np.minimum.accumulate(h)  # sign G - |goal| first passes the largest double at its least
         over = j[~np.isfinite(least[low[j]] - g[j])]
