@@ -8,6 +8,10 @@ safeguarded Newton on the shortfall target - U(beta), in a bracket grown
 from [0, 1] or [-1, 0], with alpha solved at each beta by
 ``thermo._solve_fixed_beta``.  It takes the same arguments, so a test can
 put it in ``_solve_target_U``'s place.
+
+``_bracket`` grows brackets element by element.  This reference grows
+beta's bracket with it, and the catalog tests check the numeric inverse's
+shared doubling ladder (``catalog._ladder``) against it.
 """
 
 from __future__ import annotations
