@@ -165,26 +165,20 @@ def scan_concavity(factory: Callable[..., Entropy], region: ParameterRegion) -> 
     )
 
 
-def _dirichlet(rng: np.random.Generator, W: int, size: int | None = None) -> np.ndarray:
-    if W < 1:
-        raise DistributionError("need at least one state")
-    return rng.dirichlet(np.ones(W), size=size)
-
-
-def _dirichlet_pairs(rng: np.random.Generator, W_A: int, W_B: int, trials: int) -> tuple:
-    """trials Dirichlet(1) samples of W_A states, each followed by one of W_B states.
+def _dirichlet_draws(rng: np.random.Generator, widths: tuple, trials: int) -> tuple:
+    """trials Dirichlet(1) samples of each width in turn, one array per width.
 
     One gamma draw for all of them: bit for bit the stream of per-trial
-    ``rng.dirichlet(np.ones(W_A))``, ``rng.dirichlet(np.ones(W_B))`` calls,
-    as numpy's dirichlet divides each sample's gamma variates the same way,
-    by a left-to-right sum and a multiply by its reciprocal.
+    ``rng.dirichlet(np.ones(W))`` calls, one per width, as numpy's dirichlet
+    divides each sample's gamma variates the same way, by a left-to-right sum
+    and a multiply by its reciprocal.
     """
     if not trials:
-        return np.empty((0, max(W_A, 0))), np.empty((0, max(W_B, 0)))
-    if min(W_A, W_B) < 1:
+        return tuple(np.empty((0, max(W, 0))) for W in widths)
+    if min(widths) < 1:
         raise DistributionError("need at least one state")
-    gamma = rng.standard_gamma(1.0, size=(trials, W_A + W_B))
-    return tuple(g * (1.0 / np.cumsum(g, axis=1)[:, -1:]) for g in (gamma[:, :W_A], gamma[:, W_A:]))
+    gamma = np.split(rng.standard_gamma(1.0, size=(trials, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    return tuple(g * (1.0 / np.cumsum(g, axis=1)[:, -1:]) for g in gamma)
 
 
 def _batch_entropy(spec: Entropy, samples: np.ndarray) -> np.ndarray:
@@ -197,8 +191,7 @@ def check_sk2_maximum(
     spec: Entropy, W: int, trials: int = 10_000, seed: int = 0
 ) -> AxiomReport:
     """S(random) <= S(uniform) + 1e-12 over Dirichlet(1) samples."""
-    rng = np.random.default_rng(seed)
-    samples = _dirichlet(rng, W, trials)
+    samples, = _dirichlet_draws(np.random.default_rng(seed), (W,), trials)
     values = _batch_entropy(spec, samples)
     s_uniform = spec.evaluate(Distribution.uniform(W))
     if trials == 0:  # nothing was checked
@@ -272,7 +265,7 @@ def check_strict_composability(
     """
     extra = [(Distribution(pa).p, Distribution(pb).p) for pa, pb in extra_marginals]
     # A then B within each trial, so a seed's samples do not depend on the batching
-    drawn = _dirichlet_pairs(np.random.default_rng(seed), W_A, W_B, trials)
+    drawn = _dirichlet_draws(np.random.default_rng(seed), (W_A, W_B), trials)
     cases = len(extra) + trials
     if not cases:  # nothing was checked
         return AxiomReport("strict-composability", INCONCLUSIVE, 0.0, trials=0, seed=seed)
@@ -330,10 +323,9 @@ def lesche_probe(
         raise DistributionError("perturbation size must be nonnegative")
     if W < 2:
         raise DistributionError("a continuity modulus needs at least two states")
-    rng = np.random.default_rng(seed)
     s_max = spec.evaluate(Distribution.uniform(W))
     # p then r within each trial, so a seed's samples do not depend on the batching
-    p, r = _dirichlet_pairs(rng, W, W, trials)
+    p, r = _dirichlet_draws(np.random.default_rng(seed), (W, W), trials)
     l1 = np.abs(p - r).sum(axis=1)
     eps = np.minimum(1.0, delta / np.where(l1 == 0, 1.0, l1)) * (l1 != 0)
     p2 = (1 - eps[:, None]) * p + eps[:, None] * r

@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import axioms, thermo
+import gentropy
+
 from ._lazy import np
 from .catalog import (
     BoltzmannGibbs,
@@ -218,89 +219,92 @@ SHARED = {
 }
 
 
-# Each single check, run as check(spec, args) -> AxiomReport.
-_CHECKS = {
-    "sk2": lambda spec, a: axioms.check_sk2_maximum(spec, a.states, a.trials, a.seed),
-    "sk3": lambda spec, a: axioms.check_sk3_expansibility(
-        spec, parse_distribution(a.dist or f"uniform:{a.states}")),
-    "weak-composability": lambda spec, a: axioms.check_weak_composability(spec, a.wa, a.wb),
-    "strict-composability": lambda spec, a: axioms.check_strict_composability(
-        spec, a.wa, a.wb, a.trials, a.seed),
-    "concavity": lambda spec, a: axioms.check_concavity_numeric(spec),
-    "concavity-condition": lambda spec, a: axioms.check_concavity_condition(spec.a_sequence(a.order)),
-    "lesche": lambda spec, a: axioms.lesche_probe(spec, a.states, a.perturbation, a.trials, a.seed),
-}
-# The per-axiom flags of `check` and the shared --kb and --order, by argparse
-# dest, with their defaults, and the ones each single check reads, each mapped
-# to the flag whose presence makes the check ignore it (None: read whenever
-# given).  argparse leaves them None, so that cmd_check can tell a flag given
-# from one left out.
-CHECK_DEFAULTS = {"dist": None, "states": 8, "wa": 2, "wb": 3, "trials": 100, "seed": 0, "perturbation": 1e-4,
-                  "kb": SHARED["--kb"]["default"], "order": SHARED["--order"]["default"]}
-CHECK_READS = {
-    "sk2": dict.fromkeys(("states", "trials", "seed", "kb")),
-    "sk3": {"dist": None, "kb": None, "states": "dist"},  # --states only sizes sk3's stand-in for --dist
-    "weak-composability": dict.fromkeys(("wa", "wb", "kb")),
-    "strict-composability": dict.fromkeys(("wa", "wb", "trials", "seed", "kb")),
-    "concavity": {},
-    "concavity-condition": {"order": None},
-    "lesche": dict.fromkeys(("states", "perturbation", "trials", "seed", "kb")),
+# The flags of `check` that its single checks read, by argparse dest: each one's type and default.
+# --kb and --order are shared flags; `check` declares the rest after --axiom.  argparse leaves them
+# None, so that cmd_check can tell a flag given from one left out.
+CHECK_FLAGS = {"dist": (str, None), "states": (int, 8), "wa": (int, 2), "wb": (int, 3), "trials": (int, 100),
+               "seed": (int, 0), "perturbation": (float, 1e-4),
+               **{flag[2:]: (SHARED[flag]["type"], SHARED[flag]["default"]) for flag in ("--kb", "--order")}}
+
+
+# Each single check: the flags it reads, each mapped to the flag whose presence makes the check ignore
+# it (None: read whenever given), and how it runs, as run(axioms, spec, args) -> AxiomReport.
+Check = NamedTuple("Check", [("reads", dict), ("run", Callable)])
+CHECKS = {
+    "sk2": Check(dict.fromkeys(("states", "trials", "seed", "kb")),
+                 lambda ax, spec, a: ax.check_sk2_maximum(spec, a.states, a.trials, a.seed)),
+    "sk3": Check({"dist": None, "kb": None, "states": "dist"},  # --states only sizes sk3's stand-in for --dist
+                 lambda ax, spec, a: ax.check_sk3_expansibility(
+                     spec, parse_distribution(a.dist or f"uniform:{a.states}"))),
+    "weak-composability": Check(dict.fromkeys(("wa", "wb", "kb")),
+                                lambda ax, spec, a: ax.check_weak_composability(spec, a.wa, a.wb)),
+    "strict-composability": Check(dict.fromkeys(("wa", "wb", "trials", "seed", "kb")),
+                                  lambda ax, spec, a: ax.check_strict_composability(
+                                      spec, a.wa, a.wb, a.trials, a.seed)),
+    "concavity": Check({}, lambda ax, spec, a: ax.check_concavity_numeric(spec)),
+    "concavity-condition": Check({"order": None},
+                                 lambda ax, spec, a: ax.check_concavity_condition(spec.a_sequence(a.order))),
+    "lesche": Check(dict.fromkeys(("states", "perturbation", "trials", "seed", "kb")),
+                    lambda ax, spec, a: ax.lesche_probe(spec, a.states, a.perturbation, a.trials, a.seed)),
 }
 # The one table of --axiom names, read by the flag's choices and by cmd_check:
 # the checks each name runs, then those it runs only for a spec with a
 # composition rule.
-AXIOMS = {name: ((name,), ()) for name in _CHECKS}
+AXIOMS = {name: ((name,), ()) for name in CHECKS}
 AXIOMS["all"] = (("sk2", "sk3"), ("weak-composability", "strict-composability"))
 
 
 def cmd_check(args) -> int:
-    given = [dest for dest in CHECK_DEFAULTS if getattr(args, dest) is not None]
-    for dest, default in CHECK_DEFAULTS.items():
+    given = [dest for dest in CHECK_FLAGS if getattr(args, dest) is not None]
+    for dest, (_, default) in CHECK_FLAGS.items():
         if dest not in given:
             setattr(args, dest, default)
     spec = build_entropy(args)  # with the resolved --kb
     checks, composed = AXIOMS[args.axiom]
     names = checks + (composed if spec.has_group_law else ())
-    reads = {dest for name in names for dest, unless in CHECK_READS[name].items()
+    reads = {dest for name in names for dest, unless in CHECKS[name].reads.items()
              if unless is None or unless not in given}
     for dest in given:
         if dest not in reads:
-            unless = {CHECK_READS[n].get(dest) for n in names} - {None}
+            unless = {CHECKS[n].reads.get(dest) for n in names} - {None}
             why = (f" with --{unless.pop()}" if unless else
-                   " without a composition rule" if any(dest in CHECK_READS[n] for n in composed) else "")
+                   " without a composition rule" if any(dest in CHECKS[n].reads for n in composed) else "")
             raise UsageError(f"--axiom {args.axiom} does not read --{dest} for --entropy {args.entropy}{why}")
-    if args.trials < 0:
-        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
-    reports = [_CHECKS[name](spec, args) for name in names]
+    for dest in ("trials", "seed"):
+        if getattr(args, dest) < 0:
+            raise UsageError(f"--{dest} must be nonnegative, got {getattr(args, dest)}")
+    reports = [CHECKS[name].run(gentropy.axioms, spec, args) for name in names]
     print("#axiom\tverdict\tresidual\twitness")
     failed = False
     for rep in reports:
         witness = "-" if rep.witness is None else repr(rep.witness)
         print(tsv_line(rep.axiom, rep.verdict, rep.worst_residual, witness,
                        digits=args.digits))
-        failed = failed or rep.verdict == axioms.FAIL
+        failed = failed or rep.verdict == gentropy.axioms.FAIL
     if args.witness_file and any(r.witness is not None for r in reports):
-        with open(args.witness_file, "w", encoding="utf-8") as fh:
-            for rep in reports:
-                fh.write(f"{rep.axiom}\t{rep.verdict}\tseed={rep.seed}\t{rep.witness!r}\n")
+        try:
+            with open(args.witness_file, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{rep.axiom}\t{rep.verdict}\tseed={rep.seed}\t{rep.witness!r}\n" for rep in reports)
+        except OSError:
+            raise UsageError(f"cannot write witness file {args.witness_file!r}") from None
     return 1 if failed else 0
 
 
 def cmd_maxent(args) -> int:
     spec = build_entropy(args)
     energies = read_energy_file(args.energies)
-    problem = thermo.MaxEntProblem(
+    problem = gentropy.thermo.MaxEntProblem(
         spec,
         tuple(energies),
         beta=args.beta,
         target_U=args.target_u,
     )
-    sol = thermo.maxent_solve(problem)
+    sol = gentropy.thermo.maxent_solve(problem)
     print("#field\tvalue")
     for field in ("alpha", "beta", "Z", "U", "S", "stationarity_residual"):
         print(tsv_line(field, getattr(sol, field), digits=args.digits))
     try:
-        print(tsv_line("legendre_residual", thermo.legendre_residual(sol, spec),
+        print(tsv_line("legendre_residual", gentropy.thermo.legendre_residual(sol, spec),
                        digits=args.digits))
     except SpecError:
         pass
@@ -311,22 +315,23 @@ def cmd_maxent(args) -> int:
 
 def cmd_occupation(args) -> int:
     spec = build_entropy(args)
-    law = thermo.occupation_law(spec, args.nmax)
+    law = gentropy.thermo.occupation_law(spec, args.nmax)
     print(tsv_line("valid", law.valid, law.reason or "-"))
     print("#N\tln_W\tW\tS\tresidual")
     if not law.valid:
         return 1
-    report = thermo.extensivity_check(spec, args.nmax, law)
+    report = gentropy.thermo.extensivity_check(spec, args.nmax, law)
     if report.rows:
         N, lw, s, resid, _ = zip(*report.rows)
-        W = np.exp(np.where(np.less(lw, 700), lw, np.inf))
+        with np.errstate(over="ignore"):  # inf where W passes the largest double
+            W = np.exp(lw)
         print(tsv_table(N, lw, W, s, resid, digits=args.digits))
     return 0
 
 
 def cmd_scan(args) -> int:
     specs = {text: _spec_from_string(text, args) for text in args.spec}
-    rows = thermo.asymptotic_scan(specs, W_max=args.wmax, points=args.points)
+    rows = gentropy.thermo.asymptotic_scan(specs, W_max=args.wmax, points=args.points)
     print("#spec\tfamily\texponent")
     for row in rows:
         print(tsv_line(row.label, row.family, row.exponent, digits=args.digits))
@@ -394,15 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", help="normalized series literal '1, -1/2, ...'")
 
     p = add("check", cmd_check, "--kb --scale --order --digits", "run an axiom / property checker")
-    p.set_defaults(kb=None, order=None)  # cmd_check fills them in from CHECK_DEFAULTS
+    p.set_defaults(kb=None, order=None)  # cmd_check fills them in from CHECK_FLAGS
     p.add_argument("--axiom", required=True, choices=list(AXIOMS))
-    p.add_argument("--dist")
-    p.add_argument("--states", type=int)
-    p.add_argument("--wa", type=int)
-    p.add_argument("--wb", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--perturbation", type=float)
+    for dest, (parse, _) in CHECK_FLAGS.items():
+        if f"--{dest}" not in SHARED:
+            p.add_argument(f"--{dest}", type=parse)
     p.add_argument("--witness-file")
 
     p = add("maxent", cmd_maxent, "--kb --scale --digits", "canonical maximum-entropy distribution")

@@ -15,7 +15,7 @@ from math import comb, factorial
 from operator import add, itemgetter, mul
 from typing import Iterator
 
-from .series import SeriesError, TruncatedSeries, _bell_table, _divided_powers, _reversion, common_denominator
+from .series import SeriesError, TruncatedSeries, _bell_table, _decode, _divided_powers, _reversion, common_denominator
 
 Monomial = tuple[int, ...]
 
@@ -189,8 +189,8 @@ class LawAxiomCheck:
 def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> GroupLaw:
     """Construct Phi(x, y) = G(F(x) + F(y)) truncated at total degree.
 
-    F = revert(G), exact also for a float G.  The integer route runs from
-    ``_divided_powers`` of G and F to ``_law_sums``, one Fraction per term.
+    F = revert(G), exact also for a float G.  The integer route runs from G's
+    ``_divided_powers`` through F's ``_reversion`` to ``_law_sums``, one Fraction per term.
     """
     if order is None:
         order = G.order
@@ -201,13 +201,13 @@ def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> 
     if order > G.order:
         raise GroupLawError("requested order exceeds the exponential's order")
     Gn = TruncatedSeries(G.coeffs[: order + 1], order)
-    F = Gn.exact_inverse()  # of a float G too, so that Phi is the exact law of Gn
-    D, (e, f) = _divided_powers(Gn.coeffs, F.coeffs)
+    D, (e,) = _divided_powers(Gn.coeffs)  # of a float G's exact values too, so that Phi is the exact law of Gn
+    f = _reversion(_bell_table(e))
     terms = {}
     for a, b, p, s in _law_sums(e, _bell_table(f), D, order):
         if p:
             terms[(a, b)] = terms[(b, a)] = Fraction(p, s)
-    return GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=F)
+    return GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=TruncatedSeries(_decode(f, D), order))
 
 
 def _law_sums(e: list[int], bell: list, D: int, order: int) -> Iterator[tuple[int, int, int, int]]:
@@ -364,16 +364,12 @@ def formal_inverse(law: GroupLaw) -> TruncatedSeries:
             closure[a + m] += c * comb(a + m, a) * powers[m][b]
     if any(closure):
         raise GroupLawError("formal inverse does not close: Phi(x, i(x)) != 0")
-    inv = [Fraction(v, factorial(m) * D ** (m - 1)) if m else Fraction(0) for m, v in enumerate(iota)]
-    return TruncatedSeries(inv, n)
+    return TruncatedSeries(_decode(iota, D), n)
 
 
 def lie_bracket(phi: MultiPoly) -> MultiPoly:
     """Antisymmetrized quadratic part Phi_2(x,y) - Phi_2(y,x)."""
-    quad = MultiPoly(
-        {m: c for m, c in phi.terms.items() if sum(m) == 2}, 2, phi.order
-    )
-    return quad - quad.swap(0, 1)
+    return _symmetry_defect(MultiPoly({m: c for m, c in phi.terms.items() if sum(m) == 2}, 2, phi.order))
 
 
 def abel_coefficients(a: Fraction, b: Fraction, count: int) -> list[Fraction]:

@@ -62,6 +62,11 @@ def _divided_powers(*series: Sequence) -> tuple[int, list[list[int]]]:
     return D, [[p * D ** (k - 1) // d if k else 0 for k, (p, d) in enumerate(s)] for s in scaled]
 
 
+def _decode(e: Sequence[int], D: int) -> list[Fraction]:
+    """The coefficients c_k = e_k / (k! D^(k-1)) of integers at scale D, as ``Fraction``s."""
+    return [Fraction(v * D, factorial(k) * D ** k) for k, v in enumerate(e)]
+
+
 def _bell_table(e: Sequence[int]) -> list[tuple[int, ...]]:
     """Rows ``B[m][k]`` = B_(m,k)(e), the partial Bell polynomials, k, m <= N.
 
@@ -262,9 +267,7 @@ class TruncatedSeries:
                 "reversion requires a normalized series (g(0)=0, g'(0)=1)"
             )
         D, (e,) = _divided_powers(self.coeffs)
-        phi = _reversion(_bell_table(e))
-        inv = [Fraction(p, factorial(m) * D ** (m - 1)) if m > 1 else p for m, p in enumerate(phi)]
-        return TruncatedSeries(inv, self.order)
+        return TruncatedSeries(_decode(_reversion(_bell_table(e)), D), self.order)
 
     # -- evaluation -----------------------------------------------------------
 

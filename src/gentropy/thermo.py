@@ -18,7 +18,7 @@ target-U mode alpha, beta and the levels are one Newton iteration the same
 way, in units of the spectrum's span; where a joint step is refused, the
 levels are solved to 4 ulp and the step is damped on the convex MaxEnt dual,
 with an Armijo test on it.  A target it cannot reach on the clamped levels
-raises SpecError.  Each solve is warm-started from the one before.
+raises SpecError.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .catalog import (
 )
 
 brentq = None  # never called: benchmark/spans.py wraps thermo.brentq by name, so it stays bound
-_MAX_EXP = 700.0  # exp() overflow guard
+_MAX_EXP = 700.0  # the rounded-W rows of extensivity_check stop here
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,10 @@ class OccupationLaw:
         return float(self.spec.F(N))
 
     def W(self, N: float) -> float:
-        lw = self.log_W(N)
-        if lw > _MAX_EXP:
+        try:
+            return math.exp(self.log_W(N))
+        except OverflowError:  # W past the largest double
             return math.inf
-        return math.exp(lw)
 
 
 def occupation_law(spec: Entropy, N_max: int = 100) -> OccupationLaw:
@@ -248,8 +248,7 @@ class _Levels(NamedTuple):
     w: np.ndarray
 
 
-def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
-                      start: _Levels | None = None) -> _Levels:
+def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple) -> _Levels:
     """alpha and the levels it normalizes at beta, by one Newton iteration on the joint system.
 
     The system is h(t_i) = alpha + beta E_i, sum_i e^-t_i = 1, in alpha and
@@ -268,21 +267,16 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
     those levels, or ``_inside``'s fallback.  The iteration ends after a step within 4 ulp
     of alpha and of each t, or after a solve whose step is within 4 ulp of
     alpha, or whose bracket is; that last step is taken in p to first
-    order.  ``start``, the levels at a nearby beta, gives the first t and,
-    to first order, the first alpha.
+    order.
     """
     h_lo, h_hi = ends[:2]
     bE = beta * E
-    if start is None:  # t of the Gibbs weights, and the alpha that fits the lowest level to it,
-        # or frees that level from _P_HI: -ln sum p has a kink where the level clamps
-        low = int(np.argmin(bE))
-        t = bE - bE[low] + math.log(np.exp(bE[low] - bE).sum())
-        alpha = max(float(_stationarity(spec, t[low:low + 1])[0] - bE[low]),
-                    np.nextafter(h_hi - bE[low], math.inf))
-    else:
-        t, alpha, w = start.t, start.alpha, start.w
-        if w.sum() > 0:
-            alpha -= (beta - start.beta) * float(w @ E) / float(w.sum())
+    # t of the Gibbs weights, and the alpha that fits the lowest level to it, or frees that level
+    # from _P_HI: -ln sum p has a kink where the level clamps
+    low = int(np.argmin(bE))
+    t = bE - bE[low] + math.log(np.exp(bE[low] - bE).sum())
+    alpha = max(float(_stationarity(spec, t[low:low + 1])[0] - bE[low]),
+                np.nextafter(h_hi - bE[low], math.inf))
 
     # every level is clamped at _P_HI below the bracket and at _P_LO above it, but for rounding:
     # the levels left free at an end are solved from that clamp, unless sum p lies strictly on
@@ -309,7 +303,7 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
         with np.errstate(divide="ignore", invalid="ignore"):  # a clamped end has slope 0
             return float(_inside(bracket, np.array([a]))[0])
 
-    alpha, t, last = inside(alpha), np.array(t, dtype=float), math.inf  # last: the size of the last step
+    alpha, last = inside(alpha), math.inf  # last: the size of the last step
     for _ in range(200):
         target = alpha + bE
         low, high = target >= h_lo, target <= h_hi

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 import warnings
@@ -35,6 +36,17 @@ HEADER = (
     "# stderr and the exit code byte for byte.\n"
     "#argv\texit\tstderr\tstdout\n"
 )
+
+def mixed_file(lines: int = 10_000) -> bytes:
+    """A distribution of that many weights, each written as p/q or as a decimal at random."""
+    rng = random.Random(10)
+    weights = [rng.randint(1, 1000) for _ in range(lines)]
+    total = sum(weights)
+    return "".join(f"{w}/{total}\n" if rng.random() < 0.5 else f"{w / total!r}\n" for w in weights).encode()
+
+
+# 16 characters a line: 4096 lines fill a chunk of 1 << 16 that the file reader reads at once
+PADDED = b"1/8192         \n" * 8192
 
 # name -> bytes of each input file
 INPUTS = {
@@ -60,6 +72,10 @@ INPUTS = {
     "levels-huge.txt": b"0\n1e200\n3e200\n",
     "levels20.txt": "".join(f"{i}\n" for i in range(20)).encode(),
     "levels-degenerate.txt": b"0.4\n3.1\n3.1\n",
+    "mixed-10k.txt": mixed_file(),
+    "chunk-aligned.txt": PADDED,  # the first chunk ends at the end of a line
+    "chunk-straddle.txt": b"# shifted\n" + PADDED,  # and here inside one
+    "long-line.txt": b"0.5" + b"0" * 70_000 + b"\n0.5\n",  # one line longer than a chunk
 }
 
 # each kind's parameters as (flag, name in a scan spec, value), at values where its checks and solvers run
@@ -145,10 +161,14 @@ def commands() -> list[list[str]]:
         ["maxent", "--entropy", "bg", "--beta", "1", "--energies", "@levels-crlf.txt", "--digits", "5"],
         ["occupation", "--entropy", "tsallis", "--q", "3/2", "--nmax", "20"],
         ["occupation", "--entropy", "bg", "--nmax", "0"],
+        ["occupation", "--entropy", "bg", "--nmax", "712"],  # W overflows a double past N = 709
+        ["check", "--entropy", "s_iii", "--q", "4/5", "--axiom", "strict-composability", "--trials", "20",
+         "--witness-file", "@no-such-dir/w.txt"],
     ]
     for name in ("ratios.txt", "crlf.txt", "cr.txt", "separators.txt", "nel.txt", "underscore.txt",
                  "long-ratio.txt", "zero-denominator.txt", "hexfloat.txt", "nan.txt", "short-sum.txt",
-                 "negative.txt", "not-utf8.txt", "comments-only.txt", "missing.txt"):
+                 "negative.txt", "not-utf8.txt", "comments-only.txt", "missing.txt", "mixed-10k.txt",
+                 "chunk-aligned.txt", "chunk-straddle.txt", "long-line.txt"):
         out.append(["eval", "--entropy", "bg", "--dist", f"@{name}"])
     for name in ("levels-ratio.txt", "comments-only.txt", "not-utf8.txt", "missing.txt"):
         out.append(["maxent", "--entropy", "bg", "--beta", "1", "--energies", f"@{name}"])
@@ -175,6 +195,8 @@ def commands() -> list[list[str]]:
         ["check", "--entropy", "bg", "--axiom", "nope"],
         ["check", "--entropy", "bg", "--axiom", "sk2", "--states", "0"],
         ["check", "--entropy", "bg", "--axiom", "sk2", "--trials", "-1"],
+        ["check", "--entropy", "bg", "--axiom", "sk2", "--seed", "-1"],
+        ["check", "--entropy", "bg", "--axiom", "all", "--seed", "-1"],
         ["check", "--entropy", "bg", "--axiom", "sk2", "--wa", "3"],
         ["check", "--entropy", "bg", "--axiom", "weak-composability", "--wa", "0"],
         ["maxent", "--entropy", "bg", "--energies", "@levels4.txt"],

@@ -18,25 +18,19 @@ from gentropy.catalog import Entropy, SpecError, _newton
 from gentropy.thermo import _REACH, _Levels, _invert_h, _stationarity
 
 
-def solve_fixed_beta_nested(spec: Entropy, E: np.ndarray, beta: float, ends: tuple,
-                            start: _Levels | None = None) -> _Levels:
+def solve_fixed_beta_nested(spec: Entropy, E: np.ndarray, beta: float, ends: tuple) -> _Levels:
     """alpha, by Newton on -ln sum p, and the levels it normalizes at beta.
 
-    The slope of -ln sum p in alpha is sum w / sum p.  ``start``, the levels at
-    a nearby beta, gives the first t and, to first order, the first alpha.
+    The slope of -ln sum p in alpha is sum w / sum p.
     """
     h_lo, h_hi = ends[:2]
     bE = beta * E
-    if start is None:  # t of the Gibbs weights, and the alpha that fits the lowest level to it,
-        # or frees that level from _P_HI: -ln sum p has a kink where the level clamps
-        low = int(np.argmin(bE))
-        t = bE - bE[low] + math.log(np.exp(bE[low] - bE).sum())
-        alpha = max(float(_stationarity(spec, t[low:low + 1])[0] - bE[low]),
-                    np.nextafter(h_hi - bE[low], math.inf))
-    else:
-        t, alpha, w = start.t, start.alpha, start.w
-        if w.sum() > 0:
-            alpha -= (beta - start.beta) * float(w @ E) / float(w.sum())
+    # t of the Gibbs weights, and the alpha that fits the lowest level to it, or frees that level
+    # from _P_HI: -ln sum p has a kink where the level clamps
+    low = int(np.argmin(bE))
+    t = bE - bE[low] + math.log(np.exp(bE[low] - bE).sum())
+    alpha = max(float(_stationarity(spec, t[low:low + 1])[0] - bE[low]),
+                np.nextafter(h_hi - bE[low], math.inf))
 
     def sums(a: float, t_start):
         p, t, w = _invert_h(spec, a + bE, ends, t_start)

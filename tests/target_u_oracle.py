@@ -56,14 +56,14 @@ def solve_target_U_bracketed(spec: Entropy, E: np.ndarray, target: float, ends: 
     above where rounding would take it below.  U(0) is the mean level; the
     sign of target - U(0) as solved (the mean may round to the other side)
     picks the bracket [0, 1] or [-1, 0] of b, and ``_bracket`` grows it.
-    Each fixed-beta solve starts from the one before.
+    Each fixed-beta solve starts from the Gibbs weights at its beta.
     """
     last = None
     span = float(E.max() - E.min())
 
     def fdf(b, _):
         nonlocal last
-        last = _solve_fixed_beta(spec, E, float(b[0]) / span, ends, last)
+        last = _solve_fixed_beta(spec, E, float(b[0]) / span, ends)
         w = last.w
         slope = max(0.0, float(w @ E ** 2 - (w @ E) ** 2 / w.sum())) if w.sum() > 0 else 0.0
         return np.array([target - float(last.p @ E)]), np.array([slope / span])

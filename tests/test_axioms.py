@@ -11,7 +11,7 @@ from gentropy.axioms import (
     PASS,
     AxiomReport,
     ParameterRegion,
-    _dirichlet_pairs,
+    _dirichlet_draws,
     check_concavity_condition,
     check_concavity_numeric,
     check_sk2_maximum,
@@ -243,10 +243,14 @@ class TestStrictComposability:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             pairs = [(rng.dirichlet(np.ones(W_A)), rng.dirichlet(np.ones(W_B))) for _ in range(trials)]
-            pa, pb = _dirichlet_pairs(np.random.default_rng(seed), W_A, W_B, trials)
+            pa, pb = _dirichlet_draws(np.random.default_rng(seed), (W_A, W_B), trials)
             assert pa.shape == (trials, W_A) and pb.shape == (trials, W_B)
             assert pa.tobytes() == b"".join(a.tobytes() for a, _ in pairs)
             assert pb.tobytes() == b"".join(b.tobytes() for _, b in pairs)
+            for W in (W_A, W_B):  # one width, as sk2 draws: numpy's batched call
+                want = np.random.default_rng(seed).dirichlet(np.ones(W), size=trials)
+                got, = _dirichlet_draws(np.random.default_rng(seed), (W,), trials)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_cli_witness_is_pinned(self, capsys):
         code = main(["check", "--entropy", "s_delta", "--delta", "3/2", "--axiom", "strict-composability",

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gentropy import thermo
-from gentropy.cli import AXIOMS, CHECK_DEFAULTS, CHECK_READS, KINDS, build_entropy, build_parser, main
+from gentropy.cli import AXIOMS, CHECK_FLAGS, CHECKS, KINDS, build_entropy, build_parser, main
 from gentropy.io import (
     InputFormatError,
     format_float,
@@ -287,6 +287,20 @@ class TestCheck:
         assert code == 1
         assert "strict-composability" in wf.read_text()
 
+    def test_unwritable_witness_file_is_one_error_line(self, capsys, tmp_path):
+        # the write's FileNotFoundError once ended the run in a traceback with exit 1
+        argv = ["check", "--entropy", "s_iii", "--q", "4/5", "--axiom", "strict-composability", "--trials", "20"]
+        path = tmp_path / "missing" / "w.txt"
+        code, out, err = run(capsys, *argv, "--witness-file", str(path))
+        assert (code, err) == (2, f"error: cannot write witness file {str(path)!r}\n")
+        assert out == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("axiom", ["sk2", "strict-composability", "lesche", "all"])
+    def test_negative_seed_is_a_usage_error(self, capsys, axiom):
+        # numpy's ValueError once ended the run in a traceback with exit 1
+        code, out, err = run(capsys, "check", "--entropy", "bg", "--axiom", axiom, "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: --seed must be nonnegative, got -1\n")
+
     def test_kaniadakis_concavity_witness_is_exact(self, capsys):
         code, out, _ = run(capsys, "check", "--entropy", "kaniadakis", "--kappa", "1", "--axiom", "concavity")
         assert code == 0
@@ -347,8 +361,8 @@ class TestCheckFlags:
     @pytest.mark.parametrize("axiom", list(AXIOMS))
     def test_flag_table(self, capsys, axiom):
         checks, composed = AXIOMS[axiom]
-        reads = {dest for name in checks + composed for dest in CHECK_READS[name]}
-        assert set(self.VALUES) == set(CHECK_DEFAULTS)
+        reads = {dest for name in checks + composed for dest in CHECKS[name].reads}
+        assert set(self.VALUES) == set(CHECK_FLAGS)
         for dest, value in self.VALUES.items():
             code, out, err = run(capsys, "check", "--entropy", "bg", "--axiom", axiom, f"--{dest}", value)
             assert is_usage_error(code, out, err) != (dest in reads), (dest, err)
@@ -584,6 +598,15 @@ class TestOccupation:
             "4\t2.6423345811712613e+00\t1.4045956786626514e+01"
             "\t3.9999999999999996e+00\t4.4408920985006262e-16\n"
         )
+
+    def test_W_is_inf_only_where_exp_overflows(self, capsys):
+        # W was once printed as inf from N = 700 on, although e^709 fits in a double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "occupation", "--entropy", "bg", "--nmax", "712")
+        assert (code, err) == (0, "")
+        W = [float(line.split("\t")[2]) for line in out.splitlines()[2:]]
+        assert W[698:] == [pytest.approx(math.exp(N), rel=1e-15) for N in range(699, 710)] + [math.inf] * 3
 
     def test_builds_the_occupation_law_once(self, capsys, monkeypatch):
         from gentropy import thermo

@@ -44,6 +44,12 @@ def test_numpy_is_not_executed(code):
     assert output(f"{code}; import sys; print('numpy._core' in sys.modules)")[-1] == "False"
 
 
+@pytest.mark.parametrize("code", list(EXACT_CASES.values())[1:], ids=list(EXACT_CASES)[1:])
+def test_exact_subcommands_load_neither_thermo_nor_axioms(code):
+    probe = f"{code}; import sys; print('gentropy.thermo' in sys.modules, 'gentropy.axioms' in sys.modules)"
+    assert output(probe)[-1] == "False False"
+
+
 def test_import_gentropy_loads_no_float_module():
     probe = "import gentropy, sys; print(*sorted(m for m in sys.modules if m.startswith('gentropy.')))"
     assert output(probe)[-1].split() == ["gentropy._lazy", "gentropy.catalog", "gentropy.groups", "gentropy.series"]

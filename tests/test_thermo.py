@@ -182,6 +182,11 @@ class TestOccupationLaw:
         assert law.W(10_000) == math.inf
         assert law.log_W(10_000) == pytest.approx(10_000.0)
 
+    def test_W_is_inf_only_where_exp_overflows(self):
+        law = occupation_law(BoltzmannGibbs())
+        assert law.W(709) == pytest.approx(8.218407461554972e+307, rel=1e-15)  # once inf past ln W = 700
+        assert law.W(710) == math.inf
+
     def test_non_exponential_rejected(self):
         with pytest.raises(UnsupportedRepresentation):
             occupation_law(SDelta(2))

@@ -1,0 +1,148 @@
+"""Per-layer sweep of the exact group-law engine and of the float MaxEnt and occupation-law layers.
+
+Runs both sweeps in-process and prints one JSON object: the git sha of the
+checkout timed, the machine (nproc, Python and numpy versions), and under
+"ms" the median milliseconds of 7 calls per layer, spec and size, with the
+exact sweep under "exact" and the float one under "thermo".
+
+    python3 tools/layers.py                      # this checkout
+    python3 tools/layers.py --root ../other      # another checkout's src/
+
+The exact sweep times ``TruncatedSeries.revert``, ``group_law_from_exponential``,
+``check_axioms`` (3 calls) and ``formal_inverse`` at total degree N = 12, 24,
+32 and 48 for four group exponentials.  ``check_axioms_perturbed`` times
+``check_axioms`` on the law's table plus -3/7 x^2 y^2, a symmetric term that
+is no cocycle, so that associativity fails at total degree 4.  The last two
+exponentials are ``--series`` literals that bring a new prime in at each
+degree, so the divided-power scale D is their product (1155, and 111546435
+for the primes 3 to 23) rather than one small prime: the integers of the
+exact kernel grow as D^(k-1).
+
+The float sweep times ``maxent_solve`` at fixed beta = 1 and at target
+U = 1.5 on L = 20, 100 and 1,000 levels 5 i / (L - 1), and ``occupation_law``
+at N_max = 1,000, for four float specs, and F alone at L = 1, 20, 301 and
+1,000 points 300 i / L, i = 1..L, for three specs with a numeric F (the
+series-defined one at order 12, past its degree 3).
+
+Each layer's input is built once, outside its clock; no call reuses an
+earlier solve.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+REPEATS = 7
+
+ORDERS = (12, 24, 32, 48)
+EXACT_SPECS = {
+    "s_iii 4/5": lambda g, n: g.SThird(Fraction(4, 5)).exp_series(n),
+    "s_alpha_beta_q (3/4, 3/16, 7/8)":
+        lambda g, n: g.SAlphaBetaQ(Fraction(3, 4), Fraction(3, 16), Fraction(7, 8)).exp_series(n),
+    "series 1, 1/3, 1/5, 1/7, 1/11": lambda g, n: g.normalized_from_literal("1, 1/3, 1/5, 1/7, 1/11", n),
+    "series 1, 1/3, 1/5, ..., 1/23":
+        lambda g, n: g.normalized_from_literal("1, 1/3, 1/5, 1/7, 1/11, 1/13, 1/17, 1/19, 1/23", n),
+}
+
+LEVELS = (20, 100, 1000)
+N_MAX = 1000
+BETA, TARGET_U = 1.0, 1.5
+THERMO_SPECS = {
+    "tsallis 1/2": lambda g: g.Tsallis(Fraction(1, 2)),
+    "kaniadakis 1/3": lambda g: g.Kaniadakis(Fraction(1, 3)),
+    "borges_roditi (1/2, -1/3)": lambda g: g.BorgesRoditi(Fraction(1, 2), Fraction(-1, 3)),
+    "generic (1, 1/8, 1/10)": lambda g: g.GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)]),
+}
+F_POINTS = (1, 20, 301, 1000)
+F_SPECS = {
+    "borges_roditi (1/2, -1/3)": THERMO_SPECS["borges_roditi (1/2, -1/3)"],
+    "s_iii 4/5": lambda g: g.SThird(Fraction(4, 5)),
+    "generic (1, 1/8, 1/10) order 12": lambda g: g.GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)], order=12),
+}
+
+
+def median_ms(call, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return round(1e3 * statistics.median(times), 3)
+
+
+def exact_sweep(g) -> dict:
+    out = {}
+    for name, build in EXACT_SPECS.items():
+        rows = out[name] = {}
+        for n in ORDERS:
+            G = build(g, n)
+            law = g.group_law_from_exponential(G)
+            table = law.c_table()
+            table[(2, 2)] = table.get((2, 2), 0) + Fraction(-3, 7)
+            perturbed = g.law_from_table(table, n)
+            rows[str(n)] = {
+                "revert": median_ms(G.revert, REPEATS),
+                "group_law_from_exponential": median_ms(lambda: g.group_law_from_exponential(G), REPEATS),
+                "check_axioms": median_ms(lambda: g.check_axioms(law.phi), REPEATS // 2),
+                "check_axioms_perturbed": median_ms(lambda: g.check_axioms(perturbed), REPEATS // 2),
+                "formal_inverse": median_ms(lambda: g.formal_inverse(law), REPEATS),
+            }
+    return out
+
+
+def thermo_sweep(g, numpy) -> dict:
+    out = {}
+    for name, build in THERMO_SPECS.items():
+        spec = build(g)
+        rows = out[name] = {}
+        for L in LEVELS:
+            levels = tuple(5 * i / (L - 1) for i in range(L))
+            fixed = g.MaxEntProblem(spec, levels, beta=BETA)
+            target = g.MaxEntProblem(spec, levels, target_U=TARGET_U)
+            rows[f"maxent_fixed_beta L={L}"] = median_ms(lambda: g.maxent_solve(fixed), REPEATS)
+            rows[f"maxent_target_u L={L}"] = median_ms(lambda: g.maxent_solve(target), REPEATS)
+        rows[f"occupation_law N_max={N_MAX}"] = median_ms(lambda: g.occupation_law(spec, N_MAX), REPEATS)
+    for name, build in F_SPECS.items():
+        spec = build(g)
+        rows = out.setdefault(name, {})
+        for L in F_POINTS:
+            s = numpy.arange(1, L + 1) * (300 / L)
+            rows[f"F L={L}"] = median_ms(lambda: spec.F(s), REPEATS)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                    help="checkout whose src/ is timed (default: this one)")
+    root = ap.parse_args(argv).root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    import numpy
+
+    import gentropy as g
+
+    sha = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                         capture_output=True, text=True).stdout.strip() or None
+    result = {
+        "git_sha": sha,
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "ms": {"exact": exact_sweep(g), "thermo": thermo_sweep(g, numpy)},
+    }
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
