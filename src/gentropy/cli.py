@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import gentropy
+import gentropy  # thermo and axioms through its deferred names, loaded on first use
 
 from ._lazy import np
 from .catalog import (

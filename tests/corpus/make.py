@@ -37,10 +37,10 @@ HEADER = (
     "#argv\texit\tstderr\tstdout\n"
 )
 
-def mixed_file(lines: int = 10_000) -> bytes:
-    """A distribution of that many weights, each written as p/q or as a decimal at random."""
+def mixed_file() -> bytes:
+    """A distribution of 10^4 weights, each written as p/q or as a decimal at random."""
     rng = random.Random(10)
-    weights = [rng.randint(1, 1000) for _ in range(lines)]
+    weights = [rng.randint(1, 1000) for _ in range(10_000)]
     total = sum(weights)
     return "".join(f"{w}/{total}\n" if rng.random() < 0.5 else f"{w / total!r}\n" for w in weights).encode()
 
