@@ -126,7 +126,7 @@ def check_concavity_numeric(spec: Entropy) -> AxiomReport:
     try:
         d2 = _second_derivative_closed(spec, x)
         method = "closed-form"
-    except (UnsupportedRepresentation, NotImplementedError):
+    except UnsupportedRepresentation:
         inner = x[(x > 1e-4) & (x < 1 - 1e-4)]  # keep finite differences stable
         x = inner
         d2 = _second_derivative_numeric(spec.density, x)
@@ -173,8 +173,6 @@ def _dirichlet_draws(rng: np.random.Generator, widths: tuple, trials: int) -> tu
     divides each sample's gamma variates the same way, by a left-to-right sum
     and a multiply by its reciprocal.
     """
-    if not trials:
-        return tuple(np.empty((0, max(W, 0))) for W in widths)
     if min(widths) < 1:
         raise DistributionError("need at least one state")
     gamma = np.split(rng.standard_gamma(1.0, size=(trials, sum(widths))), np.cumsum(widths)[:-1], axis=1)

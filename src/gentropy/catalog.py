@@ -319,11 +319,9 @@ class Entropy:
     def density(self, x):
         """Per-state term g with S = kB * (sum_i p_i g(p_i) + constant_term).
 
-        Vectorized over numpy arrays of probabilities in (0, 1].  For
-        exponential-class entropies this is G(scale * ln(1/x)).
+        Vectorized over numpy arrays of probabilities in (0, 1].  This is
+        G(scale * ln(1/x)); a kind without a group exponential overrides it.
         """
-        if not self.has_exponential:
-            raise NotImplementedError
         return self.G(-np.log(np.asarray(x, dtype=float)))
 
     def constant_term(self) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from fractions import Fraction
@@ -159,8 +158,6 @@ def format_float(x: float, digits: int = _DIGITS) -> str:
 
     Round-trips bit-for-bit at the default 17 digits.
     """
-    if isinstance(x, float) and not math.isfinite(x):
-        return str(x)
     return f"{float(x):.{digits - 1}e}" if digits <= 17 else repr(float(x))
 
 

@@ -1,11 +1,11 @@
 """Truncated one-variable power series over exact rationals or floats.
 
 A series is stored as its coefficient list ``c[0..N]`` (degree ascending)
-together with the truncation order ``N``.  Arithmetic silently discards all
-terms of degree greater than ``N``.  Two backends are supported: ``Fraction``
-coefficients for bit-exact identity checking, and plain floats for numeric
-evaluation (a float series is reverted on its coefficients' exact values and
-rounded once).  The "group series" used by the entropy machinery are the
+together with the truncation order ``N``.  Products and composition silently
+discard all terms of degree greater than ``N``.  Two backends are supported:
+``Fraction`` coefficients for bit-exact identity checking, and plain floats for
+numeric evaluation (a float series is reverted on its coefficients' exact
+values and rounded once).  The "group series" used by the entropy machinery are the
 normalized ones with ``c[0] == 0`` and ``c[1] == 1``.
 
 Exact reversion, and the group laws and inverses of ``gentropy.groups``, run
@@ -140,13 +140,6 @@ class TruncatedSeries:
         """The series t."""
         return cls([0, 1], order)
 
-    @classmethod
-    def monomial(cls, degree: int, order: int, coeff: Number = 1) -> "TruncatedSeries":
-        c = [0] * (order + 1)
-        if degree <= order:
-            c[degree] = coeff
-        return cls(c, order)
-
     # -- basic queries --------------------------------------------------------
 
     def __getitem__(self, degree: int) -> Number:
@@ -175,28 +168,13 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r}, order={self.order})"
 
-    # -- ring operations ------------------------------------------------------
+    # -- products -------------------------------------------------------------
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise OrderMismatchError(
                 f"orders differ: {self.order} != {other.order}"
             )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-a for a in self.coeffs], self.order)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, degrees above the common order discarded."""
@@ -217,9 +195,6 @@ class TruncatedSeries:
                 if b != 0:
                     out[i + j] += a * b
         return TruncatedSeries(out, n)
-
-    def scale(self, factor: Number) -> "TruncatedSeries":
-        return TruncatedSeries([factor * a for a in self.coeffs], self.order)
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise derivative; the result is truncated at order N - 1."""
@@ -251,23 +226,17 @@ class TruncatedSeries:
 
         Solves coefficient-by-coefficient for f with f(self(t)) = t; the
         triangular recursion is the workhorse form of Lagrange inversion.  It
-        runs on the coefficients' exact values (``exact_inverse``); a series
-        with a float coefficient gets that inverse rounded to floats once.
-        """
-        inv = self.exact_inverse()
-        return inv if {int, Fraction}.issuperset(map(type, self.coeffs)) else inv.to_float()
-
-    def exact_inverse(self) -> "TruncatedSeries":
-        """The compositional inverse in exact rationals, whatever the coefficients' type.
-
-        Runs in divided-power form (``_reversion``), reading a float coefficient exactly.
+        runs in divided-power form (``_reversion``) on the coefficients' exact
+        values; a series with a float coefficient gets that inverse rounded to
+        floats once.
         """
         if not self.is_normalized():
             raise SeriesError(
                 "reversion requires a normalized series (g(0)=0, g'(0)=1)"
             )
         D, (e,) = _divided_powers(self.coeffs)
-        return TruncatedSeries(_decode(_reversion(_bell_table(e)), D), self.order)
+        inv = TruncatedSeries(_decode(_reversion(_bell_table(e)), D), self.order)
+        return inv if {int, Fraction}.issuperset(map(type, self.coeffs)) else inv.to_float()
 
     # -- evaluation -----------------------------------------------------------
 

@@ -796,6 +796,15 @@ class TestUsageErrors:
         row = out.splitlines()[1].split("\t")
         assert row[:2] == ["strict-composability", "inconclusive"]
 
+    @pytest.mark.parametrize("wa, wb", [("-3", "0"), ("2", "0")])
+    def test_zero_trials_still_checks_the_widths(self, capsys, wa, wb):
+        # once printed inconclusive for empty parts
+        code, out, err = run(
+            capsys, "check", "--entropy", "bg", "--axiom", "strict-composability",
+            "--wa", wa, "--wb", wb, "--trials", "0",
+        )
+        assert is_usage_error(code, out, err) and err == "error: need at least one state\n"
+
 
 SHARED_FLAGS = ("--kb", "--scale", "--order", "--digits")
 # Each subcommand's command line, and the shared flags it declares, each with a
