@@ -5,8 +5,8 @@ together with the truncation order ``N``.  Products and composition silently
 discard all terms of degree greater than ``N``.  Two backends are supported:
 ``Fraction`` coefficients for bit-exact identity checking, and plain floats for
 numeric evaluation (a float series is reverted on its coefficients' exact
-values and rounded once).  The "group series" used by the entropy machinery are the
-normalized ones with ``c[0] == 0`` and ``c[1] == 1``.
+values and rounded once).  The "group series" used by the entropy machinery
+are the normalized ones with ``c[0] == 0`` and ``c[1] == 1``.
 
 Exact reversion, and the group laws and inverses of ``gentropy.groups``, run
 in divided-power form: G is carried as the integers e_k = c_k k! D^(k-1), the
@@ -168,7 +168,7 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r}, order={self.order})"
 
-    # -- products -------------------------------------------------------------
+    # -- products and derivative -----------------------------------------------
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:

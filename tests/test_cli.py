@@ -725,6 +725,10 @@ class TestUsageErrors:
             ["eval", "--entropy", "bg", "--dist", "uniform:0"],
             ["check", "--entropy", "bg", "--axiom", "sk2", "--states", "0"],
             ["check", "--entropy", "bg", "--axiom", "weak-composability", "--wa", "0"],
+            # zero trials once skipped the width check and printed inconclusive
+            ["check", "--entropy", "bg", "--axiom", "strict-composability", "--wa", "-3", "--wb", "0",
+             "--trials", "0"],
+            ["check", "--entropy", "bg", "--axiom", "strict-composability", "--wb", "0", "--trials", "0"],
             ["eval", "--entropy", "bg", "--dist", "uniform:4", "--digits", "0"],
             ["eval", "--entropy", "bg", "--dist", "uniform:4", "--digits", "-2"],
             ["expand", "--entropy", "bg", "--count", "-1"],
@@ -795,15 +799,6 @@ class TestUsageErrors:
         assert code == 0
         row = out.splitlines()[1].split("\t")
         assert row[:2] == ["strict-composability", "inconclusive"]
-
-    @pytest.mark.parametrize("wa, wb", [("-3", "0"), ("2", "0")])
-    def test_zero_trials_still_checks_the_widths(self, capsys, wa, wb):
-        # once printed inconclusive for empty parts
-        code, out, err = run(
-            capsys, "check", "--entropy", "bg", "--axiom", "strict-composability",
-            "--wa", wa, "--wb", wb, "--trials", "0",
-        )
-        assert is_usage_error(code, out, err) and err == "error: need at least one state\n"
 
 
 SHARED_FLAGS = ("--kb", "--scale", "--order", "--digits")
