@@ -34,7 +34,7 @@ from math import factorial
 from typing import Sequence
 
 from ._lazy import np
-from .series import TruncatedSeries, from_a_sequence, horner
+from .series import TruncatedSeries, exponential_sum_a_sequence, from_a_sequence, horner
 
 brentq = None  # never called: benchmark/spans.py wraps catalog.brentq by name, so it stays bound
 
@@ -459,9 +459,15 @@ class ExponentialSum(Entropy):
         super().__init__(kB, scale_c)
         self.sigma = sigma
         self.rates = rates
-        exact = {Fraction(r): Fraction(k) for r, k in rates.items()}
-        s, c = Fraction(sigma), Fraction(scale_c)
+        # converted here, so that a nan or an inf parameter raises at construction
+        self._exact = {Fraction(r): Fraction(k) for r, k in rates.items()}, Fraction(sigma), Fraction(scale_c)
         self._sigma = float(sigma)
+
+    @functools.cached_property
+    def _terms(self):
+        """The terms of sigma G, G', G'', of G exactly and of h', made on first float use: the exact
+        a-sequence reads none of them."""
+        exact, s, c = self._exact
         # rates r, r' with weights k, -k and 0 < |r - r'| < max(|r|, |r'|) / 2 are summed as one pair
         single, pairs = dict(exact), []
         for r, k in exact.items():
@@ -476,13 +482,9 @@ class ExponentialSum(Entropy):
                     + tuple((to(q), to(r - q), to(exact[r] * weight(r)), to(exact[r] * (weight(r) - weight(q))))
                             for r, q in pairs))
 
-        # the terms of sigma G, G' and G'', each weight rounded once
-        self._G_terms = terms(lambda r: 1)
-        self._dG_terms = terms(lambda r: r / s)
-        self._d2G_terms = terms(lambda r: r * r / s)
-        self._G_exact_terms = terms(lambda r: 1 / s, Fraction)
-        # h' = G' - G'' at scale c, as one sum over e^(r c t)
-        self._dh_terms = terms(lambda r: -c * r * (c * r - 1) / s)
+        # each weight rounded once; h' = G' - G'' at scale c, as one sum over e^(r c t)
+        return {"G": terms(lambda r: 1), "dG": terms(lambda r: r / s), "d2G": terms(lambda r: r * r / s),
+                "G_exact": terms(lambda r: 1 / s, Fraction), "dh": terms(lambda r: -c * r * (c * r - 1) / s)}
 
     @staticmethod
     def _sum(func, terms, t):
@@ -499,32 +501,29 @@ class ExponentialSum(Entropy):
         return out
 
     def _G(self, t):
-        return self._sum(np.expm1, self._G_terms, t) / self._sigma
+        return self._sum(np.expm1, self._terms["G"], t) / self._sigma
 
     @functools.cached_property
     def _G_long_terms(self):
         """The terms of G in np.longdouble, made on first use: building an entropy needs no numpy."""
-        return tuple(tuple(map(_long, term)) for term in self._G_exact_terms)
+        return tuple(tuple(map(_long, term)) for term in self._terms["G_exact"])
 
     def _G_long(self, t):
         return self._sum(np.expm1, self._G_long_terms, np.asarray(t, dtype=np.longdouble))
 
     def _dG(self, t):
-        return self._sum(np.exp, self._dG_terms, t)
+        return self._sum(np.exp, self._terms["dG"], t)
 
     def _d2G(self, t):
-        return self._sum(np.exp, self._d2G_terms, t)
+        return self._sum(np.exp, self._terms["d2G"], t)
 
     def base_a_sequence(self, count):
         s = _as_fraction(self.sigma)
         rates = {_as_fraction(r): _as_fraction(k) for r, k in self.rates.items()}
-        return [
-            sum(k * r ** (j + 1) for r, k in rates.items()) / (s * factorial(j))
-            for j in range(count)
-        ]
+        return exponential_sum_a_sequence(s, rates, count)
 
     def dh(self, t):
-        return self._sum(np.exp, self._dh_terms, float(self.scale) * np.asarray(t, dtype=float))
+        return self._sum(np.exp, self._terms["dh"], float(self.scale) * np.asarray(t, dtype=float))
 
 
 def _q_sigma(q):

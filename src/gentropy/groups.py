@@ -15,7 +15,8 @@ from math import comb, factorial
 from operator import add, itemgetter, mul
 from typing import Iterator
 
-from .series import SeriesError, TruncatedSeries, _bell_table, _decode, _divided_powers, _reversion, common_denominator
+from .series import (SeriesError, TruncatedSeries, _bell_table, _decode, _divided_powers, _reversion, common_denominator,
+                     exponential_sum_a_sequence, from_a_sequence)
 
 Monomial = tuple[int, ...]
 
@@ -226,8 +227,9 @@ def _law_sums(e: list[int], bell: list, D: int, order: int) -> Iterator[tuple[in
 def law_from_table(c: dict[tuple[int, int], Fraction], order: int) -> MultiPoly:
     """Phi = x + y + sum c_km x^k y^m from a user-supplied coefficient table."""
     terms: dict[Monomial, Fraction] = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
-    for (k, m), coeff in c.items():
-        terms[(k, m)] = terms.get((k, m), Fraction(0)) + Fraction(coeff)
+    for mono, coeff in c.items():
+        mine = terms.get(mono)
+        terms[mono] = Fraction(coeff) if mine is None else mine + Fraction(coeff)
     return MultiPoly(terms, 2, order)
 
 
@@ -279,7 +281,7 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
         raise GroupLawError(f"assoc_order must be in 0..{phi.order}, got {assoc_order}")
     # Phi(x, 0): drop every term containing y
     at_zero = MultiPoly({m: c for m, c in phi.terms.items() if m[1] == 0}, 2, phi.order)
-    phi_n = MultiPoly(
+    phi_n = phi if assoc_order == phi.order else MultiPoly(
         {m: c for m, c in phi.terms.items() if sum(m) <= assoc_order}, 2, assoc_order
     )
     defects = {
@@ -399,7 +401,5 @@ def abel_exponential(a: Fraction, b: Fraction, order: int) -> TruncatedSeries:
     a, b = Fraction(a), Fraction(b)
     if a == b:
         raise GroupLawError("Abel exponential needs distinct parameters a != b")
-    coeffs = [Fraction(0)]
-    for m in range(1, order + 1):
-        coeffs.append((a ** m - b ** m) / ((a - b) * factorial(m)))
-    return TruncatedSeries(coeffs, order)
+    # Borges-Roditi's G; a_0 = 1 keeps order 0 a series
+    return from_a_sequence(exponential_sum_a_sequence(a - b, {a: 1, b: -1}, max(order, 1)), order)

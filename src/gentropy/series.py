@@ -271,8 +271,24 @@ def from_a_sequence(a: Iterable[Number], order: int) -> TruncatedSeries:
         deg = k + 1
         if deg > order:
             break
-        coeffs[deg] = Fraction(ak) / (k + 1) if isinstance(ak, (int, Fraction)) else ak / (k + 1)
+        coeffs[deg] = Fraction(ak.numerator, ak.denominator * deg) if isinstance(ak, (int, Fraction)) else ak / deg
     return TruncatedSeries(coeffs, order)
+
+
+def exponential_sum_a_sequence(sigma: Fraction, rates: dict, count: int) -> list[Fraction]:
+    """a_j = sum_r k_r r^(j+1) / (sigma j!), j < count, of G(t) = (1/sigma) sum_r k_r (e^(r t) - 1).
+
+    ``rates`` maps each rational rate r to its rational weight k_r.  The sums
+    run on integer numerators over the common denominators of the rates and
+    of the weights, so each a_j is one ``Fraction``.
+    """
+    (dr, r), (dk, terms) = common_denominator(list(rates)), common_denominator(list(rates.values()))
+    den, out = dk * sigma.numerator, []
+    for j in range(count):
+        terms = list(map(mul, terms, r))  # the numerators of k_r r^(j+1) over dk dr^(j+1)
+        den *= dr * max(j, 1)  # dk dr^(j+1) j! times sigma's numerator
+        out.append(Fraction(sum(terms) * sigma.denominator, den))
+    return out
 
 
 def parse_rational_list(text: str) -> list[Fraction]:

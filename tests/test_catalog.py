@@ -35,6 +35,7 @@ from gentropy.catalog import (
     _numeric_inverse,
     elementary_functional,
 )
+from gentropy.cli import KINDS
 
 FIX = Distribution([0.5, 0.3, 0.2])
 
@@ -795,6 +796,30 @@ class TestExponentialSum:
             expected = [Fraction(closed(k)) for k in range(12)]
         assert spec.a_sequence(12) == expected
 
+    @pytest.mark.parametrize("spec, closed", CLOSED_FORM_A.values(), ids=CLOSED_FORM_A)
+    def test_a_sequence_matches_closed_form_at_24_and_scaled(self, spec, closed):
+        if closed is None:
+            expected = _moment_a_sequence(Fraction(spec.sigma), spec.coeffs, 24)
+        else:
+            expected = [Fraction(closed(k)) for k in range(24)]
+        assert spec.a_sequence(24) == expected
+        c = Fraction(3, 2)
+        scaled = ExponentialSum(spec.sigma, spec.rates, scale_c=c)
+        assert scaled.a_sequence(24) == [ak * c ** k for k, ak in enumerate(expected)]
+        assert scaled.expansion_coefficients(24) == [ak * c ** (k + 1) / (k + 1) for k, ak in enumerate(expected)]
+
+    @pytest.mark.parametrize("spec, exact", [
+        (Tsallis(0.5), Tsallis(Fraction(1, 2))),
+        (BorgesRoditi(0.75, -0.25), BorgesRoditi(Fraction(3, 4), Fraction(-1, 4))),
+    ], ids=["tsallis-0.5", "borges_roditi-0.75,-0.25"])
+    def test_float_parameters_match_the_fraction_reference(self, spec, exact):
+        assert spec.a_sequence(24) == exact.a_sequence(24)
+        assert spec.expansion_coefficients(24) == exact.expansion_coefficients(24)
+
+    def test_inexact_parameter_has_no_exact_coefficients(self):
+        with pytest.raises(SpecError, match="exact coefficients need rational parameters"):
+            Tsallis(1 - 1e-13).base_a_sequence(4)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -852,3 +877,65 @@ class TestCapabilities:
         for method in (spec.G, spec.dG, spec.d2G, spec.F):
             with pytest.raises(UnsupportedRepresentation, match=f"^{spec.name} has no group exponential$"):
                 method(np.array([0.5]))
+
+
+# each kind of the CLI's table whose float tables are built at the first float call: the spec
+# with its parameter v, and a v it accepts (Borges-Roditi's rates are summed as one close pair)
+LAZY_KINDS = {
+    "tsallis": (Tsallis, Fraction(1, 2)),
+    "kaniadakis": (Kaniadakis, Fraction(1, 3)),
+    "borges_roditi": (lambda v, **kw: BorgesRoditi(v, Fraction(2, 5), **kw), Fraction(1, 2)),
+    "group_entropy": (lambda v, **kw: GroupEntropy(v, {3: Fraction(1, 8), 1: Fraction(1, 4), -1: Fraction(-3, 8)},
+                                                   **kw), Fraction(-1, 4)),
+    "s_iii": (SThird, Fraction(4, 5)),
+    "s_iv": (SFourth, Fraction(9, 10)),
+    "s_alpha_beta_q": (lambda v, **kw: SAlphaBetaQ(Fraction(1, 8), Fraction(-1, 8), v, **kw), Fraction(9, 10)),
+}
+# every kind with a group exponential, built with scale constant c
+EXPONENTIAL_KINDS = {
+    **{name: lambda c, make=make, v=v: make(v, scale_c=c) for name, (make, v) in LAZY_KINDS.items()},
+    "bg": lambda c: BoltzmannGibbs(scale_c=c),
+    "generic": lambda c: GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)], scale_c=c),
+}
+
+
+class TestLazyTables:
+    """An exponential sum rounds its float tables at its first float call, and raises at construction."""
+
+    def test_every_kind_is_covered(self):
+        assert set(LAZY_KINDS) == {n for n, k in KINDS.items() if issubclass(k.cls, ExponentialSum)}
+        assert set(EXPONENTIAL_KINDS) == {n for n, k in KINDS.items() if k.cls.has_exponential}
+
+    @pytest.mark.parametrize("kind", LAZY_KINDS)
+    @pytest.mark.parametrize("bad, error", [
+        ({"v": math.nan}, ValueError),
+        ({"v": math.inf}, OverflowError),
+        ({"scale_c": math.inf}, OverflowError),
+    ], ids=["nan", "inf", "scale_c-inf"])
+    def test_bad_parameter_raises_at_construction(self, kind, bad, error):
+        make, v = LAZY_KINDS[kind]
+        if kind == "kaniadakis" and "v" in bad:
+            error = SpecError  # kappa's range check comes first
+        args = {"v": v, **bad}
+        with pytest.raises(Exception) as exc:
+            make(args.pop("v"), **args)
+        assert type(exc.value) is error
+
+    @pytest.mark.parametrize("kind", LAZY_KINDS)
+    def test_exp_series_builds_no_float_table(self, kind):
+        make, v = LAZY_KINDS[kind]
+        spec = make(v, scale_c=Fraction(3, 2))
+        spec.exp_series(12)
+        spec.expansion_coefficients(12)
+        assert "_terms" not in vars(spec) and "_G_long_terms" not in vars(spec)
+        spec.G(0.5)
+        assert "_terms" in vars(spec)
+
+    @pytest.mark.parametrize("c", [1, Fraction(3, 2)], ids=str)
+    @pytest.mark.parametrize("kind", EXPONENTIAL_KINDS)
+    def test_first_call_changes_no_bit(self, kind, c):
+        exact_first, float_first = EXPONENTIAL_KINDS[kind](c), EXPONENTIAL_KINDS[kind](c)
+        exact_first.exp_series(12)
+        t = np.linspace(-3.0, 3.0, 25)
+        for name in ("G", "dG", "d2G", "dh", "F"):  # G is float_first's first call
+            assert _bits(getattr(exact_first, name), t) == _bits(getattr(float_first, name), t), name

@@ -42,6 +42,27 @@ def exp_from_a(a, order):
     return from_a_sequence([Fraction(x) for x in a], order)
 
 
+def _table_reference(c, order):
+    """x + y + sum c_km x^k y^m as a dict, each entry a Fraction, zero terms and terms past the order dropped."""
+    ref = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    for mono, coeff in c.items():
+        ref[mono] = ref.get(mono, 0) + Fraction(coeff)
+    return {m: v for m, v in ref.items() if v != 0 and sum(m) <= order}
+
+
+class TestLawFromTable:
+    def test_matches_the_dict_reference(self):
+        table = {(1, 0): 2, (0, 1): -1, (1, 1): 0.5, (2, 1): Fraction(1, 3), (1, 2): 7,
+                 (2, 2): 0, (0, 2): Fraction(0), (3, 3): 5, (4, 1): 0.25}
+        phi = law_from_table(table, 4)
+        assert phi.terms == _table_reference(table, 4)
+        assert phi.terms == {(1, 0): 3, (1, 1): Fraction(1, 2), (2, 1): Fraction(1, 3), (1, 2): 7}
+        assert all(type(c) is Fraction for c in phi.terms.values())
+
+    def test_empty_table_is_x_plus_y(self):
+        assert law_from_table({}, 3).terms == _table_reference({}, 3) == {(1, 0): 1, (0, 1): 1}
+
+
 class TestMultiPoly:
     def test_truncation_on_construction(self):
         p = MultiPoly({(3, 3): Fraction(1), (1, 0): Fraction(2)}, 2, 4)
@@ -340,6 +361,27 @@ class TestAbelFamily:
         for m in range(1, 6):
             expected = (a ** m - b ** m) / ((a - b) * math.factorial(m))
             assert g.coeffs[m] == expected
+
+    @pytest.mark.parametrize("a, b", [
+        (Fraction(1, 2), Fraction(1, 3)), (3, -1), (Fraction(-2, 3), Fraction(3, 4)), (0.1, 0.2), (0.75, -0.25),
+    ], ids=str)
+    def test_exponential_is_exact_for_rational_and_float_parameters(self, a, b):
+        # a float a or b is taken at its exact binary value
+        import math
+
+        g = abel_exponential(a, b, 12)
+        x, y = Fraction(a), Fraction(b)
+        assert list(g.coeffs) == [0] + [(x ** m - y ** m) / ((x - y) * math.factorial(m)) for m in range(1, 13)]
+        assert all(type(c) is Fraction for c in g.coeffs[1:])
+
+    def test_float_parameters_are_not_rounded(self):
+        assert abel_exponential(0.1, 0.2, 2).coeffs[2] == Fraction(10808639105689191, 72057594037927936)
+        assert abel_exponential(0.1, 0.2, 2).coeffs[2] != Fraction(3, 20)
+
+    @pytest.mark.parametrize("a, b", [(Fraction(1, 2), Fraction(-1, 3)), (2, 1), (Fraction(3, 5), Fraction(1, 2))],
+                             ids=str)
+    def test_exponential_is_borges_roditi(self, a, b):
+        assert abel_exponential(a, b, 12) == BorgesRoditi(a, b).exp_series(12)
 
 
 # -- independent references ------------------------------------------------------

@@ -16,7 +16,11 @@ is no cocycle, so that associativity fails at total degree 4.  The last two
 exponentials are ``--series`` literals that bring a new prime in at each
 degree, so the divided-power scale D is their product (1155, and 111546435
 for the primes 3 to 23) rather than one small prime: the integers of the
-exact kernel grow as D^(k-1).
+exact kernel grow as D^(k-1).  ``law_from_table_perturbed`` times building
+that perturbed law from its table.  The "inputs" rows time what the
+exact-laws workload does before the kernel, at the same N: building each of
+its eight kinds (``abel_exponential`` and ``generic`` among them) and its
+exponential series, construction inside the clock.
 
 The float sweep times ``maxent_solve`` at fixed beta = 1 and at target
 U = 1.5 on L = 20, 100 and 1,000 levels 5 i / (L - 1), and ``occupation_law``
@@ -51,6 +55,18 @@ EXACT_SPECS = {
     "series 1, 1/3, 1/5, 1/7, 1/11": lambda g, n: g.normalized_from_literal("1, 1/3, 1/5, 1/7, 1/11", n),
     "series 1, 1/3, 1/5, ..., 1/23":
         lambda g, n: g.normalized_from_literal("1, 1/3, 1/5, 1/7, 1/11, 1/13, 1/17, 1/19, 1/23", n),
+}
+# the exact-laws workload's kinds, spec construction included
+INPUT_SPECS = {
+    "tsallis 3/4": lambda g, n: g.Tsallis(Fraction(3, 4)).exp_series(n),
+    "kaniadakis 2/5": lambda g, n: g.Kaniadakis(Fraction(2, 5)).exp_series(n),
+    "borges_roditi (1/2, -1/3)": lambda g, n: g.BorgesRoditi(Fraction(1, 2), Fraction(-1, 3)).exp_series(n),
+    "s_iii 4/5": lambda g, n: g.SThird(Fraction(4, 5)).exp_series(n),
+    "s_iv 3/5": lambda g, n: g.SFourth(Fraction(3, 5)).exp_series(n),
+    "s_alpha_beta_q (3/4, 3/16, 7/8)": EXACT_SPECS["s_alpha_beta_q (3/4, 3/16, 7/8)"],
+    "abel_exponential (1/2, -1/3)": lambda g, n: g.abel_exponential(Fraction(1, 2), Fraction(-1, 3), n),
+    "generic (1, 1/2, -1/3, 3/4)":
+        lambda g, n: g.GenericEntropy([1, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4)], order=n).exp_series(n),
 }
 
 LEVELS = (20, 100, 1000)
@@ -95,7 +111,10 @@ def exact_sweep(g) -> dict:
                 "check_axioms": median_ms(lambda: g.check_axioms(law.phi), REPEATS // 2),
                 "check_axioms_perturbed": median_ms(lambda: g.check_axioms(perturbed), REPEATS // 2),
                 "formal_inverse": median_ms(lambda: g.formal_inverse(law), REPEATS),
+                "law_from_table_perturbed": median_ms(lambda: g.law_from_table(table, n), REPEATS),
             }
+    out["inputs"] = {name: {str(n): median_ms(lambda: build(g, n), REPEATS) for n in ORDERS}
+                     for name, build in INPUT_SPECS.items()}
     return out
 
 
