@@ -61,7 +61,7 @@ INPUT_SPECS = {
     "tsallis 3/4": lambda g, n: g.Tsallis(Fraction(3, 4)).exp_series(n),
     "kaniadakis 2/5": lambda g, n: g.Kaniadakis(Fraction(2, 5)).exp_series(n),
     "borges_roditi (1/2, -1/3)": lambda g, n: g.BorgesRoditi(Fraction(1, 2), Fraction(-1, 3)).exp_series(n),
-    "s_iii 4/5": lambda g, n: g.SThird(Fraction(4, 5)).exp_series(n),
+    "s_iii 4/5": EXACT_SPECS["s_iii 4/5"],
     "s_iv 3/5": lambda g, n: g.SFourth(Fraction(3, 5)).exp_series(n),
     "s_alpha_beta_q (3/4, 3/16, 7/8)": EXACT_SPECS["s_alpha_beta_q (3/4, 3/16, 7/8)"],
     "abel_exponential (1/2, -1/3)": lambda g, n: g.abel_exponential(Fraction(1, 2), Fraction(-1, 3), n),
