@@ -132,6 +132,14 @@ def _is_rational(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def _fraction(x) -> Fraction:
+    """Fraction(x), with a SpecError where Fraction raises on a nan or an infinite float."""
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError) as exc:
+        raise SpecError(f"parameters must be finite, got {x!r}") from exc
+
+
 def _as_fraction(x) -> Fraction:
     if _is_rational(x):
         return Fraction(x)
@@ -309,8 +317,8 @@ class Entropy:
     def __init__(self, kB: float = 1.0, scale_c=1):
         if not 0 < kB < math.inf:
             raise SpecError("kB must be positive and finite")
-        if scale_c <= 0:
-            raise SpecError("scale constant must be positive")
+        if not 0 < scale_c < math.inf:
+            raise SpecError("scale constant must be positive and finite")
         self.kB = float(kB)
         self.scale = scale_c  # kept rational if given rational
 
@@ -460,7 +468,7 @@ class ExponentialSum(Entropy):
         self.sigma = sigma
         self.rates = rates
         # converted here, so that a nan or an inf parameter raises at construction
-        self._exact = {Fraction(r): Fraction(k) for r, k in rates.items()}, Fraction(sigma), Fraction(scale_c)
+        self._exact = {_fraction(r): _fraction(k) for r, k in rates.items()}, _fraction(sigma), Fraction(scale_c)
         self._sigma = float(sigma)
 
     @functools.cached_property
@@ -620,7 +628,7 @@ class GroupEntropy(ExponentialSum):
         lo, hi = min(coeffs), max(coeffs)
         if coeffs[lo] == 0 or coeffs[hi] == 0:
             raise SpecError("extreme coefficients k_l, k_m must be nonzero")
-        exact = {n: Fraction(v) for n, v in coeffs.items()}
+        exact = {n: _fraction(v) for n, v in coeffs.items()}
         if sum(exact.values()) != 0 or sum(n * v for n, v in exact.items()) != 1:
             raise SpecError(
                 "generalized-log coefficients must satisfy sum k_n = 0 and "
@@ -658,8 +666,8 @@ class SAlphaBetaQ(GroupEntropy):
     def __init__(self, alpha, beta, q, kB: float = 1.0, scale_c=1):
         sigma = _q_sigma(q)
         # exact binary fractions keep the two coefficient constraints exact
-        al = Fraction(alpha)
-        be = Fraction(beta)
+        al = _fraction(alpha)
+        be = _fraction(beta)
         coeffs = {
             2: al,
             1: (1 - 3 * al + be) / 2,
@@ -756,6 +764,8 @@ class GenericEntropy(Entropy):
         a = list(a)
         if not a or all(x == 0 for x in a):
             raise SpecError("generic entropy needs a nonzero coefficient sequence")
+        if not all(_is_rational(x) or math.isfinite(x) for x in a):
+            raise SpecError("a-sequence coefficients must be finite")
         self.a = a
         self.order = len(a) if order is None else order
         self.normalized = a[0] == 1

@@ -9,6 +9,7 @@ truncation order, not approximate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -32,11 +33,7 @@ class MultiPoly:
     __slots__ = ("terms", "nvars", "order")
 
     def __init__(self, terms: dict[Monomial, Fraction], nvars: int, order: int):
-        clean = {}
-        for mono, coeff in terms.items():
-            if coeff != 0 and sum(mono) <= order:
-                clean[mono] = coeff
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items() if c and sum(m) <= order}
         self.nvars = nvars
         self.order = order
 
@@ -163,14 +160,18 @@ class GroupLaw:
     def order(self) -> int:
         return self.phi.order
 
+    @functools.cached_property
+    def _inverse(self) -> tuple[int, list[int]]:
+        """D and the integers iota_m of G(-F(x)) for ``formal_inverse``; ``group_law_from_exponential`` seeds them."""
+        G, F = (TruncatedSeries(s.coeffs, self.order) for s in (self.exp, self.log))
+        if not (G.is_normalized() and F.is_normalized()):
+            raise GroupLawError("formal inverse needs a normalized exponential and logarithm")
+        D, (e, f) = _divided_powers(G.coeffs, F.coeffs)
+        return D, _negated(e, _bell_table(f))
+
     def c_table(self) -> dict[tuple[int, int], Fraction]:
         """The coefficients c_km of Phi - (x + y)."""
-        out = {}
-        for (k, m), coeff in self.phi.terms.items():
-            if (k, m) in ((1, 0), (0, 1)):
-                continue
-            out[(k, m)] = coeff
-        return out
+        return {m: c for m, c in self.phi.terms.items() if m not in ((1, 0), (0, 1))}
 
 
 @dataclass(frozen=True)
@@ -204,11 +205,19 @@ def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> 
     Gn = TruncatedSeries(G.coeffs[: order + 1], order)
     D, (e,) = _divided_powers(Gn.coeffs)  # of a float G's exact values too, so that Phi is the exact law of Gn
     f = _reversion(_bell_table(e))
-    terms = {}
-    for a, b, p, s in _law_sums(e, _bell_table(f), D, order):
+    bell, terms = _bell_table(f), {}
+    for a, b, p, s in _law_sums(e, bell, D, order):
         if p:
             terms[(a, b)] = terms[(b, a)] = Fraction(p, s)
-    return GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=TruncatedSeries(_decode(f, D), order))
+    law = GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=TruncatedSeries(_decode(f, D), order))
+    law.__dict__["_inverse"] = D, _negated(e, bell)  # O(N) integers; the Bell table is dropped
+    return law
+
+
+def _negated(e: list[int], bell: list) -> list[int]:
+    """iota_m = sum_k (-1)^k e_k B_(m,k)(phi) of G(-F(x)), for bell = ``_bell_table(phi)`` of F."""
+    signed = [(-1) ** k * c for k, c in enumerate(e)]
+    return [sum(map(mul, signed, row)) for row in bell]
 
 
 def _law_sums(e: list[int], bell: list, D: int, order: int) -> Iterator[tuple[int, int, int, int]]:
@@ -228,8 +237,8 @@ def law_from_table(c: dict[tuple[int, int], Fraction], order: int) -> MultiPoly:
     """Phi = x + y + sum c_km x^k y^m from a user-supplied coefficient table."""
     terms: dict[Monomial, Fraction] = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
     for mono, coeff in c.items():
-        mine = terms.get(mono)
-        terms[mono] = Fraction(coeff) if mine is None else mine + Fraction(coeff)
+        coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
+        terms[mono] = terms[mono] + coeff if mono in terms else coeff
     return MultiPoly(terms, 2, order)
 
 
@@ -269,8 +278,9 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
     the lowest of P, and x times it is the lowest term of D.  If Delta is
     zero, so is P: Phi agrees with Phi* through degree N, and D, which
     depends on Phi only through degree N, vanishes through degree N.  The
-    terms -b d_bc x y^(b-1) z^c therefore stand in for D: they vanish
-    exactly when D does and share its lowest term.
+    one term -b d_bc x y^(b-1) z^c therefore stands in for D: it is absent
+    exactly when D vanishes, and it is D's lowest term, which is all that
+    ``first_violation`` reads.
 
     Tables that are not unital are checked by expanding both trivariate
     compositions.
@@ -312,14 +322,13 @@ def _symmetry_defect(phi: MultiPoly) -> MultiPoly:
 def _associativity_defect(phi: MultiPoly) -> MultiPoly:
     """Phi(x, Phi(y, z)) - Phi(Phi(x, y), z) through Phi's order N.
 
-    For a unital Phi, a polynomial with the same zero set and the same
-    lexicographically lowest term: with L(w) = sum_k c_1k w^k, F = integral
-    of 1/L, G = revert(F) and the rebuilt law Phi*(y, z) = G(F(y) + F(z)),
-    each term d_bc y^b z^c of Delta = Phi - Phi* gives -b d_bc x y^(b-1) z^c
-    (proof in ``check_axioms``).  Integers run from ``_divided_powers`` of the
+    For a unital Phi, only its lexicographically lowest term, or zero: with
+    L(w) = sum_k c_1k w^k, F = integral of 1/L, G = revert(F) and the rebuilt law
+    Phi*(y, z) = G(F(y) + F(z)), the lowest term d_bc y^b z^c of Delta = Phi - Phi*
+    gives -b d_bc x y^(b-1) z^c (proof in ``check_axioms``).  Integers run from ``_divided_powers`` of the
     integral of L (scale D, l_k = c_1k k! D^k) through F's f_(k+1) = rho_k = -sum_j
-    C(k, j) l_j rho_(k-j), one Bell table, ``_reversion`` and ``_law_sums`` to a
-    compare with c_ab and its mirror c_ba; only a term that differs becomes a Fraction.
+    C(k, j) l_j rho_(k-j), one Bell table, ``_reversion`` and ``_law_sums`` to a cross-multiplied
+    compare with every c_ab and its mirror c_ba; only the lowest term that differs becomes a Fraction.
     """
     n = phi.order
     if {m: c for m, c in phi.terms.items() if 0 in m} != {(1, 0): 1, (0, 1): 1}:
@@ -331,13 +340,16 @@ def _associativity_defect(phi: MultiPoly) -> MultiPoly:
     for k in range(1, n):
         f.append(-sum(comb(k, j) * ell[j + 1] * f[k - j + 1] for j in range(1, k + 1)))
     bell = _bell_table(f)
-    out = {}
+    low = None  # (monomial, c, p, s) of the lowest term where c != p / s
     for a, b, p, s in _law_sums(_reversion(bell), bell, D, n):
         for m in {(a, b), (b, a)}:
             d = phi.terms.get(m, 0)
-            if d.numerator * s != p * d.denominator:
-                out[(1, m[0] - 1, m[1])] = -m[0] * (d - Fraction(p, s))
-    return MultiPoly(out, 3, n)
+            if d.numerator * s != p * d.denominator and (low is None or m < low[0]):
+                low = m, d, p, s
+    if low is None:
+        return MultiPoly({}, 3, n)
+    (a, b), d, p, s = low
+    return MultiPoly({(1, a - 1, b): -a * (d - Fraction(p, s))}, 3, n)
 
 
 def formal_inverse(law: GroupLaw) -> TruncatedSeries:
@@ -345,18 +357,15 @@ def formal_inverse(law: GroupLaw) -> TruncatedSeries:
 
     For a law with logarithm F and exponential G, i(x) = G(-F(x)), in the
     divided-power form of ``_law_sums``: iota_m =
-    sum_k (-1)^k e_k B_(m,k)(phi).  The result is checked against Phi
+    sum_k (-1)^k e_k B_(m,k)(phi), which the law keeps (``GroupLaw._inverse``):
+    ``group_law_from_exponential`` makes them from its own integers, a
+    hand-built law on first use.  The result is checked against Phi
     itself, in integers: m! D^m [x^m] Phi(x, i(x)) = sum_ab c_ab a! b!
     D^(a+b) C(m, a) B_(m-a,b)(iota).  Purely formal, no claim about real
     arguments.
     """
     n = law.order
-    G, F = (TruncatedSeries(s.coeffs, n) for s in (law.exp, law.log))
-    if not (G.is_normalized() and F.is_normalized()):
-        raise GroupLawError("formal inverse needs a normalized exponential and logarithm")
-    D, (e, f) = _divided_powers(G.coeffs, F.coeffs)
-    signed = [(-1) ** k * c for k, c in enumerate(e)]
-    iota = [sum(map(mul, signed, row)) for row in _bell_table(f)]
+    D, iota = law._inverse
     powers = _bell_table(iota)
     _, terms = _integer_terms(law.phi.terms)
     closure = [0] * (n + 1)

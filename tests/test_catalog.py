@@ -584,6 +584,12 @@ class TestGenericEntropy:
         with pytest.raises(SpecError):
             GenericEntropy([])
 
+    @pytest.mark.parametrize("a", [[1, math.nan], [1, 0.5, math.inf], [math.nan], [1, -math.inf, 0]], ids=str)
+    def test_non_finite_entries_rejected(self, a):
+        # a nan entry used to pass through to a float series that gave nan everywhere
+        with pytest.raises(SpecError, match="a-sequence coefficients must be finite"):
+            GenericEntropy(a)
+
     def test_order_defaults_to_the_whole_sequence(self):
         a = [1] + [0] * 11 + [5]
         assert GenericEntropy(a).order == 13
@@ -677,6 +683,24 @@ class TestScaleConstant:
     def test_non_finite_kb(self, kB):
         with pytest.raises(SpecError):
             BoltzmannGibbs(kB=kB)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf], ids=str)
+    def test_bg_rejects_a_non_finite_scale(self, c):
+        # a nan scale passed `scale_c <= 0` and gave nan from every evaluation
+        with pytest.raises(SpecError, match="scale constant must be positive and finite"):
+            BoltzmannGibbs(scale_c=c)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf], ids=str)
+    def test_generic_rejects_a_non_finite_scale(self, c):
+        with pytest.raises(SpecError, match="scale constant must be positive and finite"):
+            GenericEntropy([1, Fraction(1, 2)], scale_c=c)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf], ids=str)
+    def test_tsallis_rejects_a_non_finite_scale(self, c):
+        # Fraction's bare ValueError or OverflowError used to escape
+        with pytest.raises(SpecError) as exc:
+            Tsallis(0.5, scale_c=c)
+        assert type(exc.value) is SpecError
 
     @pytest.mark.parametrize("c", [Fraction(2), Fraction(3, 2)], ids=str)
     @pytest.mark.parametrize(
@@ -907,19 +931,26 @@ class TestLazyTables:
         assert set(EXPONENTIAL_KINDS) == {n for n, k in KINDS.items() if k.cls.has_exponential}
 
     @pytest.mark.parametrize("kind", LAZY_KINDS)
-    @pytest.mark.parametrize("bad, error", [
-        ({"v": math.nan}, ValueError),
-        ({"v": math.inf}, OverflowError),
-        ({"scale_c": math.inf}, OverflowError),
-    ], ids=["nan", "inf", "scale_c-inf"])
-    def test_bad_parameter_raises_at_construction(self, kind, bad, error):
+    @pytest.mark.parametrize("bad", [{"v": math.nan}, {"v": math.inf}, {"scale_c": math.inf}, {"scale_c": math.nan}],
+                             ids=["nan", "inf", "scale_c-inf", "scale_c-nan"])
+    def test_bad_parameter_raises_at_construction(self, kind, bad):
+        # a SpecError, not the ValueError or OverflowError of Fraction(nan) or Fraction(inf)
         make, v = LAZY_KINDS[kind]
-        if kind == "kaniadakis" and "v" in bad:
-            error = SpecError  # kappa's range check comes first
         args = {"v": v, **bad}
         with pytest.raises(Exception) as exc:
             make(args.pop("v"), **args)
-        assert type(exc.value) is error
+        assert type(exc.value) is SpecError
+
+    @pytest.mark.parametrize("make", [
+        lambda x: GroupEntropy(Fraction(-1, 4), {3: x, 1: Fraction(1, 4), -1: Fraction(-3, 8)}),
+        lambda x: SAlphaBetaQ(x, Fraction(-1, 8), Fraction(9, 10)),
+        lambda x: SAlphaBetaQ(Fraction(1, 8), x, Fraction(9, 10)),
+    ], ids=["group_entropy-coefficient", "s_alpha_beta_q-alpha", "s_alpha_beta_q-beta"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf], ids=str)
+    def test_bad_coefficient_raises_a_spec_error(self, make, x):
+        with pytest.raises(Exception) as exc:
+            make(x)
+        assert type(exc.value) is SpecError
 
     @pytest.mark.parametrize("kind", LAZY_KINDS)
     def test_exp_series_builds_no_float_table(self, kind):

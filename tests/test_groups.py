@@ -714,3 +714,78 @@ class TestAssociativityInIntegers:
         got = _fields(phi)
         assert got == reference_check(phi.terms, order, None)
         assert got[:3] == verdict
+
+
+# the exact-laws workload's eight kinds, one parameter set each
+WORKLOAD_KINDS = {
+    "tsallis": lambda n: Tsallis(Fraction(3, 4)).exp_series(n),
+    "kaniadakis": lambda n: Kaniadakis(Fraction(2, 5)).exp_series(n),
+    "borges_roditi": lambda n: BorgesRoditi(Fraction(1, 2), Fraction(-1, 3)).exp_series(n),
+    "s_iii": lambda n: SThird(Fraction(4, 5)).exp_series(n),
+    "s_iv": lambda n: SFourth(Fraction(3, 5)).exp_series(n),
+    "s_alpha_beta_q": lambda n: SAlphaBetaQ(Fraction(3, 4), Fraction(3, 16), Fraction(7, 8)).exp_series(n),
+    "abel_exponential": lambda n: abel_exponential(Fraction(1, 2), Fraction(-1, 3), n),
+    "generic": lambda n: GenericEntropy([1, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4)], order=n).exp_series(n),
+}
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named function of ``groups``; return the live call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(groups, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(groups, name, counted)
+    return calls
+
+
+class TestInverseIntegers:
+    """A law from an exponential keeps the inverse's integers; a hand-built one makes them on first use."""
+
+    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    def test_inverse_of_a_built_law_makes_one_bell_table(self, kind, monkeypatch):
+        law = group_law_from_exponential(WORKLOAD_KINDS[kind](12))
+        calls = _count_calls(monkeypatch, "_bell_table", "_divided_powers")
+        formal_inverse(law)
+        assert calls == {"_bell_table": 1, "_divided_powers": 0}
+
+    def test_hand_built_law_makes_its_integers_once(self, monkeypatch):
+        law = group_law_from_exponential(WORKLOAD_KINDS["s_iii"](12))
+        bare = GroupLaw(law.phi, law.exp, law.log)
+        calls = _count_calls(monkeypatch, "_bell_table", "_divided_powers")
+        first = formal_inverse(bare)
+        assert calls == {"_bell_table": 2, "_divided_powers": 1}
+        assert formal_inverse(bare) == first
+        assert calls == {"_bell_table": 3, "_divided_powers": 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(exponentials(2, 10), st.booleans())
+    @example([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-2, 3)], True)
+    def test_built_and_hand_built_laws_give_one_inverse(self, g, as_float):
+        # a float G's law is the exact law of its coefficients' exact values
+        order = len(g) - 1
+        G = TruncatedSeries([float(c) for c in g] if as_float else g, order)
+        law = group_law_from_exponential(G)
+        inv, bare = formal_inverse(law), formal_inverse(GroupLaw(law.phi, law.exp, law.log))
+        assert inv.coeffs == bare.coeffs
+        assert all(type(c) is Fraction for c in inv.coeffs + bare.coeffs)
+        assert list(inv.coeffs) == recursive_inverse(law)
+
+
+class TestOneDefectTerm:
+    """A unital table's associativity defect is its lowest term alone."""
+
+    @pytest.mark.parametrize("delta", [Fraction(-3, 7), Fraction(2)], ids=str)
+    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    def test_perturbed_workload_law_at_order_12(self, kind, delta):
+        law = group_law_from_exponential(WORKLOAD_KINDS[kind](12))
+        table = law.c_table()
+        for m in ((3, 1), (1, 3)):
+            table[m] = table.get(m, 0) + delta
+        phi = law_from_table(table, 12)
+        assert len(groups._associativity_defect(law.phi).terms) == 0
+        assert len(groups._associativity_defect(phi).terms) == 1
+        chk = check_axioms(phi)
+        assert chk.associative is False
+        assert _fields(phi) == reference_check(phi.terms, 12, None)

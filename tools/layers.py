@@ -12,7 +12,12 @@ The exact sweep times ``TruncatedSeries.revert``, ``group_law_from_exponential``
 ``check_axioms`` (3 calls) and ``formal_inverse`` at total degree N = 12, 24,
 32 and 48 for four group exponentials.  ``check_axioms_perturbed`` times
 ``check_axioms`` on the law's table plus -3/7 x^2 y^2, a symmetric term that
-is no cocycle, so that associativity fails at total degree 4.  The last two
+is no cocycle, so that associativity fails at total degree 4; that law
+differs from its rebuild G(F(y) + F(z)) in one term only.
+``check_axioms_perturbed_x3y`` adds -3/7 (x^3 y + x y^3) instead, the
+exact-laws workload's other perturbation: it changes the logarithm the check
+rebuilds from, so the law differs from the rebuild in many terms, of which
+the check turns only the lowest into a ``Fraction``.  The last two
 exponentials are ``--series`` literals that bring a new prime in at each
 degree, so the divided-power scale D is their product (1155, and 111546435
 for the primes 3 to 23) rather than one small prime: the integers of the
@@ -102,14 +107,17 @@ def exact_sweep(g) -> dict:
         for n in ORDERS:
             G = build(g, n)
             law = g.group_law_from_exponential(G)
-            table = law.c_table()
+            table, x3y = law.c_table(), law.c_table()
             table[(2, 2)] = table.get((2, 2), 0) + Fraction(-3, 7)
-            perturbed = g.law_from_table(table, n)
+            for m in ((3, 1), (1, 3)):
+                x3y[m] = x3y.get(m, 0) + Fraction(-3, 7)
+            perturbed, perturbed_x3y = g.law_from_table(table, n), g.law_from_table(x3y, n)
             rows[str(n)] = {
                 "revert": median_ms(G.revert, REPEATS),
                 "group_law_from_exponential": median_ms(lambda: g.group_law_from_exponential(G), REPEATS),
                 "check_axioms": median_ms(lambda: g.check_axioms(law.phi), REPEATS // 2),
                 "check_axioms_perturbed": median_ms(lambda: g.check_axioms(perturbed), REPEATS // 2),
+                "check_axioms_perturbed_x3y": median_ms(lambda: g.check_axioms(perturbed_x3y), REPEATS // 2),
                 "formal_inverse": median_ms(lambda: g.formal_inverse(law), REPEATS),
                 "law_from_table_perturbed": median_ms(lambda: g.law_from_table(table, n), REPEATS),
             }
