@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from operator import add, itemgetter, mul
+from operator import mul
 from typing import Iterator
 
 from .series import (SeriesError, TruncatedSeries, _bell_table, _decode, _divided_powers, _reversion, common_denominator,
@@ -37,19 +37,6 @@ class MultiPoly:
         self.nvars = nvars
         self.order = order
 
-    @classmethod
-    def zero(cls, nvars: int, order: int) -> "MultiPoly":
-        return cls({}, nvars, order)
-
-    @classmethod
-    def constant(cls, value, nvars: int, order: int) -> "MultiPoly":
-        return cls({(0,) * nvars: Fraction(value)}, nvars, order)
-
-    @classmethod
-    def variable(cls, index: int, nvars: int, order: int) -> "MultiPoly":
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls({mono: Fraction(1)}, nvars, order)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -58,90 +45,11 @@ class MultiPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            mine = out.get(mono)
-            out[mono] = coeff if mine is None else mine + coeff
-        return MultiPoly(out, self.nvars, self.order)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            mine = out.get(mono)
-            # equal terms, most of a symmetry defect, cancel with no Fraction made
-            out[mono] = -coeff if mine is None else 0 if mine == coeff else mine - coeff
-        return MultiPoly(out, self.nvars, self.order)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        # Products are summed as integers over the product of the operands'
-        # common denominators, so only one Fraction is normalised per output
-        # monomial instead of one per pair of terms.
-        den1, left = _integer_terms(self.terms)
-        den2, right = _integer_terms(other.terms)
-        acc: dict[Monomial, int] = {}
-        for m1, d1, c1 in left:
-            budget = self.order - d1
-            for m2, d2, c2 in right:
-                if d2 > budget:
-                    break
-                mono = tuple(map(add, m1, m2))
-                acc[mono] = acc.get(mono, 0) + c1 * c2
-        den = den1 * den2
-        return MultiPoly(
-            {m: Fraction(c, den) for m, c in acc.items() if c}, self.nvars, self.order
-        )
-
-    def scale(self, factor) -> "MultiPoly":
-        factor = Fraction(factor)
-        return MultiPoly(
-            {m: c * factor for m, c in self.terms.items()}, self.nvars, self.order
-        )
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
     def iter_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(sorted(self.terms.items()))
 
-    def swap(self, i: int, j: int) -> "MultiPoly":
-        """Exchange two variables."""
-        out = {}
-        for mono, coeff in self.terms.items():
-            m = list(mono)
-            m[i], m[j] = m[j], m[i]
-            out[tuple(m)] = coeff
-        return MultiPoly(out, self.nvars, self.order)
-
-    substitute_univariate = None  # never called: benchmark/spans.py wraps MultiPoly.substitute_univariate by name, so it stays bound
-
-    def substitute_pair(self, a: "MultiPoly", b: "MultiPoly") -> "MultiPoly":
-        """Evaluate a bivariate self at (a, b), both with zero constant term."""
-        if self.nvars != 2:
-            raise SeriesError("substitute_pair needs a bivariate polynomial")
-        nvars, order = a.nvars, a.order
-        zero_mono = (0,) * nvars
-        if a.coefficient(zero_mono) != 0 or b.coefficient(zero_mono) != 0:
-            raise SeriesError("substitution requires zero constant terms")
-        max_deg = max((sum(m) for m in self.terms), default=0)
-        pow_a = [MultiPoly.constant(1, nvars, order)]
-        pow_b = [MultiPoly.constant(1, nvars, order)]
-        for _ in range(max_deg):
-            pow_a.append(pow_a[-1] * a)
-            pow_b.append(pow_b[-1] * b)
-        out = MultiPoly.zero(nvars, order)
-        for (i, j), coeff in self.terms.items():
-            out = out + (pow_a[i] * pow_b[j]).scale(coeff)
-        return out
-
-
-def _integer_terms(terms: dict[Monomial, Fraction]) -> tuple[int, list[tuple[Monomial, int, int]]]:
-    """A common denominator D and (monomial, degree, numerator) by degree.
-
-    Each coefficient equals numerator / D exactly.
-    """
-    den, nums = common_denominator(list(terms.values()))
-    return den, sorted(zip(terms, map(sum, terms), nums), key=itemgetter(1))
+    # never called: benchmark/spans.py wraps these three by name, so they stay bound
+    substitute_univariate = substitute_pair = __mul__ = None
 
 
 class GroupLawError(ValueError):
@@ -282,21 +190,22 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
     exactly when D vanishes, and it is D's lowest term, which is all that
     ``first_violation`` reads.
 
-    Tables that are not unital are checked by expanding both trivariate
-    compositions.
+    Tables that are not unital expand both trivariate compositions from one
+    table of Phi's powers.
     """
     if assoc_order is None:
         assoc_order = phi.order
     if not 0 <= assoc_order <= phi.order:
         raise GroupLawError(f"assoc_order must be in 0..{phi.order}, got {assoc_order}")
-    # Phi(x, 0): drop every term containing y
-    at_zero = MultiPoly({m: c for m, c in phi.terms.items() if m[1] == 0}, 2, phi.order)
+    # Phi(x, 0) - x: the terms free of y, less x
+    at_zero = {m: c for m, c in phi.terms.items() if m[1] == 0}
+    at_zero[1, 0] = at_zero.get((1, 0), 0) - Fraction(1)
     phi_n = phi if assoc_order == phi.order else MultiPoly(
         {m: c for m, c in phi.terms.items() if sum(m) <= assoc_order}, 2, assoc_order
     )
     defects = {
         "symmetry": _symmetry_defect(phi),
-        "null-composability": at_zero - MultiPoly.variable(0, 2, phi.order),
+        "null-composability": MultiPoly(at_zero, 2, phi.order),
         "associativity": _associativity_defect(phi_n),
     }
     symmetric, null_composable, associative = (not d.terms for d in defects.values())
@@ -328,13 +237,12 @@ def _associativity_defect(phi: MultiPoly) -> MultiPoly:
     gives -b d_bc x y^(b-1) z^c (proof in ``check_axioms``).  Integers run from ``_divided_powers`` of the
     integral of L (scale D, l_k = c_1k k! D^k) through F's f_(k+1) = rho_k = -sum_j
     C(k, j) l_j rho_(k-j), one Bell table, ``_reversion`` and ``_law_sums`` to a cross-multiplied
-    compare with every c_ab and its mirror c_ba; only the lowest term that differs becomes a Fraction.
+    compare with each c_ab and its mirror c_ba, row by row until the row past the lowest term that
+    differs; only that term becomes a Fraction.  Tables that are not unital: ``_expanded_defect``.
     """
     n = phi.order
     if {m: c for m, c in phi.terms.items() if 0 in m} != {(1, 0): 1, (0, 1): 1}:
-        x, y, z = (MultiPoly.variable(i, 3, n) for i in range(3))
-        left = phi.substitute_pair(x, phi.substitute_pair(y, z))
-        return left - phi.substitute_pair(phi.substitute_pair(x, y), z)
+        return _expanded_defect(phi)
     D, (ell,) = _divided_powers([0] + [Fraction(phi.terms.get((1, k), 0), k + 1) for k in range(n)])
     f = [0, 1]
     for k in range(1, n):
@@ -342,6 +250,8 @@ def _associativity_defect(phi: MultiPoly) -> MultiPoly:
     bell = _bell_table(f)
     low = None  # (monomial, c, p, s) of the lowest term where c != p / s
     for a, b, p, s in _law_sums(_reversion(bell), bell, D, n):
+        if low is not None and a > low[0][0]:
+            break  # row a yields first indices a and up, none below the lowest found
         for m in {(a, b), (b, a)}:
             d = phi.terms.get(m, 0)
             if d.numerator * s != p * d.denominator and (low is None or m < low[0]):
@@ -350,6 +260,32 @@ def _associativity_defect(phi: MultiPoly) -> MultiPoly:
         return MultiPoly({}, 3, n)
     (a, b), d, p, s = low
     return MultiPoly({(1, a - 1, b): -a * (d - Fraction(p, s))}, 3, n)
+
+
+def _expanded_defect(phi: MultiPoly) -> MultiPoly:
+    """Phi(x, Phi(y, z)) - Phi(Phi(x, y), z) through Phi's order N, every term.
+
+    From one table of the powers P_k = Phi^k through degree N, the left side is
+    sum c_ij x^i P_j(y, z) and the right side sum c_ij P_i(x, y) z^j.
+    """
+    n, terms = phi.order, phi.terms
+    if (0, 0) in terms:
+        raise SeriesError("substitution requires zero constant terms")
+    powers = [{(0, 0): Fraction(1)}]
+    for _ in range(max((max(m) for m in terms), default=0)):  # P_k is read for k up to Phi's largest exponent
+        power = {}
+        for (a, b), p in powers[-1].items():
+            for (i, j), c in terms.items():
+                if a + b + i + j <= n:
+                    power[a + i, b + j] = power.get((a + i, b + j), 0) + p * c
+        powers.append(power)
+    out = {}
+    for (i, j), c in terms.items():
+        for (a, b), p in powers[j].items():
+            out[i, a, b] = out.get((i, a, b), 0) + c * p
+        for (a, b), p in powers[i].items():
+            out[a, b, j] = out.get((a, b, j), 0) - c * p
+    return MultiPoly(out, 3, n)
 
 
 def formal_inverse(law: GroupLaw) -> TruncatedSeries:
@@ -367,9 +303,9 @@ def formal_inverse(law: GroupLaw) -> TruncatedSeries:
     n = law.order
     D, iota = law._inverse
     powers = _bell_table(iota)
-    _, terms = _integer_terms(law.phi.terms)
+    _, nums = common_denominator(list(law.phi.terms.values()))
     closure = [0] * (n + 1)
-    for (a, b), _, c in terms:
+    for (a, b), c in zip(law.phi.terms, nums):
         c *= factorial(a) * factorial(b) * D ** (a + b)
         for m in range(b, n + 1 - a):
             closure[a + m] += c * comb(a + m, a) * powers[m][b]

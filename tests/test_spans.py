@@ -5,6 +5,7 @@ break ``benchmark/run.py --trace 1``; this test fails first.  It reads
 ``benchmark/`` and changes nothing in it.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -52,3 +53,21 @@ def test_traced_names_resolve_and_are_restored():
     assert after.keys() == before.keys()
     for key, names in before.items():
         assert [n for n, v in names.items() if after[key].get(n) is not v] == [], key
+
+
+def test_every_none_placeholder_is_a_span_target():
+    """A gentropy name bound to None is there only for a span to wrap, so it goes when its span does."""
+    targets = set(load_spans().TARGETS.values())
+    placeholders = set()
+    for modname, module in list(sys.modules.items()):
+        if modname == "gentropy" or modname.startswith("gentropy."):
+            placeholders |= {(modname, attr) for attr, value in vars(module).items() if value is None}
+            for name, cls in vars(module).items():
+                if isinstance(cls, type) and cls.__module__ == modname:
+                    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+                    placeholders |= {
+                        (modname, f"{name}.{attr}")
+                        for attr, value in vars(cls).items()
+                        if value is None and attr != "__doc__" and attr not in fields
+                    }
+    assert placeholders - targets == set()
