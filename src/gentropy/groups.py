@@ -16,8 +16,8 @@ from math import comb, factorial
 from operator import mul
 from typing import Iterator
 
-from .series import (SeriesError, TruncatedSeries, _bell_table, _decode, _divided_powers, _reversion, common_denominator,
-                     exponential_sum_a_sequence, from_a_sequence)
+from .series import (SeriesError, TruncatedSeries, _bell_table, _decode, _divided_powers, _reversion, _scaled,
+                     common_denominator, exponential_sum_a_sequence, from_a_sequence)
 
 Monomial = tuple[int, ...]
 
@@ -99,8 +99,8 @@ class LawAxiomCheck:
 def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> GroupLaw:
     """Construct Phi(x, y) = G(F(x) + F(y)) truncated at total degree.
 
-    F = revert(G), exact also for a float G.  The integer route runs from G's
-    ``_divided_powers`` through F's ``_reversion`` to ``_law_sums``, one Fraction per term.
+    F = revert(G), exact also for a float G.  The integer route runs from G's ``_divided_powers``
+    through F's table, solved row by row in one ``_bell_table`` pass, to ``_law_sums``, one Fraction per term.
     """
     if order is None:
         order = G.order
@@ -112,12 +112,11 @@ def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> 
         raise GroupLawError("requested order exceeds the exponential's order")
     Gn = TruncatedSeries(G.coeffs[: order + 1], order)
     D, (e,) = _divided_powers(Gn.coeffs)  # of a float G's exact values too, so that Phi is the exact law of Gn
-    f = _reversion(_bell_table(e))
-    bell, terms = _bell_table(f), {}
+    bell, terms = _bell_table(e, inverse=True), {}  # F's integers are its column 1
     for a, b, p, s in _law_sums(e, bell, D, order):
         if p:
             terms[(a, b)] = terms[(b, a)] = Fraction(p, s)
-    law = GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=TruncatedSeries(_decode(f, D), order))
+    law = GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=TruncatedSeries(_decode([r[1] for r in bell], D), order))
     law.__dict__["_inverse"] = D, _negated(e, bell)  # O(N) integers; the Bell table is dropped
     return law
 
@@ -139,6 +138,13 @@ def _law_sums(e: list[int], bell: list, D: int, order: int) -> Iterator[tuple[in
         v = [sum(map(mul, e[i : i + a + 1], bell[a])) for i in range(order - a + 1)]
         for b in range(max(a, 1), order - a + 1):
             yield a, b, sum(map(mul, v[: b + 1], bell[b])), up[a] * up[b] // D
+
+
+def _require_rational(phi: MultiPoly) -> None:
+    """GroupLawError at the lowest monomial whose coefficient is not an ``int`` or a ``Fraction``."""
+    if not {int, Fraction}.issuperset(map(type, phi.terms.values())):
+        m = min(m for m, c in phi.terms.items() if type(c) not in (int, Fraction))
+        raise GroupLawError(f"coefficient {phi.terms[m]!r} of monomial {m} is not an int or a Fraction")
 
 
 def law_from_table(c: dict[tuple[int, int], Fraction], order: int) -> MultiPoly:
@@ -197,6 +203,7 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
         assoc_order = phi.order
     if not 0 <= assoc_order <= phi.order:
         raise GroupLawError(f"assoc_order must be in 0..{phi.order}, got {assoc_order}")
+    _require_rational(phi)
     # Phi(x, 0) - x: the terms free of y, less x
     at_zero = {m: c for m, c in phi.terms.items() if m[1] == 0}
     at_zero[1, 0] = at_zero.get((1, 0), 0) - Fraction(1)
@@ -234,8 +241,8 @@ def _associativity_defect(phi: MultiPoly) -> MultiPoly:
     For a unital Phi, only its lexicographically lowest term, or zero: with
     L(w) = sum_k c_1k w^k, F = integral of 1/L, G = revert(F) and the rebuilt law
     Phi*(y, z) = G(F(y) + F(z)), the lowest term d_bc y^b z^c of Delta = Phi - Phi*
-    gives -b d_bc x y^(b-1) z^c (proof in ``check_axioms``).  Integers run from ``_divided_powers`` of the
-    integral of L (scale D, l_k = c_1k k! D^k) through F's f_(k+1) = rho_k = -sum_j
+    gives -b d_bc x y^(b-1) z^c (proof in ``check_axioms``).  Integers run from ``_scaled`` of the integral of
+    L as pairs (num c_1k, den c_1k (k + 1)) (scale D, l_k = c_1k k! D^k) through F's f_(k+1) = rho_k = -sum_j
     C(k, j) l_j rho_(k-j), one Bell table, ``_reversion`` and ``_law_sums`` to a cross-multiplied
     compare with each c_ab and its mirror c_ba, row by row until the row past the lowest term that
     differs; only that term becomes a Fraction.  Tables that are not unital: ``_expanded_defect``.
@@ -243,7 +250,8 @@ def _associativity_defect(phi: MultiPoly) -> MultiPoly:
     n = phi.order
     if {m: c for m, c in phi.terms.items() if 0 in m} != {(1, 0): 1, (0, 1): 1}:
         return _expanded_defect(phi)
-    D, (ell,) = _divided_powers([0] + [Fraction(phi.terms.get((1, k), 0), k + 1) for k in range(n)])
+    L = [phi.terms.get((1, k), 0) for k in range(n)]
+    D, (ell,) = _scaled([(0, 1)] + [(c.numerator, c.denominator * (k + 1)) for k, c in enumerate(L)])
     f = [0, 1]
     for k in range(1, n):
         f.append(-sum(comb(k, j) * ell[j + 1] * f[k - j + 1] for j in range(1, k + 1)))
@@ -300,6 +308,7 @@ def formal_inverse(law: GroupLaw) -> TruncatedSeries:
     D^(a+b) C(m, a) B_(m-a,b)(iota).  Purely formal, no claim about real
     arguments.
     """
+    _require_rational(law.phi)
     n = law.order
     D, iota = law._inverse
     powers = _bell_table(iota)

@@ -38,15 +38,17 @@ def common_denominator(values: Sequence) -> tuple[int, list[int]] | None:
 
 
 def _divided_powers(*series: Sequence) -> tuple[int, list[list[int]]]:
-    """A graded scale D and each series' integers e_k = c_k k! D^(k-1).
+    """A graded scale D and each series' integers e_k = c_k k! D^(k-1): ``_scaled`` of c_k's exact ratios."""
+    return _scaled(*([c.as_integer_ratio() for c in s] for s in series))
 
-    Each series has c_0 = 0 and an integer c_1.  At degree k, D takes in the
-    part u of den(c_k k!) that D^(k-1) misses, as its exact integer root of
-    the highest order t <= k - 1 (integer Newton steps: u may pass the float
-    range).  Tsallis q = 3/7 gets D = 7, not the lcm 7^(N-1) of the
-    denominators; with k! in e_k, no prime up to N enters D just for k!.
+
+def _scaled(*ratios: Sequence[tuple[int, int]]) -> tuple[int, list[list[int]]]:
+    """``_divided_powers`` of series given by pairs (p_k, d_k), c_k = p_k / d_k, in lowest terms or not.
+
+    Each series has c_0 = 0 and an integer c_1.  At degree k, D takes in the part u of den(c_k k!) that D^(k-1)
+    misses, as its exact integer root of the highest order t <= k - 1 (integer Newton steps: u may pass the float
+    range).  Tsallis q = 3/7 gets D = 7, not the lcm 7^(N-1); with k! in e_k, no prime up to N enters D for k!.
     """
-    ratios = ([c.as_integer_ratio() for c in s] for s in series)  # exact for a float too
     scaled = [[(p * factorial(k), d) for k, (p, d) in enumerate(r)] for r in ratios]
     D = 1
     for k in range(2, len(scaled[0])):
@@ -67,19 +69,24 @@ def _decode(e: Sequence[int], D: int) -> list[Fraction]:
     return [Fraction(v * D, factorial(k) * D ** k) for k, v in enumerate(e)]
 
 
-def _bell_table(e: Sequence[int]) -> list[tuple[int, ...]]:
-    """Rows ``B[m][k]`` = B_(m,k)(e), the partial Bell polynomials, k, m <= N.
+def _bell_table(e: Sequence[int], inverse: bool = False) -> list[tuple[int, ...]]:
+    """Partial Bell polynomials ``B[m][k]`` = B_(m,k)(f), k, m <= N, as rows, of f = e or, with ``inverse``, revert(e).
 
-    B_(m,k) = m! [t^m] g^k / k! for g = sum_i e_i t^i / i!, zero for k > m,
-    by B_(m,k) = sum_i C(m-1, i-1) e_i B_(m-i,k-1) on rows of weights
-    C(m-1, i-1) e_i made once.
+    B_(m,k) = m! [t^m] f^k / k! for f = sum_i f_i t^i / i!, zero for k > m, row by row (m ascending) by
+    B_(m,k) = sum_i C(m-1, i-1) f_i B_(m-i,k-1); for k >= 2, row m reads only f_1..f_(m-1).  Composing
+    with e (e_1 = 1) gives sum_k e_k B_(m,k)(f) = 0 at m >= 2 for f = revert(e), so row m solves
+    f_m = -sum_(k=2..m) e_k B_(m,k)(f) from its own entries; column 1, B_(m,1) = f_m, holds the integers of f.
     """
     n = len(e) - 1
-    weights = [[comb(m - 1, j) * e[m - j] for j in range(m)] for m in range(n + 1)]
-    cols = [[1] + [0] * n]
-    for k in range(1, n + 1):
-        cols.append([0] * k + [sum(map(mul, weights[m][k - 1:], cols[-1][k - 1:m])) for m in range(k, n + 1)])
-    return list(zip(*cols))
+    f = [0, 1] + [0] * (n - 1) if inverse else [0, *e[1:]]
+    cols = [[1] + [0] * n, f] + [[0] * (n + 1) for _ in range(n - 1)]
+    for m in range(2, n + 1):
+        weights = [comb(m - 1, j) * f[m - j] for j in range(1, m)]
+        for k in range(2, m + 1):
+            cols[k][m] = sum(map(mul, weights[k - 2 :], cols[k - 1][k - 1 : m]))
+        if inverse:
+            f[m] = -sum(e[k] * cols[k][m] for k in range(2, m + 1))
+    return list(zip(*cols[: n + 1]))
 
 
 def _reversion(bell: Sequence[Sequence[int]]) -> list[int]:
@@ -224,18 +231,17 @@ class TruncatedSeries:
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse of a normalized group series.
 
-        Solves coefficient-by-coefficient for f with f(self(t)) = t; the
-        triangular recursion is the workhorse form of Lagrange inversion.  It
-        runs in divided-power form (``_reversion``) on the coefficients' exact
-        values; a series with a float coefficient gets that inverse rounded to
-        floats once.
+        Solves coefficient-by-coefficient for f with self(f(t)) = t, the workhorse form of Lagrange
+        inversion, in divided-power form on the coefficients' exact values: one ``_bell_table`` pass
+        solves f_m from row m of f's own table.  A series with a float coefficient gets that inverse
+        rounded to floats once.
         """
         if not self.is_normalized():
             raise SeriesError(
                 "reversion requires a normalized series (g(0)=0, g'(0)=1)"
             )
         D, (e,) = _divided_powers(self.coeffs)
-        inv = TruncatedSeries(_decode(_reversion(_bell_table(e)), D), self.order)
+        inv = TruncatedSeries(_decode([row[1] for row in _bell_table(e, inverse=True)], D), self.order)
         return inv if {int, Fraction}.issuperset(map(type, self.coeffs)) else inv.to_float()
 
     # -- evaluation -----------------------------------------------------------

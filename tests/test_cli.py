@@ -771,6 +771,20 @@ class TestUsageErrors:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "--order" in errors[0] and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--entropy", "borges_roditi", "--a", "1/2", "--b", "1/2", "--dist", "uniform:4"],
+            ["group-law", "--entropy", "borges_roditi", "--a", "1/2", "--b", "1/2"],
+        ],
+        ids=["eval", "group-law"],
+    )
+    def test_borges_roditi_refuses_equal_parameters(self, capsys, argv):
+        # a = b is the confluent limit G(t) = t e^(at), not a sum of distinct rates
+        code, out, err = run(capsys, *argv)
+        assert is_usage_error(code, out, err)
+        assert err == "error: Borges-Roditi needs distinct parameters a != b\n"
+
     def test_order_zero_keeps_its_behaviour(self, capsys):
         code, out, err = run(capsys, "expand", "--entropy", "s_iii", "--q", "4/5", "--order", "0",
                              "--count", "2")

@@ -25,7 +25,7 @@ from gentropy.groups import (
     group_law_from_exponential,
     law_from_table,
 )
-from gentropy.series import TruncatedSeries, _divided_powers, from_a_sequence
+from gentropy.series import TruncatedSeries, _bell_table, _divided_powers, _reversion, from_a_sequence
 from test_acceptance import exponential_catalog
 
 ORACLES = Path(__file__).resolve().parents[1] / "benchmark" / "oracles.py"
@@ -195,3 +195,14 @@ def test_an_inverse_needs_normalized_series():
     half = TruncatedSeries([0, F(1, 2), *law.log.coeffs[2:]], 6)
     with pytest.raises(GroupLawError, match="normalized"):
         formal_inverse(GroupLaw(phi=law.phi, exp=law.exp, log=half))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=18))
+def test_one_pass_solves_the_reversion_and_its_table(tail):
+    # e_0 = 0 and e_1 = 1, orders 1 to 19: the single pass against the two it replaces
+    e = [0, 1, *tail]
+    table = _bell_table(e, inverse=True)
+    f = _reversion(_bell_table(e))
+    assert [row[1] for row in table] == f
+    assert table == _bell_table(f)

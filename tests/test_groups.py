@@ -761,6 +761,14 @@ class TestInverseIntegers:
         assert formal_inverse(bare) == first
         assert calls == {"_bell_table": 3, "_divided_powers": 1}
 
+    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    def test_a_law_from_an_exponential_makes_one_bell_table(self, kind, monkeypatch):
+        # F's integers are solved row by row while F's table is built; G's table is never made
+        G = WORKLOAD_KINDS[kind](12)
+        calls = _count_calls(monkeypatch, "_bell_table", "_divided_powers")
+        group_law_from_exponential(G)
+        assert calls == {"_bell_table": 1, "_divided_powers": 1}
+
     @settings(max_examples=40, deadline=None)
     @given(exponentials(2, 10), st.booleans())
     @example([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-2, 3)], True)
@@ -808,3 +816,31 @@ class TestOneDefectTerm:
         got = _fields(phi)
         assert sorted(set(rows)) == [0, 1, 2, 3]
         assert got == reference_check(phi.terms, 12, None)
+
+
+class TestNonRationalCoefficients:
+    """A coefficient that is not an int or a Fraction is refused by name, not by a TypeError."""
+
+    @pytest.mark.parametrize(
+        "terms",
+        [{(1, 1): 0.5, (2, 1): 0.25}, {(1, 1): Fraction(1, 2), (2, 1): 0.25, (3, 0): 1.5}],
+        ids=["unital", "not unital"],
+    )
+    def test_check_axioms_names_the_first_float(self, terms):
+        phi = MultiPoly({(1, 0): 1, (0, 1): 1, **terms}, 2, 6)
+        first = min(m for m, c in terms.items() if type(c) is float)
+        with pytest.raises(GroupLawError, match=rf"coefficient {terms[first]} of monomial \({first[0]}, {first[1]}\)"):
+            check_axioms(phi)
+
+    def test_formal_inverse_names_the_first_float(self):
+        law = group_law_from_exponential(SThird(Fraction(4, 5)).exp_series(6))
+        terms = dict(law.phi.terms)
+        terms[2, 2], terms[1, 3] = 0.125, 2.0
+        bent = GroupLaw(MultiPoly(terms, 2, 6), law.exp, law.log)
+        with pytest.raises(GroupLawError, match=r"coefficient 2.0 of monomial \(1, 3\) is not an int or a Fraction"):
+            formal_inverse(bent)
+
+    def test_law_from_table_still_reads_floats_exactly(self):
+        phi = law_from_table({(1, 1): 0.5, (2, 1): 0.25}, 6)
+        assert phi.terms == law_from_table({(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4)}, 6).terms
+        assert check_axioms(phi) == check_axioms(law_from_table({(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4)}, 6))
