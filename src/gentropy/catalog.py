@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
@@ -410,7 +411,7 @@ class Entropy:
             raise UnsupportedRepresentation(f"{self.name} has no generalized logarithm")
         # math.exp, not np.exp: their last bits differ on some doubles, and Z keeps them
         f = self.F(y)
-        return np.array([math.exp(v) for v in f.tolist()]) if np.ndim(f) else math.exp(f)
+        return np.array(list(map(math.exp, f.tolist()))) if np.ndim(f) else math.exp(f)
 
     # -- composition rule ------------------------------------------------------
 
@@ -474,7 +475,12 @@ class ExponentialSum(Entropy):
     @functools.cached_property
     def _terms(self):
         """The terms of sigma G, G', G'', of G exactly and of h', made on first float use: the exact
-        a-sequence reads none of them."""
+        a-sequence reads none of them.
+
+        Each float is one int / int true division of products of the integer parts of r, k, sigma
+        and c.  That division is correctly rounded, as ``float`` of the exact ``Fraction`` is, and
+        every denominator is positive, so a zero weight is +0.0.
+        """
         exact, s, c = self._exact
         # rates r, r' with weights k, -k and 0 < |r - r'| < max(|r|, |r'|) / 2 are summed as one pair
         single, pairs = dict(exact), []
@@ -483,16 +489,28 @@ class ExponentialSum(Entropy):
             if r in single and mate is not None:
                 pairs.append((r, mate))
                 del single[r], single[mate]
+        # 1/sigma = u / v and c = m / n with v, n > 0; a weight w(r) of r = a / b is (numerator, denominator > 0)
+        u, v = (s.denominator, s.numerator) if s > 0 else (-s.denominator, -s.numerator)
+        m, n = c.as_integer_ratio()
 
-        def terms(weight, to=float):
+        def terms(weight, to=operator.truediv):
             """(r, k w(r)) of each single rate, (r', r - r', k w(r), k w(r) - k w(r')) of each pair."""
-            return (tuple((to(r), to(k * weight(r))) for r, k in single.items())
-                    + tuple((to(q), to(r - q), to(exact[r] * weight(r)), to(exact[r] * (weight(r) - weight(q))))
-                            for r, q in pairs))
+            out = []
+            for r, k in single.items():
+                (a, b), (kn, kd) = r.as_integer_ratio(), k.as_integer_ratio()
+                p, d = weight(a, b)
+                out.append((to(a, b), to(kn * p, kd * d)))
+            for r, q in pairs:
+                (a, b), (a2, b2), (kn, kd) = r.as_integer_ratio(), q.as_integer_ratio(), exact[r].as_integer_ratio()
+                (p, d), (p2, d2) = weight(a, b), weight(a2, b2)
+                out.append((to(a2, b2), to(a * b2 - a2 * b, b * b2), to(kn * p, kd * d),
+                            to(kn * (p * d2 - p2 * d), kd * d * d2)))
+            return tuple(out)
 
-        # each weight rounded once; h' = G' - G'' at scale c, as one sum over e^(r c t)
-        return {"G": terms(lambda r: 1), "dG": terms(lambda r: r / s), "d2G": terms(lambda r: r * r / s),
-                "G_exact": terms(lambda r: 1 / s, Fraction), "dh": terms(lambda r: -c * r * (c * r - 1) / s)}
+        # h' = G' - G'' at scale c, as one sum over e^(r c t)
+        return {"G": terms(lambda a, b: (1, 1)), "dG": terms(lambda a, b: (a * u, b * v)),
+                "d2G": terms(lambda a, b: (a * a * u, b * b * v)), "G_exact": terms(lambda a, b: (u, v), Fraction),
+                "dh": terms(lambda a, b: (-m * a * (m * a - n * b) * u, n * n * b * b * v))}
 
     @staticmethod
     def _sum(func, terms, t):

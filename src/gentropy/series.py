@@ -76,17 +76,20 @@ def _bell_table(e: Sequence[int], inverse: bool = False) -> list[tuple[int, ...]
     B_(m,k) = sum_i C(m-1, i-1) f_i B_(m-i,k-1); for k >= 2, row m reads only f_1..f_(m-1).  Composing
     with e (e_1 = 1) gives sum_k e_k B_(m,k)(f) = 0 at m >= 2 for f = revert(e), so row m solves
     f_m = -sum_(k=2..m) e_k B_(m,k)(f) from its own entries; column 1, B_(m,1) = f_m, holds the integers of f.
+    With ``inverse`` the rows stop at column K, e's last nonzero index: every reader weights column k by e_k
+    or by e at a higher index, so the columns past K are left out.
     """
     n = len(e) - 1
+    K = max(k for k, v in enumerate(e) if v) if inverse else n
     f = [0, 1] + [0] * (n - 1) if inverse else [0, *e[1:]]
-    cols = [[1] + [0] * n, f] + [[0] * (n + 1) for _ in range(n - 1)]
+    cols = [[1] + [0] * n, f] + [[0] * (n + 1) for _ in range(K - 1)]
     for m in range(2, n + 1):
         weights = [comb(m - 1, j) * f[m - j] for j in range(1, m)]
-        for k in range(2, m + 1):
+        for k in range(2, min(m, K) + 1):
             cols[k][m] = sum(map(mul, weights[k - 2 :], cols[k - 1][k - 1 : m]))
         if inverse:
-            f[m] = -sum(e[k] * cols[k][m] for k in range(2, m + 1))
-    return list(zip(*cols[: n + 1]))
+            f[m] = -sum(e[k] * cols[k][m] for k in range(2, min(m, K) + 1))
+    return list(zip(*cols[: K + 1]))
 
 
 def _reversion(bell: Sequence[Sequence[int]]) -> list[int]:

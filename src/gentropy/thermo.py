@@ -131,8 +131,8 @@ def extensivity_check(
     # W rounded to an integer where it fits in a double; math.exp and math.log
     # elementwise, as their last bits differ from numpy's on some doubles
     fits = lw[lw < _MAX_EXP].tolist()
-    w_round = [max(1.0, round(math.exp(v))) for v in fits]
-    r_resid = np.abs(kB * spec.G(np.array([math.log(w) for w in w_round])) - kB * N[:len(fits)])
+    w_round = np.maximum(1.0, np.rint(list(map(math.exp, fits))))  # rint rounds half to even, as round does
+    r_resid = np.abs(kB * spec.G(np.array(list(map(math.log, w_round.tolist())))) - kB * N[:len(fits)])
     rows = list(zip(N.tolist(), lw.tolist(), s.tolist(), resid.tolist(),
                     r_resid.tolist() + [None] * (N_max - len(fits))))
     return ExtensivityReport(float(np.fmax.reduce(resid, initial=0.0)),

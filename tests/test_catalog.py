@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from target_u_oracle import _bracket
+from terms_reference import fraction_terms
 
 from gentropy import catalog
 from gentropy.catalog import (
@@ -952,6 +953,22 @@ class TestLazyTables:
         assert "_terms" not in vars(spec) and "_G_long_terms" not in vars(spec)
         spec.G(0.5)
         assert "_terms" in vars(spec)
+
+    @pytest.mark.parametrize("kB", [1.0, 2.0], ids=str)
+    @pytest.mark.parametrize("c", [1, Fraction(3, 2)], ids=str)
+    # sigma < 0 in both; s_iii 4/3 at c = 3/2 has the h' weight 0 at its rate 2/3 (c r = 1)
+    @pytest.mark.parametrize("kind", [*LAZY_KINDS, "tsallis 3/2", "s_iii 4/3"])
+    def test_tables_are_the_rounded_fraction_tables(self, kind, c, kB):
+        # each float is int / int, bit for bit float() of the exact Fraction, with the sign of a zero
+        make, v = {**LAZY_KINDS, "tsallis 3/2": (Tsallis, Fraction(3, 2)), "s_iii 4/3": (SThird, Fraction(4, 3))}[kind]
+        spec = make(v, kB=kB, scale_c=c)
+        terms, reference = spec._terms, fraction_terms(spec)
+        assert terms.keys() == reference.keys()
+        for name in ("G", "dG", "d2G", "dh"):
+            assert [list(map(float.hex, term)) for term in terms[name]] == \
+                [list(map(float.hex, term)) for term in reference[name]], name
+        assert terms["G_exact"] == reference["G_exact"]
+        assert all(type(x) is Fraction for term in terms["G_exact"] for x in term)
 
     @pytest.mark.parametrize("c", [1, Fraction(3, 2)], ids=str)
     @pytest.mark.parametrize("kind", EXPONENTIAL_KINDS)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentropy.catalog import BorgesRoditi, Kaniadakis, SAlphaBetaQ, SThird, Tsallis
+from gentropy.catalog import BorgesRoditi, GenericEntropy, Kaniadakis, SAlphaBetaQ, SThird, Tsallis
 from gentropy.cli import KINDS
 from gentropy.groups import (
     GroupLaw,
@@ -24,8 +24,11 @@ from gentropy.groups import (
     formal_inverse,
     group_law_from_exponential,
     law_from_table,
+    _law_sums,
+    _negated,
 )
-from gentropy.series import TruncatedSeries, _bell_table, _divided_powers, _reversion, from_a_sequence
+from gentropy.series import (TruncatedSeries, _bell_table, _divided_powers, _reversion, from_a_sequence,
+                             normalized_from_literal)
 from test_acceptance import exponential_catalog
 
 ORACLES = Path(__file__).resolve().parents[1] / "benchmark" / "oracles.py"
@@ -205,4 +208,27 @@ def test_one_pass_solves_the_reversion_and_its_table(tail):
     table = _bell_table(e, inverse=True)
     f = _reversion(_bell_table(e))
     assert [row[1] for row in table] == f
-    assert table == _bell_table(f)
+    # the single pass stops at column K, e's last nonzero index; columns 0..K are f's whole table's
+    K = max(k for k, v in enumerate(e) if v)
+    assert table == [row[: K + 1] for row in _bell_table(f)]
+
+
+CUT_TABLE_SERIES = [(spec.name, spec.exp_series) for spec in exponential_catalog()] + [
+    ("generic (1, 1/2, -1/3, 3/4)",
+     lambda n: GenericEntropy([1, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4)], order=n).exp_series(n)),
+    ("series 1, 1/3, 1/5, ..., 1/23",
+     lambda n: normalized_from_literal("1, 1/3, 1/5, 1/7, 1/11, 1/13, 1/17, 1/19, 1/23", n)),
+]
+
+
+@pytest.mark.parametrize("order", [12, 24, 48])
+@pytest.mark.parametrize("series", [build for _, build in CUT_TABLE_SERIES], ids=[name for name, _ in CUT_TABLE_SERIES])
+def test_the_cut_table_gives_the_whole_tables_integers(series, order):
+    # F's integers, the law's sums and the inverse's integers read no column of F's table past K
+    D, (e,) = _divided_powers(series(order).coeffs)
+    cut = _bell_table(e, inverse=True)
+    f = _reversion(_bell_table(e))
+    whole = _bell_table(f)
+    assert [row[1] for row in cut] == f
+    assert list(_law_sums(e, cut, D, order)) == list(_law_sums(e, whole, D, order))
+    assert _negated(e, cut) == _negated(e, whole)

@@ -1,9 +1,10 @@
-"""Per-layer sweep of the exact group-law engine and of the float MaxEnt and occupation-law layers.
+"""Per-layer sweep of the exact group-law engine, the float MaxEnt and occupation-law layers, and a spec's fixed cost.
 
-Runs both sweeps in-process and prints one JSON object: the git sha of the
+Runs three sweeps in-process and prints one JSON object: the git sha of the
 checkout timed, the machine (nproc, Python and numpy versions), and under
 "ms" the median milliseconds of 7 calls per layer, spec and size, with the
-exact sweep under "exact" and the float one under "thermo".
+exact sweep under "exact", the float one under "thermo" and the job sweep
+under "jobs".
 
     python3 tools/layers.py                      # this checkout
     python3 tools/layers.py --root ../other      # another checkout's src/
@@ -33,8 +34,15 @@ at N_max = 1,000, for four float specs, and F alone at L = 1, 20, 301 and
 1,000 points 300 i / L, i = 1..L, for three specs with a numeric F (the
 series-defined one at order 12, past its degree 3).
 
-Each layer's input is built once, outside its clock; no call reuses an
-earlier solve.
+The job sweep, under "jobs", times the fixed cost of one spec of each
+maxent-thermo kind: building it with its first G call, which rounds its float
+tables (``spec + first G``), and ``extensivity_check`` at the workload's
+N_max = 300 with the occupation law given, for the kinds whose law is
+admissible.  Each of these calls takes well under 1 ms, so each of its 7
+timings is the mean of a batch of 100 calls.
+
+Each layer's input is built once, outside its clock, except the spec that the
+``spec + first G`` row builds; no call reuses an earlier solve.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from fractions import Fraction
 from pathlib import Path
 
 REPEATS = 7
+BATCH = 100  # calls per timing in the job sweep
 
 ORDERS = (12, 24, 32, 48)
 EXACT_SPECS = {
@@ -89,15 +98,28 @@ F_SPECS = {
     "s_iii 4/5": lambda g: g.SThird(Fraction(4, 5)),
     "generic (1, 1/8, 1/10) order 12": lambda g: g.GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)], order=12),
 }
+# one spec of each maxent-thermo kind, at parameters that workload draws
+JOB_SPECS = {
+    "bg": lambda g: g.BoltzmannGibbs(),
+    "tsallis 3/4": lambda g: g.Tsallis(Fraction(3, 4)),
+    "tsallis 5/4": lambda g: g.Tsallis(Fraction(5, 4)),
+    "kaniadakis 2/5": lambda g: g.Kaniadakis(Fraction(2, 5)),
+    "borges_roditi (1/2, -3/10)": lambda g: g.BorgesRoditi(Fraction(1, 2), Fraction(-3, 10)),
+    "s_iii 17/20": lambda g: g.SThird(Fraction(17, 20)),
+    "generic (1, 1/8, 1/10) order 12": lambda g: g.GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)], order=12),
+}
+JOB_N_MAX = 300
 
 
-def median_ms(call, repeats: int) -> float:
+def median_ms(call, repeats: int, number: int = 1) -> float:
+    """The median over ``repeats`` timings of the mean ms per call of ``number`` calls."""
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    return round(1e3 * statistics.median(times), 3)
+        for _ in range(number):
+            call()
+        times.append((time.perf_counter() - t0) / number)
+    return round(1e3 * statistics.median(times), 4 if number > 1 else 3)
 
 
 def exact_sweep(g) -> dict:
@@ -147,6 +169,18 @@ def thermo_sweep(g, numpy) -> dict:
     return out
 
 
+def job_sweep(g) -> dict:
+    out = {}
+    for name, build in JOB_SPECS.items():
+        rows = out[name] = {"spec + first G": median_ms(lambda: build(g).G(1.0), REPEATS, BATCH)}
+        spec = build(g)
+        law = g.occupation_law(spec, JOB_N_MAX)
+        if law.valid:
+            rows[f"extensivity_check N_max={JOB_N_MAX}"] = median_ms(
+                lambda: g.extensivity_check(spec, JOB_N_MAX, law), REPEATS, BATCH)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -165,7 +199,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "ms": {"exact": exact_sweep(g), "thermo": thermo_sweep(g, numpy)},
+        "ms": {"exact": exact_sweep(g), "thermo": thermo_sweep(g, numpy), "jobs": job_sweep(g)},
     }
     print(json.dumps(result, indent=1))
     return 0
