@@ -595,8 +595,10 @@ class Tsallis(ExponentialSum):
         elif np.any(base <= 0):
             raise SpecError(f"the q-exponential has no value at {y!r} for q > 1")
         e = 1.0 / (s * float(self.scale))
-        # elementwise scalar powers: numpy's array power differs in the last bit on some doubles
-        return np.array([np.float64(b) ** e for b in base.tolist()]) if np.ndim(base) else base ** e
+        # elementwise scalar powers: numpy's array power differs in the last bit on some doubles; a
+        # power past the largest double is inf, with no warning, as BoltzmannGibbs.log_inverse gives it
+        with np.errstate(over="ignore"):
+            return np.array([np.float64(b) ** e for b in base.tolist()]) if np.ndim(base) else base ** e
 
 
 class Kaniadakis(ExponentialSum):

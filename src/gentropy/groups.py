@@ -30,11 +30,10 @@ class MultiPoly:
     dropped on construction.
     """
 
-    __slots__ = ("terms", "nvars", "order")
+    __slots__ = ("terms", "order")
 
-    def __init__(self, terms: dict[Monomial, Fraction], nvars: int, order: int):
+    def __init__(self, terms: dict[Monomial, Fraction], order: int):
         self.terms = {m: c for m, c in terms.items() if c and sum(m) <= order}
-        self.nvars = nvars
         self.order = order
 
     def __eq__(self, other: object) -> bool:
@@ -116,7 +115,7 @@ def group_law_from_exponential(G: TruncatedSeries, order: int | None = None) -> 
     for a, b, p, s in _law_sums(e, bell, D, order):
         if p:
             terms[(a, b)] = terms[(b, a)] = Fraction(p, s)
-    law = GroupLaw(phi=MultiPoly(terms, 2, order), exp=Gn, log=TruncatedSeries(_decode([r[1] for r in bell], D), order))
+    law = GroupLaw(phi=MultiPoly(terms, order), exp=Gn, log=TruncatedSeries(_decode([r[1] for r in bell], D), order))
     law.__dict__["_inverse"] = D, _negated(e, bell)  # O(N) integers; the Bell table is dropped
     return law
 
@@ -153,7 +152,7 @@ def law_from_table(c: dict[tuple[int, int], Fraction], order: int) -> MultiPoly:
     for mono, coeff in c.items():
         coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
         terms[mono] = terms[mono] + coeff if mono in terms else coeff
-    return MultiPoly(terms, 2, order)
+    return MultiPoly(terms, order)
 
 
 def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomCheck:
@@ -208,11 +207,11 @@ def check_axioms(phi: MultiPoly, assoc_order: int | None = None) -> LawAxiomChec
     at_zero = {m: c for m, c in phi.terms.items() if m[1] == 0}
     at_zero[1, 0] = at_zero.get((1, 0), 0) - Fraction(1)
     phi_n = phi if assoc_order == phi.order else MultiPoly(
-        {m: c for m, c in phi.terms.items() if sum(m) <= assoc_order}, 2, assoc_order
+        {m: c for m, c in phi.terms.items() if sum(m) <= assoc_order}, assoc_order
     )
     defects = {
         "symmetry": _symmetry_defect(phi),
-        "null-composability": MultiPoly(at_zero, 2, phi.order),
+        "null-composability": MultiPoly(at_zero, phi.order),
         "associativity": _associativity_defect(phi_n),
     }
     symmetric, null_composable, associative = (not d.terms for d in defects.values())
@@ -232,7 +231,7 @@ def _symmetry_defect(phi: MultiPoly) -> MultiPoly:
                 out[a, b], out[b, a] = c - mirror, mirror - c
         elif a > b and (b, a) not in terms:
             out[a, b], out[b, a] = c, -c
-    return MultiPoly(out, 2, phi.order)
+    return MultiPoly(out, phi.order)
 
 
 def _associativity_defect(phi: MultiPoly) -> MultiPoly:
@@ -265,9 +264,9 @@ def _associativity_defect(phi: MultiPoly) -> MultiPoly:
             if d.numerator * s != p * d.denominator and (low is None or m < low[0]):
                 low = m, d, p, s
     if low is None:
-        return MultiPoly({}, 3, n)
+        return MultiPoly({}, n)
     (a, b), d, p, s = low
-    return MultiPoly({(1, a - 1, b): -a * (d - Fraction(p, s))}, 3, n)
+    return MultiPoly({(1, a - 1, b): -a * (d - Fraction(p, s))}, n)
 
 
 def _expanded_defect(phi: MultiPoly) -> MultiPoly:
@@ -293,7 +292,7 @@ def _expanded_defect(phi: MultiPoly) -> MultiPoly:
             out[i, a, b] = out.get((i, a, b), 0) + c * p
         for (a, b), p in powers[i].items():
             out[a, b, j] = out.get((a, b, j), 0) - c * p
-    return MultiPoly(out, 3, n)
+    return MultiPoly(out, n)
 
 
 def formal_inverse(law: GroupLaw) -> TruncatedSeries:
@@ -325,7 +324,7 @@ def formal_inverse(law: GroupLaw) -> TruncatedSeries:
 
 def lie_bracket(phi: MultiPoly) -> MultiPoly:
     """Antisymmetrized quadratic part Phi_2(x,y) - Phi_2(y,x)."""
-    return _symmetry_defect(MultiPoly({m: c for m, c in phi.terms.items() if sum(m) == 2}, 2, phi.order))
+    return _symmetry_defect(MultiPoly({m: c for m, c in phi.terms.items() if sum(m) == 2}, phi.order))
 
 
 def abel_coefficients(a: Fraction, b: Fraction, count: int) -> list[Fraction]:

@@ -7,18 +7,17 @@ never have to be materialized as floats; a rounded-W variant is reported
 separately for ranges where W fits in a double.
 
 Canonical MaxEnt solves the stationarity condition h(ln 1/p_i) = alpha +
-beta E_i, h = kB (G - G'), with exact slopes from ``Entropy.dh``.  At fixed
-beta, alpha and every level's t = ln 1/p are one Newton iteration on that
-system and sum p = 1: each step evaluates h once on the free levels (levels
-clamped to [_P_LO, _P_HI] are masked and never evaluated) and eliminates
-them, which leaves alpha's step in closed form.  The alpha bracket where the
-levels clamp safeguards it: where a step is refused, the levels are solved
-to 4 ulp (``catalog._newton``, elementwise) to place alpha in it.  In
-target-U mode alpha, beta and the levels are one Newton iteration the same
-way, in units of the spectrum's span; where a joint step is refused, the
-levels are solved to 4 ulp and the step is damped on the convex MaxEnt dual,
-with an Armijo test on it.  A target it cannot reach on the clamped levels
-raises SpecError.
+beta E_i, h = kB (G - G'), with exact slopes from ``Entropy.dh``, by one
+Newton iteration (``_joint_solve``) on h(t_i) = alpha + b x_i in alpha, b
+and every level's t = ln 1/p, with sum p = 1 and, for a target mean energy,
+sum p x = 0.  At fixed beta, x = E and b = beta is held; at a target U*,
+x = (E - U*) / span and b = beta span is free.  Each step evaluates h once
+and eliminates the free levels (levels clamped to [_P_LO, _P_HI] are set to
+the clamp), which leaves the step in alpha and b in closed form.  Where such
+a joint step is refused, the levels are solved to 4 ulp (``catalog._newton``,
+elementwise) and the step is damped on the convex MaxEnt dual, with an
+Armijo test on it.  A beta at which no alpha normalizes the clamped levels,
+or a target that no beta reaches on them, raises SpecError.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .catalog import (
     InverseError,
     SpecError,
     UnsupportedRepresentation,
-    _inside,
     _newton,
 )
 
@@ -206,7 +204,7 @@ def _check_monotone(spec: Entropy) -> tuple:
 
 
 def _free_levels(spec: Entropy, t: np.ndarray, target: np.ndarray) -> tuple:
-    """At the free levels' t: p = e^-t, kB h'(t), w = p / kB h'(t) and r = target - h(t)."""
+    """At the levels' t, as if free: p = e^-t, kB h'(t), w = p / kB h'(t) and r = target - h(t)."""
     d = spec.kB * spec.dh(t)
     p = np.exp(-t)
     return p, d, p / d, target - _stationarity(spec, t)
@@ -248,40 +246,198 @@ class _Levels(NamedTuple):
     w: np.ndarray
 
 
+_JOINT_CAP = 200  # steps, joint or through a level solve, before the target counts as out of reach
+
+
+def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: bool) -> _Levels | None:
+    """The levels that solve h(t_i) = alpha + b x_i, sum p = 1 and, unless b is held, sum p x = 0.
+
+    This is Newton on the MaxEnt dual D(alpha, b) = kB sum p G(t) -
+    alpha g_1 - b g_2, convex with p clamped to [_P_LO, _P_HI].  Minus its
+    gradient is g = (sum p - 1, sum p x), and its Hessian is
+    [[sum w, sum w x], [sum w x, sum w x^2]], w = p / kB h'.  With b free,
+    the Newton step is solved in centred form, with m = sum w x / sum w and
+    the weighted variance sum w (x - m)^2.  With b held, d_b = 0 and
+    d_alpha = g_1 / sum w; g_2 still enters D.  ``start`` is the first state
+    (alpha, b, alpha + b x, p, t, w, r) as ``state`` takes it, with no level
+    clamped at _P_HI.
+
+    A step is first tried as one Newton step on the joint system in alpha,
+    b and the t_i of the free levels: it evaluates h and kB h' once on the
+    levels and, with r_i = alpha + b x_i - h(t_i), solves the same system
+    with g shifted to (sum p - 1 - sum w r, sum p x - sum w r x), then moves
+    each free t_i by (r_i + d_alpha + d_b x_i) / kB h'_i.  It is taken only
+    as a full step, neither cut nor halved, that clamps or frees no level at
+    _P_HI (sum p's kink where a level clamps at _P_LO is negligible), keeps
+    every free t inside (_T_LO, _T_HI] and is smaller than the last joint
+    step (each level's move in h relative to its scale below).
+    Otherwise the levels are solved to 4 ulp at (alpha, b) by ``_invert_h``,
+    unless they already are, and the step is tried from there as below, each
+    trial's levels solved by ``_invert_h`` started at the last.  With b free,
+    the step from levels just solved is always such a trial; with b held, it
+    is tried as a joint step first, as sum p falls with alpha.
+
+    A step that frees a level clamped at _P_HI is cut to land just past the
+    first such clamp: the clamped level adds no curvature, so the full step
+    overshoots there by about 10^4.  With b held, a step that would take a
+    free level to the _P_HI clamp is cut the same way, to land just short of
+    it: a root there is approached from the free side, and halved steps
+    converge to it only linearly.  The step is then halved until it has a
+    Newton step (with b free, two free levels at distinct energies; with b
+    held, a free level, or sum p = 1) and either lowers the residual
+    |g_1| + |g_2| (|g_1| with b held) or, while that residual is above its
+    rounding level, meets the Armijo condition on D with c = 1e-4 (below it,
+    such steps would alternate at rounding level).
+
+    Each target alpha + b x_i has the scale max(|alpha + b x_i|, 1), and with
+    b held also |b x_i|: x is then the energy, and the fixed b x_i may dwarf
+    the targets.  The iteration stops once the step moves no target by more
+    than 4 ulp of its scale and each level's resid is within 4 ulp of that
+    scale or its own Newton step r_i / kB h'_i within 4 ulp of max(t_i, 1), or
+    once a first step fails to lower a residual already at rounding level;
+    that last step, r included, is taken in p to first order, and p is
+    normalized.  A step halved to nothing, a last step that takes a p to 0 or
+    below, or _JOINT_CAP iterations return None: no (alpha, b) solves the
+    system on the clamped levels.
+    """
+    h_lo, h_hi = ends[:2]
+    past = 1e-9 * max(1.0, abs(h_hi))  # where a cut step puts the first level it frees from _P_HI
+    unit = np.maximum(np.abs(start[1] * x), 1.0) if held else 1.0  # the least scale of each target
+
+    def state(alpha, b, h, p, t, w, resid):
+        """The levels at (alpha, b) (b in their ``beta``), their targets h = alpha + b x, the residual,
+        the Newton step, g and resid (h - h(t)); None where there is no Newton step."""
+        sw = w.sum()
+        wr = w * resid
+        g1 = p.sum() - 1.0 - wr.sum()
+        if held:
+            if not (sw > 0 or g1 == 0):  # with every level clamped, the step is 0 where sum p = 1
+                return None
+            return _Levels(alpha, b, p, t, w), h, abs(g1), (g1 / sw if sw > 0 else 0.0, 0.0), (g1, 0.0), resid
+        free = x[w > 0]
+        if not (free.size and free.min() < free.max()):
+            return None
+        m = float(w @ x) / sw
+        var = float(w @ (x - m) ** 2)
+        if not 0 < var < math.inf:  # rounded to 0, or w past the largest double
+            return None
+        g2 = float(p @ x) - float(wr @ x)
+        d_b = (g2 - m * g1) / var
+        return _Levels(alpha, b, p, t, w), h, abs(g1) + abs(g2), (g1 / sw - m * d_b, d_b), (g1, g2), resid
+
+    def rounding(levels):
+        """The residual's rounding level: t to a few ulp, each target to one, and the sums (the target
+        of a clamped level may be infinite)."""
+        p, t, w = levels.p, levels.t, levels.w
+        return 16 * _EPS * (x.size + float(p @ np.maximum(t, 1.0))
+                            + float(w @ np.where(w > 0, abs(levels.alpha) + abs(levels.beta * x), 0.0)))
+
+    def joint(levels, h, a, b, move):
+        """The levels at (a, b), each free t moved by its step in h over kB h', as one Newton step
+        from levels at targets h; None where that clamps or frees a level at _P_HI or takes a free t
+        past the clamps."""
+        target = a + b * x
+        low, high = target >= h_lo, target <= h_hi
+        t = np.where(low, _T_HI, levels.t + move * levels.w / levels.p)
+        clamped = low | high
+        if np.count_nonzero(high != (h <= h_hi)) or np.count_nonzero(~clamped & ((t <= _T_LO) | (t > _T_HI))):
+            return None
+        p, _, w, resid = _free_levels(spec, t, target)
+        p[low], p[high] = _P_LO, _P_HI
+        w[clamped] = resid[clamped] = 0.0
+        return state(a, b, target, p, t, w, resid)
+
+    def dual(levels, g1):  # D(alpha, b)
+        return spec.kB * float(levels.p @ spec.G(levels.t)) - levels.alpha * g1 - levels.beta * float(levels.p @ x)
+
+    def first_lam(h, step):
+        """1, or the share of the full step that takes the first level it frees from _P_HI (with b held,
+        or clamps there) to just on the free side of the clamp."""
+        move = step[0] + step[1] * x
+        cross = (h <= h_hi) & (h + move > h_hi)
+        if held:
+            cross |= (h > h_hi + past) & (h + move < h_hi + past)
+        return min(1.0, float(np.min((h_hi + past - h[cross]) / move[cross]))) if cross.any() else 1.0
+
+    exact = np.zeros(x.size)  # resid of levels solved to 4 ulp
+    now = state(*start)
+    lam = lam0 = 1.0  # the start clamps no level at _P_HI
+    d_now = None  # D at now, evaluated once a trial fails to lower the residual
+    last = math.inf  # the size of the last joint step: inf after a trial, 0 after a level solve with b free
+    for _ in range(_JOINT_CAP if now else 0):
+        levels, h, r, step, g, resid = now
+        d_alpha, d_b = lam * step[0], lam * step[1]
+        d_h = d_alpha + d_b * x  # the step in each target
+        scale = np.maximum(np.abs(h), unit)
+        tol = 4 * np.spacing(scale)  # nan at an infinite target, which no step exceeds
+        if not (np.count_nonzero(np.abs(d_h) > tol) or np.count_nonzero(
+                (np.abs(resid) > tol)
+                & (np.abs(resid) * levels.w > 4 * np.spacing(np.maximum(levels.t, 1.0)) * levels.p))):
+            if lam < lam0:
+                break  # halved to nothing
+        else:
+            move = d_h + resid  # each level's step in h
+            a, b = levels.alpha + d_alpha, levels.beta + d_b
+            finite = math.isfinite(a) and math.isfinite(b)
+            size = float((np.abs(move) / scale).max())
+            trial = joint(levels, h, a, b, move) if finite and lam == 1 and size < last else None
+            if trial is not None:
+                now, last = trial, size
+                continue
+            if resid.any():  # the joint step is refused: solve the levels at now, and step from there
+                now = state(levels.alpha, levels.beta, h, *_invert_h(spec, h, ends, levels.t), exact)
+                if now is None:
+                    break
+                if not held:
+                    last = 0.0
+                lam = lam0 = first_lam(h, now[3])
+                continue
+            target = a + b * x
+            trial = state(a, b, target, *_invert_h(spec, target, ends, levels.t), exact) if finite else None
+            floor = rounding(levels)
+            if trial is not None and trial[2] >= r:  # the residual did not fall: the Armijo test on D
+                if r > floor and d_now is None:
+                    d_now = dual(levels, g[0])
+                descent = g[0] * step[0] + g[1] * step[1]  # -dD along the full step
+                if r <= floor or dual(trial[0], trial[4][0]) > d_now - 1e-4 * lam * descent:
+                    trial = None
+            if trial is not None:
+                now, d_now, last = trial, None, math.inf
+                lam = lam0 = first_lam(target, now[3])
+                continue
+            if lam < lam0 or r > floor:
+                lam /= 2
+                continue
+        p = levels.p - (step[0] + step[1] * x + resid) * levels.w  # the last step, in p to first order
+        if not p.min() > 0:
+            break  # the system has no solution on the clamped levels
+        return levels._replace(alpha=levels.alpha + step[0], beta=levels.beta + step[1], p=p / p.sum())
+    return None
+
+
 def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple) -> _Levels:
-    """alpha and the levels it normalizes at beta, by one Newton iteration on the joint system.
+    """alpha and the levels it normalizes at beta: ``_joint_solve`` on x = E with b = beta held.
 
-    The system is h(t_i) = alpha + beta E_i, sum_i e^-t_i = 1, in alpha and
-    the t_i = ln 1/p_i of the free levels; a level whose target lies outside
-    (h_hi, h_lo) is clamped as ``_invert_h`` clamps it.  Each step evaluates
-    h and kB h' once on the free levels and eliminates them: with
-    r_i = alpha + beta E_i - h(t_i) and w_i = p_i / kB h'_i, alpha moves by
-    d = (sum p - 1 - sum w r) / sum w and each t_i by (r_i + d) / kB h'_i.
-
-    alpha keeps the bracket where the levels clamp, with -ln sum p and its
-    slope at both ends.  A step is taken only if it stays inside the
-    bracket, clamps no level (-ln sum p has a kink where one clamps), and is
-    smaller than the last one (relative to alpha and to each t); otherwise
-    the levels are solved to 4 ulp at this alpha, which moves the end of the
-    bracket on that side there, and the next alpha is the Newton step from
-    those levels, or ``_inside``'s fallback.  The iteration ends after a step within 4 ulp
-    of alpha and of each t, or after a solve whose step is within 4 ulp of
-    alpha, or whose bracket is; that last step is taken in p to first
-    order.
+    Every level is clamped at _P_HI for alpha below h_hi - max(beta E) and at
+    _P_LO above h_lo - min(beta E), and both ends are clipped to
+    [-_REACH, _REACH]: where sum p there does not lie on both sides of 1,
+    SpecError.  The first state is the Gibbs weights' t, with the alpha that
+    fits the lowest level to its weight, or frees that level from _P_HI
+    (sum p has a kink where the level clamps).  Where that alpha's ulp spans
+    h's range (as on energies far from 0), so that the step frees the level
+    from both clamps at once, the solution is the levels clamped at that
+    kink, the lowest at _P_HI.
     """
     h_lo, h_hi = ends[:2]
     bE = beta * E
-    # t of the Gibbs weights, and the alpha that fits the lowest level to it, or frees that level
-    # from _P_HI: -ln sum p has a kink where the level clamps
     low = int(np.argmin(bE))
     t = bE - bE[low] + math.log(np.exp(bE[low] - bE).sum())
     alpha = max(float(_stationarity(spec, t[low:low + 1])[0] - bE[low]),
-                np.nextafter(h_hi - bE[low], math.inf))
+                float(np.nextafter(h_hi - bE[low], math.inf)))
 
-    # every level is clamped at _P_HI below the bracket and at _P_LO above it, but for rounding:
-    # the levels left free at an end are solved from that clamp, unless sum p lies strictly on
-    # that end's side of 1 with every one of them at the other clamp
-    bracket = np.zeros((3, 2, 1))  # alpha, -ln sum p and its slope, at the low and the high end
+    # sum p at each end, but for rounding: the levels left free at an end are solved from that
+    # clamp, unless sum p lies strictly on that end's side of 1 with every one of them at the other
+    sums = []
     ends_at = ((max(h_hi - bE.max(), -_REACH), _T_LO, _P_LO), (min(h_lo - bE.min(), _REACH), _T_HI, _P_HI))
     for side, (a, t_clamp, p_other) in enumerate(ends_at):
         target = a + bE
@@ -289,60 +445,47 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple) ->
         n_free = E.size - n_low - n_high
         s = n_low * _P_LO + n_high * _P_HI + n_free * p_other
         if n_free and (s <= 1 if side == 0 else s >= 1):
-            p, _, w = _invert_h(spec, target, ends, np.full(E.size, t_clamp))
-            s = p.sum()
-            bracket[2, side] = w.sum() / s
-        bracket[:2, side] = [[a], [-math.log(s)]]
-    if not bracket[1, 0, 0] <= 0 <= bracket[1, 1, 0]:
+            s = _invert_h(spec, target, ends, np.full(E.size, t_clamp))[0].sum()
+        sums.append(s)
+    if not sums[0] >= 1 >= sums[1]:
         raise SpecError(f"no alpha normalizes the clamped levels at beta = {beta!r}")
 
-    def inside(a: float) -> float:
-        """a where it lies inside the bracket, else ``_inside``'s fallback."""
-        if bracket[0, 0, 0] < a < bracket[0, 1, 0]:
-            return a
-        with np.errstate(divide="ignore", invalid="ignore"):  # a clamped end has slope 0
-            return float(_inside(bracket, np.array([a]))[0])
+    target = alpha + bE
+    if target[low] >= h_lo:  # no alpha frees the lowest level: the levels clamp at its kink
+        high = bE == bE[low]
+        p = np.where(high, _P_HI, _P_LO)
+        return _Levels(float(h_hi - bE[low]), beta, p / p.sum(), np.where(high, _T_LO, _T_HI), np.zeros(E.size))
+    low = target >= h_lo  # and no level clamps at _P_HI
+    t = np.where(low, _T_HI, np.clip(t, _T_LO, _T_HI))
+    p, _, w, resid = _free_levels(spec, t, target)
+    p[low], w[low], resid[low] = _P_LO, 0.0, 0.0
+    levels = _joint_solve(spec, E, ends, (alpha, beta, target, p, t, w, resid), True)
+    if levels is None:
+        raise SpecError(f"no alpha normalizes the clamped levels at beta = {beta!r}")
+    return levels._replace(beta=beta)
 
-    alpha, last = inside(alpha), math.inf  # last: the size of the last step
-    for _ in range(200):
-        target = alpha + bE
-        low, high = target >= h_lo, target <= h_hi
-        n_low, n_high = np.count_nonzero(low), np.count_nonzero(high)
-        if n_low + n_high < E.size:
-            free = ~(low | high)
-            x = np.clip(t[free], _T_LO, _T_HI)
-            p, d, w, r = _free_levels(spec, x, target[free])
-            sw = float(w.sum())
-            d_alpha = (p.sum() + n_low * _P_LO + n_high * _P_HI - 1 - float(w @ r)) / sw if sw > 0 else math.nan
-            step = (r + d_alpha) / d
-            size = max(abs(d_alpha) / max(abs(alpha), 1.0), float(np.max(np.abs(step) / np.maximum(x, 1.0))))
-            a = alpha + d_alpha
-            moved = a + bE  # alpha only shifts the targets: a level clamps iff a count grows
-            clamps = (np.count_nonzero(moved >= h_lo) - n_low, np.count_nonzero(moved <= h_hi) - n_high)
-            if bracket[0, 0, 0] < a < bracket[0, 1, 0] and size < last and max(clamps) <= 0:
-                t[free], alpha, last = x + step, a, size
-                if size <= 4 * _EPS and clamps == (0, 0):
-                    t = np.where(low, _T_HI, np.where(high, _T_LO, t))
-                    p = np.exp(-t)
-                    p[low], p[high] = _P_LO, _P_HI
-                    w = np.zeros(E.size)
-                    w[free] = p[free] / d
-                    break
-                continue
-        # the step is refused: the levels solved to 4 ulp at alpha move an end of the bracket there
-        p, t, w = _invert_h(spec, target, ends, t)
-        s, sw = p.sum(), w.sum()
-        bracket[:, int(s < 1), 0] = alpha, -math.log(s), sw / s
-        d_alpha = (s - 1) / sw if sw > 0 else math.nan
-        tol = 4 * np.spacing(max(abs(alpha), 1.0))
-        if s == 1 or abs(d_alpha) <= tol or bracket[0, 1, 0] - bracket[0, 0, 0] <= tol:
-            if bracket[0, 0, 0] < alpha + d_alpha < bracket[0, 1, 0]:
-                p, alpha = p - d_alpha * w, alpha + d_alpha
-            break
-        alpha, last = inside(alpha + d_alpha), math.inf
-    else:
-        p, t, w = _invert_h(spec, alpha + bE, ends, t)
-    return _Levels(float(alpha), beta, p / p.sum(), t, w)
+
+def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
+    """The levels whose mean energy is target: ``_joint_solve`` on x = (E - target) / span, with b free.
+
+    Energies are taken from the target in units of the span E_max - E_min:
+    the levels solve h = alpha + b x with b = beta span, so that on a
+    spectrum far from 0 neither the targets nor the residual cancel, and the
+    weighted variance stays finite whatever the span.  The iteration starts
+    from the uniform levels at b = 0 (t = ln L, alpha = h(ln L)).  Where it
+    finds no solution, no beta reaches the target on the clamped levels:
+    SpecError.
+    """
+    span = float(E.max() - E.min())
+    t = np.full(E.size, math.log(E.size))
+    p = np.exp(-t)
+    alpha = float(_stationarity(spec, t[:1])[0])
+    start = (alpha, 0.0, np.full(E.size, alpha), p, t, p / (spec.kB * spec.dh(t)), np.zeros(E.size))
+    levels = _joint_solve(spec, (E - target) / span, ends, start, False)
+    if levels is None:
+        raise SpecError(f"no beta reaches the target energy {target!r} on the clamped levels")
+    beta = levels.beta / span
+    return levels._replace(alpha=levels.alpha - beta * target, beta=beta)
 
 
 def _solution(spec: Entropy, energies: tuple, levels: _Levels) -> MaxEntSolution:
@@ -368,160 +511,16 @@ def _partition_value(spec: Entropy, energies, beta: float) -> float:
         return math.inf
 
 
-_JOINT_CAP = 200  # steps, joint or through a level solve, before the target counts as out of reach
-
-
-def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
-    """The levels whose mean energy is target, by Newton on the joint system, damped on the MaxEnt dual.
-
-    Energies are taken from the target in units of the span E_max - E_min:
-    the levels solve h = alpha + b x, x = (E - target) / span and
-    b = beta span, so that on a spectrum far from 0 neither the targets nor
-    the residual cancel, and the weighted variance below stays finite
-    whatever the span.  g = (sum p - 1, sum p x) is minus the gradient of
-    the dual D(alpha, b) = kB sum p G(t) - alpha g_1 - b g_2, convex with p
-    clamped to [_P_LO, _P_HI], and D's Hessian is
-    [[sum w, sum w x], [sum w x, sum w x^2]]; the Newton step is solved in
-    centred form, with m = sum w x / sum w and the weighted variance
-    sum w (x - m)^2.  The iteration starts from the uniform levels at b = 0
-    (t = ln L, alpha = h(ln L)).
-
-    A step is first tried as one Newton step on the joint system in alpha,
-    b and the t_i of the free levels: it evaluates h and kB h' once on the
-    free levels and, with r_i = alpha + b x_i - h(t_i), solves the same
-    centred system with g shifted to (sum p - 1 - sum w r, sum p x - sum w r x),
-    then moves each t_i by (r_i + d_alpha + d_b x_i) / kB h'_i.  It is taken
-    only as a full step, neither cut nor halved, that clamps or frees no
-    level, keeps every t inside (_T_LO, _T_HI) and is smaller than the last
-    joint step (each level's move in h relative to max(|h|, 1)).  Otherwise
-    the levels are solved to 4 ulp at (alpha, b) by ``_invert_h``, unless
-    they already are, and the step is tried from there as below, each
-    trial's levels solved by ``_invert_h`` started at the last.
-
-    A step that frees a level clamped at _P_HI is cut to land just past the
-    first such clamp: the clamped level adds no curvature, so the full step
-    overshoots there by about 10^4.  The step is then halved until it leaves
-    two free levels at distinct energies and either lowers the residual
-    |g_1| + |g_2| or, while that residual is above its rounding level, meets
-    the Armijo condition on D with c = 1e-4 (below it, such steps would
-    alternate at rounding level).  It stops once the step moves no level's
-    target by more than 4 ulp of max(|target|, 1) and each level's own
-    Newton step r_i / kB h'_i is within 4 ulp of max(t_i, 1), or once a
-    first step fails to lower a residual already at rounding level; that
-    last step, r included, is taken in p to first order.  A step halved to
-    nothing, a last step that takes a p to 0 or below, or _JOINT_CAP
-    iterations mean that no beta reaches the target on the clamped levels:
-    SpecError.
-    """
-    span, eps, (h_lo, h_hi) = float(E.max() - E.min()), np.finfo(float).eps, ends[:2]
-    x = (E - target) / span
-    past = 1e-9 * max(1.0, abs(h_hi))  # where a cut step puts the first level it frees from _P_HI
-
-    def state(alpha, b, p, t, w, resid):
-        """The levels at (alpha, b) (b in their ``beta``), the residual, its rounding level, the Newton
-        step, g and resid (alpha + b x - h(t)); None with fewer than two free levels at distinct energies."""
-        free = x[w > 0]
-        if not (free.size and free.min() < free.max()):
-            return None
-        sw = w.sum()
-        m = float(w @ x) / sw
-        var = float(w @ (x - m) ** 2)
-        if not 0 < var < math.inf:  # rounded to 0, or w past the largest double
-            return None
-        wr = w * resid
-        g1, g2 = p.sum() - 1.0 - wr.sum(), float(p @ x) - float(wr @ x)
-        d_b = (g2 - m * g1) / var
-        # rounding: t to a few ulp, each target alpha + b x_i to one, and the sums
-        floor = 16 * eps * (E.size + float(p @ np.maximum(t, 1.0)) + float(w @ (abs(alpha) + abs(b * x))))
-        return _Levels(alpha, b, p, t, w), abs(g1) + abs(g2), floor, (g1 / sw - m * d_b, d_b), (g1, g2), resid
-
-    def joint(levels, h, a, b, move):
-        """The levels at (a, b), each free t moved by its step in h over kB h', as one Newton step
-        from levels at targets h; None where that clamps or frees a level or takes a t past the clamps."""
-        target = a + b * x
-        low, high = target >= h_lo, target <= h_hi
-        free, t = ~(low | high), levels.t.copy()
-        t[free] += move[free] * levels.w[free] / levels.p[free]
-        if not (np.array_equal(low, h >= h_lo) and np.array_equal(high, h <= h_hi)
-                and t[free].min() > _T_LO and t[free].max() < _T_HI):
-            return None
-        p, w, resid = levels.p.copy(), np.zeros(E.size), np.zeros(E.size)
-        p[free], _, w[free], resid[free] = _free_levels(spec, t[free], target[free])
-        return state(a, b, p, t, w, resid)
-
-    def dual(levels, g):  # D(alpha, b)
-        return spec.kB * float(levels.p @ spec.G(levels.t)) - levels.alpha * g[0] - levels.beta * g[1]
-
-    def first_lam(levels, step):
-        """1, or the share of the full step that takes the first level it frees from _P_HI past the clamp."""
-        h = levels.alpha + levels.beta * x
-        move = step[0] + step[1] * x
-        freed = (h <= h_hi) & (h + move > h_hi)
-        return min(1.0, float(np.min((h_hi + past - h[freed]) / move[freed]))) if freed.any() else 1.0
-
-    exact = np.zeros(E.size)  # resid of levels solved to 4 ulp
-    t = np.full(E.size, math.log(E.size))
-    p = np.exp(-t)
-    now = state(float(_stationarity(spec, t[:1])[0]), 0.0, p, t, p / (spec.kB * spec.dh(t)), exact)
-    lam = lam0 = 1.0  # no uniform level is clamped
-    d_now = None  # D at now, evaluated once a trial fails to lower the residual
-    last = math.inf  # the size of the last joint step: inf after a trial, 0 after a level solve at now
-    for _ in range(_JOINT_CAP if now else 0):
-        levels, r, floor, step, g, resid = now
-        d_alpha, d_b = lam * step[0], lam * step[1]
-        h = levels.alpha + levels.beta * x
-        move = d_alpha + d_b * x + resid  # each level's step in h
-        scale = np.maximum(np.abs(h), 1.0)
-        # within 4 ulp: the step in each target, and each level's own Newton step in t at its target
-        if (np.all(np.abs(d_alpha + d_b * x) <= 4 * np.spacing(scale))
-                and np.all(np.abs(resid) * levels.w <= 4 * np.spacing(np.maximum(levels.t, 1.0)) * levels.p)):
-            if lam < lam0:
-                break  # halved to nothing
-        else:
-            a, b = levels.alpha + d_alpha, levels.beta + d_b
-            finite = math.isfinite(a) and math.isfinite(b)
-            size = float(np.max(np.abs(move) / scale))
-            trial = joint(levels, h, a, b, move) if finite and lam == 1 and size < last else None
-            if trial is not None:
-                now, last = trial, size
-                continue
-            if resid.any():  # the joint step is refused: solve the levels at now, and step from there
-                now, last = state(levels.alpha, levels.beta, *_invert_h(spec, h, ends, levels.t), exact), 0.0
-                if now is None:
-                    break
-                lam = lam0 = first_lam(now[0], now[3])
-                continue
-            trial = state(a, b, *_invert_h(spec, a + b * x, ends, levels.t), exact) if finite else None
-            if trial is not None and trial[1] >= r:  # the residual did not fall: the Armijo test on D
-                if r > floor and d_now is None:
-                    d_now = dual(levels, g)
-                descent = g[0] * step[0] + g[1] * step[1]  # -dD along the full step
-                if r <= floor or dual(trial[0], trial[4]) > d_now - 1e-4 * lam * descent:
-                    trial = None
-            if trial is not None:
-                now, d_now, last = trial, None, math.inf
-                lam = lam0 = first_lam(now[0], now[3])
-                continue
-            if lam < lam0 or r > floor:
-                lam /= 2
-                continue
-        p = levels.p - (step[0] + step[1] * x + resid) * levels.w  # the last step, in p to first order
-        if not p.min() > 0:
-            break  # the target lies past the clamps
-        beta = (levels.beta + step[1]) / span
-        return levels._replace(alpha=levels.alpha + step[0] - beta * target, beta=beta, p=p / p.sum())
-    raise SpecError(f"no beta reaches the target energy {target!r} on the clamped levels")
-
-
 def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
     """Maximize the entropy under normalization and a mean-energy constraint.
 
     Uses the standard linear energy constraint.  Each probability solves the
     stationarity condition h(ln 1/p_i) = alpha + beta E_i, h = kB (G - G'),
-    which needs a strictly monotone h (checked at solve time).  At fixed beta
-    the levels and alpha are one Newton iteration (``_solve_fixed_beta``); in
-    target-U mode the levels, alpha and beta are, damped on the convex dual
-    (``_solve_target_U``).
+    which needs a strictly monotone h (checked at solve time).  The levels,
+    alpha and beta are one Newton iteration on the convex dual
+    (``_joint_solve``): at fixed beta with b = beta held on x = E
+    (``_solve_fixed_beta``), in target-U mode with b free on the energies in
+    span units from the target (``_solve_target_U``).
     """
     spec = problem.spec
     if not spec.has_exponential:

@@ -509,6 +509,17 @@ class TestMaxent:
         assert (code, err) == (0, "")
         assert maxent_fields(out)["Z"] == math.inf
 
+    def test_tsallis_partition_value_past_the_largest_double_is_inf_without_a_warning(self, capsys, tmp_path):
+        # the q-exponential's scalar power once printed an overflow RuntimeWarning on stderr
+        path = tmp_path / "e.txt"
+        path.write_text("-1e6\n0\n1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "maxent", "--entropy", "tsallis", "--q", "99/100", "--beta", "1",
+                                 "--energies", str(path))
+        assert (code, err) == (0, "")
+        assert maxent_fields(out)["Z"] == math.inf
+
     @pytest.mark.parametrize("flags", [
         ["--entropy", "bg"],
         ["--entropy", "tsallis", "--q", "1/2"],

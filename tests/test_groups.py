@@ -65,7 +65,7 @@ class TestLawFromTable:
 
 class TestMultiPoly:
     def test_truncation_on_construction(self):
-        p = MultiPoly({(3, 3): Fraction(1), (1, 0): Fraction(2)}, 2, 4)
+        p = MultiPoly({(3, 3): Fraction(1), (1, 0): Fraction(2)}, 4)
         assert p.terms == {(1, 0): Fraction(2)}
 
 
@@ -606,7 +606,7 @@ class TestDegenerateTables:
     @pytest.mark.parametrize("name", DEGENERATE)
     def test_matches_trivariate_expansion(self, name, assoc_order):
         terms, fails_at = DEGENERATE[name]
-        phi = MultiPoly({m: Fraction(c) for m, c in terms.items()}, 2, 6)
+        phi = MultiPoly({m: Fraction(c) for m, c in terms.items()}, 6)
         got = _fields(phi, assoc_order)
         assert got == reference_check(phi.terms, 6, assoc_order)
         assert got[2] is (fails_at is None or assoc_order < fails_at)
@@ -637,7 +637,7 @@ class TestSymmetryDefect:
                     terms[b, a] = c
                 elif roll < 0.5:
                     terms[b, a] = Fraction(c) if type(c) is int else c
-            phi = MultiPoly(terms, 2, order)
+            phi = MultiPoly(terms, order)
             swapped = _lin((1, phi.terms), (-1, {(b, a): c for (a, b), c in phi.terms.items()}))
             assert groups._symmetry_defect(phi).terms == swapped, terms
             chk = check_axioms(phi, 0)  # symmetry is checked first, whatever the associativity order
@@ -711,7 +711,7 @@ class TestAssociativityInIntegers:
     )
     def test_plain_int_coefficients(self, terms, verdict):
         order = 6
-        phi = MultiPoly({(1, 0): 1, (0, 1): 1, **terms}, 2, order)
+        phi = MultiPoly({(1, 0): 1, (0, 1): 1, **terms}, order)
         assert all(type(c) is int for c in phi.terms.values())
         got = _fields(phi)
         assert got == reference_check(phi.terms, order, None)
@@ -827,7 +827,7 @@ class TestNonRationalCoefficients:
         ids=["unital", "not unital"],
     )
     def test_check_axioms_names_the_first_float(self, terms):
-        phi = MultiPoly({(1, 0): 1, (0, 1): 1, **terms}, 2, 6)
+        phi = MultiPoly({(1, 0): 1, (0, 1): 1, **terms}, 6)
         first = min(m for m, c in terms.items() if type(c) is float)
         with pytest.raises(GroupLawError, match=rf"coefficient {terms[first]} of monomial \({first[0]}, {first[1]}\)"):
             check_axioms(phi)
@@ -836,7 +836,7 @@ class TestNonRationalCoefficients:
         law = group_law_from_exponential(SThird(Fraction(4, 5)).exp_series(6))
         terms = dict(law.phi.terms)
         terms[2, 2], terms[1, 3] = 0.125, 2.0
-        bent = GroupLaw(MultiPoly(terms, 2, 6), law.exp, law.log)
+        bent = GroupLaw(MultiPoly(terms, 6), law.exp, law.log)
         with pytest.raises(GroupLawError, match=r"coefficient 2.0 of monomial \(1, 3\) is not an int or a Fraction"):
             formal_inverse(bent)
 

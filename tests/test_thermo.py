@@ -852,6 +852,25 @@ class TestFixedBetaJointSolve:
         maxent_solve(MaxEntProblem(Tsallis(Fraction(1, 2)), levels, beta=1.0))
         assert len(calls) <= 12
 
+    @pytest.mark.parametrize("beta", [10.0, 40.0, -40.0])
+    def test_two_levels_at_the_clamp_kink_take_few_evaluations(self, monkeypatch, beta):
+        # h of Tsallis 3/2 spans 3 between the clamps, so one level clamps at _P_LO and the other lies
+        # at the _P_HI kink.  The solve with an alpha bracket took 6, 5 and 5 evaluations of h, the
+        # monotonicity check and the residual included; the joint iteration takes 5, 4 and 4
+        calls = count_calls(monkeypatch, "_stationarity")
+        sol = maxent_solve(MaxEntProblem(Tsallis(Fraction(3, 2)), (0.0, 1.0), beta=beta))
+        assert len(calls) <= 8
+        assert sorted(sol.distribution.p.tolist()) == pytest.approx([thermo._P_LO, thermo._P_HI], abs=1e-15)
+
+    def test_fixed_beta_at_the_solved_beta_meets_the_target(self):
+        # the two modes solve the same system: at the beta a target-U solve returns, a fixed-beta
+        # solve gives its p back.  The worst cases on this grid are 3.3e-16 in p and 8.9e-16 in U
+        for spec, levels, target in target_u_grid(27):
+            sol = maxent_solve(MaxEntProblem(spec, levels, target_U=target))
+            fixed = maxent_solve(MaxEntProblem(spec, levels, beta=sol.beta))
+            assert np.max(np.abs(fixed.distribution.p - sol.distribution.p)) <= 1e-15, (spec.name, levels, target)
+            assert abs(fixed.U - target) <= 1e-14, (spec.name, levels, target)
+
     @pytest.mark.parametrize("beta", [-2.0, 1.0, 3.0])
     def test_the_levels_keep_their_meaning(self, beta):
         # t = ln 1/p before normalization, w = p / kB h'(t), and clamped levels at the clamps with w = 0

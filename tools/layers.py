@@ -4,7 +4,10 @@ Runs three sweeps in-process and prints one JSON object: the git sha of the
 checkout timed, the machine (nproc, Python and numpy versions), and under
 "ms" the median milliseconds of 7 calls per layer, spec and size, with the
 exact sweep under "exact", the float one under "thermo" and the job sweep
-under "jobs".
+under "jobs".  Under "counts", each MaxEnt row of the float sweep has the
+work of one of its solves: the evaluations of h (``thermo._stationarity``,
+the monotonicity check, the level solves and the residual included) and the
+level solves (``thermo._invert_h``).
 
     python3 tools/layers.py                      # this checkout
     python3 tools/layers.py --root ../other      # another checkout's src/
@@ -148,17 +151,42 @@ def exact_sweep(g) -> dict:
     return out
 
 
-def thermo_sweep(g, numpy) -> dict:
-    out = {}
+def solve_counts(g, problem) -> dict:
+    """The evaluations of h and the level solves of one ``maxent_solve(problem)``."""
+    from gentropy import thermo
+
+    counts = {"h": 0, "level_solves": 0}
+    stationarity, invert_h = thermo._stationarity, thermo._invert_h
+
+    def counted_h(*args):
+        counts["h"] += 1
+        return stationarity(*args)
+
+    def counted_solve(*args):
+        counts["level_solves"] += 1
+        return invert_h(*args)
+
+    thermo._stationarity, thermo._invert_h = counted_h, counted_solve
+    try:
+        g.maxent_solve(problem)
+    finally:
+        thermo._stationarity, thermo._invert_h = stationarity, invert_h
+    return counts
+
+
+def thermo_sweep(g, numpy) -> tuple[dict, dict]:
+    """The float sweep's milliseconds, and the counts of its MaxEnt rows."""
+    out, counts = {}, {}
     for name, build in THERMO_SPECS.items():
         spec = build(g)
-        rows = out[name] = {}
+        rows, row_counts = out[name], counts[name] = {}, {}
         for L in LEVELS:
             levels = tuple(5 * i / (L - 1) for i in range(L))
-            fixed = g.MaxEntProblem(spec, levels, beta=BETA)
-            target = g.MaxEntProblem(spec, levels, target_U=TARGET_U)
-            rows[f"maxent_fixed_beta L={L}"] = median_ms(lambda: g.maxent_solve(fixed), REPEATS)
-            rows[f"maxent_target_u L={L}"] = median_ms(lambda: g.maxent_solve(target), REPEATS)
+            problems = {f"maxent_fixed_beta L={L}": g.MaxEntProblem(spec, levels, beta=BETA),
+                        f"maxent_target_u L={L}": g.MaxEntProblem(spec, levels, target_U=TARGET_U)}
+            for row, problem in problems.items():
+                rows[row] = median_ms(lambda: g.maxent_solve(problem), REPEATS)
+                row_counts[row] = solve_counts(g, problem)
         rows[f"occupation_law N_max={N_MAX}"] = median_ms(lambda: g.occupation_law(spec, N_MAX), REPEATS)
     for name, build in F_SPECS.items():
         spec = build(g)
@@ -166,7 +194,7 @@ def thermo_sweep(g, numpy) -> dict:
         for L in F_POINTS:
             s = numpy.arange(1, L + 1) * (300 / L)
             rows[f"F L={L}"] = median_ms(lambda: spec.F(s), REPEATS)
-    return out
+    return out, counts
 
 
 def job_sweep(g) -> dict:
@@ -193,13 +221,15 @@ def main(argv=None) -> int:
 
     sha = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                          capture_output=True, text=True).stdout.strip() or None
+    thermo_ms, counts = thermo_sweep(g, numpy)
     result = {
         "git_sha": sha,
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "ms": {"exact": exact_sweep(g), "thermo": thermo_sweep(g, numpy), "jobs": job_sweep(g)},
+        "ms": {"exact": exact_sweep(g), "thermo": thermo_ms, "jobs": job_sweep(g)},
+        "counts": counts,
     }
     print(json.dumps(result, indent=1))
     return 0
