@@ -252,53 +252,42 @@ _JOINT_CAP = 200  # steps, joint or through a level solve, before the target cou
 def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: bool) -> _Levels | None:
     """The levels that solve h(t_i) = alpha + b x_i, sum p = 1 and, unless b is held, sum p x = 0.
 
-    This is Newton on the MaxEnt dual D(alpha, b) = kB sum p G(t) -
-    alpha g_1 - b g_2, convex with p clamped to [_P_LO, _P_HI].  Minus its
-    gradient is g = (sum p - 1, sum p x), and its Hessian is
-    [[sum w, sum w x], [sum w x, sum w x^2]], w = p / kB h'.  With b free,
-    the Newton step is solved in centred form, with m = sum w x / sum w and
-    the weighted variance sum w (x - m)^2.  With b held, d_b = 0 and
-    d_alpha = g_1 / sum w; g_2 still enters D.  ``start`` is the first state
-    (alpha, b, alpha + b x, p, t, w, r) as ``state`` takes it, with no level
-    clamped at _P_HI.
+    Newton on the MaxEnt dual D(alpha, b) = kB sum p G(t) - alpha g_1 -
+    b g_2, convex with p clamped to [_P_LO, _P_HI]: g = (sum p - 1, sum p x)
+    is minus its gradient, and [[sum w, sum w x], [sum w x, sum w x^2]],
+    w = p / kB h', its Hessian.  With b free the step is solved in centred
+    form (m = sum w x / sum w, variance sum w (x - m)^2); with b held,
+    d_b = 0 and d_alpha = g_1 / sum w.  ``start`` is the first state as
+    ``state`` takes it, with no level clamped at _P_HI.
 
-    A step is first tried as one Newton step on the joint system in alpha,
-    b and the t_i of the free levels: it evaluates h and kB h' once on the
-    levels and, with r_i = alpha + b x_i - h(t_i), solves the same system
-    with g shifted to (sum p - 1 - sum w r, sum p x - sum w r x), then moves
-    each free t_i by (r_i + d_alpha + d_b x_i) / kB h'_i.  It is taken only
-    as a full step, neither cut nor halved, that clamps or frees no level at
-    _P_HI (sum p's kink where a level clamps at _P_LO is negligible), keeps
-    every free t inside (_T_LO, _T_HI] and is smaller than the last joint
-    step (each level's move in h relative to its scale below).
-    Otherwise the levels are solved to 4 ulp at (alpha, b) by ``_invert_h``,
-    unless they already are, and the step is tried from there as below, each
-    trial's levels solved by ``_invert_h`` started at the last.  With b free,
-    the step from levels just solved is always such a trial; with b held, it
-    is tried as a joint step first, as sum p falls with alpha.
+    A step is first tried jointly in alpha, b and the free levels' t: h and
+    kB h' are evaluated once, the same system is solved with g shifted by
+    the resid r = alpha + b x - h(t) to (g_1 - sum w r, g_2 - sum w r x), and
+    each free t moves by (r_i + d_alpha + d_b x_i) / kB h'_i.  It is taken
+    only as a full step that clamps or frees no level at _P_HI (the kink at
+    _P_LO is negligible), keeps every free t in (_T_LO, _T_HI] and is
+    smaller than the last joint step.  Otherwise the levels are solved to
+    4 ulp by ``_invert_h`` and the step is tried from there, each trial's
+    levels solved likewise; with b free the step from levels just solved is
+    always such a trial, with b held it is tried jointly first.  A trial
+    that frees a level from _P_HI is cut to land just past the clamp (the
+    clamped level adds no curvature, so the full step overshoots there by
+    about 10^4); with b held, one that clamps a level there is cut to land
+    just short of it (halved steps would approach a root there linearly).
+    The step is then halved until it has a Newton step (with b free, two
+    free levels at distinct energies; with b held, a free level or
+    sum p = 1) and lowers |g_1| + |g_2| (|g_1| with b held) or, above the
+    residual's rounding level, meets the Armijo condition on D with
+    c = 1e-4 (below it, such steps would alternate).
 
-    A step that frees a level clamped at _P_HI is cut to land just past the
-    first such clamp: the clamped level adds no curvature, so the full step
-    overshoots there by about 10^4.  With b held, a step that would take a
-    free level to the _P_HI clamp is cut the same way, to land just short of
-    it: a root there is approached from the free side, and halved steps
-    converge to it only linearly.  The step is then halved until it has a
-    Newton step (with b free, two free levels at distinct energies; with b
-    held, a free level, or sum p = 1) and either lowers the residual
-    |g_1| + |g_2| (|g_1| with b held) or, while that residual is above its
-    rounding level, meets the Armijo condition on D with c = 1e-4 (below it,
-    such steps would alternate at rounding level).
-
-    Each target alpha + b x_i has the scale max(|alpha + b x_i|, 1), and with
-    b held also |b x_i|: x is then the energy, and the fixed b x_i may dwarf
-    the targets.  The iteration stops once the step moves no target by more
-    than 4 ulp of its scale and each level's resid is within 4 ulp of that
-    scale or its own Newton step r_i / kB h'_i within 4 ulp of max(t_i, 1), or
-    once a first step fails to lower a residual already at rounding level;
-    that last step, r included, is taken in p to first order, and p is
-    normalized.  A step halved to nothing, a last step that takes a p to 0 or
-    below, or _JOINT_CAP iterations return None: no (alpha, b) solves the
-    system on the clamped levels.
+    Each target's scale is max(|alpha + b x_i|, 1), and with b held, where x
+    is the energy and b x_i may dwarf the target, also |b x_i|.  The
+    iteration stops once the step moves no target by more than 4 ulp of its
+    scale and each level's r_i is within 4 ulp of it or its own Newton step
+    r_i / kB h'_i within 4 ulp of max(t_i, 1), or once a first trial fails
+    to lower a residual at rounding level; that last step, r included, is
+    taken in p to first order.  A step halved to nothing, a last step that
+    takes a p to 0 or below, or _JOINT_CAP iterations return None.
     """
     h_lo, h_hi = ends[:2]
     past = 1e-9 * max(1.0, abs(h_hi))  # where a cut step puts the first level it frees from _P_HI
@@ -418,15 +407,13 @@ def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: 
 def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple) -> _Levels:
     """alpha and the levels it normalizes at beta: ``_joint_solve`` on x = E with b = beta held.
 
-    Every level is clamped at _P_HI for alpha below h_hi - max(beta E) and at
-    _P_LO above h_lo - min(beta E), and both ends are clipped to
-    [-_REACH, _REACH]: where sum p there does not lie on both sides of 1,
-    SpecError.  The first state is the Gibbs weights' t, with the alpha that
-    fits the lowest level to its weight, or frees that level from _P_HI
-    (sum p has a kink where the level clamps).  Where that alpha's ulp spans
-    h's range (as on energies far from 0), so that the step frees the level
-    from both clamps at once, the solution is the levels clamped at that
-    kink, the lowest at _P_HI.
+    Every level clamps at _P_HI below alpha = h_hi - max(beta E) and at _P_LO
+    above h_lo - min(beta E), both clipped to [-_REACH, _REACH]; where sum p
+    there does not lie on both sides of 1, SpecError.  The start is the
+    Gibbs weights' t, with the alpha that fits the lowest level to its
+    weight, or frees that level from _P_HI (sum p has a kink there).  Where
+    alpha's ulp spans h's range, so that no alpha frees the level, the
+    solution is the levels clamped at that kink.
     """
     h_lo, h_hi = ends[:2]
     bE = beta * E
@@ -451,7 +438,7 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple) ->
         raise SpecError(f"no alpha normalizes the clamped levels at beta = {beta!r}")
 
     target = alpha + bE
-    if target[low] >= h_lo:  # no alpha frees the lowest level: the levels clamp at its kink
+    if target[low] >= h_lo:
         high = bE == bE[low]
         p = np.where(high, _P_HI, _P_LO)
         return _Levels(float(h_hi - bE[low]), beta, p / p.sum(), np.where(high, _T_LO, _T_HI), np.zeros(E.size))
@@ -468,13 +455,10 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple) ->
 def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
     """The levels whose mean energy is target: ``_joint_solve`` on x = (E - target) / span, with b free.
 
-    Energies are taken from the target in units of the span E_max - E_min:
-    the levels solve h = alpha + b x with b = beta span, so that on a
-    spectrum far from 0 neither the targets nor the residual cancel, and the
-    weighted variance stays finite whatever the span.  The iteration starts
-    from the uniform levels at b = 0 (t = ln L, alpha = h(ln L)).  Where it
-    finds no solution, no beta reaches the target on the clamped levels:
-    SpecError.
+    With b = beta span, on a spectrum far from 0 neither the targets nor the
+    residual cancel, and the weighted variance stays finite whatever the
+    span.  The start is the uniform levels at b = 0 (t = ln L,
+    alpha = h(ln L)).  Where the loop finds no solution, SpecError.
     """
     span = float(E.max() - E.min())
     t = np.full(E.size, math.log(E.size))

@@ -845,6 +845,19 @@ class TestFixedBetaJointSolve:
         assert refused >= 5 and clamped >= 50
         assert total[0] <= total[1]
 
+    def test_a_seeded_corpus_takes_few_level_solves(self, monkeypatch):
+        # the alpha bracket's safeguard solved the levels 765 times on this corpus, up to 52 times in one
+        # problem; the joint iteration takes 141, at most 3 in one.  The bound 150 leaves 9 (6 %): without
+        # the held-b cut short of _P_HI, the joint step after a level solve, the resid stop at a target's
+        # rounding, or joint steps that move a level across _P_LO, the corpus takes 157 to 216
+        calls, total = count_calls(monkeypatch, "_invert_h"), 0
+        for spec, E, beta, ends in fixed_beta_corpus(20261019, 300):
+            calls.clear()
+            fixed_beta_levels(thermo._solve_fixed_beta, spec, E, beta, ends)
+            assert len(calls) <= 4, (spec.name, spec.kB, spec.scale, E.tolist(), beta)
+            total += len(calls)
+        assert total <= 150
+
     def test_twenty_levels_take_few_evaluations(self, monkeypatch):
         # the nested solve evaluated h on the levels 39 times, 29 of them on all 20 levels
         calls = count_calls(monkeypatch, "_stationarity")
