@@ -10,14 +10,14 @@ Canonical MaxEnt solves the stationarity condition h(ln 1/p_i) = alpha +
 beta E_i, h = kB (G - G'), with exact slopes from ``Entropy.dh``, by one
 Newton iteration (``_joint_solve``) on h(t_i) = alpha + b x_i in alpha, b
 and every level's t = ln 1/p, with sum p = 1 and, for a target mean energy,
-sum p x = 0.  At fixed beta, x = E and b = beta is held; at a target U*,
-x = (E - U*) / span and b = beta span is free.  Each step evaluates h once
-and eliminates the free levels (levels clamped to [_P_LO, _P_HI] are set to
-the clamp), which leaves the step in alpha and b in closed form.  Where such
-a joint step is refused, the levels are solved to 4 ulp (``catalog._newton``,
-elementwise) and the step is damped on the convex MaxEnt dual, with an
-Armijo test on it.  A beta at which no alpha normalizes the clamped levels,
-or a target that no beta reaches on them, raises SpecError.
+sum p x = 0.  At fixed beta, x = beta (E - E_0), E_0 the level of least
+beta E, and b = 1 is held; at a target U*, x = (E - U*) / span and
+b = beta span is free.  Each step evaluates h once and eliminates the free
+levels (levels clamped to [_P_LO, _P_HI] are set to the clamp), which
+leaves the step in alpha and b in closed form.  Where such a joint step is
+refused, the levels are solved to 4 ulp (``catalog._newton``, elementwise)
+and the step is damped on the convex MaxEnt dual, with an Armijo test on
+it.  A target that no beta reaches on the clamped levels raises SpecError.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ _T_LO, _T_HI = -math.log(_P_HI), -math.log(_P_LO)  # t = ln 1/p at the clamps, t
 _T_GAP = (_T_HI - _T_LO) / 63
 _T_POINTS = ([_T_HI - k * _T_GAP for k in range(63)]
              + [_T_GAP * (_T_LO / _T_GAP) ** (j / 17) for j in range(1, 17)] + [_T_LO])
-_REACH = 2.0 ** 200  # the alpha bracket is clipped to [-_REACH, _REACH]
 _EPS = sys.float_info.epsilon
 
 
@@ -280,10 +279,9 @@ def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: 
     residual's rounding level, meets the Armijo condition on D with
     c = 1e-4 (below it, such steps would alternate).
 
-    Each target's scale is max(|alpha + b x_i|, 1), and with b held, where x
-    is the energy and b x_i may dwarf the target, also |b x_i|.  The
-    iteration stops once the step moves no target by more than 4 ulp of its
-    scale and each level's r_i is within 4 ulp of it or its own Newton step
+    Each target's scale is max(|alpha + b x_i|, 1).  The iteration stops
+    once the step moves no target by more than 4 ulp of its scale and each
+    level's r_i is within 4 ulp of it or its own Newton step
     r_i / kB h'_i within 4 ulp of max(t_i, 1), or once a first trial fails
     to lower a residual at rounding level; that last step, r included, is
     taken in p to first order.  A step halved to nothing, a last step that
@@ -291,7 +289,6 @@ def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: 
     """
     h_lo, h_hi = ends[:2]
     past = 1e-9 * max(1.0, abs(h_hi))  # where a cut step puts the first level it frees from _P_HI
-    unit = np.maximum(np.abs(start[1] * x), 1.0) if held else 1.0  # the least scale of each target
 
     def state(alpha, b, h, p, t, w, resid):
         """The levels at (alpha, b) (b in their ``beta``), their targets h = alpha + b x, the residual,
@@ -357,7 +354,7 @@ def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: 
         levels, h, r, step, g, resid = now
         d_alpha, d_b = lam * step[0], lam * step[1]
         d_h = d_alpha + d_b * x  # the step in each target
-        scale = np.maximum(np.abs(h), unit)
+        scale = np.maximum(np.abs(h), 1.0)
         tol = 4 * np.spacing(scale)  # nan at an infinite target, which no step exceeds
         if not (np.count_nonzero(np.abs(d_h) > tol) or np.count_nonzero(
                 (np.abs(resid) > tol)
@@ -405,51 +402,32 @@ def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: 
 
 
 def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple) -> _Levels:
-    """alpha and the levels it normalizes at beta: ``_joint_solve`` on x = E with b = beta held.
+    """alpha and the levels it normalizes at beta: ``_joint_solve`` on x = beta (E - E_0) with b = 1 held.
 
-    Every level clamps at _P_HI below alpha = h_hi - max(beta E) and at _P_LO
-    above h_lo - min(beta E), both clipped to [-_REACH, _REACH]; where sum p
-    there does not lie on both sides of 1, SpecError.  The start is the
-    Gibbs weights' t, with the alpha that fits the lowest level to its
-    weight, or frees that level from _P_HI (sum p has a kink there).  Where
-    alpha's ulp spans h's range, so that no alpha frees the level, the
-    solution is the levels clamped at that kink.
+    E_0, the ground level, has the least beta E, so every x_i >= 0 and the
+    loop's alpha' = alpha + beta E_0 lies in [h_hi, h_lo]: at h_hi the ground
+    level clamps at _P_HI and no level lies below _P_LO, and at h_lo every
+    level clamps at _P_LO.  x is capped at the largest double (its level
+    clamps at _P_LO whatever alpha'), and is beta E - beta E_0 where E - E_0
+    is past it.  The start is the Gibbs weights' t, with the alpha' that fits
+    the ground level to its weight, or frees it from _P_HI (sum p has a kink
+    there).  alpha = alpha' - beta E_0 is formed once, at the end.
     """
     h_lo, h_hi = ends[:2]
-    bE = beta * E
-    low = int(np.argmin(bE))
-    t = bE - bE[low] + math.log(np.exp(bE[low] - bE).sum())
-    alpha = max(float(_stationarity(spec, t[low:low + 1])[0] - bE[low]),
-                float(np.nextafter(h_hi - bE[low], math.inf)))
-
-    # sum p at each end, but for rounding: the levels left free at an end are solved from that
-    # clamp, unless sum p lies strictly on that end's side of 1 with every one of them at the other
-    sums = []
-    ends_at = ((max(h_hi - bE.max(), -_REACH), _T_LO, _P_LO), (min(h_lo - bE.min(), _REACH), _T_HI, _P_HI))
-    for side, (a, t_clamp, p_other) in enumerate(ends_at):
-        target = a + bE
-        n_low, n_high = np.count_nonzero(target >= h_lo), np.count_nonzero(target <= h_hi)
-        n_free = E.size - n_low - n_high
-        s = n_low * _P_LO + n_high * _P_HI + n_free * p_other
-        if n_free and (s <= 1 if side == 0 else s >= 1):
-            s = _invert_h(spec, target, ends, np.full(E.size, t_clamp))[0].sum()
-        sums.append(s)
-    if not sums[0] >= 1 >= sums[1]:
-        raise SpecError(f"no alpha normalizes the clamped levels at beta = {beta!r}")
-
-    target = alpha + bE
-    if target[low] >= h_lo:
-        high = bE == bE[low]
-        p = np.where(high, _P_HI, _P_LO)
-        return _Levels(float(h_hi - bE[low]), beta, p / p.sum(), np.where(high, _T_LO, _T_HI), np.zeros(E.size))
+    ground = int(np.argmin(E) if beta >= 0 else np.argmax(E))
+    gap = E - E[ground]  # infinite where the energies span more than the largest double
+    x = np.minimum(np.where(np.isfinite(gap), beta * gap, beta * E - beta * E[ground]), sys.float_info.max)
+    t = x + math.log(np.exp(-x).sum())
+    alpha = max(float(_stationarity(spec, t[ground:ground + 1])[0]), math.nextafter(h_hi, math.inf))
+    target = alpha + x
     low = target >= h_lo  # and no level clamps at _P_HI
     t = np.where(low, _T_HI, np.clip(t, _T_LO, _T_HI))
     p, _, w, resid = _free_levels(spec, t, target)
     p[low], w[low], resid[low] = _P_LO, 0.0, 0.0
-    levels = _joint_solve(spec, E, ends, (alpha, beta, target, p, t, w, resid), True)
+    levels = _joint_solve(spec, x, ends, (alpha, 1.0, target, p, t, w, resid), True)
     if levels is None:
         raise SpecError(f"no alpha normalizes the clamped levels at beta = {beta!r}")
-    return levels._replace(beta=beta)
+    return levels._replace(alpha=levels.alpha - beta * E[ground], beta=beta)
 
 
 def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) -> _Levels:
@@ -475,9 +453,11 @@ def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) ->
 def _solution(spec: Entropy, energies: tuple, levels: _Levels) -> MaxEntSolution:
     p, alpha, beta = levels.p, levels.alpha, levels.beta
     dist = Distribution(p)
-    with np.errstate(over="ignore"):  # beta E past the largest double is inf, and so is the residual
-        bE = beta * np.asarray(energies)
-    resid = np.max(np.abs(_stationarity(spec, -np.log(p)) - (alpha + bE)))
+    # over the free levels, from alpha and beta: beta E past the largest double is inf on a clamped
+    # level, and where alpha is -inf or inf (beta E_0 past it), the residual is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.max(np.abs(_stationarity(spec, -np.log(p)) - (alpha + beta * np.asarray(energies))),
+                       where=levels.w > 0, initial=0.0)
     return MaxEntSolution(dist, alpha, beta, _partition_value(spec, energies, beta),
                           float(np.dot(p, energies)), spec.evaluate(dist), float(resid))
 
@@ -502,9 +482,9 @@ def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
     stationarity condition h(ln 1/p_i) = alpha + beta E_i, h = kB (G - G'),
     which needs a strictly monotone h (checked at solve time).  The levels,
     alpha and beta are one Newton iteration on the convex dual
-    (``_joint_solve``): at fixed beta with b = beta held on x = E
-    (``_solve_fixed_beta``), in target-U mode with b free on the energies in
-    span units from the target (``_solve_target_U``).
+    (``_joint_solve``): at fixed beta with b = 1 held on x = beta (E - E_0),
+    E_0 the ground level (``_solve_fixed_beta``), in target-U mode with b
+    free on the energies in span units from the target (``_solve_target_U``).
     """
     spec = problem.spec
     if not spec.has_exponential:

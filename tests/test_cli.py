@@ -520,6 +520,16 @@ class TestMaxent:
         assert (code, err) == (0, "")
         assert maxent_fields(out)["Z"] == math.inf
 
+    def test_the_stationarity_residual_leaves_out_the_clamped_levels(self, capsys, tmp_path):
+        # levels 0 and 1 clamp at 1e-15, their targets about 1e6 past h's range (39.8); counted, they
+        # made the residual 9.9996e+05, while the one free level is solved to about 2e-15
+        path = tmp_path / "e.txt"
+        path.write_text("-1e6\n0\n1\n")
+        code, out, err = run(capsys, "maxent", "--entropy", "tsallis", "--q", "99/100", "--beta", "1",
+                             "--energies", str(path))
+        assert (code, err) == (0, "")
+        assert maxent_fields(out)["stationarity_residual"] <= 1e-14
+
     @pytest.mark.parametrize("flags", [
         ["--entropy", "bg"],
         ["--entropy", "tsallis", "--q", "1/2"],
@@ -535,7 +545,9 @@ class TestMaxent:
             warnings.simplefilter("error")
             code, out, err = run(capsys, "maxent", *flags, "--energies", str(path), "--beta", "1e308")
         assert (code, err) == (0, "")
-        assert maxent_fields(out)["stationarity_residual"] == math.inf
+        # the residual is taken over the free levels, the ground level at 0 alone; it read inf when the
+        # clamped levels' targets counted
+        assert maxent_fields(out)["stationarity_residual"] <= 1e-15
 
     def test_scaled_bg_keeps_the_legendre_relation(self, capsys, tmp_path):
         # Log(x) = c ln x and E(y) = e^(y/c) carry the scale constant
@@ -558,18 +570,43 @@ class TestMaxent:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "levels, flags, ground",
+        [
+            ("0\n1\n2\n", ["--entropy", "tsallis", "--q", "1/2", "--beta=-1e61"], 2),
+            ("-5\n0\n5\n", ["--entropy", "bg", "--beta", "1e61"], 0),
+            # beta E_0 = 1e310 is past the largest double, so alpha prints as -inf and the residual as nan
+            ("1e300\n2e300\n3e300\n", ["--entropy", "bg", "--beta", "1e10"], 0),
+        ],
+        ids=["tsallis beta -1e61", "bg beta 1e61", "bg beta 1e10 at 1e300"],
+    )
+    def test_beta_energy_past_the_old_alpha_reach_is_solved(self, capsys, tmp_path, levels, flags, ground):
+        # measured from the ground level, alpha always exists: the ground level at 1 - 2e-15 and the
+        # others clamped at 1e-15.  In absolute energy, the alpha bracket was clipped to 2^200 and these
+        # exited 2 with "no alpha normalizes the clamped levels"
+        path = tmp_path / "e.txt"
+        path.write_text(levels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "maxent", "--energies", str(path), *flags)
+        assert (code, err) == (0, "")
+        fields = maxent_fields(out)
+        assert math.isinf(fields["alpha"]) == math.isnan(fields["stationarity_residual"])
+        p = [float(line.split("\t")[2]) for line in out.splitlines()[-3:]]
+        assert sum(p) == pytest.approx(1.0, abs=1e-15)
+        assert p[ground] == pytest.approx(1 - 2e-15, abs=3e-16)
+        assert [v for i, v in enumerate(p) if i != ground] == pytest.approx([1e-15] * 2, rel=1e-15)
+
+    @pytest.mark.parametrize(
         "levels, flags",
         [
-            ("0\n1\n2\n", ["--entropy", "tsallis", "--q", "1/2", "--beta=-1e61"]),
-            ("-5\n0\n5\n", ["--entropy", "bg", "--beta", "1e61"]),
             ("0\n1\n2\n", ["--entropy", "bg", "--target-u", "1e-300"]),
             # 1e-15 sum (E_i - E_min) = 5e-14 is the lowest mean energy on the clamped levels
             ("".join(f"{5 * i / 19!r}\n" for i in range(20)), ["--entropy", "bg", "--target-u", "4.9e-14"]),
         ],
-        ids=["tsallis beta -1e61", "bg beta 1e61", "bg target-u 1e-300", "bg target-u 4.9e-14"],
+        ids=["bg target-u 1e-300", "bg target-u 4.9e-14"],
     )
     def test_out_of_reach_of_the_clamped_levels(self, capsys, tmp_path, levels, flags):
-        # p is clamped to [1e-15, 1 - 1e-15], so no alpha or beta reaches these
+        # p is clamped to [1e-15, 1 - 1e-15], so no beta reaches these
         path = tmp_path / "e.txt"
         path.write_text(levels)
         assert is_usage_error(*run(capsys, "maxent", "--energies", str(path), *flags))
