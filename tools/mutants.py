@@ -8,8 +8,8 @@ changes are drawn with the seed.  The source tree that holds the module
 (the first parent directory without an ``__init__.py``) is copied once;
 each mutant is written into the copy, which goes first on PYTHONPATH, and
 ``pytest -x -q`` runs on the test files, one process at a time.  A mutant
-is killed when pytest fails or passes the timeout.  The unmutated copy is
-run first, and must pass.
+is killed when pytest fails or runs past TIMEOUT seconds.  The unmutated
+copy is run first, and must pass.
 
     python3 tools/mutants.py src/gentropy/thermo.py _joint_solve tests/test_thermo.py -n 40 --seed 1
 """
@@ -30,6 +30,7 @@ from pathlib import Path
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "+": "-", "-": "+",
          "*": "/", "/": "*", "//": "/", "%": "//", "**": "*", "and": "or", "or": "and"}
 OPERATOR = re.compile(r"\*\*|//|<=|>=|==|!=|[-+*/%<>]|\band\b|\bor\b")
+TIMEOUT = 600.0
 
 
 def sites(source: str, name: str) -> list[tuple[int, int, int, str]]:
@@ -37,7 +38,7 @@ def sites(source: str, name: str) -> list[tuple[int, int, int, str]]:
     the line's UTF-8 bytes, as ``ast`` gives them."""
     lines = source.encode().splitlines()
     funcs = [node for node in ast.walk(ast.parse(source))
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name]
+             if isinstance(node, ast.FunctionDef) and node.name == name]
     if not funcs:
         raise SystemExit(f"no function {name!r}")
     found = []
@@ -83,7 +84,6 @@ def main(argv=None) -> int:
     parser.add_argument("tests", nargs="+")
     parser.add_argument("-n", type=int, default=40, help="mutants to draw (default 40)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per pytest run")
     args = parser.parse_args(argv)
 
     module = args.module.resolve()
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
             try:
                 return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                                        *args.tests], env=env, stdout=subprocess.DEVNULL,
-                                      stderr=subprocess.DEVNULL, timeout=args.timeout).returncode != 0
+                                      stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode != 0
             except subprocess.TimeoutExpired:
                 return True
 
