@@ -12,12 +12,15 @@ Newton iteration (``_joint_solve``) on h(t_i) = alpha + b x_i in alpha, b
 and every level's t = ln 1/p, with sum p = 1 and, for a target mean energy,
 sum p x = 0.  At fixed beta, x = beta (E - E_0), E_0 the level of least
 beta E, and b = 1 is held; at a target U*, x = (E - U*) / span and
-b = beta span is free.  Each step evaluates h once and eliminates the free
-levels (levels clamped to [_P_LO, _P_HI] are set to the clamp), which
+b = beta span is free, starting from b = 0.  Holding b changes the Newton
+step only; the start (the Gibbs weights at the first b), the safeguards and
+the stop are one rule set.  Each step evaluates h once and eliminates the
+free levels (levels clamped to [_P_LO, _P_HI] are set to the clamp), which
 leaves the step in alpha and b in closed form.  Where such a joint step is
 refused, the levels are solved to 4 ulp (``catalog._newton``, elementwise)
-and the step is damped on the convex MaxEnt dual, with an Armijo test on
-it.  A target that no beta reaches on the clamped levels raises SpecError.
+and the step is damped on the convex MaxEnt dual, cut at the _P_HI clamp
+and tested by Armijo's rule.  A target that no beta reaches on the clamped
+levels raises SpecError.
 """
 
 from __future__ import annotations
@@ -202,13 +205,6 @@ def _check_monotone(spec: Entropy) -> tuple:
     return (float(vals[0]), float(vals[-1]), *slopes)
 
 
-def _free_levels(spec: Entropy, t: np.ndarray, target: np.ndarray) -> tuple:
-    """At the levels' t, as if free: p = e^-t, kB h'(t), w = p / kB h'(t) and r = target - h(t)."""
-    d = spec.kB * spec.dh(t)
-    p = np.exp(-t)
-    return p, d, p / d, target - _stationarity(spec, t)
-
-
 def _invert_h(spec: Entropy, target: np.ndarray, ends: tuple, t: np.ndarray):
     """Solve h(ln 1/p_i) = target_i for every level at once, Newton started at t = ln 1/p.
 
@@ -248,36 +244,39 @@ class _Levels(NamedTuple):
 _JOINT_CAP = 200  # steps, joint or through a level solve, before the target counts as out of reach
 
 
-def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: bool) -> _Levels | None:
+def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, b: float, ground: int, held: bool) -> _Levels | None:
     """The levels that solve h(t_i) = alpha + b x_i, sum p = 1 and, unless b is held, sum p x = 0.
 
     Newton on the MaxEnt dual D(alpha, b) = kB sum p G(t) - alpha g_1 -
     b g_2, convex with p clamped to [_P_LO, _P_HI]: g = (sum p - 1, sum p x)
     is minus its gradient, and [[sum w, sum w x], [sum w x, sum w x^2]],
-    w = p / kB h', its Hessian.  With b free the step is solved in centred
-    form (m = sum w x / sum w, variance sum w (x - m)^2); with b held,
-    d_b = 0 and d_alpha = g_1 / sum w.  ``start`` is the first state as
-    ``state`` takes it, with no level clamped at _P_HI.
+    w = p / kB h', its Hessian.  Whether b is held is read only where the
+    Newton step is formed: with b free it is solved in centred form
+    (m = sum w x / sum w, variance sum w (x - m)^2) and the residual is
+    |g_1| + |g_2|; with b held, d_b = 0, d_alpha = g_1 / sum w (0 where
+    every level is clamped and sum p = 1) and the residual is |g_1|.  Every
+    other rule below holds in both modes.
 
-    A step is first tried jointly in alpha, b and the free levels' t: h and
-    kB h' are evaluated once, the same system is solved with g shifted by
-    the resid r = alpha + b x - h(t) to (g_1 - sum w r, g_2 - sum w r x), and
-    each free t moves by (r_i + d_alpha + d_b x_i) / kB h'_i.  It is taken
-    only as a full step that clamps or frees no level at _P_HI (the kink at
-    _P_LO is negligible), keeps every free t in (_T_LO, _T_HI] and is
-    smaller than the last joint step.  Otherwise the levels are solved to
-    4 ulp by ``_invert_h`` and the step is tried from there, each trial's
-    levels solved likewise; with b free the step from levels just solved is
-    always such a trial, with b held it is tried jointly first.  A trial
-    that frees a level from _P_HI is cut to land just past the clamp (the
-    clamped level adds no curvature, so the full step overshoots there by
-    about 10^4); with b held, one that clamps a level there is cut to land
-    just short of it (halved steps would approach a root there linearly).
-    The step is then halved until it has a Newton step (with b free, two
-    free levels at distinct energies; with b held, a free level or
-    sum p = 1) and lowers |g_1| + |g_2| (|g_1| with b held) or, above the
-    residual's rounding level, meets the Armijo condition on D with
-    c = 1e-4 (below it, such steps would alternate).
+    The start is the Gibbs weights at b on x, t = b x + ln sum e^(-b x)
+    clipped to the clamps, with the alpha that fits level ``ground`` to its
+    weight, but never so low that it clamps at _P_HI (sum p has a kink
+    there).  A step is first tried jointly in alpha, b and the free levels'
+    t: h and kB h' are evaluated once, the same system is solved with g
+    shifted by the resid r = alpha + b x - h(t) to (g_1 - sum w r,
+    g_2 - sum w r x), and each free t moves by (r_i + d_alpha + d_b x_i) /
+    kB h'_i.  It is taken only as a full step that clamps or frees no level
+    at _P_HI (the kink at _P_LO is negligible), keeps every free t in
+    (_T_LO, _T_HI] and is smaller than the last joint step since a trial.
+    Otherwise the levels are solved to 4 ulp by ``_invert_h`` and the step
+    is tried jointly from there first, then as a trial, each trial's levels
+    solved likewise.  A trial that frees a level from _P_HI is cut to land
+    just past the clamp (the clamped level adds no curvature, so the full
+    step overshoots there by about 10^4), and one that clamps a level there
+    is cut to land just short of it (halved steps would approach a root
+    there linearly).  The step is then halved until it has a Newton step
+    (with b free, two free levels at distinct energies) and lowers the
+    residual or, above its rounding level, meets the Armijo condition on D
+    with c = 1e-4 (below it, such steps would alternate).
 
     Each target's scale is max(|alpha + b x_i|, 1).  The iteration stops
     once the step moves no target by more than 4 ulp of its scale and each
@@ -311,6 +310,16 @@ def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: 
         d_b = (g2 - m * g1) / var
         return _Levels(alpha, b, p, t, w), h, abs(g1) + abs(g2), (g1 / sw - m * d_b, d_b), (g1, g2), resid
 
+    def settle(alpha, b, target, t, h_t, low, high):
+        """``state`` of the levels at t as if free, with h(t) = h_t, and then those past h's range
+        clamped: at _P_LO where the target is at least h_lo, at _P_HI where it is at most h_hi."""
+        p = np.exp(-t)
+        w, resid = p / (spec.kB * spec.dh(t)), target - h_t
+        clamped = low | high
+        p[low], p[high] = _P_LO, _P_HI
+        w[clamped] = resid[clamped] = 0.0
+        return state(alpha, b, target, p, t, w, resid)
+
     def rounding(levels):
         """The residual's rounding level: t to a few ulp, each target to one, and the sums (the target
         of a clamped level may be infinite)."""
@@ -325,31 +334,31 @@ def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: 
         target = a + b * x
         low, high = target >= h_lo, target <= h_hi
         t = np.where(low, _T_HI, levels.t + move * levels.w / levels.p)
-        clamped = low | high
-        if np.count_nonzero(high != (h <= h_hi)) or np.count_nonzero(~clamped & ((t <= _T_LO) | (t > _T_HI))):
+        if np.count_nonzero(high != (h <= h_hi)) or np.count_nonzero(~(low | high) & ((t <= _T_LO) | (t > _T_HI))):
             return None
-        p, _, w, resid = _free_levels(spec, t, target)
-        p[low], p[high] = _P_LO, _P_HI
-        w[clamped] = resid[clamped] = 0.0
-        return state(a, b, target, p, t, w, resid)
+        return settle(a, b, target, t, _stationarity(spec, t), low, high)
 
     def dual(levels, g1):  # D(alpha, b)
         return spec.kB * float(levels.p @ spec.G(levels.t)) - levels.alpha * g1 - levels.beta * float(levels.p @ x)
 
     def first_lam(h, step):
-        """1, or the share of the full step that takes the first level it frees from _P_HI (with b held,
-        or clamps there) to just on the free side of the clamp."""
+        """1, or the share of the full step that takes the first level it frees from or clamps at _P_HI
+        to just on the free side of the clamp."""
         move = step[0] + step[1] * x
-        cross = (h <= h_hi) & (h + move > h_hi)
-        if held:
-            cross |= (h > h_hi + past) & (h + move < h_hi + past)
+        cross = ((h <= h_hi) & (h + move > h_hi)) | ((h > h_hi + past) & (h + move < h_hi + past))
         return min(1.0, float(np.min((h_hi + past - h[cross]) / move[cross]))) if cross.any() else 1.0
 
+    t = np.clip(b * x + math.log(np.exp(-b * x).sum()), _T_LO, _T_HI)
+    h_t = _stationarity(spec, t)
+    alpha = max(float(h_t[ground]), math.nextafter(h_hi, math.inf))
+    target = alpha + b * x
+    low = target >= h_lo  # and no level clamps at _P_HI
+    t[low] = _T_HI
+    now = settle(alpha, b, target, t, h_t, low, np.zeros(x.size, bool))
     exact = np.zeros(x.size)  # resid of levels solved to 4 ulp
-    now = state(*start)
     lam = lam0 = 1.0  # the start clamps no level at _P_HI
     d_now = None  # D at now, evaluated once a trial fails to lower the residual
-    last = math.inf  # the size of the last joint step: inf after a trial, 0 after a level solve with b free
+    last = math.inf  # the size of the last joint step, inf after a trial
     for _ in range(_JOINT_CAP if now else 0):
         levels, h, r, step, g, resid = now
         d_alpha, d_b = lam * step[0], lam * step[1]
@@ -374,8 +383,6 @@ def _joint_solve(spec: Entropy, x: np.ndarray, ends: tuple, start: tuple, held: 
                 now = state(levels.alpha, levels.beta, h, *_invert_h(spec, h, ends, levels.t), exact)
                 if now is None:
                     break
-                if not held:
-                    last = 0.0
                 lam = lam0 = first_lam(h, now[3])
                 continue
             target = a + b * x
@@ -409,22 +416,14 @@ def _solve_fixed_beta(spec: Entropy, E: np.ndarray, beta: float, ends: tuple) ->
     level clamps at _P_HI and no level lies below _P_LO, and at h_lo every
     level clamps at _P_LO.  x is capped at the largest double (its level
     clamps at _P_LO whatever alpha'), and is beta E - beta E_0 where E - E_0
-    is past it.  The start is the Gibbs weights' t, with the alpha' that fits
-    the ground level to its weight, or frees it from _P_HI (sum p has a kink
-    there).  alpha = alpha' - beta E_0 is formed once, at the end.
+    is past it.  The loop starts from the Gibbs weights at beta, with alpha'
+    fitted to the ground level.  alpha = alpha' - beta E_0 is formed once,
+    at the end.
     """
-    h_lo, h_hi = ends[:2]
     ground = int(np.argmin(E) if beta >= 0 else np.argmax(E))
     gap = E - E[ground]  # infinite where the energies span more than the largest double
     x = np.minimum(np.where(np.isfinite(gap), beta * gap, beta * E - beta * E[ground]), sys.float_info.max)
-    t = x + math.log(np.exp(-x).sum())
-    alpha = max(float(_stationarity(spec, t[ground:ground + 1])[0]), math.nextafter(h_hi, math.inf))
-    target = alpha + x
-    low = target >= h_lo  # and no level clamps at _P_HI
-    t = np.where(low, _T_HI, np.clip(t, _T_LO, _T_HI))
-    p, _, w, resid = _free_levels(spec, t, target)
-    p[low], w[low], resid[low] = _P_LO, 0.0, 0.0
-    levels = _joint_solve(spec, x, ends, (alpha, 1.0, target, p, t, w, resid), True)
+    levels = _joint_solve(spec, x, ends, 1.0, ground, True)
     if levels is None:
         raise SpecError(f"no alpha normalizes the clamped levels at beta = {beta!r}")
     return levels._replace(alpha=levels.alpha - beta * E[ground], beta=beta)
@@ -435,18 +434,16 @@ def _solve_target_U(spec: Entropy, E: np.ndarray, target: float, ends: tuple) ->
 
     With b = beta span, on a spectrum far from 0 neither the targets nor the
     residual cancel, and the weighted variance stays finite whatever the
-    span.  The start is the uniform levels at b = 0 (t = ln L,
-    alpha = h(ln L)).  Where the loop finds no solution, SpecError.
+    span; a span past the largest double is taken in halves, E / 2 over
+    span / 2.  The loop starts from the uniform levels at b = 0.  Where it
+    finds no solution, SpecError.
     """
-    span = float(E.max() - E.min())
-    t = np.full(E.size, math.log(E.size))
-    p = np.exp(-t)
-    alpha = float(_stationarity(spec, t[:1])[0])
-    start = (alpha, 0.0, np.full(E.size, alpha), p, t, p / (spec.kB * spec.dh(t)), np.zeros(E.size))
-    levels = _joint_solve(spec, (E - target) / span, ends, start, False)
+    half = 0.5 if E.max() - E.min() == math.inf else 1.0
+    span = float(half * E.max() - half * E.min())
+    levels = _joint_solve(spec, (half * E - half * target) / span, ends, 0.0, 0, False)
     if levels is None:
         raise SpecError(f"no beta reaches the target energy {target!r} on the clamped levels")
-    beta = levels.beta / span
+    beta = half * levels.beta / span
     return levels._replace(alpha=levels.alpha - beta * target, beta=beta)
 
 

@@ -596,6 +596,18 @@ class TestMaxent:
         assert p[ground] == pytest.approx(1 - 2e-15, abs=3e-16)
         assert [v for i, v in enumerate(p) if i != ground] == pytest.approx([1e-15] * 2, rel=1e-15)
 
+    def test_target_energy_on_levels_spanning_past_the_largest_double(self, capsys, tmp_path):
+        # E_max - E_min is inf: with x = (E - U*) / span every x was 0, and this exited 2 with "no beta
+        # reaches the target energy 0.0 on the clamped levels", though beta = 0 meets it exactly
+        path = tmp_path / "e.txt"
+        path.write_text("-1e308\n1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "maxent", "--entropy", "bg", "--energies", str(path), "--target-u", "0")
+        assert (code, err) == (0, "")
+        assert maxent_fields(out)["beta"] == 0.0 and maxent_fields(out)["U"] == 0.0
+        assert [float(line.split("\t")[2]) for line in out.splitlines()[-2:]] == [0.5, 0.5]
+
     @pytest.mark.parametrize(
         "levels, flags",
         [

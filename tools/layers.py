@@ -7,7 +7,10 @@ exact sweep under "exact", the float one under "thermo" and the job sweep
 under "jobs".  Under "counts", each MaxEnt row of the float sweep has the
 work of one of its solves: the evaluations of h (``thermo._stationarity``,
 the monotonicity check, the level solves and the residual included) and the
-level solves (``thermo._invert_h``).
+level solves (``thermo._invert_h``).  "counts" also has, untimed, target U
+near an extreme level: at 1e-6, 1e-9 and 1e-12 of the span from the lowest
+of the L = 20 levels.  Only the counts compare across checkouts: two sweeps
+run minutes apart differ by up to 1.7 times on rows whose code is the same.
 
     python3 tools/layers.py                      # this checkout
     python3 tools/layers.py --root ../other      # another checkout's src/
@@ -89,6 +92,7 @@ INPUT_SPECS = {
 LEVELS = (20, 100, 1000)
 N_MAX = 1000
 BETA, TARGET_U = 1.0, 1.5
+NEAR = (1e-6, 1e-9, 1e-12)  # the counted targets' distances from the lowest level, in spans
 THERMO_SPECS = {
     "tsallis 1/2": lambda g: g.Tsallis(Fraction(1, 2)),
     "kaniadakis 1/3": lambda g: g.Kaniadakis(Fraction(1, 3)),
@@ -187,6 +191,10 @@ def thermo_sweep(g, numpy) -> tuple[dict, dict]:
             for row, problem in problems.items():
                 rows[row] = median_ms(lambda: g.maxent_solve(problem), REPEATS)
                 row_counts[row] = solve_counts(g, problem)
+        levels = tuple(5 * i / 19 for i in range(20))
+        for f in NEAR:
+            row_counts[f"maxent_target_u L=20 at {f:g} of the span"] = solve_counts(
+                g, g.MaxEntProblem(spec, levels, target_U=5 * f))
         rows[f"occupation_law N_max={N_MAX}"] = median_ms(lambda: g.occupation_law(spec, N_MAX), REPEATS)
     for name, build in F_SPECS.items():
         spec = build(g)
