@@ -482,10 +482,14 @@ class ExponentialSum(Entropy):
         every denominator is positive, so a zero weight is +0.0.
         """
         exact, s, c = self._exact
-        # rates r, r' with weights k, -k and 0 < |r - r'| < max(|r|, |r'|) / 2 are summed as one pair
-        single, pairs = dict(exact), []
-        for r, k in exact.items():
-            mate = next((q for q, v in single.items() if v == -k and 0 < 2 * abs(r - q) < max(abs(r), abs(q))), None)
+        # each rate r = a / b with weight k = kn / kd, b, kd > 0, as (a, b, kn, kd)
+        ratio = {r: (*r.as_integer_ratio(), *k.as_integer_ratio()) for r, k in exact.items()}
+        # rates r, r' with weights k, -k and 0 < |r - r'| < max(|r|, |r'|) / 2 are summed as one pair;
+        # times b b' > 0, that is 0 < 2 |a b' - a' b| < max(|a| b', |a'| b)
+        single, pairs = dict(ratio), []
+        for r, (a, b, kn, kd) in ratio.items():
+            mate = next((q for q, (a2, b2, vn, vd) in single.items() if (vn, vd) == (-kn, kd)
+                         and 0 < 2 * abs(a * b2 - a2 * b) < max(abs(a) * b2, abs(a2) * b)), None)
             if r in single and mate is not None:
                 pairs.append((r, mate))
                 del single[r], single[mate]
@@ -496,12 +500,11 @@ class ExponentialSum(Entropy):
         def terms(weight, to=operator.truediv):
             """(r, k w(r)) of each single rate, (r', r - r', k w(r), k w(r) - k w(r')) of each pair."""
             out = []
-            for r, k in single.items():
-                (a, b), (kn, kd) = r.as_integer_ratio(), k.as_integer_ratio()
+            for a, b, kn, kd in single.values():
                 p, d = weight(a, b)
                 out.append((to(a, b), to(kn * p, kd * d)))
             for r, q in pairs:
-                (a, b), (a2, b2), (kn, kd) = r.as_integer_ratio(), q.as_integer_ratio(), exact[r].as_integer_ratio()
+                (a, b, kn, kd), (a2, b2, _, _) = ratio[r], ratio[q]
                 (p, d), (p2, d2) = weight(a, b), weight(a2, b2)
                 out.append((to(a2, b2), to(a * b2 - a2 * b, b * b2), to(kn * p, kd * d),
                             to(kn * (p * d2 - p2 * d), kd * d * d2)))

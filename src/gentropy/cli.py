@@ -320,7 +320,7 @@ def cmd_occupation(args) -> int:
     print("#N\tln_W\tW\tS\tresidual")
     if not law.valid:
         return 1
-    report = gentropy.thermo.extensivity_check(spec, args.nmax, law)
+    report = gentropy.thermo.extensivity_check(spec, args.nmax)
     if report.rows:
         N, lw, s, resid, _ = zip(*report.rows)
         with np.errstate(over="ignore"):  # inf where W passes the largest double

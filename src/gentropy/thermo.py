@@ -69,25 +69,33 @@ def occupation_law(spec: Entropy, N_max: int = 100) -> OccupationLaw:
     W strictly increasing and unbounded-looking (F increasing).  F is taken
     over the whole range in one call; ``reason`` names the first N that
     fails, and ``ln_W`` holds the values before it.
+
+    The spec keeps ``(N_max, reason, ln_W)`` as ``_occupation``, so a later
+    call with the same N_max (``extensivity_check``'s) solves no F; another
+    N_max replaces it.  It keeps no ``OccupationLaw``, whose reference back
+    would make a cycle.
     """
     if not spec.has_exponential:
         raise UnsupportedRepresentation(f"{spec.name} has no group exponential")
     if N_max < 0:
         raise SpecError(f"N_max must be nonnegative, got {N_max}")
-    N = np.arange(N_max + 1.0)
-    try:
-        ln_W, reason = spec.F(N), ""
-    except InverseError as exc:  # F is defined below the first N it raises at
-        ln_W, reason = spec.F(N[:int(exc.s)]), f"F undefined at N={int(exc.s)}"
-    finite = np.isfinite(ln_W)
-    rising = np.r_[ln_W[:1] == 0.0, ln_W[1:] > ln_W[:-1]]
-    bad = np.flatnonzero(~(finite & rising))
-    if bad.size:
-        k = int(bad[0])
-        reason = (f"F not finite at N={k}" if not finite[k] else "W(0) != 1" if k == 0
-                  else f"W not increasing at N={k}")
-        ln_W = ln_W[:k]
-    return OccupationLaw(spec, not reason, reason, tuple(ln_W.tolist()))
+    if getattr(spec, "_occupation", (None,))[0] != N_max:
+        N = np.arange(N_max + 1.0)
+        try:
+            ln_W, reason = spec.F(N), ""
+        except InverseError as exc:  # F is defined below the first N it raises at
+            ln_W, reason = spec.F(N[:int(exc.s)]), f"F undefined at N={int(exc.s)}"
+        finite = np.isfinite(ln_W)
+        rising = np.r_[ln_W[:1] == 0.0, ln_W[1:] > ln_W[:-1]]
+        bad = np.flatnonzero(~(finite & rising))
+        if bad.size:
+            k = int(bad[0])
+            reason = (f"F not finite at N={k}" if not finite[k] else "W(0) != 1" if k == 0
+                      else f"W not increasing at N={k}")
+            ln_W = ln_W[:k]
+        spec._occupation = N_max, reason, tuple(ln_W.tolist())
+    _, reason, ln_W = spec._occupation
+    return OccupationLaw(spec, not reason, reason, ln_W)
 
 
 def microcanonical(spec: Entropy, W: float) -> float:
@@ -110,23 +118,19 @@ class ExtensivityReport:
     rows: list = field(default_factory=list)
 
 
-def extensivity_check(
-    spec: Entropy, N_max: int, law: OccupationLaw | None = None
-) -> ExtensivityReport:
+def extensivity_check(spec: Entropy, N_max: int) -> ExtensivityReport:
     """max |S(uniform over W(N)) - kB N| over N = 1..N_max, in log space.
 
     The primary check uses the real-valued W(N); a rounded-W variant is
     evaluated wherever W fits in a double.  W(N) must be admissible on all of
-    0..N_max, or SpecError is raised.  ``law`` is spec's occupation law if the
-    caller built it; its ln W(N) are read, not solved again (a law that stops
-    short of N_max is rebuilt).
+    0..N_max, or SpecError is raised.  The law is ``occupation_law(spec,
+    N_max)``, so a law the caller has built for N_max is read, not solved again.
     """
-    if law is None or len(law.ln_W) <= N_max:
-        law = occupation_law(spec, N_max)
+    law = occupation_law(spec, N_max)
     if not law.valid:
         raise SpecError(f"occupation law not admissible: {law.reason}")
     kB, N = spec.kB, np.arange(1, N_max + 1)
-    lw = np.array(law.ln_W[1:N_max + 1])
+    lw = np.array(law.ln_W[1:])
     s = kB * spec.G(lw)
     resid = np.abs(s - kB * N)
     # W rounded to an integer where it fits in a double; math.exp and math.log

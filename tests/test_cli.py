@@ -669,16 +669,17 @@ class TestOccupation:
         assert W[698:] == [pytest.approx(math.exp(N), rel=1e-15) for N in range(699, 710)] + [math.inf] * 3
 
     def test_builds_the_occupation_law_once(self, capsys, monkeypatch):
-        from gentropy import thermo
+        # the law and the extensivity rows take F from one solve
+        from gentropy import catalog
 
         calls = []
-        build = thermo.occupation_law
+        solve = catalog.BoltzmannGibbs._F
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+        def counting(self, s):
+            calls.append(s)
+            return solve(self, s)
 
-        monkeypatch.setattr(thermo, "occupation_law", counting)
+        monkeypatch.setattr(catalog.BoltzmannGibbs, "_F", counting)
         code, _, _ = run(capsys, "occupation", "--entropy", "bg", "--nmax", "5")
         assert code == 0
         assert len(calls) == 1

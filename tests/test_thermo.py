@@ -1,10 +1,12 @@
 """Occupation laws, extensivity, canonical MaxEnt, and asymptotic scans."""
 
+import gc
 import math
 import random
 import re
 import statistics
 import warnings
+import weakref
 from fractions import Fraction
 
 import mpmath as mp
@@ -206,7 +208,7 @@ class TestOccupationLaw:
         law = occupation_law(spec, 1000)
         ln_W = tuple(float(spec.F(N)) for N in range(1001))
         assert law.valid and law.ln_W == ln_W
-        assert extensivity_check(spec, 1000, law).rows == scalar_extensivity_rows(spec, ln_W)
+        assert extensivity_check(spec, 1000).rows == scalar_extensivity_rows(spec, ln_W)
 
     @pytest.mark.parametrize("kB", [1.0, 2.0], ids=str)
     @pytest.mark.parametrize("kind", INVERSE_KINDS)
@@ -215,7 +217,7 @@ class TestOccupationLaw:
         spec = INVERSE_KINDS[kind](kB)
         law = occupation_law(spec, 300)
         assert law.valid
-        assert extensivity_check(spec, 300, law).rows == scalar_extensivity_rows(spec, law.ln_W)
+        assert extensivity_check(spec, 300).rows == scalar_extensivity_rows(spec, law.ln_W)
 
     @pytest.mark.parametrize(
         "spec, reason",
@@ -248,7 +250,7 @@ class TestOccupationLaw:
         spec = make(2.0)
         law = occupation_law(spec, 200)
         assert law.ln_W == occupation_law(make(1.0), 200).ln_W
-        for N, lw, S, resid, _ in extensivity_check(spec, 200, law).rows:
+        for N, lw, S, resid, _ in extensivity_check(spec, 200).rows:
             assert resid <= 1e-9 * N
         assert law.log_W(5) == law.ln_W[5]
 
@@ -312,8 +314,53 @@ class TestExtensivity:
 
     def test_a_short_law_is_rebuilt(self):
         spec = BoltzmannGibbs()
-        report = extensivity_check(spec, 8, occupation_law(spec, 3))
+        occupation_law(spec, 3)
+        report = extensivity_check(spec, 8)
         assert [row[0] for row in report.rows] == list(range(1, 9))
+
+    def test_a_law_kept_for_another_range_is_rebuilt(self):
+        # the law kept for 300 stops at N = 200, yet the law over 0..100 is admissible
+        spec = Tsallis(Fraction(201, 200))
+        assert occupation_law(spec, 300).reason == "F not finite at N=200"
+        assert len(extensivity_check(spec, 100).rows) == 100
+        with pytest.raises(SpecError, match="F not finite at N=200"):
+            extensivity_check(spec, 300)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: BorgesRoditi(Fraction(1, 2), Fraction(-3, 10)),
+         lambda: GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)])],
+        ids=["borges_roditi 1/2 -3/10", "generic"],
+    )
+    def test_reads_the_law_the_caller_built(self, make):
+        # occupation_law then extensivity_check, as the occupation op makes them, solves F once, not twice
+        spec, calls = make(), []
+        solve = spec._F
+
+        def counted(s):
+            calls.append(s)
+            return solve(s)
+
+        spec._F = counted
+        law = occupation_law(spec, 300)
+        report = extensivity_check(spec, 300)
+        assert len(calls) == 1
+        assert law.valid and report.rows == extensivity_check(make(), 300).rows
+
+    @pytest.mark.parametrize("make", [BoltzmannGibbs, lambda: Tsallis(Fraction(1, 2)),
+                                      lambda: BorgesRoditi(Fraction(1, 2), Fraction(-3, 10))],
+                             ids=["bg", "tsallis 1/2", "borges_roditi 1/2 -3/10"])
+    def test_a_kept_law_leaves_no_cycle(self, make):
+        # the kept law holds no reference back to the spec, so the spec goes without the collector
+        gc.disable()
+        try:
+            spec = make()
+            occupation_law(spec, 50)
+            ref = weakref.ref(spec)
+            del spec
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_rows_shape(self):
         report = extensivity_check(BoltzmannGibbs(), 5)

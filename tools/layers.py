@@ -43,12 +43,20 @@ series-defined one at order 12, past its degree 3).
 The job sweep, under "jobs", times the fixed cost of one spec of each
 maxent-thermo kind: building it with its first G call, which rounds its float
 tables (``spec + first G``), and ``extensivity_check`` at the workload's
-N_max = 300 with the occupation law given, for the kinds whose law is
-admissible.  Each of these calls takes well under 1 ms, so each of its 7
-timings is the mean of a batch of 100 calls.
+N_max = 300 on a spec whose law ``occupation_law`` has built, for the kinds
+whose law is admissible (a checkout that does not keep the law on the spec
+solves F again there).  Its "occupation op" row times the workload's
+occupation op on a new spec per call, construction inside the clock:
+``occupation_law`` and then, where the law is admissible, ``extensivity_check``,
+called as the workload calls them.  Under "counts", that row has the solves
+of F (calls of the spec's ``_F``) of one op.  Each of these calls takes well
+under 1 ms, so each of its 7 timings is the mean of a batch of 100 calls.
 
-Each layer's input is built once, outside its clock, except the spec that the
-``spec + first G`` row builds; no call reuses an earlier solve.
+Each layer's input is built once, outside its clock, except the specs that
+the ``spec + first G`` and "occupation op" rows build; no call reuses an
+earlier solve but the ``extensivity_check`` row's, which reads its law.  A
+spec keeps its occupation law, so each ``occupation_law`` call of the float
+sweep takes a new spec, built with its first G call outside the clock.
 """
 
 from __future__ import annotations
@@ -195,7 +203,11 @@ def thermo_sweep(g, numpy) -> tuple[dict, dict]:
         for f in NEAR:
             row_counts[f"maxent_target_u L=20 at {f:g} of the span"] = solve_counts(
                 g, g.MaxEntProblem(spec, levels, target_U=5 * f))
-        rows[f"occupation_law N_max={N_MAX}"] = median_ms(lambda: g.occupation_law(spec, N_MAX), REPEATS)
+        # a spec keeps its law, so each call takes a new one, its float tables rounded outside the clock
+        fresh = [build(g) for _ in range(REPEATS)]
+        for new in fresh:
+            new.G(1.0)
+        rows[f"occupation_law N_max={N_MAX}"] = median_ms(lambda: g.occupation_law(fresh.pop(), N_MAX), REPEATS)
     for name, build in F_SPECS.items():
         spec = build(g)
         rows = out.setdefault(name, {})
@@ -205,16 +217,37 @@ def thermo_sweep(g, numpy) -> tuple[dict, dict]:
     return out, counts
 
 
-def job_sweep(g) -> dict:
-    out = {}
+def occupation_op(g, spec) -> None:
+    """The maxent-thermo workload's occupation op on ``spec``: the law, then its extensivity rows."""
+    if g.occupation_law(spec, JOB_N_MAX).valid:
+        g.extensivity_check(spec, JOB_N_MAX)
+
+
+def f_solves(g, spec) -> int:
+    """The calls of ``spec._F`` that one ``occupation_op`` on ``spec`` makes."""
+    calls, solve = [], spec._F
+
+    def counted(s):
+        calls.append(s)
+        return solve(s)
+
+    spec._F = counted
+    occupation_op(g, spec)
+    return len(calls)
+
+
+def job_sweep(g) -> tuple[dict, dict]:
+    """The job sweep's milliseconds, and the F solves of its occupation op rows."""
+    out, counts = {}, {}
     for name, build in JOB_SPECS.items():
         rows = out[name] = {"spec + first G": median_ms(lambda: build(g).G(1.0), REPEATS, BATCH)}
         spec = build(g)
-        law = g.occupation_law(spec, JOB_N_MAX)
-        if law.valid:
+        if g.occupation_law(spec, JOB_N_MAX).valid:
             rows[f"extensivity_check N_max={JOB_N_MAX}"] = median_ms(
-                lambda: g.extensivity_check(spec, JOB_N_MAX, law), REPEATS, BATCH)
-    return out
+                lambda: g.extensivity_check(spec, JOB_N_MAX), REPEATS, BATCH)
+        rows[f"occupation op N_max={JOB_N_MAX}"] = median_ms(lambda: occupation_op(g, build(g)), REPEATS, BATCH)
+        counts[name] = {f"occupation op N_max={JOB_N_MAX}": {"F": f_solves(g, build(g))}}
+    return out, counts
 
 
 def main(argv=None) -> int:
@@ -230,14 +263,15 @@ def main(argv=None) -> int:
     sha = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                          capture_output=True, text=True).stdout.strip() or None
     thermo_ms, counts = thermo_sweep(g, numpy)
+    jobs_ms, job_counts = job_sweep(g)
     result = {
         "git_sha": sha,
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "ms": {"exact": exact_sweep(g), "thermo": thermo_ms, "jobs": job_sweep(g)},
-        "counts": counts,
+        "ms": {"exact": exact_sweep(g), "thermo": thermo_ms, "jobs": jobs_ms},
+        "counts": {**counts, **job_counts},
     }
     print(json.dumps(result, indent=1))
     return 0
