@@ -307,13 +307,28 @@ def _numeric_inverse(G, dG, s, G_long):
     return t.reshape(s.shape)
 
 
-class Entropy:
-    """Base class for catalog entropies."""
+class _Built(type):
+    """Marks a spec built once its whole constructor has returned."""
+
+    def __call__(cls, *args, **kwargs):
+        spec = super().__call__(*args, **kwargs)
+        spec._built = True
+        return spec
+
+
+class Entropy(metaclass=_Built):
+    """Base class for catalog entropies; a built spec's public attributes are read-only."""
 
     name = "entropy"
     has_exponential = False
     has_group_law = False  # a usable composition rule Phi exists
     monoid_only = False
+
+    def __setattr__(self, name, value):
+        # private attributes, the float tables and the occupation law a spec keeps, stay writable
+        if "_built" in self.__dict__ and not name.startswith("_"):
+            raise AttributeError(f"cannot set {type(self).__name__}.{name}: a built spec is read-only")
+        object.__setattr__(self, name, value)
 
     def __init__(self, kB: float = 1.0, scale_c=1):
         if not 0 < kB < math.inf:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 from ._lazy import np
 from .catalog import Distribution, DistributionError
@@ -43,6 +43,9 @@ def parse_distribution(text: str) -> Distribution:
 _CHUNK = 1 << 16
 # the ASCII line breaks of str.splitlines besides \n and \r
 _SEPARATORS = "\x0b\x0c\x1c\x1d\x1e"
+# the rest of the ASCII whitespace of str.split and str.strip, \n aside
+_PADDING = " \t\r\x1f"
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 _COMMENT = re.compile("#.*")
 # p/q lines whose operands are exact in int64 and in float64
 _RATIOS = re.compile(r"[0-9]{1,15}/[0-9]{1,15}(?:\n[0-9]{1,15}/[0-9]{1,15})*")
@@ -61,23 +64,34 @@ def _parse_lines(text: str, ratios: bool) -> np.ndarray | None:
     The operands of such a p/q are exact doubles, so their quotient is the
     correctly rounded int / int of ``_parse_number``.  Every other line goes
     through float().
+
+    Where no line is padded, one split() gives the tokens; the decimals are
+    parsed straight into an array, and into place among the p/q by one byte
+    mask.
     """
     if not text.isascii() or any(sep in text for sep in _SEPARATORS):
         return None
-    tokens = list(filter(None, map(str.strip, _COMMENT.sub("", text).split("\n"))))
-    slash = list(map(operator.contains, tokens, repeat("/")))
-    is_ratio = np.frombuffer(bytes(slash), dtype=bool)
-    values = np.empty(len(tokens))
-    if any(slash):
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    if any(pad in text for pad in _PADDING):
+        tokens = list(filter(None, map(str.strip, text.split("\n"))))
+    else:
+        tokens = text.split()
+    try:
+        if "/" not in text:
+            return np.fromiter(map(float, tokens), float, len(tokens))
+        slash = bytes(map(operator.contains, tokens, repeat("/")))
         pq = "\n".join(compress(tokens, slash))
         if not ratios or not _RATIOS.fullmatch(pq):
             return None
         num, den = np.fromstring(pq.replace("/", "\n"), dtype=np.int64, sep="\n").reshape(-1, 2).T
         if not den.all():
             return None
+        is_ratio = np.frombuffer(slash, dtype=bool)
+        values = np.empty(len(tokens))
         values[is_ratio] = num / den
-    try:
-        values[~is_ratio] = list(map(float, compress(tokens, map(operator.not_, slash))))
+        decimals = compress(tokens, slash.translate(_FLIP))
+        values[~is_ratio] = np.fromiter(map(float, decimals), float, len(tokens) - len(num))
     except ValueError:
         return None
     return values
@@ -170,25 +184,26 @@ def format_value(x, digits: int = _DIGITS) -> str:
     return format_float(x, digits)
 
 
-def _format_column(column, digits: int) -> list[str]:
-    """format_value of each entry; a column of ints or of floats in one C-level map."""
+def _column_spec(column, digits: int) -> tuple[str, list]:
+    """A column's % conversion and its values: ints and floats as they are, others as format_value texts."""
     column = column.tolist() if hasattr(column, "tolist") else list(column)  # an array
     types = set(map(type, column))
     if types <= {int}:
-        return list(map(str, column))
+        return "%d", column
     if types <= {float}:
         # format_float's text: its .e format gives str() of inf and nan too
-        if digits > 17:
-            return list(map(repr, column))
-        return list(map(format, column, repeat(f".{digits - 1}e")))
-    return [format_value(x, digits) for x in column]
+        return ("%r" if digits > 17 else f"%.{digits - 1}e"), column
+    return "%s", [format_value(x, digits) for x in column]
 
 
 def tsv_table(*columns, digits: int = _DIGITS) -> str:
-    """Tab-separated rows, one per line, of the columns' format_value texts, formatted a column at a time."""
-    return "\n".join(map("\t".join, zip(*(_format_column(c, digits) for c in columns))))
+    """Tab-separated rows, one per line, of the columns' format_value texts, formatted by one % operation."""
+    specs = [_column_spec(c, digits) for c in columns]
+    rows = list(zip(*(values for _, values in specs)))
+    template = "\t".join(spec for spec, _ in specs)
+    return "\n".join([template] * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def tsv_line(*fields, digits: int = _DIGITS) -> str:
-    """tsv_table of one row."""
-    return tsv_table(*([f] for f in fields), digits=digits)
+    """tsv_table of one row: the fields' format_value texts."""
+    return "\t".join([format_value(f, digits) for f in fields])

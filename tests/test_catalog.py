@@ -37,6 +37,8 @@ from gentropy.catalog import (
     elementary_functional,
 )
 from gentropy.cli import KINDS
+from gentropy.scd import ScdEntropy
+from gentropy.thermo import occupation_law
 
 FIX = Distribution([0.5, 0.3, 0.2])
 
@@ -978,3 +980,45 @@ class TestLazyTables:
         t = np.linspace(-3.0, 3.0, 25)
         for name in ("G", "dG", "d2G", "dh", "F"):  # G is float_first's first call
             assert _bits(getattr(exact_first, name), t) == _bits(getattr(float_first, name), t), name
+
+
+# each kind of the CLI's table, built at parameters it accepts
+BUILT_KINDS = {
+    **{name: lambda make=make, v=v: make(v) for name, (make, v) in LAZY_KINDS.items()},
+    "bg": BoltzmannGibbs,
+    "s_cd": lambda: ScdEntropy(0.5, 2),
+    "s_delta": lambda: SDelta(0.5),
+    "s_q_delta": lambda: SQDelta(Fraction(1, 2), 0.5),
+    "generic": lambda: GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)]),
+}
+
+
+def _use(spec):
+    """What a run keeps on the spec: its float tables and its occupation law, with some outputs."""
+    out = [_bits(spec.evaluate, FIX)]
+    if spec.has_exponential:
+        t = np.linspace(0.25, 3.0, 12)
+        out += [_bits(f, t) for f in (spec.G, spec.dh, spec.F)]
+        occupation_law(spec, 50)
+    return out
+
+
+class TestBuiltSpecsAreReadOnly:
+    """Writing a public attribute of a built spec raises; the tables and law it keeps stay its own."""
+
+    def test_every_kind_is_covered(self):
+        assert set(BUILT_KINDS) == set(KINDS)
+
+    @pytest.mark.parametrize("kind", BUILT_KINDS)
+    def test_parameters_cannot_be_reassigned(self, kind):
+        spec, fresh = BUILT_KINDS[kind](), BUILT_KINDS[kind]()
+        _use(spec)
+        # the kind's parameters, the base class's, and scale_c, the constructor's name for scale
+        for name in [param.name for param in KINDS[kind].params] + ["kB", "scale", "scale_c"]:
+            before = vars(spec).get(name)
+            with pytest.raises(AttributeError, match=f"^cannot set {type(spec).__name__}.{name}: a built spec"):
+                setattr(spec, name, 2)
+            assert vars(spec).get(name) is before
+        assert _use(spec) == _use(fresh)
+        for kept in ("_terms", "_G_long_terms", "_occupation"):
+            assert repr(vars(spec).get(kept)) == repr(vars(fresh).get(kept)), kept

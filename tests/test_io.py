@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gentropy import io
 from gentropy.io import InputFormatError, _parse_number, _read_values, format_float, read_distribution_file
 
 
@@ -118,6 +119,11 @@ def per_line_reference(text, path, parse, noun):
 @example(text="0.5\n3/0\n")
 @example(text="12/3e3\n0.5\n")
 @example(text="0." + "0" * 70_000 + "5\n1/2\n")  # one line longer than a chunk
+@example(text="0.5\n# note\n0.25\n1e-1\n0.15")  # no p/q at all: no mask
+@example(text="0.5 \n1/2\n")  # a padded line
+@example(text="0.5 0.25\n")  # two tokens on one line
+@example(text="0.5 # a/b\n0.5\n")  # a slash only in a comment
+@example(text="1/2\n\n\n0.5\n")
 def test_whole_files_read_as_line_by_line(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("files") / "f.txt"
     path.write_bytes(text.encode("utf-8"))
@@ -127,6 +133,28 @@ def test_whole_files_read_as_line_by_line(tmp_path_factory, text):
         except InputFormatError as exc:
             got = str(exc)
         assert got == per_line_reference(text, path, parse, value)
+
+
+def test_benchmark_shaped_file_reads_in_bulk(tmp_path, monkeypatch):
+    # a comment header, then half repr(w / total) and half w/total, over three chunks of 1 << 16
+    rng = random.Random(41)
+    weights = [rng.randint(1, 1000) for _ in range(10_000)]
+    total = sum(weights)
+    lines = [f"{w}/{total}" if rng.random() < 0.5 else repr(w / total) for w in weights]
+    text = "# generated distribution\n" + "\n".join(lines) + "\n"
+    assert 2 * io._CHUNK < len(text) < 3 * io._CHUNK
+    path = tmp_path / "dist.txt"
+    path.write_text(text)
+    chunks, parse_lines = [], io._parse_lines
+
+    def spy(*args):
+        chunks.append(parse_lines(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(io, "_parse_lines", spy)
+    got = _read_values(str(path), "distribution").tobytes()
+    assert len(chunks) == 4 and all(values is not None for values in chunks)  # the last, empty, after the final \n
+    assert got == per_line_reference(text, path, _parse_number, "probability")
 
 
 def test_mixed_file_reads_to_the_fraction_floats(tmp_path):

@@ -1,10 +1,10 @@
-"""Per-layer sweep of the exact group-law engine, the float MaxEnt and occupation-law layers, and a spec's fixed cost.
+"""Per-layer sweep of the exact group-law engine, the float MaxEnt and occupation-law layers, a spec's fixed cost and io.
 
-Runs three sweeps in-process and prints one JSON object: the git sha of the
+Runs four sweeps in-process and prints one JSON object: the git sha of the
 checkout timed, the machine (nproc, Python and numpy versions), and under
 "ms" the median milliseconds of 7 calls per layer, spec and size, with the
-exact sweep under "exact", the float one under "thermo" and the job sweep
-under "jobs".  Under "counts", each MaxEnt row of the float sweep has the
+exact sweep under "exact", the float one under "thermo", the job sweep
+under "jobs" and the io sweep under "io".  Under "counts", each MaxEnt row of the float sweep has the
 work of one of its solves: the evaluations of h (``thermo._stationarity``,
 the monotonicity check, the level solves and the residual included) and the
 level solves (``thermo._invert_h``).  "counts" also has, untimed, target U
@@ -52,6 +52,14 @@ called as the workload calls them.  Under "counts", that row has the solves
 of F (calls of the spec's ``_F``) of one op.  Each of these calls takes well
 under 1 ms, so each of its 7 timings is the mean of a batch of 100 calls.
 
+The io sweep times ``read_distribution_file`` on a seeded file shaped like
+the cli-batch workload's: a comment header, then 10^4 lines, half
+``repr(w / total)`` and half ``w/total``, three chunks of the reader.  It
+also times ``tsv_table`` of a 300-row, 5-column occupation table, the rows
+of ``extensivity_check`` on kaniadakis 1/3 at N_max = 300 with W = e^ln_W,
+as the CLI ``occupation`` command prints it.  Both are timed in batches of
+100 calls, like the job sweep.
+
 Each layer's input is built once, outside its clock, except the specs that
 the ``spec + first G`` and "occupation op" rows build; no call reuses an
 earlier solve but the ``extensivity_check`` row's, which reads its law.  A
@@ -65,9 +73,11 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -124,6 +134,7 @@ JOB_SPECS = {
     "generic (1, 1/8, 1/10) order 12": lambda g: g.GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)], order=12),
 }
 JOB_N_MAX = 300
+DIST_LINES = 10_000
 
 
 def median_ms(call, repeats: int, number: int = 1) -> float:
@@ -250,6 +261,23 @@ def job_sweep(g) -> tuple[dict, dict]:
     return out, counts
 
 
+def io_sweep(g, numpy, workdir: Path) -> dict:
+    """The io sweep's milliseconds: a benchmark-shaped distribution file read, and an occupation table formatted."""
+    from gentropy import io
+
+    rng = random.Random(41)
+    weights = [rng.randint(1, 1000) for _ in range(DIST_LINES)]
+    total = sum(weights)
+    lines = [f"{w}/{total}" if rng.random() < 0.5 else repr(w / total) for w in weights]
+    path = workdir / "dist.txt"
+    path.write_text("# generated distribution\n" + "\n".join(lines) + "\n")
+    N, lw, s, resid, _ = zip(*g.extensivity_check(THERMO_SPECS["kaniadakis 1/3"](g), JOB_N_MAX).rows)
+    table = N, lw, numpy.exp(lw), s, resid
+    return {f"read_distribution_file {DIST_LINES} lines": median_ms(
+                lambda: io.read_distribution_file(str(path)), REPEATS, BATCH),
+            f"tsv_table {len(N)} x {len(table)}": median_ms(lambda: io.tsv_table(*table), REPEATS, BATCH)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -264,13 +292,15 @@ def main(argv=None) -> int:
                          capture_output=True, text=True).stdout.strip() or None
     thermo_ms, counts = thermo_sweep(g, numpy)
     jobs_ms, job_counts = job_sweep(g)
+    with tempfile.TemporaryDirectory() as workdir:
+        io_ms = io_sweep(g, numpy, Path(workdir))
     result = {
         "git_sha": sha,
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "ms": {"exact": exact_sweep(g), "thermo": thermo_ms, "jobs": jobs_ms},
+        "ms": {"exact": exact_sweep(g), "thermo": thermo_ms, "jobs": jobs_ms, "io": io_ms},
         "counts": {**counts, **job_counts},
     }
     print(json.dumps(result, indent=1))
