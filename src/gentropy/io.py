@@ -45,7 +45,7 @@ _CHUNK = 1 << 16
 _SEPARATORS = "\x0b\x0c\x1c\x1d\x1e"
 # the rest of the ASCII whitespace of str.split and str.strip, \n aside
 _PADDING = " \t\r\x1f"
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # inverts a 0/1 byte mask
 _COMMENT = re.compile("#.*")
 # p/q lines whose operands are exact in int64 and in float64
 _RATIOS = re.compile(r"[0-9]{1,15}/[0-9]{1,15}(?:\n[0-9]{1,15}/[0-9]{1,15})*")

@@ -4,13 +4,14 @@ Runs four sweeps in-process and prints one JSON object: the git sha of the
 checkout timed, the machine (nproc, Python and numpy versions), and under
 "ms" the median milliseconds of 7 calls per layer, spec and size, with the
 exact sweep under "exact", the float one under "thermo", the job sweep
-under "jobs" and the io sweep under "io".  Under "counts", each MaxEnt row of the float sweep has the
-work of one of its solves: the evaluations of h (``thermo._stationarity``,
-the monotonicity check, the level solves and the residual included) and the
-level solves (``thermo._invert_h``).  "counts" also has, untimed, target U
-near an extreme level: at 1e-6, 1e-9 and 1e-12 of the span from the lowest
-of the L = 20 levels.  Only the counts compare across checkouts: two sweeps
-run minutes apart differ by up to 1.7 times on rows whose code is the same.
+under "jobs" and the io sweep under "io".  Under "counts", each MaxEnt row
+of the float sweep has the work of one of its solves: the evaluations of h
+(``thermo._stationarity``, the monotonicity check, the level solves and the
+residual included) and the level solves (``thermo._invert_h``).  "counts"
+also has, untimed, target U near an extreme level: at 1e-6, 1e-9 and 1e-12
+of the span from the lowest of the L = 20 levels.  Only the counts compare
+across checkouts: two sweeps run minutes apart differ by up to 1.7 times on
+rows whose code is the same.
 
     python3 tools/layers.py                      # this checkout
     python3 tools/layers.py --root ../other      # another checkout's src/
