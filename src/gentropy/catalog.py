@@ -167,8 +167,9 @@ def _newton(fdf, bracket, x=None):
     ``fdf(x, i)`` gives the functions of the elements i and their exact slopes
     at x.  ``bracket`` (3, 2, n) holds x, f and the slope d at both ends of
     each element's bracket, across which its function changes sign, and is
-    updated in place.  ``_inside`` places an x outside it (every x, with none
-    given) and a Newton step that leaves it.  An element freezes once its
+    updated in place.  ``_inside`` places the start (at an end where f is 0,
+    and inside where x is outside it or not given) and a Newton step that
+    leaves it.  An element freezes once f is 0 (the step may be 0 / 0) or its
     Newton step, or its bracket, is within 4 ulp of max(|x|, 1); that is
     decided before any fallback, so a converged step that rounds onto an end
     does not bisect.  Its last step is taken if it stays inside.  An element
@@ -179,9 +180,7 @@ def _newton(fdf, bracket, x=None):
     d_x = np.empty(n)
     live = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.full(n, np.nan) if x is None else np.array(x, dtype=float)
-        if not np.all((bracket[0, 0] < x) & (x < bracket[0, 1])):
-            x = _inside(bracket, x)
+        x = _inside(bracket, np.full(n, np.nan) if x is None else np.array(x, dtype=float))
         for _ in range(200):
             if not live.size:
                 break

@@ -500,6 +500,39 @@ class TestLadder:
         assert _inverse(G, dG, goal, G) == 1e308
 
 
+def newton_calls(fdf, ends, x):
+    """catalog._newton on one element with bracket ``ends`` (x, f and d at both ends), started at x:
+    the root, and the number of times fdf is called."""
+    calls = []
+
+    def counted(x, i):
+        calls.append(1)
+        return fdf(x)
+
+    root, _ = catalog._newton(counted, np.array(ends, dtype=float)[:, :, None], np.array([x]))
+    return root[0], len(calls)
+
+
+class TestNewton:
+    def test_an_exact_root_with_zero_slope_freezes_at_once(self):
+        # at x = 0, f = x^3 is 0 and so is its slope: the step 0 / 0 is nan, and only f == 0 freezes the
+        # element there; without that rule it would be evaluated 200 times at its root
+        assert newton_calls(lambda x: (x ** 3, 3 * x ** 2), [[-1, 2], [-1, 8], [3, 12]], 0.0) == (0.0, 1)
+
+    @pytest.mark.parametrize("ends, start", [([[0, 1], [0, 1], [1, 1]], 0.5), ([[-1, 0], [-1, 0], [1, 1]], -0.5)])
+    def test_an_end_where_f_is_0_is_the_root(self, ends, start):
+        # f = x on [0, 1] or [-1, 0]: the start moves to the end where f is 0 before f is evaluated; a
+        # Newton step from the start would land on that end, outside the open bracket, and bisect
+        assert newton_calls(lambda x: (x, np.ones(x.shape)), ends, start) == (0.0, 1)
+
+    def test_an_element_live_after_200_steps_keeps_its_x(self):
+        # with a slope of 1e-300 every Newton step leaves the bracket [0, 1e300], so each step bisects
+        # it; bisection needs about 1,000 steps to reach the root 1, and the element stops at the cap
+        root, calls = newton_calls(lambda x: (x - 1, np.full(x.shape, 1e-300)), [[0, 1e300], [-1, 1e300],
+                                                                                   [1e-300, 1e-300]], 0.5e300)
+        assert calls == 200 and 1 < root < 1e300 * 2.0 ** -150
+
+
 class TestSDelta:
     def test_delta_one_is_bg(self):
         assert SDelta(1).evaluate(FIX) == pytest.approx(

@@ -1,6 +1,7 @@
 """Occupation laws, extensivity, canonical MaxEnt, and asymptotic scans."""
 
 import gc
+import hashlib
 import math
 import random
 import re
@@ -864,6 +865,34 @@ class TestTargetUJointSolve:
         assert abs(sol.U - 5.05e-14) <= 1e-12 * 5
         assert np.all(sol.distribution.p >= thermo._P_LO)
 
+    def test_a_start_with_no_newton_step_is_met_or_refused(self):
+        # at kB = 1e-309, w = p / kB h' is past the largest double at the uniform start, which then has
+        # no Newton step.  The loop takes no step from it, and the solve is refused; a solve that meets
+        # the target may replace the refusal, but nothing else may
+        outcome = solve_outcome(MaxEntProblem(BoltzmannGibbs(kB=1e-309), (0.0, 1.0), target_U=0.5))
+        if isinstance(outcome, str):
+            assert outcome == "no beta reaches the target energy 0.5 on the clamped levels"
+        else:
+            assert outcome.tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
+
+    @pytest.mark.parametrize("corpus, per_solve, in_all", [
+        # the grid takes at most 22 evaluations of h in a solve, 1,284 in all: the bounds leave 2 (9 %) and 16 (1 %)
+        (lambda: target_u_grid(27), 24, 1300),
+        # the corpus takes at most 207, 10,244 in all: the bounds leave 8 (4 %) and 26 (0.25 %).  A wrong f
+        # at the level solve's _P_LO end keeps every bit here and takes 10,281
+        (lambda: target_u_corpus(20261019, 300), 215, 10270),
+    ], ids=["grid", "corpus"])
+    def test_target_u_solves_take_few_h_evaluations(self, monkeypatch, corpus, per_solve, in_all):
+        # every evaluation of h in maxent_solve, the monotone check's and the residual's included.  The
+        # level-solve bounds in this class let a loop take more joint steps, trials or halvings; these do not
+        calls, total = count_calls(monkeypatch, "_stationarity"), 0
+        for spec, levels, target in corpus():
+            calls.clear()
+            solve_outcome(MaxEntProblem(spec, levels, target_U=target))
+            assert len(calls) <= per_solve, (spec.name, levels, target)
+            total += len(calls)
+        assert total <= in_all
+
 
 def fixed_beta_corpus(seed, n):
     """n seeded fixed-beta problems (spec, levels, beta, ends), drawn as ``target_u_corpus`` draws.
@@ -1029,6 +1058,36 @@ class TestFixedBetaJointSolve:
         p = np.exp(-levels.t[free])
         assert np.max(np.abs(levels.w[free] * spec.kB * spec.dh(levels.t[free]) / p - 1)) <= 1e-12
         assert np.max(np.abs(p / p.sum() - levels.p[free] / levels.p[free].sum())) <= 1e-15
+
+
+def seeded_problems():
+    """The 2,226 seeded MaxEnt problems: target-U corpora at seeds 1, 2, 3 and 20261019, the target-U
+    grid at 27, and fixed-beta corpora at seeds 20261019, 1 and 2, 300 problems per corpus."""
+    for seed in (1, 2, 3, 20261019):
+        for spec, levels, target in target_u_corpus(seed, 300):
+            yield MaxEntProblem(spec, levels, target_U=target)
+    for spec, levels, target in target_u_grid(27):
+        yield MaxEntProblem(spec, levels, target_U=target)
+    for seed in (20261019, 1, 2):
+        for spec, E, beta, _ in fixed_beta_corpus(seed, 300):
+            yield MaxEntProblem(spec, tuple(E.tolist()), beta=beta)
+
+
+class TestSeededMaxEntBits:
+    def test_every_seeded_problem_keeps_its_bits(self):
+        # one line per problem, float.hex of alpha, beta and every p, or the text of its SpecError.  The
+        # digest was taken before the sufficient-decrease term on D was deleted, which moved no bit; a
+        # rule whose deletion or change moves a last bit of any output fails this test
+        digest, refused = hashlib.sha256(), 0
+        for problem in seeded_problems():
+            try:
+                sol = maxent_solve(problem)
+                line = " ".join(map(float.hex, [sol.alpha, sol.beta, *sol.distribution.p.tolist()]))
+            except SpecError as exc:
+                line, refused = str(exc), refused + 1
+            digest.update(line.encode() + b"\n")
+        assert refused == 258
+        assert digest.hexdigest() == "9a2577f9041d0727f56a67e8ff1feb600b5a557d482ef2eb058f72b306475306"
 
 
 class TestTemperatureTable:
