@@ -80,7 +80,12 @@ class Distribution:
     def uniform(cls, W: int) -> "Distribution":
         if W < 1:
             raise DistributionError("need at least one state")
-        return cls(np.full(W, 1.0 / W))
+        try:
+            p = np.full(W, 1.0 / W)
+        # W past the largest double, more states than an array can index, or than memory holds
+        except (ValueError, OverflowError, MemoryError) as exc:
+            raise DistributionError(f"cannot hold a uniform distribution on W = {W} states") from exc
+        return cls(p)
 
     @property
     def W(self) -> int:

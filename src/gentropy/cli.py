@@ -352,6 +352,8 @@ def _spec_from_string(text: str, args):
         param = params.get(key.strip())
         if not eq or param is None:
             raise UsageError(f"bad spec parameter {pair!r} in {text!r}")
+        if hasattr(ns, param.dest):
+            raise UsageError(f"spec parameter {param.name} given twice in {text!r}")
         try:
             setattr(ns, param.dest, param.parse(value))
         except ValueError as exc:

@@ -754,6 +754,12 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--spec", "tsallis:oops")
         assert code == 2
 
+    def test_a_repeated_parameter_is_a_usage_error(self, capsys):
+        # the second q once overwrote the first under the whole label
+        code, out, err = run(capsys, "scan", "--spec", "tsallis:q=1/2,q=1/3")
+        assert is_usage_error(code, out, err)
+        assert "q given twice" in err
+
     @pytest.mark.parametrize("spec", ["s_iii:q=3/2", "generic:a=1,-1"])
     def test_entropy_that_is_not_positive_is_a_usage_error(self, capsys, spec):
         with warnings.catch_warnings():
@@ -775,6 +781,31 @@ class TestScan:
         assert code == 0
         rows = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
         assert [(r[1], round(float(r[2]), 2)) for r in rows] == [("(ln W)^a", 1.0), ("W^b", 0.5)]
+
+
+class TestUniformPastWhatAnArrayHolds:
+    """A uniform W that no float array holds exits 2 with one 'error:' line naming W."""
+
+    @pytest.mark.parametrize("W", ["99999999999999999999", "1" + "0" * 400], ids=["10**20-1", "10**400"])
+    def test_eval(self, capsys, W):
+        # numpy refuses 10**20 states before allocating; 1.0 / 10**400 overflows the int's conversion
+        code, out, err = run(capsys, "eval", "--entropy", "bg", "--dist", f"uniform:{W}")
+        assert is_usage_error(code, out, err)
+        assert f"W = {W} states" in err
+
+    def test_memory(self, capsys, monkeypatch):
+        full = np.full
+
+        def refused(shape, *args, **kwargs):
+            if shape >= 10 ** 9:
+                raise MemoryError(f"cannot allocate {shape} doubles")
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", refused)
+        code, out, err = run(capsys, "check", "--entropy", "bg", "--axiom", "weak-composability",
+                             "--wa", "99999999999", "--wb", "99999999999")
+        assert is_usage_error(code, out, err)
+        assert "W = 99999999999 states" in err
 
 
 class TestUsageErrors:

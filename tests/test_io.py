@@ -4,9 +4,11 @@ import math
 import random
 import struct
 import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +173,144 @@ def test_mixed_file_reads_to_the_fraction_floats(tmp_path):
     path = tmp_path / "mixed.txt"
     path.write_text("\n".join(lines) + "\n")
     assert read_distribution_file(str(path)).p.tolist() == want
+
+
+# exact: a double and the midpoint after it have at most 1,075 significant digits
+EXACT = Context(prec=2_000)
+
+
+def midpoint(x):
+    """The midpoint between x > 0 and the next double up, exactly."""
+    return EXACT.divide(EXACT.add(Decimal(x), Decimal(math.nextafter(x, math.inf))), 2)
+
+
+@st.composite
+def midpoint_texts(draw):
+    """A midpoint between adjacent doubles, exactly or as its nearest 17 to 19 digits.
+
+    The doubles from 2**49 up have short midpoints, and their 19-digit
+    neighbours lie within a long double's rounding of the midpoint.  The
+    exponent moves the point by -5 to 5 places.
+    """
+    x = draw(st.one_of(st.floats(2.0 ** 49, 2.0 ** 63), st.floats(1e-30, 1e30)))
+    mid = midpoint(x)
+    digits = draw(st.sampled_from((None, 17, 18, 19)))
+    if digits is not None:
+        mid = mid.quantize(Decimal(1).scaleb(mid.adjusted() - digits + 1), context=EXACT)
+    shift = draw(st.integers(-5, 5))
+    return format(mid.scaleb(-shift), "f") + (f"e{shift}" if shift else "")
+
+
+@st.composite
+def scaled_texts(draw):
+    """[+-](D+[.D*]|.D+)[(e|E)[+-]D+] with long or zero-led mantissas and exponents near and far past +-27."""
+    digits = "0" * draw(st.integers(0, 4)) + draw(st.one_of(
+        st.text("0123456789", min_size=1, max_size=17),
+        st.text("0123456789", min_size=18, max_size=19),
+        st.text("0123456789", min_size=20, max_size=40)))
+    point = draw(st.one_of(st.none(), st.integers(0, len(digits))))
+    mantissa = digits if point is None else f"{digits[:point]}.{digits[point:]}"
+    exponent = draw(st.one_of(st.integers(-60, 60), st.integers(-10 ** 25, 10 ** 25), st.none()))
+    if exponent is not None:
+        sign = draw(st.sampled_from(("", "+"))) if exponent >= 0 else "-"
+        mantissa += f"{draw(st.sampled_from('eE'))}{sign}{abs(exponent)}"
+    return draw(st.sampled_from(("", "+", "-"))) + mantissa
+
+
+decimal_files = st.lists(st.one_of(scaled_texts(), midpoint_texts(), st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                                   st.sampled_from(("5.", ".5", "+.5", "-0", "-0.0", "0e999", "1e-400"))),
+                         max_size=40).map("\n".join)
+
+
+# enough lines that the kernel, not the per-line loop, reads the file
+FILL = "0.25\n" * io._FEW
+
+
+def reads_as_line_by_line(tmp_path_factory, text):
+    """Each file noun's values of text, or the error naming its first malformed line, are the per-line loop's."""
+    path = tmp_path_factory.mktemp("files") / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    for noun, value, parse in (("distribution", "probability", _parse_number), ("energy", "energy", float)):
+        try:
+            got = _read_values(str(path), noun).tobytes()
+        except InputFormatError as exc:
+            got = str(exc)
+        assert got == per_line_reference(text, path, parse, value)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=decimal_files)
+@example(text="5.\n.5\n+.5\n-0")
+@example(text="9007199254740993\n9007199254740993e0\n900719925474099.3e1")  # 2**53 + 1, a midpoint
+@example(text="0.5965744278944853795e5\n0.002491603593680365103e3")  # long doubles on a midpoint
+@example(text="1e27\n1e28\n1e-27\n1e-28\n9223372036854775806\n9223372036854775807\n-9223372036854775808")
+@example(text="1e-9223372036854775808\n1e99999999999999999999\n0e-99999999999999999999")
+def test_decimals_read_as_float_reads_them(tmp_path_factory, text):
+    text = FILL + text
+    assert io._parse_lines(text, False) is not None  # the kernel takes every line
+    reads_as_line_by_line(tmp_path_factory, text)
+
+
+# each once read by a kernel that let one rule of its grammar slip
+NEAR_MISS_LINES = (".", "-.", ".e5", "+.e-3", "1.2.3", "1e", "1E+", "e5", "E-3", "1e5e5", "1e5.5", "1-2", "5+",
+                   "+", "-", "--5", "1/2/3", "/5", "5/", "1/-2", "-1/2", "+1/2", "1/2e3", "1/2.5", "1/0",
+                   "83030920993190389/10094652364241860", "1/1234567890123456", "123456789012345678901/1",
+                   "1_000", "0x10", "inf", "nan", "1 2", "1\x1f2")
+
+
+@pytest.mark.parametrize("line", NEAR_MISS_LINES)
+def test_a_line_outside_the_grammar_is_left_to_the_per_line_loop(tmp_path_factory, line):
+    text = FILL + line + "\n"
+    assert io._parse_lines(text, True) is None
+    reads_as_line_by_line(tmp_path_factory, text)
+
+
+def test_scaled_takes_every_exact_operand_pair():
+    powers = io._tables().powers
+    if powers is None:
+        pytest.skip("this platform's long double cannot hold 10**27 exactly")
+    m = [1, 5, 7, 7, 10 ** 18, 2 ** 63 - 2, -(2 ** 63 - 2), 0, 9007199254740993, 1]
+    e = [27, -27, 26, -26, 0, 0, 0, -27, 0, 28]
+    d, slow = io._scaled(np.array(m), np.array(e), powers)
+    # 2**53 + 1 is a midpoint, and 10**28 no exact long double
+    assert slow.tolist() == [False] * 8 + [True, True]
+    assert d[:-1].tolist() == [abs(float(Fraction(a) * Fraction(10) ** b)) for a, b in zip(m[:-1], e[:-1])]
+
+
+def test_long_double_powers_are_exact():
+    powers = io._tables().powers
+    if powers is None:
+        pytest.skip("this platform's long double cannot hold 10**27 exactly")
+    assert [int(p) for p in powers] == [10 ** k for k in range(io._POWER + 1)]
+    assert 5 ** io._POWER < 2 ** 63
+
+
+TABLES = io._tables
+
+
+def float_only():
+    """The kernel's tables with the long-double route off, as where long doubles cannot hold 10**27."""
+    return TABLES()._replace(powers=None)
+
+
+@pytest.mark.parametrize("tables", [TABLES, float_only], ids=["long double", "float() only"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(file_texts(), decimal_files))
+@example(text="0.5965744278944853795e5\n1/3\n-0\n")
+def test_files_read_the_same_with_the_long_double_route_on_or_off(tmp_path_factory, tables, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_tables", tables)
+        reads_as_line_by_line(tmp_path_factory, FILL + text)
+
+
+@pytest.mark.parametrize("lines, bulk", [(io._FEW - 1, False), (io._FEW, True)])
+def test_a_file_of_few_lines_is_read_line_by_line(tmp_path, monkeypatch, lines, bulk):
+    path = tmp_path / "f.txt"
+    path.write_text("1/4\n0.75\n" + "0\n" * (lines - 2))
+    calls = []
+    monkeypatch.setattr(io, "_parse_lines", lambda *args: calls.append(args))
+    assert _read_values(str(path), "distribution").tolist() == [0.25, 0.75] + [0.0] * (lines - 2)
+    assert bool(calls) == bulk
 
 
 def test_format_float_non_finite():

@@ -55,11 +55,14 @@ under 1 ms, so each of its 7 timings is the mean of a batch of 100 calls.
 
 The io sweep times ``read_distribution_file`` on a seeded file shaped like
 the cli-batch workload's: a comment header, then 10^4 lines, half
-``repr(w / total)`` and half ``w/total``, three chunks of the reader.  It
-also times ``tsv_table`` of a 300-row, 5-column occupation table, the rows
-of ``extensivity_check`` on kaniadakis 1/3 at N_max = 300 with W = e^ln_W,
-as the CLI ``occupation`` command prints it.  Both are timed in batches of
-100 calls, like the job sweep.
+``repr(w / total)`` and half ``w/total``, three chunks of the reader.  Two
+more rows read the same weights written in one form each, every line
+``repr(w / total)`` ("decimal") or every line ``w/total`` ("p/q"), so that
+the cost of each form shows apart.  It also times ``tsv_table`` of a
+300-row, 5-column occupation table, the rows of ``extensivity_check`` on
+kaniadakis 1/3 at N_max = 300 with W = e^ln_W, as the CLI ``occupation``
+command prints it.  All are timed in batches of 100 calls, like the job
+sweep.
 
 Each layer's input is built once, outside its clock, except the specs that
 the ``spec + first G`` and "occupation op" rows build; no call reuses an
@@ -263,20 +266,25 @@ def job_sweep(g) -> tuple[dict, dict]:
 
 
 def io_sweep(g, numpy, workdir: Path) -> dict:
-    """The io sweep's milliseconds: a benchmark-shaped distribution file read, and an occupation table formatted."""
+    """The io sweep's milliseconds: benchmark-shaped distribution files read, and an occupation table formatted."""
     from gentropy import io
 
     rng = random.Random(41)
     weights = [rng.randint(1, 1000) for _ in range(DIST_LINES)]
     total = sum(weights)
-    lines = [f"{w}/{total}" if rng.random() < 0.5 else repr(w / total) for w in weights]
-    path = workdir / "dist.txt"
-    path.write_text("# generated distribution\n" + "\n".join(lines) + "\n")
+    forms = {"": [f"{w}/{total}" if rng.random() < 0.5 else repr(w / total) for w in weights],
+             "decimal ": [repr(w / total) for w in weights],
+             "p/q ": [f"{w}/{total}" for w in weights]}
+    out = {}
+    for form, lines in forms.items():
+        path = workdir / "dist.txt"
+        path.write_text("# generated distribution\n" + "\n".join(lines) + "\n")
+        out[f"read_distribution_file {DIST_LINES} {form}lines"] = median_ms(
+            lambda: io.read_distribution_file(str(path)), REPEATS, BATCH)
     N, lw, s, resid, _ = zip(*g.extensivity_check(THERMO_SPECS["kaniadakis 1/3"](g), JOB_N_MAX).rows)
     table = N, lw, numpy.exp(lw), s, resid
-    return {f"read_distribution_file {DIST_LINES} lines": median_ms(
-                lambda: io.read_distribution_file(str(path)), REPEATS, BATCH),
-            f"tsv_table {len(N)} x {len(table)}": median_ms(lambda: io.tsv_table(*table), REPEATS, BATCH)}
+    out[f"tsv_table {len(N)} x {len(table)}"] = median_ms(lambda: io.tsv_table(*table), REPEATS, BATCH)
+    return out
 
 
 def main(argv=None) -> int:
