@@ -82,8 +82,8 @@ class Distribution:
             raise DistributionError("need at least one state")
         try:
             p = np.full(W, 1.0 / W)
-        # W past the largest double, more states than an array can index, or than memory holds
         except (ValueError, OverflowError, MemoryError) as exc:
+            # W past the largest double, more states than an array can index, or than memory holds
             raise DistributionError(f"cannot hold a uniform distribution on W = {W} states") from exc
         return cls(p)
 
