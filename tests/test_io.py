@@ -217,7 +217,8 @@ def scaled_texts(draw):
     return draw(st.sampled_from(("", "+", "-"))) + mantissa
 
 
-decimal_files = st.lists(st.one_of(scaled_texts(), midpoint_texts(), st.floats(allow_nan=False, allow_infinity=False).map(repr),
+decimal_files = st.lists(st.one_of(scaled_texts(), midpoint_texts(),
+                                   st.floats(allow_nan=False, allow_infinity=False).map(repr),
                                    st.sampled_from(("5.", ".5", "+.5", "-0", "-0.0", "0e999", "1e-400"))),
                          max_size=40).map("\n".join)
 
