@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
@@ -311,6 +312,17 @@ def _numeric_inverse(G, dG, s, G_long):
     return t.reshape(s.shape)
 
 
+def _exp(f):
+    """exp of f's elements by math.exp, inf past the largest double with no warning.
+
+    Not np.exp: on x86-64 glibc math.exp is correctly rounded on doubles where numpy's SIMD exp is not.
+    """
+    try:
+        return np.fromiter(map(math.exp, f.tolist()), float, f.size) if f.ndim else math.exp(f)
+    except OverflowError:  # math.exp raises where np.exp warns; ln of the largest double has a finite exp
+        return _exp(np.where(f > math.log(sys.float_info.max), math.inf, f))
+
+
 class _Built(type):
     """Marks a spec built once its whole constructor has returned."""
 
@@ -428,9 +440,7 @@ class Entropy(metaclass=_Built):
         """E = inverse of the generalized logarithm, exp(F(y)) with the scale constant."""
         if not self.has_exponential:
             raise UnsupportedRepresentation(f"{self.name} has no generalized logarithm")
-        # math.exp, not np.exp: their last bits differ on some doubles, and Z keeps them
-        f = self.F(y)
-        return np.array(list(map(math.exp, f.tolist()))) if np.ndim(f) else math.exp(f)
+        return _exp(self.F(y))
 
     # -- composition rule ------------------------------------------------------
 
@@ -461,11 +471,6 @@ class BoltzmannGibbs(Entropy):
 
     def base_a_sequence(self, count):
         return [Fraction(1)] + [Fraction(0)] * (count - 1)
-
-    def log_inverse(self, y):
-        # E past the largest double is inf, with no warning, as _partition_value gives it for every kind
-        with np.errstate(over="ignore"):
-            return np.exp(self.F(y))
 
 
 class ExponentialSum(Entropy):
@@ -529,10 +534,13 @@ class ExponentialSum(Entropy):
                             to(kn * (p * d2 - p2 * d), kd * d * d2)))
             return tuple(out)
 
-        # h' = G' - G'' at scale c, as one sum over e^(r c t)
-        return {"G": terms(lambda a, b: (1, 1)), "dG": terms(lambda a, b: (a * u, b * v)),
-                "d2G": terms(lambda a, b: (a * a * u, b * b * v)), "G_exact": terms(lambda a, b: (u, v), Fraction),
-                "dh": terms(lambda a, b: (-m * a * (m * a - n * b) * u, n * n * b * b * v))}
+        try:
+            # h' = G' - G'' at scale c, as one sum over e^(r c t)
+            return {"G": terms(lambda a, b: (1, 1)), "dG": terms(lambda a, b: (a * u, b * v)),
+                    "d2G": terms(lambda a, b: (a * a * u, b * b * v)), "G_exact": terms(lambda a, b: (u, v), Fraction),
+                    "dh": terms(lambda a, b: (-m * a * (m * a - n * b) * u, n * n * b * b * v))}
+        except OverflowError:  # h''s weights, about c^2 r^2 / sigma, past the largest double
+            raise SpecError(f"scale constant {float(c)!r} is too large: h' has no double weights") from None
 
     @staticmethod
     def _sum(func, terms, t):
@@ -592,9 +600,10 @@ class Tsallis(ExponentialSum):
         self.q = q
 
     def _F(self, s_val):
+        """ln(1 + (1-q) s) / (1-q): -inf for q < 1, +inf for q > 1, at and past 1 + (1-q) s = 0."""
         s = self._sigma
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log1p(s * s_val) / s
+        with np.errstate(divide="ignore"):
+            return np.log1p(np.maximum(s * s_val, -1.0)) / s
 
     def expansion_coefficients(self, count):
         # the printed decomposition uses 1-q below q=1 but q-1 above it
@@ -606,21 +615,13 @@ class Tsallis(ExponentialSum):
         return [s ** k / factorial(k + 1) for k in range(count)]
 
     def log_inverse(self, y):
-        """The q-exponential [1 + (1-q) y]^(1/((1-q) c)), cut off at 0 for q < 1.
+        """The q-exponential exp(F(y)): 0 at and past the cut-off for q < 1.
 
         For q > 1 it diverges as 1 + (1-q) y falls to 0 and has no value past it.
         """
-        s = self._sigma
-        base = 1.0 + s * y
-        if s > 0:
-            base = np.maximum(base, 0.0)
-        elif np.any(base <= 0):
+        if self._sigma < 0 and np.any(1.0 + self._sigma * np.asarray(y) <= 0):
             raise SpecError(f"the q-exponential has no value at {y!r} for q > 1")
-        e = 1.0 / (s * float(self.scale))
-        # elementwise scalar powers: numpy's array power differs in the last bit on some doubles; a
-        # power past the largest double is inf, with no warning, as BoltzmannGibbs.log_inverse gives it
-        with np.errstate(over="ignore"):
-            return np.array([np.float64(b) ** e for b in base.tolist()]) if np.ndim(base) else base ** e
+        return super().log_inverse(y)
 
 
 class Kaniadakis(ExponentialSum):

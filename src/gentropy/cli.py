@@ -316,11 +316,12 @@ def cmd_maxent(args) -> int:
 def cmd_occupation(args) -> int:
     spec = build_entropy(args)
     law = gentropy.thermo.occupation_law(spec, args.nmax)
+    # checked before the first line, so that a refusal prints no partial table
+    report = gentropy.thermo.extensivity_check(spec, args.nmax) if law.valid else None
     print(tsv_line("valid", law.valid, law.reason or "-"))
     print("#N\tln_W\tW\tS\tresidual")
-    if not law.valid:
+    if report is None:
         return 1
-    report = gentropy.thermo.extensivity_check(spec, args.nmax)
     if report.rows:
         N, lw, s, resid, _ = zip(*report.rows)
         with np.errstate(over="ignore"):  # inf where W passes the largest double

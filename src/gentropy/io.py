@@ -118,16 +118,16 @@ def _scaled(m: np.ndarray, e: np.ndarray, powers: np.ndarray | None) -> tuple[np
     return d, ~exact | ((twice != 0) & (d + twice - d == twice))
 
 
-def _parse_lines(text: str, ratios: bool) -> np.ndarray | None:
+def _parse_lines(text: str) -> np.ndarray | None:
     """The values of the \\n-separated lines of text, parsed by one numpy kernel.
 
     None where the per-line loop of ``_read_values`` must decide: text that
     is not ASCII or holds another line break of str.splitlines, or a line,
     once comments and padding at its ends are cut, that is neither blank nor
     in the kernel's grammar, with D an ASCII digit: a decimal
-    [+-](D+[.D*]|.D+)[(e|E)[+-]D+], or, where ``ratios`` is true, a ratio
-    D{1,15}/D{1,15} with a nonzero denominator.  The operands of such a ratio are exact doubles, so their
-    quotient is the correctly rounded int / int of ``_parse_number``.
+    [+-](D+[.D*]|.D+)[(e|E)[+-]D+], or a ratio D{1,15}/D{1,15} with a
+    nonzero denominator.  The operands of such a ratio are exact doubles, so
+    their quotient is the correctly rounded int / int of ``_parse_number``.
 
     The grammar is checked on the bytes that are no digit, from the digits
     between each and the one before it.  One int64 parse reads every digit
@@ -138,8 +138,6 @@ def _parse_lines(text: str, ratios: bool) -> np.ndarray | None:
         return None
     if "#" in text:
         text = _COMMENT.sub("", text)
-    if not ratios and "/" in text:
-        return None
     if any(pad in text for pad in _PADDING):
         text = "\n".join(map(str.strip, text.split("\n")))
     if not text or text.isspace():  # blank lines only
@@ -188,7 +186,7 @@ def _parse_lines(text: str, ratios: bool) -> np.ndarray | None:
     return values
 
 
-def _bulk_values(fh, ratios: bool) -> np.ndarray | None:
+def _bulk_values(fh) -> np.ndarray | None:
     """``_parse_lines`` of a text file in chunks of whole lines; None where it gives up.
 
     Text mode reads \\r and \\r\\n as \\n.  A line longer than a chunk is
@@ -203,23 +201,24 @@ def _bulk_values(fh, ratios: bool) -> np.ndarray | None:
         lines, _, carry = (carry + block).rpartition("\n")
         if len(carry) > _CHUNK:
             return None
-        parts.append(_parse_lines(lines, ratios))
+        parts.append(_parse_lines(lines))
         if parts[-1] is None:
             return None
-    parts.append(_parse_lines(carry, ratios))
+    parts.append(_parse_lines(carry))
     return None if parts[-1] is None else np.concatenate(parts)
 
 
 def _read_values(path: str, file_noun: str) -> np.ndarray:
     """The number on each line of a file; '#' starts a comment.
 
-    The per-line loop below decides every file that ``_bulk_values`` gives
-    up on, and names its first malformed line.
+    Distribution files go to ``_bulk_values``; the per-line loop below reads
+    energy files, which are short, and decides every file that
+    ``_bulk_values`` gives up on, naming its first malformed line.
     """
     value_noun, parse = _FILES[file_noun]
     try:
         with open(path, encoding="utf-8") as fh:
-            values = _bulk_values(fh, parse is _parse_number)
+            values = _bulk_values(fh) if parse is _parse_number else None
             if values is not None:
                 return values
             fh.seek(0)

@@ -39,6 +39,7 @@ from .catalog import (
     InverseError,
     SpecError,
     UnsupportedRepresentation,
+    _exp,
     _newton,
 )
 
@@ -57,10 +58,7 @@ class OccupationLaw:
         return float(self.spec.F(N))
 
     def W(self, N: float) -> float:
-        try:
-            return math.exp(self.log_W(N))
-        except OverflowError:  # W past the largest double
-            return math.inf
+        return _exp(self.spec.F(N))
 
 
 def occupation_law(spec: Entropy, N_max: int = 100) -> OccupationLaw:
@@ -467,8 +465,6 @@ def _partition_value(spec: Entropy, energies, beta: float) -> float:
         return float(sum(spec.log_inverse(y).tolist()))
     except SpecError:
         return math.nan
-    except OverflowError:  # math.exp raises where np.exp gives inf
-        return math.inf
 
 
 def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:

@@ -175,6 +175,24 @@ class TestTsallis:
         for x in (0.2, 0.9, 2.5):
             assert ts.log_inverse(ts.generalized_log(x)) == pytest.approx(x, rel=1e-12)
 
+    def test_f_is_cut_off_below_one(self):
+        # F was -inf at 1 + (1-q) y = 0 but nan past it, at y = -3
+        ts = Tsallis(Fraction(1, 2))
+        y = np.array([-2.0, -3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ts.F(y).tolist() == [-math.inf, -math.inf]
+            assert ts.log_inverse(y).tolist() == [0.0, 0.0]
+
+    def test_f_diverges_above_one(self):
+        # F was +inf at 1 + (1-q) y = 0 but nan past it, at y = 3; E has no value there
+        ts = Tsallis(Fraction(3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ts.F(np.array([2.0, 3.0])).tolist() == [math.inf, math.inf]
+        with pytest.raises(SpecError, match="no value at 2.0 for q > 1"):
+            ts.log_inverse(2.0)
+
 
 class TestKaniadakis:
     def test_parameter_domain(self):
@@ -1055,3 +1073,82 @@ class TestBuiltSpecsAreReadOnly:
         assert _use(spec) == _use(fresh)
         for kept in ("_terms", "_G_long_terms", "_occupation"):
             assert repr(vars(spec).get(kept)) == repr(vars(fresh).get(kept)), kept
+
+
+class TestLogInversePastTheLargestDouble:
+    @pytest.mark.parametrize("kind", EXPONENTIAL_KINDS)
+    def test_is_inf_without_a_warning(self, kind):
+        # exp(F(1e170)) passes the largest double for every kind; math.exp raised OverflowError on
+        # Kaniadakis 1/3 at y = 1e200
+        spec = EXPONENTIAL_KINDS[kind](1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spec.log_inverse(np.array([1e170, 0.0])).tolist() == [math.inf, 1.0]
+            assert spec.log_inverse(1e170) == math.inf
+            if kind == "kaniadakis":
+                assert spec.log_inverse(1e200) == math.inf
+
+
+# y where every kind below has a log inverse (Borges-Roditi's aside)
+LOG_INVERSE_YS = (1e-8, 0.1, 0.5, 1.0, 3.0, -0.5, -2.0)
+HALF = Fraction(1, 2)
+# every kind with a group exponential, e from the limit the catalog names (bg and generic have none)
+NEAR_LIMIT = {
+    "bg": lambda e: BoltzmannGibbs(),
+    "generic": lambda e: GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)]),
+    "tsallis": lambda e: Tsallis(1 - e),  # q -> 1
+    "kaniadakis": Kaniadakis,  # kappa -> 0
+    "borges_roditi": lambda e: BorgesRoditi(HALF, HALF - e),  # a -> b
+    "group_entropy": lambda e: GroupEntropy(e, {3: Fraction(1, 8), 1: Fraction(1, 4), -1: Fraction(-3, 8)}),
+    "s_iii": lambda e: SThird(1 - e),
+    "s_iv": lambda e: SFourth(1 - e),
+    "s_alpha_beta_q": lambda e: SAlphaBetaQ(Fraction(1, 8), Fraction(-1, 8), 1 - e),
+}
+
+
+def _mpf(x):
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def exact_log_inverse(spec, y):
+    """exp(G^-1(y)), G^-1 by mpmath's root finder on G from the exact parameters; call at 50 digits."""
+    if isinstance(spec, GenericEntropy):
+        a = [_mpf(x) for x in spec.a]
+
+        def G(t):
+            return mp.fsum(ak * t ** (k + 1) / (k + 1) for k, ak in enumerate(a))
+    elif isinstance(spec, ExponentialSum):
+        rates, sigma = [(_mpf(r), _mpf(k)) for r, k in spec.rates.items()], _mpf(spec.sigma)
+
+        def G(t):
+            return mp.fsum(k * mp.expm1(r * t) for r, k in rates) / sigma
+    else:
+        return mp.exp(y)
+    return mp.exp(mp.findroot(lambda t: G(t) - y, mp.mpf(y)))
+
+
+class TestLogInverseNearEveryLimit:
+    """E(y) = exp(F(y)) within 1e-15 relative of mpmath at 50 digits, 10^-3 to 10^-12 from each limit."""
+
+    def test_every_kind_is_covered(self):
+        assert set(NEAR_LIMIT) == set(EXPONENTIAL_KINDS)
+
+    @pytest.mark.parametrize("kind", NEAR_LIMIT)
+    def test_within_1e_15(self, kind):
+        # the q-exponential as a power of the rounded 1 + (1-q) y was 8.9e-5 off at q = 1 - 10^-12
+        ys = LOG_INVERSE_YS
+        if kind == "borges_roditi":
+            ys = ys[:-1]  # G ~ t e^(t/2) near a = b = 1/2 stays above -2/e: -2 has no inverse
+            with pytest.raises(InverseError):
+                NEAR_LIMIT[kind](Fraction(1, 10 ** 3)).log_inverse(-2.0)
+        worst = 0.0
+        for k in range(3, 13):
+            for e in (Fraction(1, 10 ** k), -Fraction(1, 10 ** k)):
+                spec = NEAR_LIMIT[kind](e)
+                got = spec.log_inverse(np.array(ys)).tolist()
+                with mp.workdps(50):
+                    for y, value in zip(ys, got):
+                        ref = exact_log_inverse(spec, y)
+                        worst = max(worst, float(abs((value - ref) / ref)))
+        assert worst <= 1e-15

@@ -429,6 +429,18 @@ class TestMaxent:
         z = sum(max(0.0, 1 - s * e) ** (1 / s) for e in range(6))  # [1 + (1-q) y]_+
         assert maxent_fields(out)["Z"] == pytest.approx(z, rel=1e-12)
 
+    @pytest.mark.parametrize("q", ["0.999999999999", "1.000000000001"])
+    def test_partition_value_near_q_1_is_bg_s(self, capsys, tmp_path, q):
+        # the q-exponential as a power of the rounded 1 + (1-q) y put Z 4.2e-6 and 2.5e-5 off BG's
+        path = tmp_path / "e.txt"
+        path.write_text("0\n1\n3\n")
+        z = {}
+        for flags in (["--entropy", "bg"], ["--entropy", "tsallis", "--q", q]):
+            code, out, err = run(capsys, "maxent", *flags, "--energies", str(path), "--beta", "1")
+            assert (code, err) == (0, "")
+            z[flags[1]] = maxent_fields(out)["Z"]
+        assert z["tsallis"] == pytest.approx(z["bg"], rel=1e-11)
+
     def test_tsallis_above_one_target_energy(self, capsys, tmp_path):
         # the beta bracket passes through beta < 0, where 1 + (1-q) y <= 0
         path = tmp_path / "e.txt"
@@ -806,6 +818,33 @@ class TestUniformPastWhatAnArrayHolds:
                              "--wa", "99999999999", "--wb", "99999999999")
         assert is_usage_error(code, out, err)
         assert "W = 99999999999 states" in err
+
+
+class TestScaleWithNoDoubleWeights:
+    """A scale constant whose h' weights, about c^2 r^2 / sigma, pass the largest double exits 2 with one
+    'error:' line naming it; it once ended in an OverflowError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--entropy", "tsallis", "--q", "1/2", "--dist", "uniform:3"],
+        ["occupation", "--entropy", "kaniadakis", "--kappa", "1/3"],
+        ["check", "--entropy", "s_iii", "--q", "4/5", "--axiom", "sk2"],
+        ["maxent", "--entropy", "borges_roditi", "--a", "1/2", "--b=-1/3", "--beta", "1"],
+        ["scan", "--spec", "s_iv:q=9/10"],
+    ], ids=lambda argv: argv[0])
+    def test_float_subcommands_exit_two(self, capsys, tmp_path, argv):
+        if argv[0] == "maxent":
+            path = tmp_path / "e.txt"
+            path.write_text("0\n1\n3\n")
+            argv = [*argv, "--energies", str(path)]
+        code, out, err = run(capsys, *argv, "--scale", "1e300")
+        assert is_usage_error(code, out, err)
+        assert "scale constant 1e+300 " in err
+
+    def test_expand_needs_no_float_table(self, capsys):
+        code, out, err = run(capsys, "expand", "--entropy", "tsallis", "--q", "1/2", "--scale", "1e300",
+                             "--count", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["1\t" + str(10 ** 300), "2\t" + str(10 ** 600 // 4)]
 
 
 class TestUsageErrors:

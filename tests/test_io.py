@@ -248,7 +248,7 @@ def reads_as_line_by_line(tmp_path_factory, text):
 @example(text="1e-9223372036854775808\n1e99999999999999999999\n0e-99999999999999999999")
 def test_decimals_read_as_float_reads_them(tmp_path_factory, text):
     text = FILL + text
-    assert io._parse_lines(text, False) is not None  # the kernel takes every line
+    assert io._parse_lines(text) is not None  # the kernel takes every line
     reads_as_line_by_line(tmp_path_factory, text)
 
 
@@ -262,7 +262,7 @@ NEAR_MISS_LINES = (".", "-.", ".e5", "+.e-3", "1.2.3", "1e", "1E+", "e5", "E-3",
 @pytest.mark.parametrize("line", NEAR_MISS_LINES)
 def test_a_line_outside_the_grammar_is_left_to_the_per_line_loop(tmp_path_factory, line):
     text = FILL + line + "\n"
-    assert io._parse_lines(text, True) is None
+    assert io._parse_lines(text) is None
     reads_as_line_by_line(tmp_path_factory, text)
 
 

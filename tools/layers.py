@@ -39,7 +39,10 @@ The float sweep times ``maxent_solve`` at fixed beta = 1 and at target
 U = 1.5 on L = 20, 100 and 1,000 levels 5 i / (L - 1), and ``occupation_law``
 at N_max = 1,000, for four float specs, and F alone at L = 1, 20, 301 and
 1,000 points 300 i / L, i = 1..L, for three specs with a numeric F (the
-series-defined one at order 12, past its degree 3).
+series-defined one at order 12, past its degree 3).  Its "log_inverse L=20"
+rows time E(y) = exp(F(y)) at y = -beta E on the 20 levels 5 i / 19 at
+beta = 1, as ``maxent``'s Z sums it, for bg, tsallis 1/2 (cut off past
+y = -2), tsallis 1 - 10^-12 and kaniadakis 1/3, in batches of 100 calls.
 
 The job sweep, under "jobs", times the fixed cost of one spec of each
 maxent-thermo kind: building it with its first G call, which rounds its float
@@ -58,11 +61,13 @@ the cli-batch workload's: a comment header, then 10^4 lines, half
 ``repr(w / total)`` and half ``w/total``, three chunks of the reader.  Two
 more rows read the same weights written in one form each, every line
 ``repr(w / total)`` ("decimal") or every line ``w/total`` ("p/q"), so that
-the cost of each form shows apart.  It also times ``tsv_table`` of a
-300-row, 5-column occupation table, the rows of ``extensivity_check`` on
-kaniadakis 1/3 at N_max = 300 with W = e^ln_W, as the CLI ``occupation``
-command prints it.  All are timed in batches of 100 calls, like the job
-sweep.
+the cost of each form shows apart.  ``read_energy_file`` rows read seeded
+(Random(44)) energy files of 20 and 10^4 levels ``repr(round(x, 9))``, x
+uniform on [0, 10]: the cli-batch workload's size and a long one.  It also
+times ``tsv_table`` of a 300-row, 5-column occupation table, the rows of
+``extensivity_check`` on kaniadakis 1/3 at N_max = 300 with W = e^ln_W, as
+the CLI ``occupation`` command prints it.  All are timed in batches of 100
+calls, like the job sweep.
 
 Each layer's input is built once, outside its clock, except the specs that
 the ``spec + first G`` and "occupation op" rows build; no call reuses an
@@ -127,6 +132,13 @@ F_SPECS = {
     "s_iii 4/5": lambda g: g.SThird(Fraction(4, 5)),
     "generic (1, 1/8, 1/10) order 12": lambda g: g.GenericEntropy([1, Fraction(1, 8), Fraction(1, 10)], order=12),
 }
+# log_inverse's specs: BG, a q-exponential that is cut off, one 10^-12 from BG, and one with exp of a closed F
+LOG_INVERSE_SPECS = {
+    "bg": lambda g: g.BoltzmannGibbs(),
+    "tsallis 1/2": THERMO_SPECS["tsallis 1/2"],
+    "tsallis 1 - 10^-12": lambda g: g.Tsallis(1 - Fraction(1, 10 ** 12)),
+    "kaniadakis 1/3": THERMO_SPECS["kaniadakis 1/3"],
+}
 # one spec of each maxent-thermo kind, at parameters that workload draws
 JOB_SPECS = {
     "bg": lambda g: g.BoltzmannGibbs(),
@@ -139,6 +151,7 @@ JOB_SPECS = {
 }
 JOB_N_MAX = 300
 DIST_LINES = 10_000
+ENERGY_LINES = (20, 10_000)
 
 
 def median_ms(call, repeats: int, number: int = 1) -> float:
@@ -229,6 +242,10 @@ def thermo_sweep(g, numpy) -> tuple[dict, dict]:
         for L in F_POINTS:
             s = numpy.arange(1, L + 1) * (300 / L)
             rows[f"F L={L}"] = median_ms(lambda: spec.F(s), REPEATS)
+    y = -numpy.array(tuple(5 * i / 19 for i in range(20)))  # -beta E on the 20 levels at beta = 1
+    for name, build in LOG_INVERSE_SPECS.items():
+        spec = build(g)
+        out.setdefault(name, {})["log_inverse L=20"] = median_ms(lambda: spec.log_inverse(y), REPEATS, BATCH)
     return out, counts
 
 
@@ -266,7 +283,7 @@ def job_sweep(g) -> tuple[dict, dict]:
 
 
 def io_sweep(g, numpy, workdir: Path) -> dict:
-    """The io sweep's milliseconds: benchmark-shaped distribution files read, and an occupation table formatted."""
+    """The io sweep's milliseconds: distribution and energy files read, and an occupation table formatted."""
     from gentropy import io
 
     rng = random.Random(41)
@@ -281,6 +298,11 @@ def io_sweep(g, numpy, workdir: Path) -> dict:
         path.write_text("# generated distribution\n" + "\n".join(lines) + "\n")
         out[f"read_distribution_file {DIST_LINES} {form}lines"] = median_ms(
             lambda: io.read_distribution_file(str(path)), REPEATS, BATCH)
+    rng = random.Random(44)
+    for lines in ENERGY_LINES:
+        path = workdir / "energies.txt"
+        path.write_text("".join(f"{round(rng.uniform(0.0, 10.0), 9)!r}\n" for _ in range(lines)))
+        out[f"read_energy_file {lines} lines"] = median_ms(lambda: io.read_energy_file(str(path)), REPEATS, BATCH)
     N, lw, s, resid, _ = zip(*g.extensivity_check(THERMO_SPECS["kaniadakis 1/3"](g), JOB_N_MAX).rows)
     table = N, lw, numpy.exp(lw), s, resid
     out[f"tsv_table {len(N)} x {len(table)}"] = median_ms(lambda: io.tsv_table(*table), REPEATS, BATCH)
