@@ -349,8 +349,8 @@ class Entropy(metaclass=_Built):
     def __init__(self, kB: float = 1.0, scale_c=1):
         if not 0 < kB < math.inf:
             raise SpecError("kB must be positive and finite")
-        if not 0 < scale_c < math.inf:
-            raise SpecError("scale constant must be positive and finite")
+        if not 0 < scale_c <= sys.float_info.max:  # every float table reads it as a double
+            raise SpecError("scale constant must be positive and finite, at most the largest double")
         self.kB = float(kB)
         self.scale = scale_c  # kept rational if given rational
 

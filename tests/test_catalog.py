@@ -738,9 +738,10 @@ class TestScaleConstant:
         with pytest.raises(SpecError):
             BoltzmannGibbs(kB=kB)
 
-    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf], ids=str)
-    @pytest.mark.parametrize("make", [BoltzmannGibbs, lambda **kw: GenericEntropy([1, Fraction(1, 2)], **kw)],
-                             ids=["bg", "generic"])
+    # 10**400 passed the check and raised OverflowError at the first float call
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 10 ** 400], ids=["nan", "inf", "-inf", "10**400"])
+    @pytest.mark.parametrize("make", [BoltzmannGibbs, lambda **kw: GenericEntropy([1, Fraction(1, 2)], **kw),
+                                      lambda **kw: Tsallis(Fraction(1, 2), **kw)], ids=["bg", "generic", "tsallis"])
     def test_non_finite_scale(self, make, c):
         # a nan scale passed `scale_c <= 0` and gave nan from every evaluation; the
         # exponential-sum kinds are in TestLazyTables.test_bad_parameter_raises_at_construction
