@@ -8,19 +8,6 @@ from .series import (
     parse_rational_list,
     normalized_from_literal,
 )
-from .groups import (
-    GroupLawError,
-    MultiPoly,
-    GroupLaw,
-    LawAxiomCheck,
-    group_law_from_exponential,
-    law_from_table,
-    check_axioms,
-    formal_inverse,
-    lie_bracket,
-    abel_coefficients,
-    abel_exponential,
-)
 from .catalog import (
     SpecError,
     UnsupportedRepresentation,
@@ -44,9 +31,13 @@ from .catalog import (
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 
-# The float-only modules and the names each exports, imported on first use
-# (PEP 562), so that `import gentropy` executes neither them nor numpy.
+# The modules past series and catalog, and the names each exports, imported on
+# first use (PEP 562): `import gentropy` executes neither numpy nor the float
+# modules, and a float process does not execute the exact group-law module.
 _DEFERRED = {
+    "groups": ("GroupLawError", "MultiPoly", "GroupLaw", "LawAxiomCheck", "group_law_from_exponential",
+               "law_from_table", "check_axioms", "formal_inverse", "lie_bracket", "abel_coefficients",
+               "abel_exponential"),
     "scd": ("ScdEntropy", "inner_polynomial_coefficients", "delta_coefficient"),
     "axioms": ("AxiomReport", "ParameterRegion", "check_concavity_condition", "check_concavity_numeric",
                "scan_concavity", "check_sk2_maximum", "check_sk3_expansibility", "check_weak_composability",

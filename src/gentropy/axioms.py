@@ -9,9 +9,8 @@ randomized check is seeded and bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._lazy import np
 from .catalog import (
@@ -28,31 +27,41 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class _AxiomReport(NamedTuple):
     axiom: str
     verdict: str
     worst_residual: float
     witness: object = None
     trials: int = 0
     seed: int | None = None
-    details: dict = field(default_factory=dict)
+    details: dict | None = None
 
-    def __post_init__(self):
-        if self.verdict == FAIL and self.witness is None:
+
+class AxiomReport(_AxiomReport):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        if report.verdict == FAIL and report.witness is None:
             raise ValueError("a fail verdict requires a reproducible witness")
+        return report if report.details is not None else report._replace(details={})  # a new dict per report
 
 
-@dataclass(frozen=True)
-class ParameterRegion:
-    """Closed per-parameter intervals with a uniform sampling grid."""
-
+class _ParameterRegion(NamedTuple):
     intervals: dict[str, tuple[float, float]]
     resolution: int = 3
 
-    def __post_init__(self):
-        if not self.intervals or self.resolution < 1:
+
+class ParameterRegion(_ParameterRegion):
+    """Closed per-parameter intervals with a uniform sampling grid."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        region = super().__new__(cls, *args, **kwargs)
+        if not region.intervals or region.resolution < 1:
             raise ValueError("region must be nonempty with a positive grid")
+        return region
 
     def grid(self) -> Iterator[dict[str, float]]:
         names = list(self.intervals)

@@ -12,10 +12,11 @@ import argparse
 import functools
 import re
 import sys
+import warnings
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import gentropy  # thermo and axioms through its deferred names, loaded on first use
+import gentropy  # groups, thermo and axioms through its deferred names, loaded on first use
 
 from ._lazy import np
 from .catalog import (
@@ -34,7 +35,6 @@ from .catalog import (
     SpecError,
     Tsallis,
 )
-from .groups import GroupLawError, group_law_from_exponential
 from .io import (
     InputFormatError,
     format_value,
@@ -202,7 +202,10 @@ def cmd_group_law(args) -> int:
         G = normalized_from_literal(args.series, args.order)
     else:
         G = build_entropy(args).exp_series(args.order)
-    law = group_law_from_exponential(G, args.order)
+    try:
+        law = gentropy.group_law_from_exponential(G, args.order)  # the one subcommand that loads groups
+    except gentropy.GroupLawError as exc:
+        raise UsageError(str(exc)) from None
     print("#k\tm\tc_km")
     for (k, m), coeff in law.phi.iter_terms():
         print(tsv_line(k, m, coeff))
@@ -324,9 +327,7 @@ def cmd_occupation(args) -> int:
         return 1
     if report.rows:
         N, lw, s, resid, _ = zip(*report.rows)
-        with np.errstate(over="ignore"):  # inf where W passes the largest double
-            W = np.exp(lw)
-        print(tsv_table(N, lw, W, s, resid, digits=args.digits))
+        print(tsv_table(N, lw, np.exp(lw), s, resid, digits=args.digits))  # inf where W passes the largest double
     return 0
 
 
@@ -438,9 +439,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "digits", 1) < 1:
             raise UsageError(f"--digits must be at least 1, got {args.digits}")
-        return args.func(args)
-    except (UsageError, InputFormatError, SpecError, SeriesError, GroupLawError,
-            DistributionError) as exc:
+        # a value past the largest double prints as inf or nan and stderr holds only errors, so numpy's
+        # floating-point warnings are dropped; np.errstate would execute numpy in the exact subcommands
+        # and on the usage errors, which never use it
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"(overflow|invalid value|divide by zero) encountered", RuntimeWarning)
+            return args.func(args)
+    except (UsageError, InputFormatError, SpecError, SeriesError, DistributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

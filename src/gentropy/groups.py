@@ -10,11 +10,10 @@ truncation order, not approximate.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .series import (SeriesError, TruncatedSeries, _bell_table, _decode, _divided_powers, _reversion, _scaled,
                      common_denominator, exponential_sum_a_sequence, from_a_sequence)
@@ -55,13 +54,20 @@ class GroupLawError(ValueError):
     """Invalid input for group-law construction."""
 
 
-@dataclass(frozen=True)
-class GroupLaw:
-    """A formal group law with its exponential and logarithm series."""
-
+class _Law(NamedTuple):
     phi: MultiPoly  # bivariate, truncated at total degree `order`
     exp: TruncatedSeries  # G
     log: TruncatedSeries  # F = G^-1, exact also for a float G
+
+
+class GroupLaw(_Law):
+    """A formal group law with its exponential and logarithm series.
+
+    A read-only record; its instance dict holds only the ``_inverse`` cache.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set GroupLaw.{name}: a group law is read-only")
 
     @property
     def order(self) -> int:
@@ -81,8 +87,7 @@ class GroupLaw:
         return {m: c for m, c in self.phi.terms.items() if m not in ((1, 0), (0, 1))}
 
 
-@dataclass(frozen=True)
-class LawAxiomCheck:
+class LawAxiomCheck(NamedTuple):
     """Exact verdicts for one constructed (or hand-supplied) law."""
 
     symmetric: bool

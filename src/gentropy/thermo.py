@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._lazy import np
@@ -47,8 +46,7 @@ brentq = None  # never called: benchmark/spans.py wraps thermo.brentq by name, s
 _MAX_EXP = 700.0  # the rounded-W rows of extensivity_check stop here
 
 
-@dataclass(frozen=True)
-class OccupationLaw:
+class OccupationLaw(NamedTuple):
     spec: Entropy
     valid: bool
     reason: str = ""
@@ -110,11 +108,18 @@ def microcanonical(spec: Entropy, W: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ExtensivityReport:
+class _ExtensivityReport(NamedTuple):
     max_residual: float
     max_residual_rounded: float | None
-    rows: list = field(default_factory=list)
+    rows: list | None = None
+
+
+class ExtensivityReport(_ExtensivityReport):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        return report if report.rows is not None else report._replace(rows=[])  # a new list per report
 
 
 def extensivity_check(spec: Entropy, N_max: int) -> ExtensivityReport:
@@ -143,26 +148,30 @@ def extensivity_check(spec: Entropy, N_max: int) -> ExtensivityReport:
                              float(np.fmax.reduce(r_resid, initial=0.0)) if fits else None, rows)
 
 
-@dataclass(frozen=True)
-class MaxEntProblem:
+class _MaxEntProblem(NamedTuple):
     spec: Entropy
     energies: tuple[float, ...]
     beta: float | None = None  # fixed-multiplier mode
     target_U: float | None = None  # fixed-energy mode
 
-    def __post_init__(self):
-        if len(self.energies) < 2:
+
+class MaxEntProblem(_MaxEntProblem):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        problem = super().__new__(cls, *args, **kwargs)
+        if len(problem.energies) < 2:
             raise SpecError("need at least two energy levels")
-        if not all(math.isfinite(e) for e in self.energies):
+        if not all(math.isfinite(e) for e in problem.energies):
             raise SpecError("energies must be finite")
-        if (self.beta is None) == (self.target_U is None):
+        if (problem.beta is None) == (problem.target_U is None):
             raise SpecError("specify exactly one of beta or target_U")
-        if not math.isfinite(self.target_U if self.beta is None else self.beta):
+        if not math.isfinite(problem.target_U if problem.beta is None else problem.beta):
             raise SpecError("beta and target_U must be finite")
+        return problem
 
 
-@dataclass(frozen=True)
-class MaxEntSolution:
+class MaxEntSolution(NamedTuple):
     distribution: Distribution
     alpha: float
     beta: float
@@ -504,8 +513,7 @@ def legendre_residual(solution: MaxEntSolution, spec: Entropy) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ThermoRow:
+class ThermoRow(NamedTuple):
     beta: float
     U: float
     S: float
@@ -532,8 +540,7 @@ def temperature_table(spec: Entropy, energies, betas) -> list[ThermoRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     label: str
     family: str  # "(ln W)^a" or "W^b"
     exponent: float

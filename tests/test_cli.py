@@ -1108,6 +1108,28 @@ def test_solvers_keep_the_exit_code_contract(capsys, tmp_path, kind, q):
         assert "Traceback" not in err, command
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["eval", "--entropy", "tsallis", "--q", "1/2", "--dist", "uniform:3", "--scale", "1e150"], 0),
+    (["eval", "--entropy", "tsallis", "--q", "1/2", "--dist", "uniform:3", "--scale", "1.8e154"], 0),
+    (["eval", "--entropy", "kaniadakis", "--kappa", "1/2", "--dist", "uniform:3", "--scale", "1.8e154"], 0),
+    (["eval", "--entropy", "generic", "--a-sequence", "1,1/8,1/10", "--dist", "uniform:3", "--scale", "1e150"], 0),
+    (["check", "--entropy", "tsallis", "--q", "1/2", "--scale", "1e150", "--axiom", "all"], 1),
+    (["scan", "--spec", "tsallis:q=1/2", "--scale", "1e150"], 2),
+    (["maxent", "--entropy", "tsallis", "--q", "1/2", "--scale", "1e150", "--beta", "1", "--energies", "levels:4"], 2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_values_past_the_largest_double_print_no_floating_point_warning(capsys, levels, argv, exit_code):
+    # numpy's overflow and invalid-value RuntimeWarnings once reached stderr next to the inf or nan printed
+    argv = [levels[int(a[7:])] if a.startswith("levels:") else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reference = run(capsys, *argv)  # the command's exit code and stdout with its warnings dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == reference[:2] and code == exit_code
+    assert err == "" if code < 2 else is_usage_error(code, out, err)
+
+
 # -- the exit-code contract under generated command lines --------------------
 # Every subcommand, every kind, good and bad parameter literals and the
 # shared flags, at sizes small enough to keep each command cheap.

@@ -52,7 +52,33 @@ def test_exact_subcommands_load_neither_thermo_nor_axioms(code):
 
 def test_import_gentropy_loads_no_float_module():
     probe = "import gentropy, sys; print(*sorted(m for m in sys.modules if m.startswith('gentropy.')))"
-    assert output(probe)[-1].split() == ["gentropy._lazy", "gentropy.catalog", "gentropy.groups", "gentropy.series"]
+    assert output(probe)[-1].split() == ["gentropy._lazy", "gentropy.catalog", "gentropy.series"]
+
+
+# The float subcommands, each run on an energy file of levels 0..3 where it reads one
+ENERGIES = "open('levels.txt', 'w').write('0\\n1\\n2\\n3\\n'); "
+FLOAT_CASES = {
+    "eval": CASES["eval"],
+    "maxent": f"{ENERGIES}import gentropy.cli; gentropy.cli.main(['maxent', '--entropy', 'tsallis', '--q', '1/2', "
+              "'--beta', '1', '--energies', 'levels.txt'])",
+    "occupation": "import gentropy.cli; gentropy.cli.main(['occupation', '--entropy', 'kaniadakis', "
+                  "'--kappa', '1/3', '--nmax', '20'])",
+    "check": "import gentropy.cli; gentropy.cli.main(['check', '--entropy', 'tsallis', '--q', '1/2', "
+             "'--axiom', 'all'])",
+    "scan": "import gentropy.cli; gentropy.cli.main(['scan', '--spec', 'tsallis:q=1/2'])",
+}
+
+
+@pytest.mark.parametrize("code", FLOAT_CASES.values(), ids=FLOAT_CASES.keys())
+def test_float_subcommands_load_neither_groups_nor_dataclasses(code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    probe = f"{code}; import sys; print('gentropy.groups' in sys.modules, 'dataclasses' in sys.modules)"
+    assert output(probe)[-1] == "False False"
+
+
+def test_group_law_loads_no_dataclasses():
+    probe = f"{EXACT_CASES['group-law']}; import sys; print('dataclasses' in sys.modules)"
+    assert output(probe)[-1] == "False"
 
 
 def test_eval_executes_numpy_and_prints_its_value():
