@@ -1,10 +1,11 @@
 """Per-layer sweep of the exact group-law engine, the float MaxEnt and occupation-law layers, a spec's fixed cost and io.
 
-Runs four sweeps in-process and prints one JSON object: the git sha of the
-checkout timed, the machine (nproc, Python and numpy versions), and under
-"ms" the median milliseconds of 7 calls per layer, spec and size, with the
-exact sweep under "exact", the float one under "thermo", the job sweep
-under "jobs" and the io sweep under "io".  Under "counts", each MaxEnt row
+Runs four sweeps in-process and one in new interpreters, and prints one JSON
+object: the git sha of the checkout timed, the machine (nproc, Python and
+numpy versions), under "ms" the median milliseconds of 7 calls per layer,
+spec and size, with the exact sweep under "exact", the float one under
+"thermo", the job sweep under "jobs" and the io sweep under "io", and the
+import sweep under "imports".  Under "counts", each MaxEnt row
 of the float sweep has the work of one of its solves: the evaluations of h
 (``thermo._stationarity``, the monotonicity check, the level solves and the
 residual included) and the level solves (``thermo._invert_h``).  "counts"
@@ -68,6 +69,15 @@ times ``tsv_table`` of a 300-row, 5-column occupation table, the rows of
 ``extensivity_check`` on kaniadakis 1/3 at N_max = 300 with W = e^ln_W, as
 the CLI ``occupation`` command prints it.  All are timed in batches of 100
 calls, like the job sweep.
+
+The import sweep, under "imports", runs new interpreters.  Under "us" it has,
+for the package and each of its modules, the self and cumulative microseconds
+that ``python -X importtime`` reports for ``import <module>`` alone, each the
+median of 5 interpreters, the modules taken in turn in each of 5 rounds.  It
+inherits the environment, so whether a bytecode cache is read or written is
+the caller's (``PYTHONDONTWRITEBYTECODE``).  Under "subcommands" it has the
+gentropy modules that one command line per CLI subcommand (``SUBCOMMANDS``)
+has loaded when ``main`` returns.
 
 Each layer's input is built once, outside its clock, except the specs that
 the ``spec + first G`` and "occupation op" rows build; no call reuses an
@@ -152,6 +162,18 @@ JOB_SPECS = {
 JOB_N_MAX = 300
 DIST_LINES = 10_000
 ENERGY_LINES = (20, 10_000)
+IMPORT_REPEATS = 5
+# one command line per CLI subcommand; "ENERGIES" stands for a file of the levels 0, 1, 2, 3
+SUBCOMMANDS = {
+    "eval": ["eval", "--entropy", "bg", "--dist", "uniform:4"],
+    "expand": ["expand", "--entropy", "s_iii", "--q", "4/5", "--count", "8"],
+    "group-law": ["group-law", "--entropy", "tsallis", "--q", "1/2", "--order", "8"],
+    "check": ["check", "--entropy", "tsallis", "--q", "1/2", "--axiom", "all"],
+    "maxent": ["maxent", "--entropy", "tsallis", "--q", "1/2", "--beta", "1", "--energies", "ENERGIES"],
+    "occupation": ["occupation", "--entropy", "kaniadakis", "--kappa", "1/3", "--nmax", "20"],
+    "scan": ["scan", "--spec", "tsallis:q=1/2"],
+    "catalog": ["catalog"],
+}
 
 
 def median_ms(call, repeats: int, number: int = 1) -> float:
@@ -309,6 +331,39 @@ def io_sweep(g, numpy, workdir: Path) -> dict:
     return out
 
 
+def fresh(code: str, src: Path, *flags: str) -> subprocess.CompletedProcess:
+    """``code`` run in a new interpreter that imports gentropy from ``src``."""
+    return subprocess.run([sys.executable, *flags, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+
+
+def import_sweep(src: Path, workdir: Path) -> dict:
+    """Per gentropy module, the self and cumulative microseconds of ``python -X importtime``, each the median
+    of IMPORT_REPEATS new interpreters that import that module alone; and the gentropy modules each CLI
+    subcommand has loaded when it returns, in a new interpreter per subcommand."""
+    modules = ["gentropy"] + sorted(f"gentropy.{p.stem}" for p in (src / "gentropy").glob("*.py")
+                                    if p.stem != "__init__")
+    samples = {module: [] for module in modules}
+    for _ in range(IMPORT_REPEATS):  # each round imports every module once, so that drift spreads over all
+        for module in modules:
+            for line in fresh(f"import {module}", src, "-X", "importtime").stderr.splitlines():
+                fields = line.removeprefix("import time:").split("|")
+                if len(fields) == 3 and fields[2].strip() == module:
+                    samples[module].append((int(fields[0]), int(fields[1])))
+    us = {module: {"self": statistics.median(s for s, _ in runs), "cumulative": statistics.median(c for _, c in runs)}
+          for module, runs in samples.items()}
+    energies = workdir / "levels.txt"
+    energies.write_text("0\n1\n2\n3\n")
+    loaded = {}
+    for name, argv in SUBCOMMANDS.items():
+        argv = [str(energies) if a == "ENERGIES" else a for a in argv]
+        probe = (f"import contextlib, io, json, sys, gentropy.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    gentropy.cli.main({argv!r})\n"
+                 "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gentropy.'))))")
+        loaded[name] = json.loads(fresh(probe, src).stdout)
+    return {"us": us, "subcommands": loaded}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -325,6 +380,7 @@ def main(argv=None) -> int:
     jobs_ms, job_counts = job_sweep(g)
     with tempfile.TemporaryDirectory() as workdir:
         io_ms = io_sweep(g, numpy, Path(workdir))
+        imports = import_sweep(root / "src", Path(workdir))
     result = {
         "git_sha": sha,
         "nproc": os.cpu_count(),
@@ -333,6 +389,7 @@ def main(argv=None) -> int:
         "numpy": numpy.__version__,
         "ms": {"exact": exact_sweep(g), "thermo": thermo_ms, "jobs": jobs_ms, "io": io_ms},
         "counts": {**counts, **job_counts},
+        "imports": imports,
     }
     print(json.dumps(result, indent=1))
     return 0
