@@ -73,9 +73,12 @@ calls, like the job sweep.
 The import sweep, under "imports", runs new interpreters.  Under "us" it has,
 for the package and each of its modules, the self and cumulative microseconds
 that ``python -X importtime`` reports for ``import <module>`` alone, each the
-median of 5 interpreters, the modules taken in turn in each of 5 rounds.  It
-inherits the environment, so whether a bytecode cache is read or written is
-the caller's (``PYTHONDONTWRITEBYTECODE``).  Under "subcommands" it has the
+median of 5 interpreters, the modules taken in turn in each of 5 rounds.  The
+row read is the one of the import that executed the module: for a module that
+``gentropy/__init__.py`` imports, its own subtree; for any other, the
+package's ``__init__`` is inside its cumulative time.  The sweep inherits the
+environment, so whether a bytecode cache is read or written is the caller's
+(``PYTHONDONTWRITEBYTECODE``).  Under "subcommands" it has the
 gentropy modules that one command line per CLI subcommand (``SUBCOMMANDS``)
 has loaded when ``main`` returns.
 
@@ -349,7 +352,10 @@ def import_sweep(src: Path, workdir: Path) -> dict:
             for line in fresh(f"import {module}", src, "-X", "importtime").stderr.splitlines():
                 fields = line.removeprefix("import time:").split("|")
                 if len(fields) == 3 and fields[2].strip() == module:
+                    # the row of the import that executed it; a module the package imports has a
+                    # second row, for the top-level statement, that spans the whole package
                     samples[module].append((int(fields[0]), int(fields[1])))
+                    break
     us = {module: {"self": statistics.median(s for s, _ in runs), "cumulative": statistics.median(c for _, c in runs)}
           for module, runs in samples.items()}
     energies = workdir / "levels.txt"
