@@ -54,13 +54,13 @@ class GroupLawError(ValueError):
     """Invalid input for group-law construction."""
 
 
-class _Law(NamedTuple):
+class _GroupLaw(NamedTuple):
     phi: MultiPoly  # bivariate, truncated at total degree `order`
     exp: TruncatedSeries  # G
     log: TruncatedSeries  # F = G^-1, exact also for a float G
 
 
-class GroupLaw(_Law):
+class GroupLaw(_GroupLaw):
     """A formal group law with its exponential and logarithm series.
 
     A read-only record; its instance dict holds only the ``_inverse`` cache.
