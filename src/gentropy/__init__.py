@@ -2,7 +2,6 @@
 
 from .series import (
     SeriesError,
-    OrderMismatchError,
     TruncatedSeries,
     from_a_sequence,
     parse_rational_list,

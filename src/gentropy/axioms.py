@@ -241,7 +241,7 @@ def check_weak_composability(spec: Entropy, W_A: int, W_B: int) -> AxiomReport:
     s_a = spec.evaluate(Distribution.uniform(W_A))
     s_b = spec.evaluate(Distribution.uniform(W_B))
     s_ab = spec.evaluate(Distribution.uniform(W_A * W_B))
-    composed = spec.phi(s_a, s_b)
+    composed = float(spec.phi(s_a, s_b))
     residual = abs(s_ab - composed) / max(1.0, abs(s_ab))
     ok = residual <= 1e-9
     return AxiomReport(

@@ -115,12 +115,6 @@ class JointDistribution:
     def product(cls, a: Distribution, b: Distribution) -> "JointDistribution":
         return cls(np.outer(a.p, b.p))
 
-    def marginal_a(self) -> Distribution:
-        return Distribution(self.p.sum(axis=1))
-
-    def marginal_b(self) -> Distribution:
-        return Distribution(self.p.sum(axis=0))
-
     def flatten(self) -> Distribution:
         return Distribution(self.p.reshape(-1))
 

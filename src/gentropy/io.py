@@ -140,7 +140,9 @@ def _parse_lines(text: str) -> np.ndarray | None:
         text = _COMMENT.sub("", text)
     if any(pad in text for pad in _PADDING):
         text = "\n".join(map(str.strip, text.split("\n")))
-    if not text or text.isspace():  # blank lines only
+    # blank lines only, as in the empty last piece of each \n-terminated file that _bulk_values passes:
+    # the kernel gives the same empty array, but in about 55 us of numpy calls against 1 us here (x86-64)
+    if not text or text.isspace():
         return np.empty(0)
     data = text.encode() + b"\n"
     tables = _tables()

@@ -5,8 +5,7 @@ finite polynomial form in powers of ln(1/p^c).  The direct form through the
 upper incomplete gamma function, evaluated by adaptive quadrature, is an
 independent oracle for it and lives with the tests (``tests/scd_oracle.py``).
 
-Both carry the additive constant -c/(1 - c + c d) exactly as defined; the
-constant-stripped polynomial part is reported separately.
+Both carry the additive constant -c/(1 - c + c d) exactly as defined.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from math import comb, factorial
 from numbers import Integral
 
 from ._lazy import np
-from .catalog import Distribution, Entropy, SpecError
+from .catalog import Entropy, SpecError
 from .series import TruncatedSeries
 
 
@@ -81,7 +80,3 @@ class ScdEntropy(Entropy):
 
     def constant_term(self) -> float:
         return -self.c / self._norm
-
-    def stripped_evaluate(self, dist: Distribution) -> float:
-        """The polynomial part only, without the additive constant."""
-        return self.evaluate(dist) - self.kB * self.constant_term()

@@ -52,9 +52,6 @@ class OccupationLaw(NamedTuple):
     reason: str = ""
     ln_W: tuple[float, ...] = ()  # ln W(N) for N = 0, 1, ... as far as checked
 
-    def log_W(self, N: float) -> float:
-        return float(self.spec.F(N))
-
     def W(self, N: float) -> float:
         return _exp(self.spec.F(N))
 

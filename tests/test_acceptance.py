@@ -44,6 +44,7 @@ from gentropy.scd import ScdEntropy, inner_polynomial_coefficients
 from scd_oracle import gamma_identity_residual, scd_gamma_oracle
 from gentropy.series import TruncatedSeries
 from conftest import record_acceptance_line
+from oracle_loader import o
 from gentropy.thermo import (
     MaxEntProblem,
     asymptotic_scan,
@@ -82,12 +83,12 @@ def exponential_catalog():
 
 def test_01_series_reversion_exact():
     order = 12
-    ident = TruncatedSeries.identity(order)
+    ident = list(TruncatedSeries([0, 1], order).coeffs)
     ok = True
     for spec in (Tsallis(Fraction(1, 2)), Kaniadakis(Fraction(3, 10)),
                  SThird(Fraction(4, 5))):
         g = spec.exp_series(order)
-        ok = ok and g.revert().compose(g) == ident
+        ok = ok and o.compose(g.revert().coeffs, g.coeffs, order) == ident
     rng = random.Random(2024)
     for _ in range(50):
         tail = [
@@ -95,7 +96,7 @@ def test_01_series_reversion_exact():
             for _ in range(order - 1)
         ]
         g = TruncatedSeries([Fraction(0), Fraction(1)] + tail, order)
-        ok = ok and g.revert().compose(g) == ident
+        ok = ok and o.compose(g.revert().coeffs, g.coeffs, order) == ident
     report(1, "series reversion exact at order 12", ok)
 
 

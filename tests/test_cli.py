@@ -902,6 +902,16 @@ class TestUsageErrors:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "--order" in errors[0] and "Traceback" not in err
 
+    def test_non_integer_order_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "group-law", "--entropy", "bg", "--order", "abc")
+        assert (code, out) == (2, "") and "Traceback" not in err
+        assert err.endswith("argument --order: invalid int value: 'abc'\n")
+
+    def test_zero_extreme_group_log_coefficient_is_refused(self, capsys):
+        code, out, err = run(capsys, "eval", "--entropy", "group_entropy", "--sigma", "1/5",
+                             "--coeffs", "2:0,1:1/2,-1:-1/2", "--dist", "uniform:3")
+        assert (code, out, err) == (2, "", "error: extreme coefficients k_l, k_m must be nonzero\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1128,6 +1138,14 @@ def test_values_past_the_largest_double_print_no_floating_point_warning(capsys, 
         code, out, err = run(capsys, *argv)
     assert (code, out) == reference[:2] and code == exit_code
     assert err == "" if code < 2 else is_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("axiom", list(AXIOMS))
+def test_witnesses_print_no_numpy_scalar(capsys, axiom):
+    # weak-composability's witness once printed 'composed': np.float64(inf) under numpy 2 and inf under numpy 1
+    code, out, err = run(capsys, "check", "--entropy", "tsallis", "--q", "1/2", "--scale", "1e150", "--axiom", axiom)
+    assert code in (0, 1) and err == ""
+    assert "np." not in out
 
 
 # -- the exit-code contract under generated command lines --------------------

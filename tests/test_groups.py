@@ -35,6 +35,7 @@ from gentropy.groups import (
     lie_bracket,
 )
 from gentropy.series import SeriesError, TruncatedSeries, from_a_sequence, normalized_from_literal
+from oracle_loader import o
 from test_acceptance import exponential_catalog
 
 
@@ -441,9 +442,9 @@ def reference_law(g, order):
 def c_ab_formula(g, order):
     """c_ab = sum_k g_k sum_j C(k, j) [x^a]F^j [x^b]F^(k-j), term by term."""
     F = TruncatedSeries(g, order).revert()
-    powers = [TruncatedSeries([1], order)]
+    powers = [TruncatedSeries([1], order).coeffs]
     for _ in range(order):
-        powers.append(powers[-1] * F)
+        powers.append(o.mul(powers[-1], F.coeffs, order))
     table = {}
     for a in range(order + 1):
         for b in range(order + 1 - a):

@@ -317,3 +317,12 @@ def test_a_file_of_few_lines_is_read_line_by_line(tmp_path, monkeypatch, lines, 
 def test_format_float_non_finite():
     cases = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]
     assert [format_float(x) for x in cases] == ["nan", "inf", "-inf", "nan", "-inf"]
+
+
+def test_tsv_table_of_mixed_columns_is_tsv_line_row_by_row():
+    # a column of more types than int or float is formatted by "%s" of each value's format_value text
+    row = [3, True, "x", Fraction(-1, 3), np.float64(0.1), math.inf]
+    columns = [row[k:] + row[:k] for k in range(len(row))]
+    for digits in (17, 5):
+        lines = [io.tsv_line(*fields, digits=digits) for fields in zip(*columns)]
+        assert io.tsv_table(*columns, digits=digits) == "\n".join(lines)

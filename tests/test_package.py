@@ -12,7 +12,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # defining module -> the names `gentropy/__init__.py` imported from it eagerly
 EXPORTS = {
-    "series": ["SeriesError", "OrderMismatchError", "TruncatedSeries", "from_a_sequence", "parse_rational_list",
+    "series": ["SeriesError", "TruncatedSeries", "from_a_sequence", "parse_rational_list",
                "normalized_from_literal"],
     "groups": ["GroupLawError", "MultiPoly", "GroupLaw", "LawAxiomCheck", "group_law_from_exponential",
                "law_from_table", "check_axioms", "formal_inverse", "lie_bracket", "abel_coefficients",

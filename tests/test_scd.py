@@ -88,12 +88,6 @@ class TestClosedForms:
         expected = (sum(p ** c for p in FIX.p) - c) / (1 - c)
         assert ScdEntropy(c, 0).evaluate(FIX) == pytest.approx(expected, rel=1e-13)
 
-    def test_stripped_evaluate(self):
-        s = ScdEntropy(0.5, 2)
-        assert s.stripped_evaluate(FIX) - s.evaluate(FIX) == pytest.approx(
-            -s.constant_term(), rel=1e-13
-        )
-
 
 class TestGammaOracle:
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])

@@ -184,7 +184,7 @@ class TestOccupationLaw:
     def test_huge_argument_does_not_overflow(self):
         law = occupation_law(BoltzmannGibbs())
         assert law.W(10_000) == math.inf
-        assert law.log_W(10_000) == pytest.approx(10_000.0)
+        assert float(law.spec.F(10_000)) == pytest.approx(10_000.0)
 
     def test_W_is_inf_only_where_exp_overflows(self):
         law = occupation_law(BoltzmannGibbs())
@@ -253,7 +253,7 @@ class TestOccupationLaw:
         assert law.ln_W == occupation_law(make(1.0), 200).ln_W
         for N, lw, S, resid, _ in extensivity_check(spec, 200).rows:
             assert resid <= 1e-9 * N
-        assert law.log_W(5) == law.ln_W[5]
+        assert float(law.spec.F(5)) == law.ln_W[5]
 
 
 @pytest.mark.parametrize("spec", [*CLOSED_FORM_SPECS.values(), Tsallis(Fraction(5, 4))],
